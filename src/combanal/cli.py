@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import compositions as cp
 from . import divisors as dv
@@ -24,7 +24,7 @@ from . import partitions as pt
 from . import patterns as pa
 from . import probelect as pe
 from . import recreations as rc
-from .exactcore import MultiPoly, TruncationBoundError
+from .exactcore import MultiPoly
 
 MAX_WORK_ENV = "COMBANAL_MAX_WORK"
 
@@ -70,6 +70,18 @@ def _vector_parts(text: str) -> List[tuple]:
     return [tuple(_ints(part)) for part in text.split(";") if part]
 
 
+def _box_bounds(text: str) -> Tuple[Optional[int], int, int]:
+    """l,m,cmax for --boxed; l is None (unbounded entries) for inf or -1."""
+    try:
+        l_text, m_text, c_text = text.split(",")
+        l = None if l_text in ("inf", "-1") else int(l_text)
+        return l, int(m_text), int(c_text)
+    except ValueError:
+        raise UsageError(
+            f"--boxed takes l,m,cmax integers (l may be inf or -1), not {text!r}"
+        ) from None
+
+
 def _profile(text: str) -> pa.EdgeProfile:
     pts = []
     for pair in text.split(";"):
@@ -99,13 +111,15 @@ def parse_coeff_poly(expr: str, p: int) -> MultiPoly:
             if not factor:
                 raise UsageError(f"empty factor in {expr!r}")
             if factor.lstrip("-").replace("/", "").isdigit():
-                coeff *= Fraction(factor)
+                try:
+                    coeff *= Fraction(factor)
+                except (ValueError, ZeroDivisionError):
+                    raise UsageError(f"bad coefficient {factor!r} in {expr!r}") from None
                 continue
-            if "^" in factor:
-                name, power = factor.split("^")
-                power = int(power)
-            else:
-                name, power = factor, 1
+            name, caret, power_text = factor.partition("^")
+            if caret and not power_text.isdecimal():
+                raise UsageError(f"power must be a non-negative integer in {expr!r}")
+            power = int(power_text) if caret else 1
             if name not in names:
                 raise UsageError(f"unknown symbol {name!r} for order {p}")
             exp[names.index(name)] += power
@@ -189,10 +203,9 @@ def cmd_partition(args) -> CommandResult:
             )
             return CommandResult(text, {str(w): c for w, c in terms})
         if args.boxed:
-            l_text, m_text, c_text = args.boxed.split(",")
-            l = None if l_text in ("inf", "-1") else int(l_text)
+            l, m, cmax = _box_bounds(args.boxed)
             value = pt.count_boxed_plane_partitions(
-                args.n, l, int(m_text), int(c_text),
+                args.n, l, m, cmax,
                 cell_cap=args.max_work or pt.DEFAULT_BOX_CELL_CAP,
             )
             return CommandResult(str(value), value)
@@ -582,6 +595,8 @@ def cmd_divisor(args) -> CommandResult:
         if args.n is not None:
             value = dv.divisor_series_coeff(args.kind, args.n, args.k)
             return CommandResult(str(value), value)
+        if args.max_n < 1 or args.max_k < 1:
+            raise UsageError("--max-n and --max-k must be at least 1")
         table = dv.divisor_table(args.kind, args.max_n, args.max_k)
         header = ["n"] + [f"k{k}" for k in range(1, args.max_k + 1)]
         rows = [[n + 1] + table[n] for n in range(args.max_n)]
@@ -903,7 +918,6 @@ HANDLERS = {
 OPERATION_COVERAGE = {
     "exactcore.poly_det": "master coeff --denominator",
     "exactcore.series_inverse": "master coeff",
-    "exactcore.coeff": "master coeff",
     "exactcore.linsolve_rational": "invariant syzygant",
     "partitions.enumerate_partitions": "partition enum",
     "partitions.count_partitions": "partition count",
@@ -1006,7 +1020,7 @@ def dispatch(argv: Sequence[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TruncationBoundError, ZeroDivisionError, IndexError) as exc:
+    except (ValueError, ZeroDivisionError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

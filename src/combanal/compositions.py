@@ -139,7 +139,7 @@ def bipartite_composition_count_gf(p: int, q: int) -> int:
     if (p, q) == (0, 0) or p < 0 or q < 0:
         raise ValueError("need a nonzero non-negative bipartite number")
     x, y = poly_ring("x", "y")
-    series = series_inverse(1 - 2 * x - 2 * y + 2 * x * y, p + q)
+    series = series_inverse(1 - 2 * x - 2 * y + 2 * x * y, (p, q))
     value = series.coeff((p, q)) / 2
     assert value.denominator == 1
     return int(value)

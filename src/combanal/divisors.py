@@ -8,7 +8,6 @@ import math
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactcore import MultiPoly, TruncSeries, poly_ring, series_inverse
 from .partitions import ordered_factorizations, plane_partition_gf
 
 SERIES_KINDS = ("A", "B", "C")
@@ -66,22 +65,19 @@ def sigma(n: int, power: int = 1) -> int:
 
 
 def sigma2_from_plane_partitions(bound: int) -> List[int]:
-    """sigma_2(1..bound) as the coefficients of x f'(x)/f(x) for the
-    plane-partition product f = prod (1 - x^k)^(-k)."""
+    """sigma_2(1..bound) as the coefficients of q = x f'(x)/f(x) for the
+    plane-partition product f = prod (1 - x^k)^(-k).
+
+    With f_0 = 1, matching x^n in q*f = x f' gives
+    q_n = n f_n - sum_{j=1}^{n-1} q_j f_{n-j}.
+    """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     f = plane_partition_gf(bound)
-    names = f.poly.names
-    derivative = f.poly.diff("x")
-    x = MultiPoly.variable(names, "x")
-    numerator = TruncSeries(x * derivative, bound)
-    quotient = numerator * series_inverse(f.poly, bound)
-    out = []
+    q = [0] * (bound + 1)
     for n in range(1, bound + 1):
-        value = quotient.coeff((n,))
-        assert value.denominator == 1
-        out.append(int(value))
-    return out
+        q[n] = n * f[n] - sum(q[j] * f[n - j] for j in range(1, n))
+    return q[1:]
 
 
 def prime_factorization(n: int) -> Dict[int, int]:

@@ -1,5 +1,5 @@
-"""Exact rational arithmetic: multivariate polynomials, truncated power
-series, polynomial determinants and rational linear solving.
+"""Exact rational arithmetic: multivariate polynomials, box-truncated
+series inversion, polynomial determinants and rational linear solving.
 
 Coefficients are `fractions.Fraction` throughout; nothing here rounds.
 Values are immutable once built and safe to share between threads.
@@ -7,8 +7,10 @@ Values are immutable once built and safe to share between threads.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from operator import sub
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -23,10 +25,6 @@ class DimensionError(ValueError):
 
 class SingularSeriesError(ZeroDivisionError):
     """Series inversion requires a nonzero constant term."""
-
-
-class TruncationBoundError(ValueError):
-    """Coefficient query lies beyond the series' truncation bound."""
 
 
 def _frac(value: Scalar) -> Fraction:
@@ -222,18 +220,15 @@ class MultiPoly:
             out += term
         return out
 
-    def truncate(self, bound: int, caps: Optional[Mapping[str, int]] = None) -> "MultiPoly":
-        idx_caps = None
-        if caps:
-            idx_caps = {self.names.index(n): c for n, c in caps.items()}
-        keep = {}
-        for exp, c in self.terms.items():
-            if sum(exp) > bound:
-                continue
-            if idx_caps and any(exp[i] > cap for i, cap in idx_caps.items()):
-                continue
-            keep[exp] = c
-        return MultiPoly(self.names, keep)
+    def truncate(self, box: Sequence[int]) -> "MultiPoly":
+        """The terms whose exponent lies componentwise within `box`."""
+        box = tuple(box)
+        if len(box) != len(self.names):
+            raise ValueError(f"box {box} does not match variables {self.names}")
+        return MultiPoly(
+            self.names,
+            {e: c for e, c in self.terms.items() if all(a <= b for a, b in zip(e, box))},
+        )
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises if the division is not exact."""
@@ -291,105 +286,32 @@ def poly_ring(*names: str) -> Tuple[MultiPoly, ...]:
     return tuple(MultiPoly.variable(names, n) for n in names)
 
 
-class TruncSeries:
-    """MultiPoly truncated by total degree (optional per-variable caps)."""
+def series_inverse(p: MultiPoly, box: Sequence[int]) -> MultiPoly:
+    """1/p as a power series, exact at every exponent componentwise within `box`.
 
-    __slots__ = ("poly", "bound", "caps")
-
-    def __init__(self, poly: MultiPoly, bound: int, caps: Optional[Mapping[str, int]] = None):
-        if bound < 0:
-            raise ValueError("truncation bound must be non-negative")
-        caps = dict(caps) if caps else None
-        object.__setattr__(self, "poly", poly.truncate(bound, caps))
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "caps", caps)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("TruncSeries is immutable")
-
-    def _join(self, other: "TruncSeries") -> Tuple[int, Optional[Dict[str, int]]]:
-        bound = min(self.bound, other.bound)
-        caps: Optional[Dict[str, int]] = None
-        if self.caps or other.caps:
-            caps = {}
-            for src in (self.caps or {}), (other.caps or {}):
-                for k, v in src.items():
-                    caps[k] = min(v, caps.get(k, v))
-        return bound, caps
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        bound, caps = self._join(other)
-        return TruncSeries(self.poly + other.poly, bound, caps)
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        bound, caps = self._join(other)
-        return TruncSeries(self.poly - other.poly, bound, caps)
-
-    def __mul__(self, other: Union["TruncSeries", MultiPoly, Scalar]) -> "TruncSeries":
-        if isinstance(other, TruncSeries):
-            bound, caps = self._join(other)
-            return TruncSeries(self.poly * other.poly, bound, caps)
-        return TruncSeries(self.poly * other, self.bound, self.caps)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruncSeries)
-            and self.bound == other.bound
-            and self.poly == other.poly
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.poly, self.bound))
-
-    def coeff(self, exp: Exponent) -> Fraction:
-        """Exact coefficient; refuses monomials beyond the truncation bound."""
-        exp = tuple(exp)
-        if sum(exp) > self.bound:
-            raise TruncationBoundError(
-                f"monomial of total degree {sum(exp)} exceeds bound {self.bound}"
-            )
-        if self.caps:
-            names = self.poly.names
-            for name, cap in self.caps.items():
-                if exp[names.index(name)] > cap:
-                    raise TruncationBoundError(f"monomial exceeds cap on {name}")
-        return self.poly.coeff(exp)
-
-    def __str__(self) -> str:
-        return f"{self.poly} + O(deg>{self.bound})"
-
-    __repr__ = __str__
-
-
-def coeff(series: TruncSeries, exp: Exponent) -> Fraction:
-    return series.coeff(exp)
-
-
-def series_inverse(p: MultiPoly, bound: int, caps: Optional[Mapping[str, int]] = None) -> TruncSeries:
-    """Multiplicative inverse of `p` as a series up to total degree `bound`."""
+    Exponents are non-negative, so only the terms of p inside the box reach
+    a cell of it.  The cells are filled in lexicographic order from p*q = 1:
+    q_e = -(1/c0) * sum over the non-constant terms p_f of p_f * q_{e-f}.
+    """
     c0 = p.constant_term()
     if c0 == 0:
         raise SingularSeriesError("cannot invert a series with zero constant term")
-    # p = c0*(1 - r) with r of positive order, so 1/p = (1/c0) * sum r^k.
-    r = (MultiPoly.const(p.names, 1) - p * (1 / c0)).truncate(bound, caps)
-    acc = MultiPoly.const(p.names, 1)
-    power = MultiPoly.const(p.names, 1)
-    for _ in range(bound):
-        power = (power * r).truncate(bound, caps)
-        if power.is_zero():
-            break
-        acc = acc + power
-    return TruncSeries(acc * (1 / c0), bound, caps)
-
-
-def geometric_series(factors: Sequence[MultiPoly], bound: int) -> TruncSeries:
-    """Product of 1/f for each factor f, truncated by total degree."""
-    if not factors:
-        raise ValueError("need at least one factor")
-    out = series_inverse(factors[0], bound)
-    for f in factors[1:]:
-        out = out * series_inverse(f, bound)
-    return out
+    box = tuple(box)
+    if any(b < 0 for b in box):
+        raise ValueError(f"box {box} has a negative bound")
+    rest = [(f, c) for f, c in p.truncate(box).terms.items() if any(f)]
+    scale = -1 / c0
+    cells = itertools.product(*(range(b + 1) for b in box))
+    q: Dict[Exponent, Fraction] = {next(cells): 1 / c0}  # the origin comes first
+    for e in cells:
+        total = Fraction(0)
+        for f, c in rest:
+            # an e - f with a negative entry is not a key of q
+            v = q.get(tuple(map(sub, e, f)))
+            if v:
+                total += c * v
+        q[e] = total * scale
+    return MultiPoly(p.names, q)
 
 
 # -- determinants ------------------------------------------------------

@@ -14,12 +14,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .exactcore import (
-    MultiPoly,
-    TruncSeries,
-    poly_ring,
-    series_inverse,
-)
+from .exactcore import MultiPoly, poly_det, poly_ring, series_inverse
 
 Multidegree = Tuple[int, ...]
 
@@ -37,8 +32,6 @@ def master_denominator(matrix: Sequence[Sequence[int]]) -> MultiPoly:
         raise ValueError("coefficient matrix must be square")
     names = _names(n)
     xs = poly_ring(*names)
-    from .exactcore import poly_det
-
     entries = [
         [
             (MultiPoly.const(names, 1) if i == j else MultiPoly.zero(names))
@@ -50,11 +43,6 @@ def master_denominator(matrix: Sequence[Sequence[int]]) -> MultiPoly:
     return poly_det(entries)
 
 
-def master_series(matrix: Sequence[Sequence[int]], bound: int) -> TruncSeries:
-    """1/V_n as a truncated series."""
-    return series_inverse(master_denominator(matrix), bound)
-
-
 def master_coefficient(
     matrix: Sequence[Sequence[int]],
     multidegree: Multidegree,
@@ -62,8 +50,8 @@ def master_coefficient(
 ) -> Fraction:
     """Coefficient of prod x_i^{e_i} in 1/V_n.
 
-    Exact: the coefficient is settled at total degree sum(e); the series
-    is expanded two degrees past it.
+    Exact: only the cells of the box 0 <= f <= e reach x^e, so the series
+    is expanded over that box alone.
     """
     multidegree = tuple(multidegree)
     if len(multidegree) != len(matrix):
@@ -73,7 +61,7 @@ def master_coefficient(
     total = sum(multidegree)
     if total > degree_cap:
         raise ValueError(f"total degree {total} exceeds the cap {degree_cap}")
-    return master_series(matrix, total + 2).coeff(multidegree)
+    return series_inverse(master_denominator(matrix), multidegree).coeff(multidegree)
 
 
 def linear_forms(matrix: Sequence[Sequence[int]]) -> List[MultiPoly]:
@@ -139,15 +127,19 @@ def _distinct_words(reference: Tuple[int, ...]):
             yield word
 
 
-def generalized_rencontres(m: int, multidegree: Multidegree) -> int:
-    """{m; e1 e2 ... en}: distinct arrangements of the multiset
-    1^e1 2^e2 ... n^en leaving exactly m positions unchanged."""
+def _check_rencontres(m: int, multidegree: Multidegree) -> Multidegree:
     multidegree = tuple(multidegree)
     if any(e < 0 for e in multidegree) or not any(multidegree):
         raise ValueError("multidegree must be non-negative and nonzero")
-    total = sum(multidegree)
-    if not 0 <= m <= total:
+    if not 0 <= m <= sum(multidegree):
         raise ValueError("m out of range")
+    return multidegree
+
+
+def brute_force_rencontres(m: int, multidegree: Multidegree) -> int:
+    """{m; e1 ... en} by enumerating the distinct words of the multiset;
+    the independent oracle for generalized_rencontres."""
+    multidegree = _check_rencontres(m, multidegree)
     reference: Tuple[int, ...] = ()
     for symbol, e in enumerate(multidegree, start=1):
         reference += (symbol,) * e
@@ -157,6 +149,30 @@ def generalized_rencontres(m: int, multidegree: Multidegree) -> int:
         if fixed == m:
             count += 1
     return count
+
+
+def generalized_rencontres(m: int, multidegree: Multidegree) -> int:
+    """{m; e1 e2 ... en}: distinct arrangements of the multiset
+    1^e1 2^e2 ... n^en leaving exactly m positions unchanged.
+
+    Each of the e_i positions holding symbol i takes a symbol from
+    X_i = t*x_i + sum_{j != i} x_j, t marking a kept symbol, so the count
+    is the coefficient of x^e t^m in prod X_i^{e_i}.  The Master Theorem
+    reads it from 1/det(I - diag(x) A(t)), where A(t) has t on the
+    diagonal and ones elsewhere.
+    """
+    multidegree = _check_rencontres(m, multidegree)
+    *xs, t = poly_ring(*_names(len(multidegree)), "t")
+    # I - diag(x) A(t) = diag(d) - x 1^T with d_i = 1 - (t - 1) x_i, so the
+    # matrix determinant lemma gives the determinant without elimination.
+    d = [1 - (t - 1) * x for x in xs]
+    denominator = math.prod(d) - sum(
+        x * math.prod(d[:i] + d[i + 1 :]) for i, x in enumerate(xs)
+    )
+    target = multidegree + (m,)
+    value = series_inverse(denominator, target).coeff(target)
+    assert value.denominator == 1
+    return int(value)
 
 
 def multiset_derangement_count(multidegree: Multidegree) -> int:

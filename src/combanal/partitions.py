@@ -18,8 +18,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .exactcore import MultiPoly, TruncSeries, poly_ring, series_inverse
-
 Partition = Tuple[int, ...]
 PlanePartition = Tuple[Tuple[int, ...], ...]
 
@@ -559,16 +557,17 @@ def enumerate_plane_partitions(n: int) -> List[PlanePartition]:
     return sorted(out)
 
 
-def plane_partition_gf(bound: int) -> TruncSeries:
-    """MacMahon's plane-partition generating function prod (1-x^k)^-k."""
+def plane_partition_gf(bound: int) -> List[int]:
+    """Coefficients of x^0..x^bound in MacMahon's plane-partition
+    generating function prod (1-x^k)^-k."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    (x,) = poly_ring("x")
-    acc = TruncSeries(MultiPoly.const(("x",), 1), bound)
+    acc = [1] + [0] * bound
     for k in range(1, bound + 1):
-        inv = series_inverse(1 - x**k, bound)
         for _ in range(k):
-            acc = acc * inv
+            # multiply by 1/(1 - x^k): a running sum with stride k
+            for i in range(k, bound + 1):
+                acc[i] += acc[i - k]
     return acc
 
 
@@ -576,9 +575,7 @@ def count_plane_partitions(n: int) -> int:
     """Number of plane partitions of n via the generating function."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    coeff = plane_partition_gf(n).coeff((n,))
-    assert coeff.denominator == 1
-    return int(coeff)
+    return plane_partition_gf(n)[n]
 
 
 DEFAULT_BOX_CELL_CAP = 64

@@ -122,6 +122,18 @@ class TestExitCodes:
         code, out, err = run("puzzle cubes --format svg")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "partition plane 5 --boxed 0,0",
+        "invariant oop a0^-1 --p 2",
+        "invariant oop 1/0 --p 2",
+        "divisor series A --max-n -1",
+    ])
+    def test_malformed_argument_is_usage_error(self, argv):
+        code, out, err = run(argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
 
 class TestFormats:
     def test_json_stable_keys(self):
@@ -161,7 +173,7 @@ class TestCoverage:
         # audit: each module operation appears in the coverage table, and
         # the table's subcommands parse.
         expected_ops = {
-            "exactcore": ["poly_det", "series_inverse", "coeff", "linsolve_rational"],
+            "exactcore": ["poly_det", "series_inverse", "linsolve_rational"],
             "partitions": [
                 "enumerate_partitions", "count_partitions", "demorgan_u",
                 "closed_form_u2", "closed_form_u3", "warburton_count",

@@ -2,14 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combanal.exactcore import (
     DimensionError,
     MultiPoly,
     SingularSeriesError,
-    TruncationBoundError,
-    TruncSeries,
-    coeff,
     linsolve_rational,
     nullspace_rational,
     poly_det,
@@ -132,13 +131,13 @@ class TestPolyDet:
 class TestSeries:
     def test_geometric(self):
         (x,) = poly_ring("x")
-        s = series_inverse(1 - x, 3)
-        assert s.poly == 1 + x + x**2 + x**3
+        s = series_inverse(1 - x, (3,))
+        assert s == 1 + x + x**2 + x**3
 
     def test_zero_constant_term_rejected(self):
         (x,) = poly_ring("x")
         with pytest.raises(SingularSeriesError):
-            series_inverse(x, 3)
+            series_inverse(x, (3,))
 
     def test_inverse_times_original_is_one(self):
         rng = random.Random(23)
@@ -147,34 +146,38 @@ class TestSeries:
         for _ in range(100):
             p = random_poly(rng, names, max_terms=3, max_exp=2)
             p = p - MultiPoly.const(names, p.constant_term()) + one
-            s = series_inverse(p, 5)
-            assert (s * TruncSeries(p, 5)).poly == one
+            s = series_inverse(p, (5, 5))
+            assert (s * p).truncate((5, 5)) == one
 
-    def test_coeff_queries(self):
-        x, y = poly_ring("x", "y")
-        s = TruncSeries(1 + 2 * x * y, 4)
-        assert coeff(s, (1, 1)) == 2
-        assert coeff(s, (2, 0)) == 0
-        with pytest.raises(TruncationBoundError):
-            coeff(s, (3, 2))
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_inverse_times_original_is_one_in_any_box(self, data):
+        n = data.draw(st.integers(1, 3))
+        coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+        terms = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeffs, max_size=5))
+        terms[(0,) * n] = data.draw(coeffs.filter(bool))
+        box = data.draw(st.tuples(*[st.integers(0, 4)] * n))
+        names = tuple(f"x{i}" for i in range(n))
+        p = MultiPoly(names, terms)
+        assert (series_inverse(p, box) * p).truncate(box) == MultiPoly.const(names, 1)
 
     def test_appendix_style_bipartite_coefficients(self):
         # coeff of x^2 y^2 in 1/(1-2x-2y+2xy) is 52: twice the 26
         # compositions of the bipartite number (2,2).
         x, y = poly_ring("x", "y")
-        s = series_inverse(1 - 2 * x - 2 * y + 2 * x * y, 4)
+        s = series_inverse(1 - 2 * x - 2 * y + 2 * x * y, (2, 2))
         assert s.coeff((2, 2)) == 52
         assert s.coeff((1, 1)) == 6
 
     def test_partition_counting_series(self):
         (x,) = poly_ring("x")
-        s = series_inverse((1 - x) * (1 - x**2), 6)
+        s = series_inverse((1 - x) * (1 - x**2), (6,))
         assert s.coeff((5,)) == 3
 
     def test_per_variable_caps(self):
         x, y = poly_ring("x", "y")
-        s = TruncSeries(x**2 + x * y, 4, caps={"x": 1})
-        assert s.poly == x * y
+        assert (x**2 + x * y).truncate((1, 4)) == x * y
+        assert (x**2 + x * y + y**3).truncate((2, 1)) == x**2 + x * y
 
 
 class TestLinSolve:

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combanal import masterthm as mt
 from combanal.exactcore import (
     MultiPoly,
-    TruncSeries,
     poly_det,
     poly_ring,
     series_inverse,
@@ -57,7 +58,7 @@ class TestDenominator:
     def test_balanced_part_of_redundant_product_matches_condensed(self):
         # Expand prod 1/(1 - s_i X_i) in the doubled variable set and keep
         # monomials whose s-degrees equal their x-degrees; that balanced
-        # slice must agree with 1/V_2 termwise up to total degree 6.
+        # slice must agree with 1/V_2 termwise up to degree 6 in each x.
         rng = random.Random(9)
         a = [[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)]
         names = ("s1", "s2", "x1", "x2")
@@ -65,21 +66,19 @@ class TestDenominator:
         xs = (x1, x2)
         ss = (s1, s2)
         one = MultiPoly.const(names, 1)
-        bound = 12  # joint degree: 6 in x plus the matching 6 in s
-        acc = TruncSeries(one, bound)
+        box = (6, 6, 6, 6)
+        acc = one
         for i in range(2):
             form = sum((xs[j] * a[i][j] for j in range(2)), MultiPoly.zero(names))
-            acc = acc * series_inverse(one - ss[i] * form, bound)
+            acc = (acc * series_inverse(one - ss[i] * form, box)).truncate(box)
         balanced = {}
-        for exp, c in acc.poly.terms.items():
+        for exp, c in acc.terms.items():
             sdeg, xdeg = exp[:2], exp[2:]
-            if sdeg == xdeg and sum(xdeg) <= 6:
+            if sdeg == xdeg:
                 balanced[xdeg] = c
-        condensed = mt.master_series(a, 6)
-        for exp in set(balanced) | {
-            e for e in condensed.poly.terms if sum(e) <= 6
-        }:
-            assert balanced.get(exp, Fraction(0)) == condensed.poly.coeff(exp), exp
+        condensed = series_inverse(mt.master_denominator(a), (6, 6))
+        for exp in set(balanced) | set(condensed.terms):
+            assert balanced.get(exp, Fraction(0)) == condensed.coeff(exp), exp
 
 
 class TestCoefficients:
@@ -92,7 +91,7 @@ class TestCoefficients:
     def test_multiset_derangement_2_2(self):
         m2 = mt.derangement_matrix(2)
         got = mt.master_coefficient(m2, (2, 2))
-        oracle = mt.multiset_derangement_count((2, 2))
+        oracle = mt.brute_force_rencontres(0, (2, 2))
         assert got == oracle == 1
 
     def test_master_theorem_oracle_identity(self):
@@ -106,6 +105,15 @@ class TestCoefficients:
                     assert mt.master_coefficient(a, degree) == mt.redundant_coefficient(
                         a, degree
                     ), (a, degree)
+
+    @settings(max_examples=40)
+    @given(st.data())
+    def test_master_theorem_on_random_matrices(self, data):
+        n = data.draw(st.integers(1, 3))
+        a = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                               min_size=n, max_size=n))
+        degree = data.draw(st.tuples(*[st.integers(0, 5)] * n).filter(lambda d: sum(d) <= 5))
+        assert mt.master_coefficient(a, degree) == mt.redundant_coefficient(a, degree)
 
     def test_degree_cap_refusal(self):
         with pytest.raises(ValueError):
@@ -154,3 +162,16 @@ class TestRencontres:
                 mt.generalized_rencontres(m, multidegree) for m in range(total + 1)
             )
             assert got == expected
+
+    def test_four_fours_without_enumeration(self):
+        assert mt.generalized_rencontres(0, (4, 4, 4, 4)) == 748521
+
+    @settings(max_examples=25)
+    @given(
+        st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(
+            lambda shape: 0 < sum(shape) <= 7
+        )
+    )
+    def test_condensed_route_matches_brute_force(self, shape):
+        for m in range(sum(shape) + 1):
+            assert mt.generalized_rencontres(m, shape) == mt.brute_force_rencontres(m, shape)
