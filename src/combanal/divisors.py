@@ -16,7 +16,14 @@ SERIES_KINDS = ("A", "B", "C")
 def divisors(n: int) -> List[int]:
     if n < 1:
         raise ValueError("n must be positive")
-    return [d for d in range(1, n + 1) if n % d == 0]
+    small: List[int] = []
+    large: List[int] = []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    return small + large[::-1]
 
 
 def divisor_series_coeff(kind: str, n: int, k: int) -> int:
@@ -164,13 +171,17 @@ def factorizations(m: int, ordered: bool = False) -> int:
     if ordered:
         return len(ordered_factorizations(m))
 
-    def count(m: int, max_factor: int) -> int:
-        if m == 1:
+    factors = divisors(m)[1:]  # every factor of a cofactor divides m too
+
+    def count(n: int, max_factor: int) -> int:
+        if n == 1:
             return 1
         total = 0
-        for d in range(2, min(m, max_factor) + 1):
-            if m % d == 0:
-                total += count(m // d, d)
+        for d in factors:
+            if d > max_factor or d > n:
+                break
+            if n % d == 0:
+                total += count(n // d, d)
         return total
 
     return count(m, m)

@@ -2,15 +2,18 @@
 series inversion, polynomial determinants and rational linear solving.
 
 Coefficients are `fractions.Fraction` throughout; nothing here rounds.
-Values are immutable once built and safe to share between threads.
+The rational linear solver eliminates on integer rows internally and
+returns `Fraction`s.  Values are immutable once built and safe to share
+between threads.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from operator import sub
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -397,50 +400,81 @@ class LinearSolution:
         return f"LinearSolution({self.kind}, {self.particular}, {self.basis})"
 
 
+def _eliminate(row: Dict[int, int], prow: Dict[int, int], c: int) -> Dict[int, int]:
+    """`row` with column c cleared by the pivot row `prow`, over the
+    integers and divided by its content."""
+    pv, f = prow[c], row[c]
+    g = math.gcd(pv, f)
+    s, t = pv // g, f // g
+    out = {j: s * v for j, v in row.items()}
+    for j, v in prow.items():
+        w = out.get(j, 0) - t * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    content = math.gcd(*out.values())
+    if content > 1:
+        return {j: v // content for j, v in out.items()}
+    return out
+
+
 def linsolve_rational(
     a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]
 ) -> LinearSolution:
-    """Exact Gaussian elimination with full solution-set description."""
+    """Exact Gauss-Jordan elimination with full solution-set description.
+
+    Each augmented row is scaled to integers by the lcm of its denominators
+    and kept as a sparse {column: int} map.  Elimination is fraction-free:
+    row_i <- (pv/g) row_i - (f/g) row_r with g = gcd(pv, f), then the row's
+    content is divided out.  The reduced row echelon form is unique, so
+    reading it back as Fraction(row[j], row[pivot]) gives the same
+    solution as elimination over the rationals.
+    """
     rows = len(a)
     if rows != len(b):
         raise DimensionError("matrix/vector size mismatch")
     cols = len(a[0]) if rows else 0
     if any(len(row) != cols for row in a):
         raise DimensionError("ragged matrix")
-    aug = [[_frac(v) for v in row] + [_frac(b[i])] for i, row in enumerate(a)]
+    pending: List[Dict[int, int]] = []  # rows that hold no pivot yet
+    for row, rhs in zip(a, b):
+        entries = [_frac(v) for v in row]
+        entries.append(_frac(rhs))
+        scale = math.lcm(*(v.denominator for v in entries))
+        pending.append(
+            {j: v.numerator * (scale // v.denominator) for j, v in enumerate(entries) if v}
+        )
 
-    pivot_cols = []
-    r = 0
+    reduced: List[Tuple[int, Dict[int, int]]] = []  # (pivot column, row)
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pivot is None:
+        r = next((i for i, row in enumerate(pending) if c in row), None)
+        if r is None:
             continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
+        prow = pending.pop(r)
+        pending = [_eliminate(row, prow, c) if c in row else row for row in pending]
+        reduced = [(pc, _eliminate(row, prow, c) if c in row else row) for pc, row in reduced]
+        reduced.append((c, prow))
+        if not pending:
             break
 
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return LinearSolution("inconsistent", None, None)
+    # A row left without a pivot is zero on every column of `a`.
+    if any(pending):
+        return LinearSolution("inconsistent", None, None)
 
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
     particular = [Fraction(0)] * cols
-    for i, c in enumerate(pivot_cols):
-        particular[c] = aug[i][cols]
+    for c, row in reduced:
+        particular[c] = Fraction(row.get(cols, 0), row[c])
+    pivot_cols = {c for c, _ in reduced}
     basis = []
-    for fc in free_cols:
+    for fc in range(cols):
+        if fc in pivot_cols:
+            continue
         vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
-        for i, c in enumerate(pivot_cols):
-            vec[c] = -aug[i][fc]
+        for c, row in reduced:
+            if fc in row:
+                vec[c] = Fraction(-row[fc], row[c])
         basis.append(vec)
     kind = "unique" if not basis else "parametric"
     return LinearSolution(kind, particular, basis)

@@ -364,14 +364,23 @@ def ordered_factorizations(m: int) -> List[Tuple[int, ...]]:
     """All ordered factorizations of m into factors >= 2 (m = 1 gives ())."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m == 1:
-        return [()]
-    out: List[Tuple[int, ...]] = []
-    for d in range(2, m + 1):
-        if m % d == 0:
-            for rest in ordered_factorizations(m // d):
-                out.append((d,) + rest)
-    return out
+    from .divisors import divisors  # a local import: divisors imports this module
+
+    factors = divisors(m)[1:]  # every factor of a cofactor divides m too
+
+    def rec(n: int) -> List[Tuple[int, ...]]:
+        if n == 1:
+            return [()]
+        out: List[Tuple[int, ...]] = []
+        for d in factors:
+            if d > n:
+                break
+            if n % d == 0:
+                for rest in rec(n // d):
+                    out.append((d,) + rest)
+        return out
+
+    return rec(m)
 
 
 def enumerate_perfect(n: int) -> List[Partition]:

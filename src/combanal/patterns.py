@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -352,10 +353,10 @@ def generate_tiling(tile: RepeatTile, extent: int) -> TilingResult:
         return (round(cx, 6), round(cy, 6), round(t[0], 6), round(t[2], 6))
 
     placements: Dict[Tuple, Transform] = {}
-    queue = [identity]
+    queue = deque([identity])
     placements[key(identity)] = identity
     while queue:
-        current = queue.pop(0)
+        current = queue.popleft()
         for i in range(n):
             j = tile.contact[i]
             a = _apply_transform(current, proto_edges[i][0])

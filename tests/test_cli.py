@@ -91,6 +91,12 @@ class TestGoldenCorpus:
             assert first == second
 
 
+@pytest.mark.parametrize("flags", ["", " --ordered"])
+def test_factorize_large_prime(flags):
+    # Divisors are listed in sqrt(m) steps, so 10^9 + 7 answers at once.
+    assert run("divisor factorize 1000000007" + flags) == (0, "1\n", "")
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         code, out, err = run("partition count not-a-number")

@@ -117,6 +117,30 @@ class TestFactorizations:
         for n in range(1, 31):
             assert dv.factorizations(n + 1, ordered=True) == len(enumerate_perfect(n))
 
+    def test_matches_range_loop_counts_to_300(self):
+        # Oracle: trial division over every d in 2..m.
+        def unordered(m, max_factor):
+            if m == 1:
+                return 1
+            return sum(
+                unordered(m // d, d) for d in range(2, min(m, max_factor) + 1) if m % d == 0
+            )
+
+        def ordered(m):
+            if m == 1:
+                return 1
+            return sum(ordered(m // d) for d in range(2, m + 1) if m % d == 0)
+
+        for m in range(1, 301):
+            assert dv.factorizations(m) == unordered(m, m), m
+            assert dv.factorizations(m, ordered=True) == ordered(m), m
+
+
+class TestDivisorList:
+    def test_matches_trial_division(self):
+        for n in range(1, 401):
+            assert dv.divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+
 
 class TestTotient:
     def test_6(self):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from combanal.exactcore import (
     DimensionError,
+    LinearSolution,
     MultiPoly,
     SingularSeriesError,
     linsolve_rational,
@@ -24,6 +25,45 @@ def random_poly(rng, names, max_terms=4, max_exp=3, max_coeff=5):
         exp = tuple(rng.randint(0, max_exp) for _ in names)
         terms[exp] = Fraction(rng.randint(-max_coeff, max_coeff))
     return MultiPoly(names, terms)
+
+
+def fraction_gauss_jordan(a, b):
+    """Oracle: dense Gauss-Jordan over Fraction, pivoting on the first
+    nonzero entry of each column."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    aug = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][c]
+        aug[r] = [v / pv for v in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if aug[i][cols] != 0:
+            return LinearSolution("inconsistent", None, None)
+    particular = [Fraction(0)] * cols
+    for i, c in enumerate(pivot_cols):
+        particular[c] = aug[i][cols]
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivot_cols):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for i, c in enumerate(pivot_cols):
+            vec[c] = -aug[i][fc]
+        basis.append(vec)
+    return LinearSolution("parametric" if basis else "unique", particular, basis)
 
 
 class TestMultiPoly:
@@ -225,3 +265,39 @@ class TestLinSolve:
     def test_nullspace(self):
         basis = nullspace_rational([[1, 1, 0]])
         assert len(basis) == 2
+
+    def test_float_entry_rejected(self):
+        with pytest.raises(TypeError):
+            linsolve_rational([[1, 0.5], [0, 1]], [0, 0])
+        with pytest.raises(TypeError):
+            linsolve_rational([[1, 0], [0, 1]], [0, 2.0])
+
+    def test_ragged_or_mismatched_shape_rejected(self):
+        with pytest.raises(DimensionError):
+            linsolve_rational([[1, 0], [1]], [0, 0])
+        with pytest.raises(DimensionError):
+            linsolve_rational([[1, 0]], [0, 0])
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_matches_fraction_gauss_jordan(self, data):
+        rows = data.draw(st.integers(1, 6), label="rows")
+        cols = data.draw(st.integers(1, 6), label="cols")
+        entry = st.one_of(
+            st.just(0),
+            st.integers(-6, 6),
+            st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        )
+        a = [data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+        b = data.draw(st.lists(entry, min_size=rows, max_size=rows), label="b")
+        if rows > 1 and data.draw(st.booleans(), label="duplicate row 0"):
+            i = data.draw(st.integers(1, rows - 1), label="copy")
+            a[i] = list(a[0])
+            if data.draw(st.booleans(), label="inconsistent"):
+                b[i] = b[0] + 1
+        got = linsolve_rational(a, b)
+        want = fraction_gauss_jordan(a, b)
+        assert (got.kind, got.particular, got.basis) == (want.kind, want.particular, want.basis)
+        if got.particular is not None:
+            assert all(type(v) is Fraction for v in got.particular)
+            assert all(type(v) is Fraction for vec in got.basis for v in vec)

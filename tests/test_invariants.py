@@ -140,6 +140,12 @@ class TestSeminvariantBasis:
                         p, j, w
                     ), (p, j, w)
 
+    @pytest.mark.parametrize("point", [(8, 6, 16), (8, 5, 16), (6, 6, 16), (7, 5, 14)])
+    def test_dimension_law_and_annihilation_at_large_points(self, point):
+        assert iv.seminvariant_dimension(*point) == iv.box_partition_difference(*point)
+        for s in iv.seminvariant_basis(*point):
+            assert iv.omega(s, point[0]).is_zero()
+
     def test_contains_j_count_matches_new_dimension_in_stable_range(self):
         # The quoted partition form counts seminvariants of degree exactly
         # j; it is an infinite-order statement, valid once p >= w.
