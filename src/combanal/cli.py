@@ -1000,10 +1000,17 @@ OPERATION_COVERAGE = {
 }
 
 
+# The parser is built on the first dispatch and reused: parsing leaves it
+# unchanged, and building it costs far more than one parse.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def dispatch(argv: Sequence[str]) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if getattr(args, "max_work", None) is None:

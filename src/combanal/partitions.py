@@ -186,47 +186,78 @@ def closed_form_u3(x: int) -> int:
     return int(value)
 
 
-@lru_cache(maxsize=None)
+# Largest n * p the exact-parts table may fill (about 0.3 s); beyond it
+# warburton_count refuses before any work.
+EXACT_PARTS_CELL_CAP = 10**6
+
+# (row p-1, column m) of the exact-parts table
+ExactPartsTable = Tuple[List[int], List[int]]
+
+
+def _exact_parts(n: int, p: int, m: int) -> ExactPartsTable:
+    """Partitions of j into exactly k positive parts, tabled bottom-up for
+    k = 0..p and j = 0..n with two rows alive at a time.
+
+    Row k comes from row k-1 by the classic recurrence (remove a part 1,
+    or lower every part by 1): P(j, k) = P(j-1, k-1) + P(j-k, k).
+    Returns row p-1 (empty when p = 0) and the column P(m, 0..p).
+    """
+    row = [1] + [0] * n
+    prev: List[int] = []
+    column = [row[m]]
+    for k in range(1, p + 1):
+        prev, row = row, [0] * (n + 1)
+        for j in range(k, n + 1):
+            row[j] = prev[j - 1] + row[j - k]
+        column.append(row[m])
+    return prev, column
+
+
 def count_exact_parts(n: int, k: int) -> int:
     """Partitions of n into exactly k positive parts."""
-    if n == 0 and k == 0:
-        return 1
-    if n <= 0 or k <= 0 or k > n:
+    if n < 0 or k < 0:
         return 0
-    # classic recurrence: smallest part 1 removed, or all parts lowered by 1
-    return count_exact_parts(n - 1, k - 1) + count_exact_parts(n - k, k)
+    return _exact_parts(n, k, n)[1][k]
 
 
-def _warburton_route1(n: int, p: int, h: int) -> int:
+def _warburton_route1(n: int, p: int, h: int, table: Optional[ExactPartsTable] = None) -> int:
     # [N, p_h] = sum_z [N - (1 + p(h-1)) - zp, (p-1)_1], z = 0..floor(N/p)-h
     if p == 0:
         return 1 if n == 0 else 0
     if n < p * h:
         return 0
+    row, _ = table or _exact_parts(n, p, n - p * h)
     top = n // p - h
     base = n - (1 + p * (h - 1))
-    return sum(count_exact_parts(base - z * p, p - 1) for z in range(top + 1))
+    return sum(row[base - z * p] for z in range(top + 1))
 
 
-def _warburton_route2(n: int, p: int, h: int) -> int:
+def _warburton_route2(n: int, p: int, h: int, table: Optional[ExactPartsTable] = None) -> int:
     # [N, p_h] = sum_{z=0..p} [N - p*h, z_1]
     if p == 0:
         return 1 if n == 0 else 0
     if n < p * h:
         return 0
-    m = n - p * h
-    return sum(count_exact_parts(m, z) for z in range(p + 1))
+    _, column = table or _exact_parts(n, p, n - p * h)
+    return sum(column)
 
 
 def warburton_count(n: int, p: int, h: int) -> int:
     """[N, p_h]: partitions of n into exactly p parts, each at least h.
 
-    Both recurrence routes from the source are evaluated and must agree.
+    Both recurrence routes from the source are evaluated, from one
+    exact-parts table, and must agree.  Refuses when that table would
+    exceed EXACT_PARTS_CELL_CAP cells.
     """
     if n < 0 or p < 0 or h < 1:
         raise ValueError("need n >= 0, p >= 0, h >= 1")
-    r1 = _warburton_route1(n, p, h)
-    r2 = _warburton_route2(n, p, h)
+    if n * p > EXACT_PARTS_CELL_CAP:
+        raise ValueError(
+            f"n * parts = {n * p} exceeds the exact-parts table cap {EXACT_PARTS_CELL_CAP}"
+        )
+    table = _exact_parts(n, p, max(n - p * h, 0))
+    r1 = _warburton_route1(n, p, h, table)
+    r2 = _warburton_route2(n, p, h, table)
     if r1 != r2:
         raise AssertionError(f"warburton routes disagree at ({n}, {p}, {h}): {r1} vs {r2}")
     return r1

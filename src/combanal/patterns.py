@@ -412,22 +412,44 @@ def _distance_to_boundary(pt, poly) -> float:
 
 def _verify_cover(placements: Sequence[Placement], radius: float):
     """Sample on an 8-per-edge grid (64 points per unit area): each point
-    away from all boundaries must sit inside exactly one copy."""
+    away from all boundaries must sit inside exactly one copy.
+
+    A point outside a copy's bounding box widened by the guard is farther
+    than the guard from that copy and outside it, so the copy can neither
+    excuse the point as near its boundary nor hold it.  Each grid column
+    therefore keeps the copies whose widened x-range holds its x, and each
+    point tests only those whose widened y-range holds its y: the cost is
+    samples x nearby copies, and the verdict and first failure are those
+    of a scan over every copy.
+    """
     step = 1.0 / 8.0
     guard = 1e-6
     k = int(radius / step)
+    boxes = []
+    for placement in placements:
+        xs = [x for x, _ in placement.boundary]
+        ys = [y for _, y in placement.boundary]
+        boxes.append((
+            min(xs) - guard, max(xs) + guard,
+            min(ys) - guard, max(ys) + guard,
+            placement.boundary,
+        ))
     for ix in range(-k, k + 1):
+        x = ix * step + 0.0137  # avoid lattice ties
+        column = [(y0, y1, poly) for x0, x1, y0, y1, poly in boxes if x0 <= x <= x1]
         for iy in range(-k, k + 1):
-            pt = (ix * step + 0.0137, iy * step + 0.0071)  # avoid lattice ties
+            pt = (x, iy * step + 0.0071)
             if math.hypot(pt[0], pt[1]) > radius:
                 continue
             hits = 0
             near_boundary = False
-            for placement in placements:
-                if _distance_to_boundary(pt, placement.boundary) < guard:
+            for y0, y1, poly in column:
+                if not y0 <= pt[1] <= y1:
+                    continue
+                if _distance_to_boundary(pt, poly) < guard:
                     near_boundary = True
                     break
-                if _point_in_polygon(pt, placement.boundary):
+                if _point_in_polygon(pt, poly):
                     hits += 1
             if near_boundary:
                 continue

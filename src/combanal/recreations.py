@@ -497,6 +497,15 @@ def stamp_foldings(n: int, cap: int = DEFAULT_STAMP_CAP) -> int:
     class of joints, the joining arcs are non-crossing.  Counted by
     inserting stamps one at a time into every stack slot that keeps the
     arcs planar.
+
+    An insertion keeps the relative order of the stamps already stacked,
+    so their arcs stay pairwise non-crossing and only the new arc from
+    stamp nxt-1 to the slot needs checking, against the stacked arcs of
+    its parity.  An arc (a, b), a < b in stack positions, that does not
+    enclose stamp nxt-1 is crossed exactly from the slots a+1..b; one
+    that encloses it is crossed from every slot outside a+1..b.  One
+    pass over the arcs and one over the slots find every legal slot:
+    O(h) for a stack of height h.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -506,30 +515,34 @@ def stamp_foldings(n: int, cap: int = DEFAULT_STAMP_CAP) -> int:
         return 1
     count = 0
 
-    def crossings_ok(stack: List[int]) -> bool:
-        pos = {stamp: i for i, stamp in enumerate(stack)}
-        arcs = []
-        top = max(stack)
-        for s in range(1, top):
-            if s in pos and s + 1 in pos:
-                a, b = sorted((pos[s], pos[s + 1]))
-                arcs.append((a, b, s % 2))
-        for (a1, b1, p1), (a2, b2, p2) in itertools.combinations(arcs, 2):
-            if p1 != p2:
-                continue
-            if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
-                return False
-        return True
-
     def extend(stack: List[int], nxt: int):
         nonlocal count
-        if nxt > n:
-            count += 1
-            return
-        for slot in range(len(stack) + 1):
+        height = len(stack)
+        pos = [0] * nxt
+        for i, stamp in enumerate(stack):
+            pos[stamp] = i
+        anchor = pos[nxt - 1]
+        first, last = 0, height      # slots inside every enclosing arc
+        blocked = [0] * (height + 2)  # difference array of crossed slots
+        for s in range(2 - (nxt - 1) % 2, nxt - 2, 2):
+            a, b = pos[s], pos[s + 1]
+            if a > b:
+                a, b = b, a
+            if a < anchor < b:
+                first, last = max(first, a + 1), min(last, b)
+            else:
+                blocked[a + 1] += 1
+                blocked[b + 1] -= 1
+        depth = 0
+        for slot in range(last + 1):
+            depth += blocked[slot]
+            if slot < first or depth:
+                continue
+            if nxt == n:
+                count += 1
+                continue
             stack.insert(slot, nxt)
-            if crossings_ok(stack):
-                extend(stack, nxt + 1)
+            extend(stack, nxt + 1)
             stack.pop(slot)
 
     extend([1], 2)
@@ -597,38 +610,40 @@ def latin_total_count(n: int) -> int:
 
 
 def _latin_count(n: int, reduced: bool) -> int:
-    grid = [[-1] * n for _ in range(n)]
+    """Count n x n Latin squares by backtracking over the open cells in
+    row-major order.
+
+    Each row and each column keeps a bitmask of the values it holds, so
+    a cell's candidates are `full & ~(rows[r] | cols[c])`, tried lowest
+    bit first.  `reduced` fixes the first row and column to 0..n-1.
+    """
+    full = (1 << n) - 1
     if reduced:
-        grid[0] = list(range(n))
-        for i in range(n):
-            grid[i][0] = i
-    count = 0
-    cells = [
-        (r, c)
-        for r in range(n)
-        for c in range(n)
-        if grid[r][c] == -1
-    ]
+        # row 0 and column 0 hold every value; row i and column i hold i
+        rows = [full] + [1 << i for i in range(1, n)]
+        cols = list(rows)
+        start = 1
+    else:
+        rows, cols, start = [0] * n, [0] * n, 0
+    cells = [(r, c) for r in range(start, n) for c in range(start, n)]
 
-    def ok(r, c, v):
-        return all(grid[r][j] != v for j in range(n)) and all(
-            grid[i][c] != v for i in range(n)
-        )
-
-    def search(idx):
-        nonlocal count
+    def search(idx: int) -> int:
         if idx == len(cells):
-            count += 1
-            return
+            return 1
         r, c = cells[idx]
-        for v in range(n):
-            if ok(r, c, v):
-                grid[r][c] = v
-                search(idx + 1)
-                grid[r][c] = -1
+        free = full & ~(rows[r] | cols[c])
+        total = 0
+        while free:
+            bit = free & -free
+            free ^= bit
+            rows[r] |= bit
+            cols[c] |= bit
+            total += search(idx + 1)
+            rows[r] ^= bit
+            cols[c] ^= bit
+        return total
 
-    search(0)
-    return count
+    return search(0)
 
 
 # -- measuring rod ----------------------------------------------------------------

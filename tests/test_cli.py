@@ -1,6 +1,9 @@
 import io
 import contextlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -139,6 +142,53 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
+
+
+def test_exact_parts_table_cap_refuses_in_one_line():
+    code, out, err = run("partition count 100000 --parts 50")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+class TestParserReuse:
+    ARGV = [
+        "partition count 30",
+        "partition count 30",
+        "partition count abc",
+        "puzzle stamps 9",
+        "--help",
+        "partition count --help",
+        "puzzle stamps 9",
+        "pattern tiling --extent 1 --format json",
+        "puzzle cubes --format svg",
+        "master derange 6",
+    ]
+
+    def test_reused_parser_matches_fresh_parser(self, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        monkeypatch.setattr(cli, "_PARSER", None)
+        reused = [run(argv) for argv in self.ARGV]
+        assert len(builds) == 1
+        fresh = []
+        for argv in self.ARGV:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(run(argv))
+        assert len(builds) == 1 + len(self.ARGV)
+        assert reused == fresh
+        assert reused[4][0] == 0 and reused[4][1].startswith("usage: combanal")
+        assert reused[2][0] == 2 and reused[3] == (0, "4536\n", "")
+
+    def test_not_built_at_import(self):
+        code = "import combanal.cli as c; print(c._PARSER)"
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out == "None\n"
 
 
 class TestFormats:

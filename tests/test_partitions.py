@@ -1,4 +1,5 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
@@ -165,6 +166,31 @@ class TestWarburton:
                         if len(part) == p and all(v >= h for v in part)
                     )
                     assert pt.warburton_count(n, p, h) == oracle
+
+    def test_table_matches_recursion(self):
+        @lru_cache(maxsize=None)
+        def exact_parts(n, k):
+            # the earlier memoised recursion, kept as the oracle
+            if n == 0 and k == 0:
+                return 1
+            if n <= 0 or k <= 0 or k > n:
+                return 0
+            return exact_parts(n - 1, k - 1) + exact_parts(n - k, k)
+
+        for n in range(0, 61):
+            for k in range(0, 62):
+                assert pt.count_exact_parts(n, k) == exact_parts(n, k), (n, k)
+            for p in range(0, 16):
+                for h in range(1, 5):
+                    m = n - p * h
+                    expected = sum(exact_parts(m, z) for z in range(p + 1)) if m >= 0 else 0
+                    assert pt.warburton_count(n, p, h) == expected, (n, p, h)
+
+    def test_table_cap_refuses_before_work(self):
+        with pytest.raises(ValueError, match="cap"):
+            pt.warburton_count(100000, 50, 1)
+        with pytest.raises(ValueError, match="cap"):
+            pt.warburton_count(pt.EXACT_PARTS_CELL_CAP + 1, 1, 1)
 
     def test_table8_row_12(self):
         row = tuple(pt.warburton_count(12, p, 1) for p in range(1, 13))

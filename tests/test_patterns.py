@@ -4,11 +4,58 @@ from fractions import Fraction
 
 import pytest
 
+from combanal import cli
 from combanal import patterns as pa
 from combanal import recreations as rc
 from profile_support import random_profile
 
 F = Fraction
+
+
+def verify_cover_full_scan(placements, radius):
+    """The earlier cover check: every sample point against every copy."""
+    step = 1.0 / 8.0
+    guard = 1e-6
+    k = int(radius / step)
+    for ix in range(-k, k + 1):
+        for iy in range(-k, k + 1):
+            pt = (ix * step + 0.0137, iy * step + 0.0071)
+            if math.hypot(pt[0], pt[1]) > radius:
+                continue
+            hits = 0
+            near_boundary = False
+            for placement in placements:
+                if pa._distance_to_boundary(pt, placement.boundary) < guard:
+                    near_boundary = True
+                    break
+                if pa._point_in_polygon(pt, placement.boundary):
+                    hits += 1
+            if near_boundary:
+                continue
+            if hits != 1:
+                return False, pt
+    return True, None
+
+
+# Every (tile, extent) that a `pattern tiling` request of the benchmark
+# pools asks for, plus the self-paired hexagon at extent 5.
+TILING_ARGV = [
+    "pattern tiling --cairo --extent 1",
+    "pattern tiling --cairo --extent 2",
+    "pattern tiling --cairo --extent 4",
+    "pattern tiling --extent 1",
+    "pattern tiling --extent 2",
+    "pattern tiling --extent 3",
+    "pattern tiling --base triangle --extent 2",
+    "pattern tiling --base triangle --extent 4",
+    "pattern tiling --base hexagon --extent 2",
+    "pattern tiling --base hexagon --extent 5",
+]
+
+
+def cli_tiling(argv):
+    args = cli.build_parser().parse_args(argv.split())
+    return pa.generate_tiling(cli._named_tile(args), args.extent), args.extent
 
 
 class TestClassification:
@@ -144,6 +191,31 @@ class TestTilings:
         assert res1.to_placement_json() == res2.to_placement_json()
         assert res1.to_svg().startswith('<?xml version="1.0"')
         assert res1.to_svg().count("<path") == len(res1.placements)
+
+    @pytest.mark.parametrize("argv", TILING_ARGV)
+    def test_cover_check_matches_full_scan(self, argv):
+        result, extent = cli_tiling(argv)
+        expected = verify_cover_full_scan(result.placements, radius=extent * 0.5)
+        assert (result.verified, result.first_failure) == expected
+
+    def test_self_paired_hexagon_fails_cover_check(self):
+        # half-turns about the edge midpoints make overlapping copies
+        for extent in (2, 5):
+            result, _ = cli_tiling(f"pattern tiling --base hexagon --extent {extent}")
+            assert not result.verified and result.first_failure is not None
+
+    @pytest.mark.parametrize("change", ["gap", "overlap"])
+    def test_gap_and_overlap_fail_at_the_same_point(self, change):
+        result = pa.generate_tiling(pa.cairo_tile(), 2)
+        placements = list(result.placements)
+        middle = len(placements) // 2
+        if change == "gap":
+            del placements[middle]
+        else:
+            placements.append(placements[middle])
+        verdict = pa._verify_cover(placements, radius=1.0)
+        assert verdict[0] is False
+        assert verdict == verify_cover_full_scan(placements, radius=1.0)
 
     def test_reflection_contact_refused_by_tiler(self):
         # zero-net-area V profile: tall narrow bump up, shallow wide dip

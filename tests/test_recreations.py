@@ -7,6 +7,72 @@ import pytest
 from combanal import recreations as rc
 
 
+def stamp_foldings_oracle(n: int) -> int:
+    """The earlier stamp-folding search: after every insertion, rebuild
+    all arcs and test every same-parity pair for a crossing."""
+    if n == 1:
+        return 1
+    count = 0
+
+    def crossings_ok(stack):
+        pos = {stamp: i for i, stamp in enumerate(stack)}
+        arcs = []
+        for s in range(1, max(stack)):
+            if s in pos and s + 1 in pos:
+                a, b = sorted((pos[s], pos[s + 1]))
+                arcs.append((a, b, s % 2))
+        for (a1, b1, p1), (a2, b2, p2) in itertools.combinations(arcs, 2):
+            if p1 == p2 and (a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1):
+                return False
+        return True
+
+    def extend(stack, nxt):
+        nonlocal count
+        if nxt > n:
+            count += 1
+            return
+        for slot in range(len(stack) + 1):
+            stack.insert(slot, nxt)
+            if crossings_ok(stack):
+                extend(stack, nxt + 1)
+            stack.pop(slot)
+
+    extend([1], 2)
+    return count
+
+
+def latin_count_oracle(n: int, reduced: bool) -> int:
+    """The earlier Latin-square search: scan the whole row and column of
+    a cell for every candidate value."""
+    grid = [[-1] * n for _ in range(n)]
+    if reduced:
+        grid[0] = list(range(n))
+        for i in range(n):
+            grid[i][0] = i
+    cells = [(r, c) for r in range(n) for c in range(n) if grid[r][c] == -1]
+    count = 0
+
+    def ok(r, c, v):
+        return all(grid[r][j] != v for j in range(n)) and all(
+            grid[i][c] != v for i in range(n)
+        )
+
+    def search(idx):
+        nonlocal count
+        if idx == len(cells):
+            count += 1
+            return
+        r, c = cells[idx]
+        for v in range(n):
+            if ok(r, c, v):
+                grid[r][c] = v
+                search(idx + 1)
+                grid[r][c] = -1
+
+    search(0)
+    return count
+
+
 class TestCubes:
     def test_rotation_group_order(self):
         assert len(rc.ROTATIONS) == 24
@@ -152,6 +218,14 @@ class TestStamps:
         with pytest.raises(ValueError):
             rc.stamp_foldings(13)
 
+    def test_matches_full_recheck_oracle(self):
+        for n in range(1, 10):
+            assert rc.stamp_foldings(n) == stamp_foldings_oracle(n), n
+
+    def test_eleven_stamps(self):
+        # OEIS A000136: 14060, 46310, 146376 for n = 10, 11, 12
+        assert rc.stamp_foldings(11) == 46310
+
 
 class TestContacts:
     def test_sequence(self):
@@ -188,6 +262,16 @@ class TestLatin:
     def test_cap(self):
         with pytest.raises(ValueError):
             rc.latin_reduced_count(7)
+
+    def test_matches_row_and_column_scan_oracle(self):
+        for n in range(1, 6):
+            assert rc._latin_count(n, reduced=True) == latin_count_oracle(n, True), n
+        for n in range(1, 5):
+            assert rc._latin_count(n, reduced=False) == latin_count_oracle(n, False), n
+
+    def test_order_six(self):
+        # OEIS A000315: 1, 1, 1, 4, 56, 9408
+        assert rc.latin_reduced_count(6) == 9408
 
 
 class TestRod:
