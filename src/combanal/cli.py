@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import compositions as cp
 from . import divisors as dv
@@ -25,8 +24,6 @@ from . import patterns as pa
 from . import probelect as pe
 from . import recreations as rc
 from .exactcore import MultiPoly
-
-MAX_WORK_ENV = "COMBANAL_MAX_WORK"
 
 
 @dataclass
@@ -62,12 +59,26 @@ def _ints(text: str) -> List[int]:
     return [int(v) for v in text.replace(" ", "").split(",") if v != ""]
 
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _vector_parts(text: str) -> List[tuple]:
     return [tuple(_ints(part)) for part in text.split(";") if part]
+
+
+def _item(items: Sequence, index: int, flag: str):
+    """items[index] for a user-given index; negative indices are refused."""
+    if not 0 <= index < len(items):
+        raise UsageError(f"{flag} must be in range({len(items)}), not {index}")
+    return items[index]
+
+
+def _contact_pair(text: str, n: int) -> Tuple[int, int]:
+    """An 'a-b' --contact pair of edge indices in range(n)."""
+    try:
+        a, b = (int(v) for v in text.split("-"))
+    except ValueError:
+        raise UsageError(f"--contact pairs are 'a-b' edge indices, not {text!r}") from None
+    if not (0 <= a < n and 0 <= b < n):
+        raise UsageError(f"--contact edges must be in range({n}), not {text!r}")
+    return a, b
 
 
 def _box_bounds(text: str) -> Tuple[Optional[int], int, int]:
@@ -125,10 +136,6 @@ def parse_coeff_poly(expr: str, p: int) -> MultiPoly:
             exp[names.index(name)] += power
         out = out + MultiPoly.monomial(names, tuple(exp), coeff)
     return out
-
-
-def _poly_text(poly: MultiPoly) -> str:
-    return str(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +211,7 @@ def cmd_partition(args) -> CommandResult:
             return CommandResult(text, {str(w): c for w, c in terms})
         if args.boxed:
             l, m, cmax = _box_bounds(args.boxed)
-            value = pt.count_boxed_plane_partitions(
-                args.n, l, m, cmax,
-                cell_cap=args.max_work or pt.DEFAULT_BOX_CELL_CAP,
-            )
+            value = pt.count_boxed_plane_partitions(args.n, l, m, cmax)
             return CommandResult(str(value), value)
         if args.enum:
             items = pt.enumerate_plane_partitions(args.n)
@@ -254,8 +258,7 @@ def cmd_compose(args) -> CommandResult:
         conj = cp.zigzag_conjugate(tuple(_ints(args.parts)))
         return CommandResult(" ".join(map(str, conj)), list(conj))
     if sub == "newcomb":
-        cap = args.max_work or cp.DEFAULT_NEWCOMB_CAP
-        dist = cp.newcomb_distribution(_ints(args.counts), ascending=args.ascending, cap=cap)
+        dist = cp.newcomb_distribution(_ints(args.counts), ascending=args.ascending)
         comp_rows = sorted(
             ((" ".join(map(str, comp)), n) for comp, n in dist.by_composition.items())
         )
@@ -277,7 +280,7 @@ def cmd_compose(args) -> CommandResult:
         if args.q is None:
             raise UsageError("compose count needs q (or --order-k)")
         if args.essential:
-            tally = cp.count_by_essential_nodes(args.p, args.q, cap=args.max_work or cp.DEFAULT_MULTIPARTITE_CAP)
+            tally = cp.count_by_essential_nodes(args.p, args.q)
             rows = sorted(tally.items())
             text = "\n".join(f"s={s}: {n}" for s, n in rows)
             return CommandResult(text, {str(s): n for s, n in rows})
@@ -292,10 +295,9 @@ def cmd_master(args) -> CommandResult:
         matrix = [_ints(row) for row in args.matrix.split(";")]
         if args.denominator:
             poly = mt.master_denominator(matrix)
-            return CommandResult(_poly_text(poly), _poly_text(poly))
+            return CommandResult(str(poly), str(poly))
         degree = tuple(_ints(args.degree))
-        cap = args.max_work or mt.DEFAULT_DEGREE_CAP
-        value = mt.master_coefficient(matrix, degree, degree_cap=cap)
+        value = mt.master_coefficient(matrix, degree)
         text = str(value) if value.denominator != 1 else str(value.numerator)
         return CommandResult(text, text)
     if sub == "derange":
@@ -311,23 +313,22 @@ def cmd_invariant(args) -> CommandResult:
     sub = args.action
     if sub == "omega":
         poly = parse_coeff_poly(args.poly, args.p)
-        return CommandResult(_poly_text(iv.omega(poly, args.p)))
+        return CommandResult(str(iv.omega(poly, args.p)))
     if sub == "oop":
         poly = parse_coeff_poly(args.poly, args.p)
-        return CommandResult(_poly_text(iv.oop(poly, args.p)))
+        return CommandResult(str(iv.oop(poly, args.p)))
     if sub == "covariant":
         poly = parse_coeff_poly(args.seed, args.p)
-        return CommandResult(_poly_text(iv.covariant_from_seed(poly, args.p)))
+        return CommandResult(str(iv.covariant_from_seed(poly, args.p)))
     if sub == "basis":
         if args.protomorphs is not None:
             sources = iv.protomorphs(args.p, args.protomorphs)
-            return CommandResult("\n".join(_poly_text(s) for s in sources))
+            return CommandResult("\n".join(str(s) for s in sources))
         basis = iv.seminvariant_basis(args.p, args.j, args.w)
         if not basis:
             return CommandResult("(empty)", [])
-        return CommandResult("\n".join(_poly_text(b) for b in basis), [
-            _poly_text(b) for b in basis
-        ])
+        texts = [str(b) for b in basis]
+        return CommandResult("\n".join(texts), texts)
     if sub == "check":
         poly = parse_coeff_poly(args.poly, args.p)
         l, m, lp, mp = [Fraction(v) for v in args.transform.split(",")]
@@ -353,7 +354,7 @@ def cmd_invariant(args) -> CommandResult:
         lines = []
         for sol in solutions:
             alphas = ",".join(str(a) for a in sol.alphas)
-            lines.append(f"alphas ({alphas}); quotient {_poly_text(sol.quotient)}")
+            lines.append(f"alphas ({alphas}); quotient {sol.quotient}")
         return CommandResult("\n".join(lines))
     if sub == "roots":
         report = iv.roots_correspondence_check(args.p, args.trials, seed=args.seed)
@@ -411,7 +412,7 @@ def cmd_puzzle(args) -> CommandResult:
     if sub == "cubes":
         cubes = rc.generate_cubes(args.colors, args.mode)
         if args.associated is not None:
-            cube = cubes[args.associated]
+            cube = _item(cubes, args.associated, "--associated")
             mate = rc.associated_cube(cube)
             return CommandResult(
                 f"{''.join(map(str, cube))} -> {''.join(map(str, mate))}",
@@ -423,13 +424,15 @@ def cmd_puzzle(args) -> CommandResult:
             [list(c) for c in cubes],
         )
     if sub == "mayblox":
-        cubes = rc.generate_cubes(6)
         if args.any:
             solution = rc.mayblox_solve_any()
             target = None
         else:
-            target = cubes[args.target]
-            solution = rc.mayblox_solve(target, exclude_associate=not args.include_associate)
+            cubes = rc.generate_cubes(6)
+            target = _item(cubes, args.target, "--target")
+            solution = rc.mayblox_solve(
+                target, pool=cubes, exclude_associate=not args.include_associate
+            )
         if solution is None:
             raise ValueError("no assembly found")
         ok = rc.verify_assembly(solution, target)
@@ -472,8 +475,7 @@ def cmd_puzzle(args) -> CommandResult:
         ]
         return CommandResult("\n".join(lines + [f"verified {ok}"]), obj)
     if sub == "stamps":
-        cap = args.max_work or rc.DEFAULT_STAMP_CAP
-        value = rc.stamp_foldings(args.n, cap=cap)
+        value = rc.stamp_foldings(args.n)
         return CommandResult(str(value), value)
     if sub == "contacts":
         if args.list:
@@ -509,10 +511,9 @@ def _named_tile(args) -> pa.RepeatTile:
         return pa.square_translation_tile()
     n = pa.BASES[args.base]
     if args.contact:
-        pairs = dict()
         contact = list(range(n))
         for pair in args.contact.split(","):
-            a, b = (int(v) for v in pair.split("-"))
+            a, b = _contact_pair(pair, n)
             contact[a], contact[b] = b, a
         contact = tuple(contact)
     else:
@@ -639,7 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=FORMATS, default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--max-work", type=int, default=None, help="enumeration cap override")
 
     # partition
     p = sub.add_parser("partition")
@@ -1013,14 +1013,6 @@ def dispatch(argv: Sequence[str]) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if getattr(args, "max_work", None) is None:
-        env = os.environ.get(MAX_WORK_ENV)
-        if env is not None:
-            try:
-                args.max_work = int(env)
-            except ValueError:
-                print(f"invalid {MAX_WORK_ENV}: {env!r}", file=sys.stderr)
-                return 2
     try:
         result = HANDLERS[args.command](args)
         rendered = result.render(args.format)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exactcore import poly_ring, series_inverse
@@ -19,8 +18,8 @@ Composition = Tuple[int, ...]
 VectorPart = Tuple[int, ...]
 MultipartiteComposition = Tuple[VectorPart, ...]
 
-DEFAULT_MULTIPARTITE_CAP = 10
-DEFAULT_NEWCOMB_CAP = 9
+MULTIPARTITE_CAP = 10
+NEWCOMB_CAP = 9
 
 
 def check_composition(parts: Sequence[int], n: Optional[int] = None) -> Composition:
@@ -97,16 +96,14 @@ def zigzag_conjugate(parts: Sequence[int]) -> Composition:
 # -- multipartite compositions ------------------------------------------
 
 
-def enumerate_multipartite_compositions(
-    target: Sequence[int], cap: int = DEFAULT_MULTIPARTITE_CAP
-) -> List[MultipartiteComposition]:
+def enumerate_multipartite_compositions(target: Sequence[int]) -> List[MultipartiteComposition]:
     """All ordered sequences of nonzero vectors summing to the target."""
     target = tuple(target)
     if not target or any(v < 0 for v in target) or not any(target):
         raise ValueError("target must be a nonzero non-negative vector")
-    if sum(target) > cap:
+    if sum(target) > MULTIPARTITE_CAP:
         raise ValueError(
-            f"component sum {sum(target)} exceeds the enumeration cap {cap}"
+            f"component sum {sum(target)} exceeds the enumeration cap {MULTIPARTITE_CAP}"
         )
     out: List[MultipartiteComposition] = []
 
@@ -217,12 +214,12 @@ def route_conjugate(parts: Sequence[VectorPart]) -> MultipartiteComposition:
     return tuple(out)
 
 
-def count_by_essential_nodes(p: int, q: int, cap: int = DEFAULT_MULTIPARTITE_CAP) -> Dict[int, int]:
+def count_by_essential_nodes(p: int, q: int) -> Dict[int, int]:
     """Tally of bipartite compositions of (p, q) by essential-node count."""
     if p < 1 or q < 1:
         raise ValueError("p and q must be at least 1")
     tally: Dict[int, int] = {}
-    for comp in enumerate_multipartite_compositions((p, q), cap=cap):
+    for comp in enumerate_multipartite_compositions((p, q)):
         s = len(LineOfRoute.from_composition(comp).essential_nodes())
         tally[s] = tally.get(s, 0) + 1
     return tally
@@ -323,9 +320,7 @@ def deal_packs(arrangement: Sequence[int], ascending: bool = False) -> Compositi
     return tuple(packs)
 
 
-def newcomb_distribution(
-    counts: Sequence[int], ascending: bool = False, cap: int = DEFAULT_NEWCOMB_CAP
-) -> NewcombDistribution:
+def newcomb_distribution(counts: Sequence[int], ascending: bool = False) -> NewcombDistribution:
     """Deal every distinct arrangement of the deck and tally the packs.
 
     `counts[i]` is the number of cards with value i+1.  The default rule
@@ -335,8 +330,8 @@ def newcomb_distribution(
     if not counts or any(c < 0 for c in counts) or not any(counts):
         raise ValueError("deck must contain at least one card")
     total_cards = sum(counts)
-    if total_cards > cap:
-        raise ValueError(f"deck of {total_cards} cards exceeds the cap {cap}")
+    if total_cards > NEWCOMB_CAP:
+        raise ValueError(f"deck of {total_cards} cards exceeds the cap {NEWCOMB_CAP}")
     deck = []
     for value, count in enumerate(counts, start=1):
         deck.extend([value] * count)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .partitions import ordered_factorizations, plane_partition_gf
 

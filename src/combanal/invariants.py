@@ -13,23 +13,18 @@ factors.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactcore import MultiPoly, linsolve_rational, nullspace_rational, poly_ring
+from .exactcore import MultiPoly, nullspace_rational
 
 
 def avar_names(p: int, with_xy: bool = False) -> Tuple[str, ...]:
     names = tuple(f"a{k}" for k in range(p + 1))
     return names + ("x", "y") if with_xy else names
-
-
-def coeff_poly(p: int, terms, with_xy: bool = False) -> MultiPoly:
-    return MultiPoly(avar_names(p, with_xy), terms)
 
 
 @dataclass(frozen=True)
@@ -199,11 +194,8 @@ def seminvariant_basis(p: int, j: int, w: int) -> List[MultiPoly]:
                 img[k] -= 1
                 img[k - 1] += 1
                 rows[dst_index[tuple(img)]][ci] += k * e
-    basis = nullspace_rational(rows) if rows else [
-        [Fraction(1 if i == t else 0) for i in range(len(src))] for t in range(len(src))
-    ]
     out = []
-    for vec in basis:
+    for vec in nullspace_rational(rows):
         lcm = 1
         for v in vec:
             lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .exactcore import MultiPoly, poly_det, poly_ring, series_inverse
 
 Multidegree = Tuple[int, ...]
 
-DEFAULT_DEGREE_CAP = 30
+DEGREE_CAP = 30
 
 
 def _names(n: int) -> Tuple[str, ...]:
@@ -43,11 +43,7 @@ def master_denominator(matrix: Sequence[Sequence[int]]) -> MultiPoly:
     return poly_det(entries)
 
 
-def master_coefficient(
-    matrix: Sequence[Sequence[int]],
-    multidegree: Multidegree,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> Fraction:
+def master_coefficient(matrix: Sequence[Sequence[int]], multidegree: Multidegree) -> Fraction:
     """Coefficient of prod x_i^{e_i} in 1/V_n.
 
     Exact: only the cells of the box 0 <= f <= e reach x^e, so the series
@@ -59,8 +55,8 @@ def master_coefficient(
     if any(e < 0 for e in multidegree):
         raise ValueError("multidegree entries must be non-negative")
     total = sum(multidegree)
-    if total > degree_cap:
-        raise ValueError(f"total degree {total} exceeds the cap {degree_cap}")
+    if total > DEGREE_CAP:
+        raise ValueError(f"total degree {total} exceeds the cap {DEGREE_CAP}")
     return series_inverse(master_denominator(matrix), multidegree).coeff(multidegree)
 
 

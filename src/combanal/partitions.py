@@ -618,16 +618,10 @@ def count_plane_partitions(n: int) -> int:
     return plane_partition_gf(n)[n]
 
 
-DEFAULT_BOX_CELL_CAP = 64
+BOX_CELL_CAP = 64
 
 
-def count_boxed_plane_partitions(
-    n: int,
-    l: Optional[int],
-    m: int,
-    cmax: int,
-    cell_cap: int = DEFAULT_BOX_CELL_CAP,
-) -> int:
+def count_boxed_plane_partitions(n: int, l: Optional[int], m: int, cmax: int) -> int:
     """Plane partitions of n with at most m rows, cmax columns, entries <= l.
 
     Brute-force grid enumeration; l=None means unbounded entries.  Guarded
@@ -635,9 +629,9 @@ def count_boxed_plane_partitions(
     """
     if n < 0 or m < 0 or cmax < 0 or (l is not None and l < 0):
         raise ValueError("bounds must be non-negative")
-    if m * cmax > cell_cap:
+    if m * cmax > BOX_CELL_CAP:
         raise ValueError(
-            f"search space of {m * cmax} cells exceeds the cap of {cell_cap}"
+            f"search space of {m * cmax} cells exceeds the cap of {BOX_CELL_CAP}"
         )
     if n == 0:
         return 1

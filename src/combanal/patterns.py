@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .recreations import contact_system_count, enumerate_contact_systems
+from .recreations import enumerate_contact_systems
 
 Point = Tuple[Fraction, Fraction]
 

@@ -7,9 +7,8 @@ rod, weighing sets, and rook placements by differentiation.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .exactcore import MultiPoly
 from .partitions import enumerate_partitions, is_perfect, is_subperfect
@@ -179,10 +178,11 @@ def mayblox_solve(
 
 def mayblox_solve_any(pool: Optional[Sequence[Cube]] = None) -> Optional[CubeAssembly]:
     """Target-free variant: any uniform-face 2x2x2 from eight pool cubes."""
+    cubes = generate_cubes(6)
     if pool is None:
-        pool = generate_cubes(6)
-    for virtual_target in generate_cubes(6):
-        result = _assemble([c for c in pool], virtual_target)
+        pool = cubes
+    for virtual_target in cubes:
+        result = _assemble(pool, virtual_target)
         if result is not None:
             return result
     return None
@@ -487,10 +487,10 @@ def hexagon_solve(
 
 # -- stamp foldings ------------------------------------------------------------
 
-DEFAULT_STAMP_CAP = 12
+STAMP_CAP = 12
 
 
-def stamp_foldings(n: int, cap: int = DEFAULT_STAMP_CAP) -> int:
+def stamp_foldings(n: int) -> int:
     """Labeled foldings of a strip of n stamps.
 
     A folding is a stack order of the stamps such that, for each parity
@@ -509,8 +509,8 @@ def stamp_foldings(n: int, cap: int = DEFAULT_STAMP_CAP) -> int:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the enumeration cap {cap}")
+    if n > STAMP_CAP:
+        raise ValueError(f"n = {n} exceeds the enumeration cap {STAMP_CAP}")
     if n == 1:
         return 1
     count = 0

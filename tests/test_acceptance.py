@@ -179,7 +179,7 @@ def test_criterion_5_compositions():
     assert cp.zigzag_conjugate((1, 1, 2, 1, 2, 2)) == (3, 3, 2, 1)
     for p in range(1, 5):
         for q in range(1, 5):
-            tally = cp.count_by_essential_nodes(p, q, cap=10)
+            tally = cp.count_by_essential_nodes(p, q)
             for s in range(0, min(p, q) + 1):
                 assert tally.get(s, 0) == cp.essential_node_formula_term(p, q, s)
     report(5, "the 26 compositions of (2,2) exact, GF halves match enumeration to 7, "

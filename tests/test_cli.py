@@ -119,13 +119,14 @@ class TestExitCodes:
         code, out, err = run("puzzle stamps 13")
         assert code == 1
 
-    def test_max_work_env_override(self, monkeypatch):
-        monkeypatch.setenv(cli.MAX_WORK_ENV, "5")
-        code, out, err = run("puzzle stamps 6")
-        assert code == 1
-        monkeypatch.setenv(cli.MAX_WORK_ENV, "9")
-        code, out, err = run("puzzle stamps 6")
-        assert code == 0 and out == "144\n"
+    def test_max_work_flag_is_gone(self):
+        code, out, err = run("puzzle stamps 6 --max-work 5")
+        assert code == 2 and out == ""
+
+    def test_max_work_env_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("COMBANAL_MAX_WORK", "99")
+        code, out, err = run("puzzle stamps 13")
+        assert code == 1 and out == ""
 
     def test_unsupported_format_is_2(self):
         code, out, err = run("puzzle cubes --format svg")
@@ -136,12 +137,54 @@ class TestExitCodes:
         "invariant oop a0^-1 --p 2",
         "invariant oop 1/0 --p 2",
         "divisor series A --max-n -1",
+        "puzzle cubes --associated 99",
+        "puzzle mayblox --target 40",
+        "puzzle mayblox --target -1",
+        "pattern tile --contact 0-9",
+        "pattern tile --contact 0-1-2",
+        "pattern tile --contact a-b",
     ])
     def test_malformed_argument_is_usage_error(self, argv):
         code, out, err = run(argv)
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
+
+
+# Each fixed work guard at its edge: (argv exactly at the cap, argv just
+# past it), the size in the guard's own unit in the comment.
+CAP_EDGES = [
+    ("master coeff --matrix 1 --degree 30", "master coeff --matrix 1 --degree 31"),  # total degree 30
+    ("partition plane 3 --boxed inf,8,8", "partition plane 3 --boxed inf,5,13"),  # 64 box cells
+    ("compose newcomb 9", "compose newcomb 10"),  # deck of 9 cards
+    ("compose count 9 1 --essential", "compose count 6 5 --essential"),  # p + q = 10
+    ("puzzle stamps 12", "puzzle stamps 13"),  # 12 stamps
+    ("puzzle latin --reduced 6", "puzzle latin --reduced 7"),  # order 6
+    ("partition count 20000 --parts 50", "partition count 20001 --parts 50"),  # n * p = 10^6
+]
+
+
+@pytest.mark.parametrize("at_cap,past_cap", CAP_EDGES, ids=[e[1] for e in CAP_EDGES])
+def test_work_cap_edges(at_cap, past_cap):
+    code, out, err = run(at_cap)
+    assert code == 0 and out != "" and err == ""
+    code, out, err = run(past_cap)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_mayblox_builds_the_cubes_once(monkeypatch):
+    from combanal import recreations as rc
+
+    build = rc.generate_cubes
+    calls = []
+    monkeypatch.setattr(rc, "generate_cubes", lambda *a: calls.append(a) or build(*a))
+    for argv in ("puzzle mayblox --any", "puzzle mayblox --target 5"):
+        calls.clear()
+        code, out, err = run(argv)
+        assert code == 0 and out.endswith("verified True\n")
+        assert len(calls) == 1
 
 
 def test_exact_parts_table_cap_refuses_in_one_line():

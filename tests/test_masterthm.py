@@ -117,7 +117,7 @@ class TestCoefficients:
 
     def test_degree_cap_refusal(self):
         with pytest.raises(ValueError):
-            mt.master_coefficient(mt.derangement_matrix(2), (20, 20), degree_cap=10)
+            mt.master_coefficient(mt.derangement_matrix(2), (20, 20))
 
 
 class TestDerangements:
