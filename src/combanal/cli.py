@@ -9,11 +9,12 @@ argv produces byte-identical output.  Formats: text (default), json
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from . import compositions as cp
 from . import divisors as dv
@@ -30,7 +31,7 @@ from .exactcore import MultiPoly
 class CommandResult:
     text: str
     json_obj: object = None
-    csv_rows: Optional[List[List]] = None
+    csv_rows: Optional[Iterable[Sequence]] = None  # may be one-shot: render("csv") reads it once
     svg: Optional[str] = None
 
     def render(self, fmt: str) -> str:
@@ -53,6 +54,15 @@ class CommandResult:
 
 class UsageError(Exception):
     pass
+
+
+def _digit_strings(top: int, lines: int) -> Callable[[int], str]:
+    """str for the parts of a `lines`-line listing whose largest part is
+    `top`: a lookup in a table of str(0..top), cheaper than str() per part,
+    when the listing is longer than the table."""
+    if top >= lines:
+        return str
+    return [str(v) for v in range(top + 1)].__getitem__
 
 
 def _ints(text: str) -> List[int]:
@@ -166,11 +176,13 @@ def cmd_partition(args) -> CommandResult:
             allowed_parts=frozenset(_ints(args.allowed)) if args.allowed else None,
         )
         items = pt.enumerate_partitions(args.n, constraint)
-        lines = [" ".join(map(str, p)) if p else "()" for p in items]
+        # the first partition holds the largest part
+        digit = _digit_strings(items[0][0] if items and items[0] else 0, len(items))
+        lines = [" ".join(map(digit, p)) if p else "()" for p in items]
         return CommandResult(
             "\n".join(lines) if lines else "(none)",
-            [list(p) for p in items],
-            csv_rows=[["partition"]] + [["+".join(map(str, p))] for p in items],
+            items,
+            csv_rows=itertools.chain([["partition"]], (["+".join(map(digit, p))] for p in items)),
         )
     if sub == "table":
         if args.demorgan is not None:
@@ -239,8 +251,8 @@ def cmd_compose(args) -> CommandResult:
     sub = args.action
     if sub == "enum":
         items = cp.enumerate_compositions(args.n)
-        lines = [" ".join(map(str, c)) for c in items]
-        return CommandResult("\n".join(lines), [list(c) for c in items])
+        digit = _digit_strings(args.n, len(items))
+        return CommandResult("\n".join([" ".join(map(digit, c)) for c in items]), items)
     if sub == "conj":
         if ";" in args.parts:
             conj = cp.route_conjugate(_vector_parts(args.parts))

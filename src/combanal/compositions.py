@@ -32,22 +32,17 @@ def check_composition(parts: Sequence[int], n: Optional[int] = None) -> Composit
 
 
 def enumerate_compositions(n: int) -> List[Composition]:
-    """All 2^(n-1) compositions of n, in lexicographic order."""
+    """All 2^(n-1) compositions of n, in lexicographic order.
+
+    Built bottom-up: the compositions of m are (v,) + c for each first
+    part v = 1..m and each composition c of m - v.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    out: List[Composition] = []
-
-    def rec(remaining: int, prefix: List[int]):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(1, remaining + 1):
-            prefix.append(v)
-            rec(remaining - v, prefix)
-            prefix.pop()
-
-    rec(n, [])
-    return out
+    table: List[List[Composition]] = [[()]]
+    for m in range(1, n + 1):
+        table.append([(v,) + rest for v in range(1, m + 1) for rest in table[m - v]])
+    return table[n]
 
 
 def conjugate_composition(parts: Sequence[int]) -> Composition:

@@ -12,7 +12,9 @@ order; the empty tuple is the unique partition of 0.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -61,53 +63,66 @@ class PartitionConstraint:
             if any(v < 1 for v in self.allowed_parts):
                 raise ValueError("allowed parts must be positive")
 
-    def _count_ok(self, k: int) -> bool:
-        if self.num_parts is not None and k != self.num_parts:
-            return False
-        if self.min_parts is not None and k < self.min_parts:
-            return False
-        if self.max_parts is not None and k > self.max_parts:
-            return False
-        return True
-
-    def _part_ok(self, v: int) -> bool:
-        if v < self.min_part:
-            return False
-        if self.max_part is not None and v > self.max_part:
-            return False
-        if self.allowed_parts is not None and v not in self.allowed_parts:
-            return False
-        return True
-
 
 def enumerate_partitions(
     n: int, constraint: Optional[PartitionConstraint] = None
 ) -> List[Partition]:
-    """All partitions of n meeting the constraint, lexicographically descending."""
+    """All partitions of n meeting the constraint, lexicographically descending.
+
+    The partitions are built from memoised suffix lists: a suffix is a
+    partition of the remainder into allowed values below the last one
+    placed, keyed by (remainder, value index, parts used).  Each level
+    places one distinct value with its multiplicity, largest value and
+    then largest multiplicity first, so the recursion is only as deep as
+    the number of distinct parts (at most about sqrt(2n)).
+    """
     if n < 0:
         raise ValueError("n must be non-negative")
     c = constraint or PartitionConstraint()
-    out: List[Partition] = []
-
-    def rec(remaining: int, cap: int, prefix: List[int]):
-        if remaining == 0:
-            if c._count_ok(len(prefix)):
-                out.append(tuple(prefix))
-            return
-        if c.max_parts is not None and len(prefix) >= c.max_parts:
-            return
-        if c.num_parts is not None and len(prefix) >= c.num_parts:
-            return
-        for v in range(min(cap, remaining), c.min_part - 1, -1):
-            if not c._part_ok(v):
-                continue
-            prefix.append(v)
-            rec(remaining - v, v - 1 if c.distinct else v, prefix)
-            prefix.pop()
-
     top = n if c.max_part is None else min(n, c.max_part)
-    rec(n, top if n else 0, [])
-    return out
+    plain = c.allowed_parts is None
+    if plain:
+        vals: Sequence[int] = range(top, c.min_part - 1, -1)
+    else:
+        vals = sorted((v for v in c.allowed_parts if c.min_part <= v <= top), reverse=True)
+    nv = len(vals)
+    lo = max((k for k in (c.num_parts, c.min_parts) if k is not None), default=0)
+    hi = min((k for k in (c.num_parts, c.max_parts) if k is not None), default=n)
+    counted = lo > 0 or hi < n  # parts used matter only under a count bound
+    distinct = c.distinct
+    # reach[k] = sum(vals[k:]): at most `left` distinct values from index k
+    # on sum to at most reach[k] - reach[k + left], and the `need` smallest
+    # allowed values sum to reach[nv - need]
+    reach = list(itertools.accumulate(reversed(vals), initial=0))[::-1] if distinct else []
+    max_mult = 1 if distinct else n
+    memo: Dict[Tuple[int, int, int], List[Partition]] = {}
+
+    def suffixes(r: int, j: int, used: int) -> List[Partition]:
+        if r == 0:
+            return [()] if used >= lo else []
+        # skip to the largest allowed value not above r
+        j = max(j, top - r if plain else bisect.bisect_left(vals, -r, key=operator.neg))
+        need = lo - used
+        if j >= nv or need > 0 and (
+            (need > nv - j or reach[nv - need] > r) if distinct else need * vals[-1] > r
+        ):
+            return []
+        key = (r, j, used)
+        if key in memo:
+            return memo[key]
+        left = hi - used
+        out: List[Partition] = []
+        for k in range(j, nv):
+            v = vals[k]
+            if (reach[k] - reach[min(k + left, nv)] if distinct else v * left) < r:
+                break
+            for m in range(min(r // v, left, max_mult), 0, -1):
+                head = (v,) * m
+                out += [head + s for s in suffixes(r - m * v, k + 1, used + m if counted else 0)]
+        memo[key] = out
+        return out
+
+    return suffixes(n, 0, 0)
 
 
 _PARTITION_TABLE = [1]
@@ -509,41 +524,55 @@ def generalized_euler_counts(primes: Iterable[int], n: int) -> Tuple[int, int]:
 
 # -- relation patterns ---------------------------------------------------
 
-RELATIONS = {
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "=": lambda a, b: a == b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "*": lambda a, b: True,
+# Each relation a R b allows a contiguous range of next parts b, given as
+# (low, high) offsets from a: a + low < b <= a + high, where a low of None
+# means b >= 1 and a high of None means no upper bound.
+RELATIONS: Dict[str, Tuple[Optional[int], Optional[int]]] = {
+    ">": (None, -1),
+    ">=": (None, 0),
+    "=": (-1, 0),
+    "<": (0, None),
+    "<=": (-1, None),
+    "*": (None, None),
 }
 
 
 def relation_pattern_count(n: int, pattern: Sequence[str]) -> int:
     """Sequences of positive integers summing to n whose adjacent pairs
-    satisfy the given relations (pattern length = parts - 1)."""
+    satisfy the given relations (pattern length = parts - 1).
+
+    Filled slot by slot from the last: below[r][x] counts the fillings of
+    the current slot and those after it that sum to r and start with a
+    part at most x.  Each relation allows a range of next parts, so one slot
+    costs O(n^2) prefix-sum differences.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
-    checks = []
     for rel in pattern:
         if rel not in RELATIONS:
             raise ValueError(f"unknown relation {rel!r}")
-        checks.append(RELATIONS[rel])
     s = len(pattern) + 1
-
-    def rec(remaining: int, slot: int, prev: Optional[int]) -> int:
-        left = s - slot
-        if left == 1:
-            if remaining >= 1 and (slot == 0 or checks[slot - 1](prev, remaining)):
-                return 1
-            return 0
-        total = 0
-        for v in range(1, remaining - (left - 1) + 1):
-            if slot == 0 or checks[slot - 1](prev, v):
-                total += rec(remaining - v, slot + 1, v)
-        return total
-
-    return rec(n, 0, None)
+    # the last slot alone: part r is the one filling of sum r
+    below = [[0] * r + [1] for r in range(n + 1)]
+    below[0] = [0]
+    for slot in range(s - 2, -1, -1):
+        low, high = RELATIONS[pattern[slot]]
+        # the slots before this one use at least `slot`, so sums stay <= n - slot
+        rows = [[0]]
+        for r in range(1, n - slot + 1):
+            row = [0]
+            acc = 0
+            for v in range(1, r):
+                t = r - v
+                nxt = below[t]
+                acc += (nxt[t] if high is None else nxt[min(v + high, t)]) - (
+                    0 if low is None else nxt[min(v + low, t)]
+                )
+                row.append(acc)
+            row.append(acc)
+            rows.append(row)
+        below = rows
+    return below[n][n]
 
 
 # -- plane partitions -----------------------------------------------------

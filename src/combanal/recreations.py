@@ -83,13 +83,15 @@ def generate_cubes(k: int, mode: str = "all-distinct-faces") -> List[Cube]:
         candidates = itertools.product(range(k), repeat=6)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    # each new candidate marks its whole orbit, so each orbit is
+    # canonicalised once
     seen: Set[Cube] = set()
     out: List[Cube] = []
     for cube in candidates:
-        canon = canonical_cube(cube)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
+        if cube not in seen:
+            orbit = orientations(cube)
+            seen.update(orbit)
+            out.append(min(orbit))
     return sorted(out)
 
 
@@ -593,6 +595,8 @@ def enumerate_contact_systems(n: int) -> List[Tuple[int, ...]]:
 # -- Latin squares ---------------------------------------------------------------
 
 LATIN_ORDER_CAP = 6
+# Largest order latin_total_count backtracks over (576 squares at n = 4).
+LATIN_TOTAL_CAP = 4
 
 
 def latin_reduced_count(n: int) -> int:
@@ -604,8 +608,8 @@ def latin_reduced_count(n: int) -> int:
 
 def latin_total_count(n: int) -> int:
     """All n x n Latin squares by exhaustive backtracking (small n)."""
-    if not 1 <= n <= 4:
-        raise ValueError("total counting is desk-scale only (n <= 4)")
+    if not 1 <= n <= LATIN_TOTAL_CAP:
+        raise ValueError(f"total counting is desk-scale only (n <= {LATIN_TOTAL_CAP})")
     return _latin_count(n, reduced=False)
 
 

@@ -161,6 +161,7 @@ CAP_EDGES = [
     ("puzzle stamps 12", "puzzle stamps 13"),  # 12 stamps
     ("puzzle latin --reduced 6", "puzzle latin --reduced 7"),  # order 6
     ("partition count 20000 --parts 50", "partition count 20001 --parts 50"),  # n * p = 10^6
+    ("puzzle latin --total 4", "puzzle latin --total 5"),  # order 4
 ]
 
 
@@ -192,6 +193,52 @@ def test_exact_parts_table_cap_refuses_in_one_line():
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+class TestOutputBoundEnumerations:
+    # bytes of the part-by-part recursion and the eager renderers
+    DISTINCT_12 = {
+        "text": "12\n11 1\n10 2\n9 3\n9 2 1\n8 4\n8 3 1\n7 5\n7 4 1\n7 3 2\n"
+        "6 5 1\n6 4 2\n6 3 2 1\n5 4 3\n5 4 2 1\n",
+        "json": "[[12],[11,1],[10,2],[9,3],[9,2,1],[8,4],[8,3,1],[7,5],[7,4,1],[7,3,2],"
+        "[6,5,1],[6,4,2],[6,3,2,1],[5,4,3],[5,4,2,1]]\n",
+        "csv": "partition\n12\n11+1\n10+2\n9+3\n9+2+1\n8+4\n8+3+1\n7+5\n7+4+1\n7+3+2\n"
+        "6+5+1\n6+4+2\n6+3+2+1\n5+4+3\n5+4+2+1\n",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(DISTINCT_12))
+    def test_distinct_partitions_bytes(self, fmt):
+        assert run(f"partition enum 12 --distinct --format {fmt}") == (0, self.DISTINCT_12[fmt], "")
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            ("partition enum 0", "()\n"),
+            ("partition enum 5 --allowed 4", "(none)\n"),
+            ("partition enum 0 --format json", "[[]]\n"),
+            ("partition enum 0 --format csv", "partition\n\n"),
+            ("compose enum 3 --format json", "[[1,1,1],[1,2],[2,1],[3]]\n"),
+        ],
+    )
+    def test_edge_outputs(self, argv, expected):
+        assert run(argv) == (0, expected, "")
+
+    def test_single_value_partition_of_three_thousand(self):
+        code, out, err = run("partition enum 3000 --max-part 1")
+        assert (code, err) == (0, "")
+        assert out == " ".join(["1"] * 3000) + "\n"
+
+    def test_three_parts_of_three_hundred(self):
+        code, out, err = run("partition enum 300 --parts 3")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 7500
+        assert lines[0] == "298 1 1" and lines[-1] == "100 100 100"
+
+    def test_free_pattern_at_four_hundred(self):
+        import math
+
+        assert run("partition count 400 --pattern *,*,*,*") == (0, f"{math.comb(399, 4)}\n", "")
 
 
 class TestParserReuse:

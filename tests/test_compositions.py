@@ -5,6 +5,24 @@ import pytest
 
 from combanal import compositions as cp
 
+def enumerate_compositions_oracle(n):
+    """Part-by-part recursion in lexicographic order: the oracle for the
+    bottom-up table."""
+    out = []
+
+    def rec(remaining, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        for v in range(1, remaining + 1):
+            prefix.append(v)
+            rec(remaining - v, prefix)
+            prefix.pop()
+
+    rec(n, [])
+    return out
+
+
 # The twenty-six compositions of the bipartite number (2, 2), frozen from
 # the published list.
 COMPOSITIONS_22 = {
@@ -48,6 +66,10 @@ class TestUnipartite:
 
     def test_one(self):
         assert cp.enumerate_compositions(1) == [(1,)]
+
+    def test_table_matches_recursive_oracle(self):
+        for n in range(1, 15):
+            assert cp.enumerate_compositions(n) == enumerate_compositions_oracle(n)
 
     def test_counts_are_powers_of_two(self):
         for n in range(1, 17):

@@ -2,6 +2,8 @@ import itertools
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combanal import partitions as pt
 
@@ -19,6 +21,86 @@ def brute_partitions(n, max_part=None):
                 yield (first,) + rest
 
     return list(rec(n, max_part))
+
+
+def enumerate_partitions_oracle(n, c):
+    """Part-by-part backtracking over the constraint's fields, in
+    lexicographically descending order: the oracle for the suffix-table
+    enumerator."""
+
+    def count_ok(k):
+        return (
+            (c.num_parts is None or k == c.num_parts)
+            and (c.min_parts is None or k >= c.min_parts)
+            and (c.max_parts is None or k <= c.max_parts)
+        )
+
+    def part_ok(v):
+        return (c.max_part is None or v <= c.max_part) and (
+            c.allowed_parts is None or v in c.allowed_parts
+        )
+
+    out = []
+
+    def rec(remaining, cap, prefix):
+        if remaining == 0:
+            if count_ok(len(prefix)):
+                out.append(tuple(prefix))
+            return
+        for bound in (c.max_parts, c.num_parts):
+            if bound is not None and len(prefix) >= bound:
+                return
+        for v in range(min(cap, remaining), c.min_part - 1, -1):
+            if part_ok(v):
+                prefix.append(v)
+                rec(remaining - v, v - 1 if c.distinct else v, prefix)
+                prefix.pop()
+
+    rec(n, n, [])
+    return out
+
+
+RELATION_CHECKS = {
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "=": lambda a, b: a == b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    "*": lambda a, b: True,
+}
+
+
+def relation_pattern_oracle(n, pattern):
+    """Every sequence by plain recursion: the oracle for the slot table."""
+    checks = [RELATION_CHECKS[rel] for rel in pattern]
+    s = len(pattern) + 1
+
+    def rec(remaining, slot, prev):
+        if s - slot == 1:
+            return int(remaining >= 1 and (slot == 0 or checks[slot - 1](prev, remaining)))
+        return sum(
+            rec(remaining - v, slot + 1, v)
+            for v in range(1, remaining - (s - slot - 1) + 1)
+            if slot == 0 or checks[slot - 1](prev, v)
+        )
+
+    return rec(n, 0, None)
+
+
+@st.composite
+def constraints(draw):
+    """A PartitionConstraint with every field drawn, valid by construction."""
+    counts = st.none() | st.integers(0, 8)
+    min_part = draw(st.integers(1, 5))
+    return pt.PartitionConstraint(
+        max_part=draw(st.none() | st.integers(min_part, 14)),
+        num_parts=draw(counts),
+        min_parts=draw(counts),
+        max_parts=draw(counts),
+        min_part=min_part,
+        distinct=draw(st.booleans()),
+        allowed_parts=draw(st.none() | st.frozensets(st.integers(1, 16), max_size=7)),
+    )
 
 
 # Frozen from the De Morgan table (x up to 10, y = greatest part).  The
@@ -79,6 +161,34 @@ class TestEnumerateAndCount:
         assert pt.enumerate_partitions(
             5, pt.PartitionConstraint(allowed_parts=frozenset({4}))
         ) == []
+
+
+class TestSuffixTableEnumeration:
+    @settings(max_examples=300)
+    @given(st.integers(0, 24), constraints())
+    def test_matches_backtracking_oracle(self, n, c):
+        assert pt.enumerate_partitions(n, c) == enumerate_partitions_oracle(n, c)
+
+    def test_unconstrained_matches_oracle(self):
+        for n in range(25):
+            assert pt.enumerate_partitions(n) == enumerate_partitions_oracle(
+                n, pt.PartitionConstraint()
+            )
+
+    def test_deep_single_value_answers(self):
+        # one part value: the recursion is one level deep, not 3000
+        assert pt.enumerate_partitions(3000, pt.PartitionConstraint(max_part=1)) == [(1,) * 3000]
+
+    def test_three_parts_of_three_hundred(self):
+        got = pt.enumerate_partitions(300, pt.PartitionConstraint(num_parts=3))
+        assert len(got) == 7500 == round(300**2 / 12)
+        assert got[0] == (298, 1, 1) and got[-1] == (100, 100, 100)
+
+    def test_many_required_parts(self):
+        got = pt.enumerate_partitions(60, pt.PartitionConstraint(min_parts=50))
+        assert len(got) == sum(pt.count_exact_parts(60, k) for k in range(50, 61))
+        assert all(len(p) >= 50 and sum(p) == 60 for p in got)
+        assert got == sorted(got, reverse=True)
 
 
 class TestDeMorgan:
@@ -383,6 +493,25 @@ class TestRelationPatterns:
         for n in range(1, 12):
             for s in range(1, n + 1):
                 assert pt.relation_pattern_count(n, ["*"] * (s - 1)) == math.comb(n - 1, s - 1)
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 30), st.lists(st.sampled_from(sorted(pt.RELATIONS)), max_size=4))
+    def test_matches_recursive_oracle(self, n, pattern):
+        assert pt.relation_pattern_count(n, pattern) == relation_pattern_oracle(n, pattern)
+
+    def test_published_argv_matches_oracle(self):
+        assert pt.relation_pattern_count(200, [">", ">=", ">"]) == relation_pattern_oracle(
+            200, [">", ">=", ">"]
+        )
+
+    def test_four_free_relations_at_four_hundred(self):
+        import math
+
+        assert pt.relation_pattern_count(400, ["*"] * 4) == math.comb(399, 4)
+
+    def test_unknown_relation_refused(self):
+        with pytest.raises(ValueError, match="unknown relation"):
+            pt.relation_pattern_count(5, [">", "~"])
 
     def test_strict_descents_are_distinct_partitions(self):
         oracle = len([p for p in brute_partitions(10) if len(p) == 3 and len(set(p)) == 3])

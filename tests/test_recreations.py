@@ -89,6 +89,13 @@ class TestCubes:
             assert got == rc.cube_orbit_count(k)
         assert rc.cube_orbit_count(2) == 10
 
+    def test_orbit_marking_matches_per_candidate_canonicalisation(self):
+        oracle = sorted({rc.canonical_cube(c) for c in itertools.permutations(range(6))})
+        assert rc.generate_cubes(6) == oracle
+        for k in range(1, 4):
+            oracle = sorted({rc.canonical_cube(c) for c in itertools.product(range(k), repeat=6)})
+            assert rc.generate_cubes(k, "any-coloring") == oracle
+
     def test_canonicalization_idempotent(self):
         for cube in rc.generate_cubes(3, "any-coloring"):
             assert rc.canonical_cube(cube) == cube
