@@ -12,19 +12,10 @@ recreations   cubes, tiles, foldings, contact systems, rulers, rooks
 patterns      edge transforms, repeat tiles, tilings, the angle law
 divisors      generalized divisor sums, potency, factorizations, totient
 cli           the command-line surface over all of the above
-"""
 
-from . import (
-    compositions,
-    divisors,
-    exactcore,
-    invariants,
-    masterthm,
-    partitions,
-    patterns,
-    probelect,
-    recreations,
-)
+Submodules load on first attribute access (PEP 562), so `import combanal`
+compiles none of them and a CLI request loads only the modules it uses.
+"""
 
 __all__ = [
     "compositions",
@@ -39,3 +30,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

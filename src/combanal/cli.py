@@ -12,31 +12,34 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from . import compositions as cp
-from . import divisors as dv
-from . import invariants as iv
-from . import masterthm as mt
-from . import partitions as pt
-from . import patterns as pa
-from . import probelect as pe
-from . import recreations as rc
-from .exactcore import MultiPoly
+# Domain modules are imported inside the functions that use them, so a
+# request loads only what it needs.  Functions are reached as module
+# attributes (pt.f), never copied into this namespace.
 
 
-@dataclass
 class CommandResult:
-    text: str
-    json_obj: object = None
-    csv_rows: Optional[Iterable[Sequence]] = None  # may be one-shot: render("csv") reads it once
-    svg: Optional[str] = None
+    """One handler's answer in every format it supports.  `text` may be a
+    zero-argument callable and `csv_rows` a one-shot iterable: each is
+    built only when render() asks for its format."""
+
+    def __init__(
+        self,
+        text: Union[str, Callable[[], str]],
+        json_obj: object = None,
+        csv_rows: Optional[Iterable[Sequence]] = None,
+        svg: Optional[str] = None,
+    ) -> None:
+        self.text = text
+        self.json_obj = json_obj
+        self.csv_rows = csv_rows
+        self.svg = svg
 
     def render(self, fmt: str) -> str:
         if fmt == "text":
-            return self.text if self.text.endswith("\n") else self.text + "\n"
+            text = self.text() if callable(self.text) else self.text
+            return text if text.endswith("\n") else text + "\n"
         if fmt == "json":
             if self.json_obj is None:
                 raise UsageError("this subcommand has no json output")
@@ -66,11 +69,24 @@ def _digit_strings(top: int, lines: int) -> Callable[[int], str]:
 
 
 def _ints(text: str) -> List[int]:
-    return [int(v) for v in text.replace(" ", "").split(",") if v != ""]
+    try:
+        return [int(v) for v in text.replace(" ", "").split(",") if v != ""]
+    except ValueError:
+        raise UsageError(f"expected comma-separated integers, not {text!r}") from None
 
 
 def _vector_parts(text: str) -> List[tuple]:
     return [tuple(_ints(part)) for part in text.split(";") if part]
+
+
+def _fractions(text: str, what: str) -> List[Fraction]:
+    """Comma-separated rationals such as '1/2,3' for the argument `what`."""
+    from fractions import Fraction
+
+    try:
+        return [Fraction(v) for v in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"{what} takes comma-separated fractions, not {text!r}") from None
 
 
 def _item(items: Sequence, index: int, flag: str):
@@ -104,10 +120,14 @@ def _box_bounds(text: str) -> Tuple[Optional[int], int, int]:
 
 
 def _profile(text: str) -> pa.EdgeProfile:
+    from . import patterns as pa
+
     pts = []
     for pair in text.split(";"):
-        x, y = pair.split(",")
-        pts.append((Fraction(x), Fraction(y)))
+        xy = _fractions(pair, "a profile point")
+        if len(xy) != 2:
+            raise UsageError(f"profile points are 'x,y' pairs separated by ';', not {text!r}")
+        pts.append(tuple(xy))
     return pa.EdgeProfile.from_coords(pts)
 
 
@@ -117,6 +137,11 @@ def parse_coeff_poly(expr: str, p: int) -> MultiPoly:
     Grammar per term: [+-][int*]factor(*factor)* with factor = name[^k].
     Example: "a0*a2 - a1^2" or "-3*a0*a1*a2 + 2*a1^3".
     """
+    from fractions import Fraction
+
+    from . import invariants as iv
+    from .exactcore import MultiPoly
+
     names = iv.avar_names(p, with_xy="x" in expr or "y" in expr)
     cleaned = expr.replace(" ", "").replace("-", "+-")
     out = MultiPoly.zero(names)
@@ -153,6 +178,8 @@ def parse_coeff_poly(expr: str, p: int) -> MultiPoly:
 
 
 def cmd_partition(args) -> CommandResult:
+    from . import partitions as pt
+
     sub = args.action
     if sub == "count":
         if args.pattern:
@@ -178,9 +205,8 @@ def cmd_partition(args) -> CommandResult:
         items = pt.enumerate_partitions(args.n, constraint)
         # the first partition holds the largest part
         digit = _digit_strings(items[0][0] if items and items[0] else 0, len(items))
-        lines = [" ".join(map(digit, p)) if p else "()" for p in items]
         return CommandResult(
-            "\n".join(lines) if lines else "(none)",
+            lambda: "\n".join([" ".join(map(digit, p)) if p else "()" for p in items]) or "(none)",
             items,
             csv_rows=itertools.chain([["partition"]], (["+".join(map(digit, p))] for p in items)),
         )
@@ -248,11 +274,13 @@ def cmd_partition(args) -> CommandResult:
 
 
 def cmd_compose(args) -> CommandResult:
+    from . import compositions as cp
+
     sub = args.action
     if sub == "enum":
         items = cp.enumerate_compositions(args.n)
         digit = _digit_strings(args.n, len(items))
-        return CommandResult("\n".join([" ".join(map(digit, c)) for c in items]), items)
+        return CommandResult(lambda: "\n".join([" ".join(map(digit, c)) for c in items]), items)
     if sub == "conj":
         if ";" in args.parts:
             conj = cp.route_conjugate(_vector_parts(args.parts))
@@ -302,6 +330,8 @@ def cmd_compose(args) -> CommandResult:
 
 
 def cmd_master(args) -> CommandResult:
+    from . import masterthm as mt
+
     sub = args.action
     if sub == "coeff":
         matrix = [_ints(row) for row in args.matrix.split(";")]
@@ -322,6 +352,9 @@ def cmd_master(args) -> CommandResult:
 
 
 def cmd_invariant(args) -> CommandResult:
+    from . import invariants as iv
+    from .exactcore import MultiPoly
+
     sub = args.action
     if sub == "omega":
         poly = parse_coeff_poly(args.poly, args.p)
@@ -343,7 +376,10 @@ def cmd_invariant(args) -> CommandResult:
         return CommandResult("\n".join(texts), texts)
     if sub == "check":
         poly = parse_coeff_poly(args.poly, args.p)
-        l, m, lp, mp = [Fraction(v) for v in args.transform.split(",")]
+        transform = _fractions(args.transform, "--transform")
+        if len(transform) != 4:
+            raise UsageError(f"--transform takes four values l,m,lp,mp, not {args.transform!r}")
+        l, m, lp, mp = transform
         ok, s = iv.invariance_check(poly, args.p, iv.LinearTransform2(l, m, lp, mp))
         text = f"{'invariant' if ok else 'not invariant'}" + (f" s={s}" if ok else "")
         return CommandResult(text, {"invariant": ok, "exponent": s})
@@ -384,6 +420,8 @@ def cmd_invariant(args) -> CommandResult:
 
 
 def cmd_ballot(args) -> CommandResult:
+    from . import probelect as pe
+
     sub = args.action
     if sub == "ahead":
         value = pe.ballot_strictly_ahead(args.m, args.n)
@@ -397,6 +435,8 @@ def cmd_ballot(args) -> CommandResult:
 
 
 def cmd_election(args) -> CommandResult:
+    from . import probelect as pe
+
     sub = args.action
     if sub == "prob":
         model = pe.ElectorateModel(args.b + args.c, args.b, args.c)
@@ -420,6 +460,8 @@ def cmd_election(args) -> CommandResult:
 
 
 def cmd_puzzle(args) -> CommandResult:
+    from . import recreations as rc
+
     sub = args.action
     if sub == "cubes":
         cubes = rc.generate_cubes(args.colors, args.mode)
@@ -517,6 +559,8 @@ def cmd_puzzle(args) -> CommandResult:
 
 
 def _named_tile(args) -> pa.RepeatTile:
+    from . import patterns as pa
+
     if args.cairo:
         return pa.cairo_tile()
     if args.base == "square" and args.contact is None:
@@ -539,13 +583,17 @@ def _named_tile(args) -> pa.RepeatTile:
 
 
 def cmd_pattern(args) -> CommandResult:
+    from fractions import Fraction
+
+    from . import patterns as pa
+
     sub = args.action
     if sub == "classify":
         profile = _profile(args.profile)
         cls = pa.classify_edge(profile)
         return CommandResult(cls, cls)
     if sub == "angles":
-        ok = pa.angle_distribution_check([Fraction(v) for v in args.angles.split(",")])
+        ok = pa.angle_distribution_check(_fractions(args.angles, "angles"))
         return CommandResult("repeat" if ok else "not-a-repeat", ok)
     if sub == "tile":
         tile = _named_tile(args)
@@ -603,6 +651,8 @@ def cmd_pattern(args) -> CommandResult:
 
 
 def cmd_divisor(args) -> CommandResult:
+    from . import divisors as dv
+
     sub = args.action
     if sub == "series":
         if args.n is not None:
@@ -638,6 +688,10 @@ def cmd_divisor(args) -> CommandResult:
 # parser
 
 FORMATS = ("text", "json", "csv", "svg")
+# patterns.BASES and divisors.SERIES_KINDS, spelled out so that building
+# the parser imports neither module (a test keeps them equal)
+TILE_BASES = ("triangle", "square", "hexagon")
+SERIES_KINDS = ("A", "B", "C")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -872,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("tile", "tiling"):
         q = pa_.add_parser(name)
         q.add_argument("--cairo", action="store_true")
-        q.add_argument("--base", choices=tuple(pa.BASES), default="square")
+        q.add_argument("--base", choices=TILE_BASES, default="square")
         q.add_argument("--contact", help="pairs like '0-2,1-3'")
         q.add_argument("--profiles", help="'|'-separated profiles")
         if name == "tiling":
@@ -889,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divisor")
     pa_ = p.add_subparsers(dest="action", required=True)
     q = pa_.add_parser("series")
-    q.add_argument("kind", choices=dv.SERIES_KINDS)
+    q.add_argument("kind", choices=SERIES_KINDS)
     q.add_argument("--n", type=int)
     q.add_argument("--k", type=int, default=1)
     q.add_argument("--max-n", type=int, default=16)

@@ -20,6 +20,8 @@ MultipartiteComposition = Tuple[VectorPart, ...]
 
 MULTIPARTITE_CAP = 10
 NEWCOMB_CAP = 9
+# lines enumerate_compositions may return: 2^19, n = 20
+COMPOSE_ENUM_CAP = 2**19
 
 
 def check_composition(parts: Sequence[int], n: Optional[int] = None) -> Composition:
@@ -39,6 +41,10 @@ def enumerate_compositions(n: int) -> List[Composition]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n - 1 >= COMPOSE_ENUM_CAP.bit_length():  # 2^(n-1) > COMPOSE_ENUM_CAP
+        raise ValueError(
+            f"n = {n} has 2^{n - 1} compositions, past the output cap of {COMPOSE_ENUM_CAP}"
+        )
     table: List[List[Composition]] = [[()]]
     for m in range(1, n + 1):
         table.append([(v,) + rest for v in range(1, m + 1) for rest in table[m - v]])

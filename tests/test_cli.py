@@ -143,6 +143,14 @@ class TestExitCodes:
         "pattern tile --contact 0-9",
         "pattern tile --contact 0-1-2",
         "pattern tile --contact a-b",
+        "partition enum 10 --allowed x,y",
+        "master rencontres 0 a,b",
+        "ballot order 2,x",
+        "compose conj 1,2;x",
+        "pattern classify 0,0;1",
+        "pattern angles 1/0",
+        "invariant check a0*a2-a1^2 --p 2 --transform 1,2",
+        "invariant check a0*a2-a1^2 --p 2 --transform 1,0,0,x",
     ])
     def test_malformed_argument_is_usage_error(self, argv):
         code, out, err = run(argv)
@@ -162,6 +170,7 @@ CAP_EDGES = [
     ("puzzle latin --reduced 6", "puzzle latin --reduced 7"),  # order 6
     ("partition count 20000 --parts 50", "partition count 20001 --parts 50"),  # n * p = 10^6
     ("puzzle latin --total 4", "puzzle latin --total 5"),  # order 4
+    ("compose enum 20", "compose enum 21"),  # 2^19 output lines
 ]
 
 
@@ -228,6 +237,19 @@ class TestOutputBoundEnumerations:
         assert (code, err) == (0, "")
         assert out == " ".join(["1"] * 3000) + "\n"
 
+    @pytest.mark.parametrize("argv", ["partition enum 12 --format json", "compose enum 6 --format json"])
+    def test_text_listing_is_built_only_for_text(self, monkeypatch, argv):
+        formatted = []
+        digit_strings = cli._digit_strings
+        monkeypatch.setattr(
+            cli, "_digit_strings", lambda *a: lambda v: formatted.append(v) or digit_strings(*a)(v)
+        )
+        code, out, err = run(argv)
+        assert (code, err) == (0, "") and out.startswith("[[")
+        assert formatted == []
+        code, out, err = run(argv.replace("json", "text"))
+        assert code == 0 and len(formatted) == sum(len(line.split()) for line in out.splitlines())
+
     def test_three_parts_of_three_hundred(self):
         code, out, err = run("partition enum 300 --parts 3")
         assert (code, err) == (0, "")
@@ -272,13 +294,78 @@ class TestParserReuse:
         assert reused[2][0] == 2 and reused[3] == (0, "4536\n", "")
 
     def test_not_built_at_import(self):
-        code = "import combanal.cli as c; print(c._PARSER)"
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-        ).stdout
-        assert out == "None\n"
+        assert fresh_interpreter("import combanal.cli as c; print(c._PARSER)") == "None\n"
+
+
+def fresh_interpreter(code: str, *argv: str) -> str:
+    """stdout of `code` run by a new interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True, env=env
+    ).stdout
+
+
+class TestImportIsolation:
+    # Which modules are loaded is a property of the whole process, so each
+    # case runs in a new interpreter.
+    PROBE = (
+        "import contextlib, io, json, sys\n"
+        "import combanal.cli as cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = cli.dispatch(sys.argv[1:])\n"
+        "print(json.dumps({\n"
+        "    'code': code, 'out': out.getvalue(),\n"
+        "    'at_import': sorted(m for m in before if m.startswith('combanal')),\n"
+        "    'added': sorted(m for m in set(sys.modules) - before if m.startswith('combanal')),\n"
+        "}))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv,code,output,added",
+        [
+            ("partition count 30", 0, "5604\n", ["combanal.partitions"]),
+            ("master derange 4", 0, "9\n", ["combanal.exactcore", "combanal.masterthm"]),
+            ("partition count abc", 2, "", []),
+        ],
+    )
+    def test_dispatch_loads_only_its_module(self, argv, code, output, added):
+        report = json.loads(fresh_interpreter(self.PROBE, *argv.split()))
+        assert report["at_import"] == ["combanal", "combanal.cli"]
+        assert (report["code"], report["out"], report["added"]) == (code, output, added)
+
+    def test_package_attributes_load_on_first_use(self):
+        code = (
+            "import sys, combanal\n"
+            "print(sorted(m for m in sys.modules if m.startswith('combanal.')))\n"
+            "print(combanal.masterthm.derangements(4))\n"
+            "from combanal import patterns\n"
+            "print(patterns.BASES['hexagon'], set(combanal.__all__) <= set(dir(combanal)))\n"
+            "print('combanal.invariants' in sys.modules, 'combanal.probelect' in sys.modules)\n"
+        )
+        assert fresh_interpreter(code).splitlines() == ["[]", "9", "6 True", "False False"]
+
+    def test_unknown_package_attribute(self):
+        import combanal
+
+        with pytest.raises(AttributeError, match="no attribute 'cli_tools'"):
+            combanal.cli_tools
+
+    def test_public_names_unchanged(self):
+        import combanal
+
+        assert combanal.__all__ == [
+            "compositions", "divisors", "exactcore", "invariants", "masterthm",
+            "partitions", "patterns", "probelect", "recreations",
+        ]
+        assert combanal.__version__ == "0.1.0"
+
+    def test_literal_choices_match_the_modules(self):
+        from combanal import divisors, patterns
+
+        assert cli.TILE_BASES == tuple(patterns.BASES)
+        assert cli.SERIES_KINDS == divisors.SERIES_KINDS
 
 
 class TestFormats:
