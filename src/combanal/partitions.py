@@ -122,7 +122,12 @@ def enumerate_partitions(
         memo[key] = out
         return out
 
-    return suffixes(n, 0, 0)
+    try:
+        return suffixes(n, 0, 0)
+    finally:
+        # suffixes refers to itself; without this the cycle keeps memo (every
+        # suffix list) alive until the collector happens to run
+        del suffixes
 
 
 _PARTITION_TABLE = [1]

@@ -1,3 +1,4 @@
+import gc
 import itertools
 from functools import lru_cache
 
@@ -178,6 +179,17 @@ class TestSuffixTableEnumeration:
     def test_deep_single_value_answers(self):
         # one part value: the recursion is one level deep, not 3000
         assert pt.enumerate_partitions(3000, pt.PartitionConstraint(max_part=1)) == [(1,) * 3000]
+
+    def test_memo_is_freed_without_the_collector(self):
+        # the suffix memo holds every suffix list; a reference cycle would
+        # keep it alive until the next full collection
+        gc.collect()
+        gc.disable()
+        try:
+            pt.enumerate_partitions(12, pt.PartitionConstraint(min_parts=2))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_three_parts_of_three_hundred(self):
         got = pt.enumerate_partitions(300, pt.PartitionConstraint(num_parts=3))
