@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 domain error (infeasible input, guard refusal),
 2 usage error.  Results go to stdout, diagnostics to stderr; identical
 argv produces byte-identical output.  Formats: text (default), json
-(stable key order), csv (header row), svg (pattern subcommands only).
+(stable key order), csv (header row), svg (pattern tiling only).
 """
 
 from __future__ import annotations
@@ -20,16 +20,17 @@ from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 
 class CommandResult:
-    """One handler's answer in every format it supports.  `text` may be a
-    zero-argument callable and `csv_rows` a one-shot iterable: each is
-    built only when render() asks for its format."""
+    """One handler's answer in every format it supports.  `text`,
+    `json_obj` and `svg` may each be a zero-argument callable and
+    `csv_rows` a one-shot iterable: each is built only when render() asks
+    for its format."""
 
     def __init__(
         self,
         text: Union[str, Callable[[], str]],
         json_obj: object = None,
         csv_rows: Optional[Iterable[Sequence]] = None,
-        svg: Optional[str] = None,
+        svg: Union[None, str, Callable[[], str]] = None,
     ) -> None:
         self.text = text
         self.json_obj = json_obj
@@ -43,7 +44,8 @@ class CommandResult:
         if fmt == "json":
             if self.json_obj is None:
                 raise UsageError("this subcommand has no json output")
-            return json.dumps(self.json_obj, sort_keys=True, separators=(",", ":")) + "\n"
+            obj = self.json_obj() if callable(self.json_obj) else self.json_obj
+            return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
         if fmt == "csv":
             if self.csv_rows is None:
                 raise UsageError("this subcommand has no csv output")
@@ -51,7 +53,7 @@ class CommandResult:
         if fmt == "svg":
             if self.svg is None:
                 raise UsageError("this subcommand has no svg output")
-            return self.svg
+            return self.svg() if callable(self.svg) else self.svg
         raise UsageError(f"unknown format {fmt}")
 
 
@@ -339,8 +341,7 @@ def cmd_master(args) -> CommandResult:
             poly = mt.master_denominator(matrix)
             return CommandResult(str(poly), str(poly))
         degree = tuple(_ints(args.degree))
-        value = mt.master_coefficient(matrix, degree)
-        text = str(value) if value.denominator != 1 else str(value.numerator)
+        text = str(mt.master_coefficient(matrix, degree))
         return CommandResult(text, text)
     if sub == "derange":
         value = mt.derangements(args.n)
@@ -612,8 +613,8 @@ def cmd_pattern(args) -> CommandResult:
         text = f"copies {len(result.placements)}; verified {result.verified}"
         return CommandResult(
             text,
-            json.loads(result.to_placement_json()),
-            svg=result.to_svg(),
+            lambda: json.loads(result.to_placement_json()),
+            svg=result.to_svg,
         )
     if sub == "euler":
         if args.solid == "cube":
@@ -688,6 +689,9 @@ def cmd_divisor(args) -> CommandResult:
 # parser
 
 FORMATS = ("text", "json", "csv", "svg")
+# The only (command, action) with svg output; dispatch refuses
+# --format svg for every other before its handler runs.
+SVG_ACTIONS = {("pattern", "tiling")}
 # patterns.BASES and divisors.SERIES_KINDS, spelled out so that building
 # the parser imports neither module (a test keeps them equal)
 TILE_BASES = ("triangle", "square", "hexagon")
@@ -985,6 +989,7 @@ OPERATION_COVERAGE = {
     "exactcore.poly_det": "master coeff --denominator",
     "exactcore.series_inverse": "master coeff",
     "exactcore.linsolve_rational": "invariant syzygant",
+    "exactcore.nullspace_integer": "invariant basis",
     "partitions.enumerate_partitions": "partition enum",
     "partitions.count_partitions": "partition count",
     "partitions.demorgan_u": "partition table --demorgan",
@@ -1080,6 +1085,8 @@ def dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.format == "svg" and (args.command, args.action) not in SVG_ACTIONS:
+            raise UsageError("this subcommand has no svg output")
         result = HANDLERS[args.command](args)
         rendered = result.render(args.format)
     except UsageError as exc:

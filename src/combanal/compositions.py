@@ -138,9 +138,9 @@ def bipartite_composition_count_gf(p: int, q: int) -> int:
         raise ValueError("need a nonzero non-negative bipartite number")
     x, y = poly_ring("x", "y")
     series = series_inverse(1 - 2 * x - 2 * y + 2 * x * y, (p, q))
-    value = series.coeff((p, q)) / 2
-    assert value.denominator == 1
-    return int(value)
+    twice = series.coeff((p, q))
+    assert type(twice) is int and twice % 2 == 0
+    return twice // 2
 
 
 # -- lines of route and essential nodes ----------------------------------

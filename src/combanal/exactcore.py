@@ -1,10 +1,10 @@
 """Exact rational arithmetic: multivariate polynomials, box-truncated
 series inversion, polynomial determinants and rational linear solving.
 
-Coefficients are `fractions.Fraction` throughout; nothing here rounds.
-The rational linear solver eliminates on integer rows internally and
-returns `Fraction`s.  Values are immutable once built and safe to share
-between threads.
+A coefficient is an `int` when it is integral, else a `fractions.Fraction`;
+nothing here rounds.  The rational linear solver eliminates on integer
+rows internally and returns `Fraction`s.  Values are immutable once built
+and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -30,26 +30,40 @@ class SingularSeriesError(ZeroDivisionError):
     """Series inversion requires a nonzero constant term."""
 
 
-def _frac(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+def _frac(value: Scalar) -> Scalar:
+    """The normal form of an exact coefficient: an `int` when it is
+    integral, else a `Fraction`.  One form per value keeps equality and
+    hashing structural; anything inexact, such as a float, is refused."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b in normal form; `/` on two ints would
+    give a float."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _frac(Fraction(a) / b)
 
 
 class MultiPoly:
     """A multivariate polynomial over a fixed, ordered tuple of names.
 
-    Stored as a map from exponent vectors to nonzero Fraction
-    coefficients, so equality is structural.
+    Stored as a map from exponent vectors to nonzero coefficients, each an
+    `int` when integral, else a `Fraction`, so equality is structural.
     """
 
     __slots__ = ("names", "terms")
 
     def __init__(self, names: Sequence[str], terms: Mapping[Exponent, Scalar] = ()):
         names = tuple(names)
-        clean: Dict[Exponent, Fraction] = {}
+        clean: Dict[Exponent, Scalar] = {}
         for exp, coeff in dict(terms).items():
             exp = tuple(exp)
             if len(exp) != len(names):
@@ -57,9 +71,10 @@ class MultiPoly:
             for e in exp:
                 if not 0 <= e <= MAX_EXPONENT:
                     raise OverflowError(f"exponent {e} out of range")
-            c = _frac(coeff)
-            if c:
-                clean[exp] = c
+            if type(coeff) is not int:
+                coeff = _frac(coeff)
+            if coeff:
+                clean[exp] = coeff
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "terms", clean)
 
@@ -83,7 +98,7 @@ class MultiPoly:
         idx = names.index(name)
         exp = [0] * len(names)
         exp[idx] = 1
-        return cls(names, {tuple(exp): Fraction(1)})
+        return cls(names, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, names: Sequence[str], exp: Exponent, coeff: Scalar = 1) -> "MultiPoly":
@@ -101,7 +116,7 @@ class MultiPoly:
         self._check(other)
         out = dict(self.terms)
         for exp, c in other.terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + c
+            out[exp] = out.get(exp, 0) + c
         return MultiPoly(self.names, out)
 
     __radd__ = __add__
@@ -122,11 +137,11 @@ class MultiPoly:
             c = _frac(other)
             return MultiPoly(self.names, {e: k * c for e, k in self.terms.items()})
         self._check(other)
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Scalar] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exp = tuple(x + y for x, y in zip(ea, eb))
-                out[exp] = out.get(exp, Fraction(0)) + ca * cb
+                out[exp] = out.get(exp, 0) + ca * cb
         return MultiPoly(self.names, out)
 
     __rmul__ = __mul__
@@ -161,11 +176,11 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+    def coeff(self, exp: Exponent) -> Scalar:
+        return self.terms.get(tuple(exp), 0)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.names), Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((0,) * len(self.names), 0)
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -182,12 +197,12 @@ class MultiPoly:
 
     def diff(self, name: str) -> "MultiPoly":
         idx = self.names.index(name)
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Scalar] = {}
         for exp, c in self.terms.items():
             e = exp[idx]
             if e:
                 nexp = exp[:idx] + (e - 1,) + exp[idx + 1 :]
-                out[nexp] = out.get(nexp, Fraction(0)) + c * e
+                out[nexp] = out.get(nexp, 0) + c * e
         return MultiPoly(self.names, out)
 
     def substitute(self, mapping: Mapping[str, "MultiPoly"]) -> "MultiPoly":
@@ -241,17 +256,17 @@ class MultiPoly:
         lead = max(divisor.terms)  # lex order
         lead_c = divisor.terms[lead]
         rem = dict(self.terms)
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Scalar] = {}
         while rem:
             exp = max(rem)
             diff = tuple(a - b for a, b in zip(exp, lead))
             if any(d < 0 for d in diff):
                 raise ValueError("polynomial division is not exact")
-            q = rem[exp] / lead_c
-            out[diff] = out.get(diff, Fraction(0)) + q
+            q = _div(rem[exp], lead_c)
+            out[diff] = out.get(diff, 0) + q
             for dexp, dc in divisor.terms.items():
                 tgt = tuple(a + b for a, b in zip(diff, dexp))
-                val = rem.get(tgt, Fraction(0)) - q * dc
+                val = rem.get(tgt, 0) - q * dc
                 if val:
                     rem[tgt] = val
                 else:
@@ -303,11 +318,11 @@ def series_inverse(p: MultiPoly, box: Sequence[int]) -> MultiPoly:
     if any(b < 0 for b in box):
         raise ValueError(f"box {box} has a negative bound")
     rest = [(f, c) for f, c in p.truncate(box).terms.items() if any(f)]
-    scale = -1 / c0
+    scale = _div(-1, c0)
     cells = itertools.product(*(range(b + 1) for b in box))
-    q: Dict[Exponent, Fraction] = {next(cells): 1 / c0}  # the origin comes first
+    q: Dict[Exponent, Scalar] = {next(cells): _div(1, c0)}  # the origin comes first
     for e in cells:
-        total = Fraction(0)
+        total = 0
         for f, c in rest:
             # an e - f with a negative entry is not a key of q
             v = q.get(tuple(map(sub, e, f)))
@@ -419,17 +434,17 @@ def _eliminate(row: Dict[int, int], prow: Dict[int, int], c: int) -> Dict[int, i
     return out
 
 
-def linsolve_rational(
+def _rref(
     a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]
-) -> LinearSolution:
-    """Exact Gauss-Jordan elimination with full solution-set description.
+) -> Tuple[List[Tuple[int, Dict[int, int]]], bool]:
+    """The reduced row echelon form of [a | b] over the integers, as
+    (pivot column, row) pairs, and whether the system is consistent.
 
     Each augmented row is scaled to integers by the lcm of its denominators
     and kept as a sparse {column: int} map.  Elimination is fraction-free:
     row_i <- (pv/g) row_i - (f/g) row_r with g = gcd(pv, f), then the row's
-    content is divided out.  The reduced row echelon form is unique, so
-    reading it back as Fraction(row[j], row[pivot]) gives the same
-    solution as elimination over the rationals.
+    content is divided out.  Every row that holds a pivot is zero on the
+    other pivot columns, so row[j] / row[pivot] is its rational RREF entry.
     """
     rows = len(a)
     if rows != len(b):
@@ -457,11 +472,23 @@ def linsolve_rational(
         reduced.append((c, prow))
         if not pending:
             break
-
     # A row left without a pivot is zero on every column of `a`.
-    if any(pending):
-        return LinearSolution("inconsistent", None, None)
+    return reduced, not any(pending)
 
+
+def linsolve_rational(
+    a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]
+) -> LinearSolution:
+    """Exact Gauss-Jordan elimination with full solution-set description.
+
+    The integer reduced row echelon form is unique up to each row's
+    scale, so reading it back as Fraction(row[j], row[pivot]) gives the
+    same solution as elimination over the rationals.
+    """
+    reduced, consistent = _rref(a, b)
+    if not consistent:
+        return LinearSolution("inconsistent", None, None)
+    cols = len(a[0]) if a else 0
     particular = [Fraction(0)] * cols
     for c, row in reduced:
         particular[c] = Fraction(row.get(cols, 0), row[c])
@@ -485,3 +512,28 @@ def nullspace_rational(a: Sequence[Sequence[Scalar]]) -> list:
     rows = len(a)
     sol = linsolve_rational(a, [0] * rows)
     return sol.basis or []
+
+
+def nullspace_integer(a: Sequence[Sequence[Scalar]]) -> List[List[int]]:
+    """Basis of the rational nullspace of `a` as primitive integer vectors.
+
+    Each vector is the `nullspace_rational` vector of the same free column
+    times a positive rational: the free entry is the lcm of the pivots it
+    meets, which makes every entry an integer, and the gcd is divided out.
+    """
+    reduced, _ = _rref(a, [0] * len(a))
+    cols = len(a[0]) if a else 0
+    pivot_cols = {c for c, _ in reduced}
+    basis = []
+    for fc in range(cols):
+        if fc in pivot_cols:
+            continue
+        hits = [(c, row) for c, row in reduced if fc in row]
+        lcm = math.lcm(*(row[c] for c, row in hits))
+        vec = [0] * cols
+        vec[fc] = lcm
+        for c, row in hits:
+            vec[c] = -row[fc] * (lcm // row[c])
+        g = math.gcd(*vec)
+        basis.append([v // g for v in vec])
+    return basis

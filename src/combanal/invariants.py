@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactcore import MultiPoly, nullspace_rational
+from .exactcore import MultiPoly, nullspace_integer, nullspace_rational
 
 
 def avar_names(p: int, with_xy: bool = False) -> Tuple[str, ...]:
@@ -157,19 +157,25 @@ def covariant_from_seed(seed: MultiPoly, p: int) -> MultiPoly:
 
 
 def _isobaric_monomials(p: int, j: int, w: int) -> List[Tuple[int, ...]]:
+    """Exponent vectors over a0..ap of degree j and weight w, in
+    lexicographic order."""
     out: List[Tuple[int, ...]] = []
+    acc = [0] * (p + 1)
 
-    def rec(idx: int, deg_left: int, weight_left: int, acc: List[int]):
-        if idx == p + 1:
-            if deg_left == 0 and weight_left == 0:
-                out.append(tuple(acc))
+    def rec(idx: int, deg_left: int, weight_left: int):
+        if idx == p:
+            acc[p] = deg_left
+            out.append(tuple(acc))
             return
-        for e in range(deg_left + 1):
-            if idx * e > weight_left:
-                break
-            rec(idx + 1, deg_left - e, weight_left - idx * e, acc + [e])
+        # The deg_left - e exponents after a_idx carry a weight between
+        # idx + 1 and p each, so only these e leave a completable rest.
+        low = max(0, (idx + 1) * deg_left - weight_left)
+        high = min(deg_left, (p * deg_left - weight_left) // (p - idx))
+        for e in range(low, high + 1):
+            acc[idx] = e
+            rec(idx + 1, deg_left - e, weight_left - idx * e)
 
-    rec(0, j, w, [])
+    rec(0, j, w)
     return out
 
 
@@ -195,15 +201,7 @@ def seminvariant_basis(p: int, j: int, w: int) -> List[MultiPoly]:
                 img[k - 1] += 1
                 rows[dst_index[tuple(img)]][ci] += k * e
     out = []
-    for vec in nullspace_rational(rows):
-        lcm = 1
-        for v in vec:
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-        ints = [v * lcm for v in vec]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, int(v))
-        ints = [int(v) // g for v in ints]
+    for ints in nullspace_integer(rows):
         # sign: make the lexicographically greatest monomial positive
         lead = max((m for m, c in zip(src, ints) if c), default=None)
         if lead is not None and ints[src.index(lead)] < 0:
@@ -427,7 +425,7 @@ def syzygant_search(sources: Sequence[MultiPoly], k: int) -> List[SyzygantSoluti
     constrained = sorted(
         {exp for s in sources for exp in s.terms if exp[a0_idx] < k}
     )
-    rows = [[s.terms.get(exp, Fraction(0)) for s in sources] for exp in constrained]
+    rows = [[s.terms.get(exp, 0) for s in sources] for exp in constrained]
     basis = nullspace_rational(rows) if rows else [
         [Fraction(1 if i == t else 0) for i in range(len(sources))]
         for t in range(len(sources))

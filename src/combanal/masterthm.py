@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .exactcore import MultiPoly, poly_det, poly_ring, series_inverse
+from .exactcore import MultiPoly, Scalar, poly_det, poly_ring, series_inverse
 
 Multidegree = Tuple[int, ...]
 
@@ -43,7 +42,7 @@ def master_denominator(matrix: Sequence[Sequence[int]]) -> MultiPoly:
     return poly_det(entries)
 
 
-def master_coefficient(matrix: Sequence[Sequence[int]], multidegree: Multidegree) -> Fraction:
+def master_coefficient(matrix: Sequence[Sequence[int]], multidegree: Multidegree) -> Scalar:
     """Coefficient of prod x_i^{e_i} in 1/V_n.
 
     Exact: only the cells of the box 0 <= f <= e reach x^e, so the series
@@ -73,7 +72,7 @@ def linear_forms(matrix: Sequence[Sequence[int]]) -> List[MultiPoly]:
 
 def redundant_coefficient(
     matrix: Sequence[Sequence[int]], multidegree: Multidegree
-) -> Fraction:
+) -> Scalar:
     """Coefficient of x^multidegree in prod X_i^{e_i}.
 
     This is the redundant-generating-function route; the Master Theorem

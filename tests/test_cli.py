@@ -132,6 +132,15 @@ class TestExitCodes:
         code, out, err = run("puzzle cubes --format svg")
         assert code == 2
 
+    def test_svg_is_refused_before_the_handler_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setitem(cli.HANDLERS, "master", lambda args: calls.append(args))
+        # derangements(-1) is a domain error (exit 1) if the handler runs
+        assert run("master derange -1 --format svg") == (
+            2, "", "usage error: this subcommand has no svg output\n"
+        )
+        assert calls == []
+
     @pytest.mark.parametrize("argv", [
         "partition plane 5 --boxed 0,0",
         "invariant oop a0^-1 --p 2",
@@ -385,6 +394,23 @@ class TestFormats:
         assert out.startswith('<?xml version="1.0"')
         assert "<path" in out
 
+    @pytest.mark.parametrize("fmt,built", [
+        ("text", []), ("json", ["to_placement_json"]), ("svg", ["to_svg"]),
+    ])
+    def test_tiling_builds_only_the_asked_format(self, monkeypatch, fmt, built):
+        from combanal import patterns as pa
+
+        calls = []
+        for name in ("to_svg", "to_placement_json"):
+            method = getattr(pa.TilingResult, name)
+            monkeypatch.setattr(
+                pa.TilingResult, name,
+                lambda self, _m=method, _n=name: calls.append(_n) or _m(self),
+            )
+        code, out, err = run(f"pattern tiling --cairo --extent 1 --format {fmt}")
+        assert (code, err) == (0, "") and out
+        assert calls == built
+
     def test_out_file(self, tmp_path):
         path = tmp_path / "rod.json"
         code, out, _ = run(f"puzzle rod 8 --format json --out {path}")
@@ -406,7 +432,7 @@ class TestCoverage:
         # audit: each module operation appears in the coverage table, and
         # the table's subcommands parse.
         expected_ops = {
-            "exactcore": ["poly_det", "series_inverse", "linsolve_rational"],
+            "exactcore": ["poly_det", "series_inverse", "linsolve_rational", "nullspace_integer"],
             "partitions": [
                 "enumerate_partitions", "count_partitions", "demorgan_u",
                 "closed_form_u2", "closed_form_u3", "warburton_count",

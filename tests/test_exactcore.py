@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,9 +16,11 @@ from combanal.exactcore import (
     nullspace_rational,
     poly_det,
     poly_det_cofactor,
+    nullspace_integer,
     poly_ring,
     series_inverse,
 )
+from combanal.invariants import BinaryQuantic, avar_names, covariant_from_seed
 
 
 def random_poly(rng, names, max_terms=4, max_exp=3, max_coeff=5):
@@ -301,3 +305,174 @@ class TestLinSolve:
         if got.particular is not None:
             assert all(type(v) is Fraction for v in got.particular)
             assert all(type(v) is Fraction for vec in got.basis for v in vec)
+
+
+# -- the coefficient normal form ------------------------------------------
+#
+# A stored coefficient is an int when it is integral and a Fraction only
+# when it is not.  The reference below does the same algebra on dicts of
+# Fractions, with no normal form at all.
+
+NAMES = ("x", "y")
+COEFFS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), COEFFS, max_size=4
+).map(lambda terms: MultiPoly(NAMES, terms))
+BOXES = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+def assert_normal(poly):
+    for c in poly.terms.values():
+        assert type(c) in (int, Fraction), c
+        assert (type(c) is int) == (Fraction(c).denominator == 1), repr(c)
+
+
+def ref(poly):
+    return {e: Fraction(c) for e, c in poly.terms.items()}
+
+
+def ref_clean(d):
+    return {e: c for e, c in d.items() if c}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return ref_clean(out)
+
+
+def ref_scale(a, k):
+    return ref_clean({e: c * k for e, c in a.items()})
+
+
+def ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return ref_clean(out)
+
+
+def ref_pow(a, n):
+    out = {(0,) * len(NAMES): Fraction(1)}
+    for _ in range(n):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_series_inverse(a, box):
+    c0 = a[(0,) * len(box)]
+    q = {}
+    for e in itertools.product(*(range(b + 1) for b in box)):
+        total = Fraction(0 if any(e) else 1)
+        for f, c in a.items():
+            g = tuple(x - y for x, y in zip(e, f))
+            if any(f) and min(g) >= 0:
+                total -= c * q[g]
+        q[e] = total / c0
+    return ref_clean(q)
+
+
+class TestCoefficientNormalForm:
+    @settings(max_examples=150)
+    @given(POLYS, POLYS, st.integers(0, 3), BOXES, COEFFS.filter(bool))
+    def test_operations_match_all_fraction_reference(self, a, b, n, box, c0):
+        assert_normal(a)
+        A, B = ref(a), ref(b)
+        half_y = MultiPoly(NAMES, {(0, 1): Fraction(1, 2), (0, 0): 1})
+        H = ref(half_y)
+        sub_ref = {}
+        for (ex, ey), c in A.items():
+            sub_ref = ref_add(sub_ref, ref_scale(ref_mul(ref_pow(B, ex), ref_pow(H, ey)), c))
+        p = a - a.constant_term() + c0
+        checks = {
+            "add": (a + b, ref_add(A, B)),
+            "sub": (a - b, ref_add(A, ref_scale(B, -1))),
+            "mul": (a * b, ref_mul(A, B)),
+            "scalar mul": (a * c0, ref_scale(A, Fraction(c0))),
+            "pow": (a**n, ref_pow(A, n)),
+            "diff": (a.diff("y"), ref_clean(
+                {(ex, ey - 1): c * ey for (ex, ey), c in A.items() if ey}
+            )),
+            "substitute": (a.substitute({"x": b, "y": half_y}), sub_ref),
+            "truncate": (a.truncate(box), {
+                e: c for e, c in A.items() if e[0] <= box[0] and e[1] <= box[1]
+            }),
+            "series_inverse": (series_inverse(p, box), ref_series_inverse(ref(p), box)),
+        }
+        if b:
+            checks["exact_div"] = ((a * b).exact_div(b), A)
+        for name, (got, want) in checks.items():
+            assert got.terms == want, name
+            assert_normal(got)
+        assert type(a.evaluate({"x": 1, "y": Fraction(1, 3)})) is Fraction
+
+    def test_integral_fraction_is_stored_as_int(self):
+        p = MultiPoly(NAMES, {(1, 0): Fraction(6, 3), (0, 1): Fraction(1, 2)})
+        assert type(p.terms[(1, 0)]) is int and p.terms[(1, 0)] == 2
+        assert type(p.terms[(0, 1)]) is Fraction
+        same = MultiPoly(NAMES, {(1, 0): 2, (0, 1): Fraction(1, 2)})
+        assert p == same and hash(p) == hash(same)
+        assert type(MultiPoly.const(NAMES, Fraction(-4, 2)).constant_term()) is int
+        assert p.coeff((3, 3)) == 0 and type(p.coeff((3, 3))) is int
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            MultiPoly(NAMES, {(1, 0): 0.5})
+        with pytest.raises(TypeError):
+            MultiPoly(NAMES, {(1, 0): 2.0})
+        (x, _) = poly_ring(*NAMES)
+        with pytest.raises(TypeError):
+            x * 0.5
+
+    def test_series_inverse_with_constant_two(self):
+        (x,) = poly_ring("x")
+        s = series_inverse(2 - x, (4,))
+        assert s.terms == {(k,): Fraction(1, 2 ** (k + 1)) for k in range(5)}
+        assert all(type(c) is Fraction for c in s.terms.values())
+
+    def test_series_inverse_with_negative_constant(self):
+        (x,) = poly_ring("x")
+        s = series_inverse(x - 3, (3,))
+        assert s.terms == {(k,): Fraction(-1, 3 ** (k + 1)) for k in range(4)}
+        ones = series_inverse(x - 1, (3,))
+        assert ones.terms == {(k,): -1 for k in range(4)}
+        assert all(type(c) is int for c in ones.terms.values())
+
+    def test_exact_div_with_non_integral_quotient(self):
+        (x,) = poly_ring("x")
+        q = (x**2 - 1).exact_div(2 * x + 2)
+        assert q.terms == {(1,): Fraction(1, 2), (0,): Fraction(-1, 2)}
+        assert all(type(c) is Fraction for c in q.terms.values())
+        assert (x**2 - 1).exact_div(x + 1) == x - 1
+        with pytest.raises(ValueError):
+            (x**2 + 1).exact_div(2 * x)
+
+    def test_covariant_from_seed_divides_by_factorials(self):
+        # O^k a0 / k! over a0..ap gives back the quantic's binomial weights.
+        for p in (2, 3, 4):
+            seed = MultiPoly.variable(avar_names(p), "a0")
+            cov = covariant_from_seed(seed, p)
+            assert cov == BinaryQuantic(p).polynomial()
+            assert all(type(c) is int for c in cov.terms.values())
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_nullspace_integer_is_primitive_rational_basis(self, data):
+        rows = data.draw(st.integers(1, 5), label="rows")
+        cols = data.draw(st.integers(1, 6), label="cols")
+        a = [data.draw(st.lists(st.integers(-4, 4), min_size=cols, max_size=cols))
+             for _ in range(rows)]
+        got = nullspace_integer(a)
+        want = nullspace_rational(a)
+        assert len(got) == len(want)
+        for ints, vec in zip(got, want):
+            assert all(type(v) is int for v in ints)
+            scale = next(Fraction(i) / v for i, v in zip(ints, vec) if v)
+            assert scale > 0 and [v * scale for v in vec] == ints
+            assert math.gcd(*ints) == 1
