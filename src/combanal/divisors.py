@@ -8,7 +8,7 @@ import math
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from .partitions import ordered_factorizations, plane_partition_gf
+from .partitions import ordered_factorizations, plane_partition_gf, q_factor
 
 SERIES_KINDS = ("A", "B", "C")
 
@@ -126,13 +126,9 @@ def potency_count(nu: int) -> int:
     the coefficient of b^nu in prod over primes p of 1/(1 - b^p)."""
     if nu < 0:
         raise ValueError("nu must be non-negative")
-    if nu == 0:
-        return 1  # n = 1 with the empty factorization
-    table = [0] * (nu + 1)
-    table[0] = 1
+    table = [1] + [0] * nu  # table[0]: n = 1 with the empty factorization
     for p in _primes_up_to(nu):
-        for v in range(p, nu + 1):
-            table[v] += table[v - p]
+        q_factor(table, p, -1)
     return table[nu]
 
 

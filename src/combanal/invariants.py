@@ -211,7 +211,20 @@ def seminvariant_basis(p: int, j: int, w: int) -> List[MultiPoly]:
 
 
 def seminvariant_dimension(p: int, j: int, w: int) -> int:
-    return len(seminvariant_basis(p, j, w))
+    """Dimension of the Omega kernel on degree-j weight-w monomials, by the
+    Cayley-Sylvester law: partitions of w minus partitions of w - 1, both
+    into at most j parts each at most p, floored at zero.  (Past the
+    midpoint w > j*p/2 the raw difference turns negative while the kernel
+    is empty.)  Those partitions are the coefficients of the Gaussian
+    binomial [p+j choose j]_q, the one-row case of MacMahon's box formula.
+    """
+    if p < 1 or j < 1 or w < 0:
+        raise ValueError("need p, j >= 1 and w >= 0")
+    # imported here so that invariant requests do not load partitions
+    from .partitions import boxed_plane_partition_gf
+
+    box = boxed_plane_partition_gf(w, p, 1, j)
+    return max(box[w] - (box[w - 1] if w else 0), 0)
 
 
 def new_seminvariant_dimension(p: int, j: int, w: int) -> int:
@@ -222,41 +235,16 @@ def new_seminvariant_dimension(p: int, j: int, w: int) -> int:
 
 
 def non_unitary_contains_count(w: int, j: int) -> int:
-    """Partitions of w with no part 1, parts at most j, and j as a part."""
-    if w < 0 or j < 1:
+    """Partitions of w with no part 1, parts at most j, and j as a part:
+    with one part j removed, [q^(w-j)] of prod_{k=2..j} 1/(1 - q^k)."""
+    if j < 2 or w < j:
         return 0
+    from .partitions import q_factor
 
-    def parts(n: int, cap: int):
-        if n == 0:
-            yield ()
-            return
-        for v in range(min(cap, n), 1, -1):
-            for rest in parts(n - v, v):
-                yield (v,) + rest
-
-    return sum(1 for lam in parts(w, j) if j in lam)
-
-
-def box_partition_difference(p: int, j: int, w: int) -> int:
-    """Partitions of w minus partitions of w-1, both into at most j parts
-    each at most p, floored at zero: the classical count of the full
-    kernel dimension.  (Past the midpoint w > j*p/2 the raw difference
-    turns negative while the kernel is empty.)"""
-
-    def count(v: int) -> int:
-        if v < 0:
-            return 0
-
-        def rec(n: int, cap: int, slots: int) -> int:
-            if n == 0:
-                return 1
-            if slots == 0:
-                return 0
-            return sum(rec(n - first, first, slots - 1) for first in range(min(cap, n), 0, -1))
-
-        return rec(v, p, j)
-
-    return max(count(w) - count(w - 1), 0)
+    acc = [1] + [0] * (w - j)
+    for k in range(2, j + 1):
+        q_factor(acc, k, -1)
+    return acc[-1]
 
 
 # -- invariance under linear substitution ---------------------------------

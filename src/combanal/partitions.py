@@ -159,6 +159,61 @@ def count_partitions(n: int) -> int:
     return table[n]
 
 
+# -- q-products ------------------------------------------------------------
+
+
+def q_factor(acc: List[int], k: int, power: int) -> None:
+    """Multiply the series acc, the coefficients of q^0..q^n, in place by
+    (1 - q^k)^power; terms past q^n are dropped.
+
+    Each division by (1 - q^k) is the running sum with stride k and each
+    multiplication the matching difference, n + 1 - k additions either
+    way.  Every product generating function in the package is built from
+    these two steps.
+    """
+    if k < 1:
+        raise ValueError("q-factor degree must be positive")
+    n = len(acc) - 1
+    for _ in range(-power):
+        for i in range(k, n + 1):
+            acc[i] += acc[i - k]
+    for _ in range(power):
+        for i in range(n, k - 1, -1):
+            acc[i] -= acc[i - k]
+
+
+def boxed_plane_partition_gf(n: int, l: Optional[int], m: int, c: int) -> List[int]:
+    """Coefficients of q^0..q^n in MacMahon's box formula
+
+        prod_{i <= m, j <= c} (1 - q^(i+j+l-1)) / (1 - q^(i+j-1)),
+
+    the generating function of plane partitions with at most m rows, at
+    most c columns and entries at most l (l=None: unbounded).  With m = 1
+    it is the Gaussian binomial [l+c choose c]_q of partitions into at
+    most c parts each at most l.
+
+    A plane partition of n has at most n rows, n columns and entries at
+    most n, so each bound is first cut to n.  Factors of degree above n
+    are skipped and equal degrees in numerator and denominator cancel: at
+    most min(m, n) * min(c, n) divisions and as many multiplications,
+    n + 1 additions each.
+    """
+    if n < 0 or m < 0 or c < 0 or (l is not None and l < 0):
+        raise ValueError("bounds must be non-negative")
+    top = n if l is None else min(l, n)
+    rows, cols = min(m, n), min(c, n)
+    power = [0] * (n + 1)  # power[d]: net exponent of (1 - q^d)
+    for k in range(1, min(rows + cols, n + 1)):
+        cells = min(k, rows, cols, rows + cols - k)  # cells (i, j) with i + j - 1 = k
+        power[k] -= cells
+        if k + top <= n:
+            power[k + top] += cells
+    acc = [1] + [0] * n
+    for d in range(1, n + 1):
+        q_factor(acc, d, power[d])
+    return acc
+
+
 # -- the Appendix-5 recurrence tradition -------------------------------
 
 
@@ -226,9 +281,9 @@ def _exact_parts(n: int, p: int, m: int) -> ExactPartsTable:
     prev: List[int] = []
     column = [row[m]]
     for k in range(1, p + 1):
-        prev, row = row, [0] * (n + 1)
-        for j in range(k, n + 1):
-            row[j] = prev[j - 1] + row[j - k]
+        # row k = q * row (k-1) / (1 - q^k)
+        prev, row = row, [0] + row[:-1]
+        q_factor(row, k, -1)
         column.append(row[m])
     return prev, column
 
@@ -296,11 +351,9 @@ def cayley_denumerant(elements: Sequence[int], q: int) -> int:
         raise ValueError("elements must be positive integers")
     if q < 0:
         raise ValueError("q must be non-negative")
-    table = [0] * (q + 1)
-    table[0] = 1
-    for e in sorted(set(elements)):
-        for v in range(e, q + 1):
-            table[v] += table[v - e]
+    table = [1] + [0] * q
+    for e in set(elements):
+        q_factor(table, e, -1)
     return table[q]
 
 
@@ -513,18 +566,15 @@ def generalized_euler_counts(primes: Iterable[int], n: int) -> Tuple[int, int]:
     allowed = [
         v for v in range(1, n + 1) if all(v % p for p in ps)
     ]
-    if n == 0:
-        return (1, 1)
-    count_a = len(
-        enumerate_partitions(
-            n, PartitionConstraint(distinct=True, allowed_parts=frozenset(allowed))
-        )
-    )
-    odd_allowed = frozenset(v for v in allowed if v % 2)
-    count_b = len(
-        enumerate_partitions(n, PartitionConstraint(allowed_parts=odd_allowed))
-    ) if odd_allowed else 0
-    return (count_a, count_b)
+    distinct = [1] + [0] * n
+    odd = [1] + [0] * n
+    for v in allowed:
+        # a part v at most once: 1 + q^v = (1 - q^2v) / (1 - q^v)
+        q_factor(distinct, v, -1)
+        q_factor(distinct, 2 * v, 1)
+        if v % 2:
+            q_factor(odd, v, -1)
+    return (distinct[n], odd[n])
 
 
 # -- relation patterns ---------------------------------------------------
@@ -633,16 +683,11 @@ def enumerate_plane_partitions(n: int) -> List[PlanePartition]:
 
 def plane_partition_gf(bound: int) -> List[int]:
     """Coefficients of x^0..x^bound in MacMahon's plane-partition
-    generating function prod (1-x^k)^-k."""
+    generating function prod (1-x^k)^-k: the box formula with no bounds,
+    whose k cells (i, j) with i + j - 1 = k each divide by (1 - x^k)."""
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    acc = [1] + [0] * bound
-    for k in range(1, bound + 1):
-        for _ in range(k):
-            # multiply by 1/(1 - x^k): a running sum with stride k
-            for i in range(k, bound + 1):
-                acc[i] += acc[i - k]
-    return acc
+    return boxed_plane_partition_gf(bound, None, bound, bound)
 
 
 def count_plane_partitions(n: int) -> int:
@@ -652,45 +697,27 @@ def count_plane_partitions(n: int) -> int:
     return plane_partition_gf(n)[n]
 
 
-BOX_CELL_CAP = 64
+# Largest box-formula size min(m, n) * min(cmax, n) * (n + 1): factors
+# times series length, which bounds the additions (0.1-0.15 s at the cap
+# with Python 3.11 on a 2-vCPU VM).
+BOX_CELL_CAP = 10**6
 
 
 def count_boxed_plane_partitions(n: int, l: Optional[int], m: int, cmax: int) -> int:
     """Plane partitions of n with at most m rows, cmax columns, entries <= l.
 
-    Brute-force grid enumeration; l=None means unbounded entries.  Guarded
-    by a cell-count cap since the search space is exponential in cells.
+    Entry [n] of MacMahon's box formula (boxed_plane_partition_gf); l=None
+    means unbounded entries.  Refuses when the formula's size, in
+    BOX_CELL_CAP's unit, exceeds the cap.
     """
     if n < 0 or m < 0 or cmax < 0 or (l is not None and l < 0):
         raise ValueError("bounds must be non-negative")
-    if m * cmax > BOX_CELL_CAP:
+    cells = min(m, n) * min(cmax, n) * (n + 1)
+    if cells > BOX_CELL_CAP:
         raise ValueError(
-            f"search space of {m * cmax} cells exceeds the cap of {BOX_CELL_CAP}"
+            f"box formula of {cells} cells exceeds the cap of {BOX_CELL_CAP}"
         )
-    if n == 0:
-        return 1
-    if m == 0 or cmax == 0 or (l is not None and l == 0):
-        return 0
-    top = n if l is None else min(l, n)
-    count = 0
-    grid = [[0] * cmax for _ in range(m)]
-
-    def walk(r: int, c: int, remaining: int):
-        nonlocal count
-        if r == m:
-            if remaining == 0:
-                count += 1
-            return
-        nr, nc = (r, c + 1) if c + 1 < cmax else (r + 1, 0)
-        above = grid[r - 1][c] if r > 0 else top
-        left = grid[r][c - 1] if c > 0 else top
-        for v in range(min(above, left, remaining), -1, -1):
-            grid[r][c] = v
-            walk(nr, nc, remaining - v)
-        grid[r][c] = 0
-
-    walk(0, 0, n)
-    return count
+    return boxed_plane_partition_gf(n, l, m, cmax)[n]
 
 
 # -- xy-symmetric two-layer stacked graphs -------------------------------
@@ -746,10 +773,8 @@ def xy_symmetric_cell_enumeration(i: int) -> Dict[int, int]:
     """
     if i < 1:
         raise ValueError("i must be at least 1")
-    diagrams = []
-    for rows in range(i + 1):
-        for parts in enumerate_partitions_in_box(rows, i):
-            diagrams.append(parts)
+    box = PartitionConstraint(max_part=i, max_parts=i)
+    diagrams = [d for n in range(i * i + 1) for d in enumerate_partitions(n, box)]
     selfconj = [d for d in diagrams if conjugate(d) == d]
     out: Dict[int, int] = {}
     for lower in selfconj:
@@ -768,22 +793,3 @@ def xy_symmetric_cell_enumeration(i: int) -> Dict[int, int]:
                 w = len(cells_lower) + len(cells_upper)
                 out[w] = out.get(w, 0) + 1
     return out
-
-
-def enumerate_partitions_in_box(rows: int, width: int) -> List[Partition]:
-    """Partitions with exactly `rows` parts, each between 1 and `width`."""
-    if rows == 0:
-        return [()]
-    out = []
-    for parts in enumerate_partitions_in_box_rec(rows, width, width):
-        out.append(parts)
-    return out
-
-
-def enumerate_partitions_in_box_rec(rows: int, width: int, cap: int):
-    if rows == 0:
-        yield ()
-        return
-    for first in range(min(cap, width), 0, -1):
-        for rest in enumerate_partitions_in_box_rec(rows - 1, width, first):
-            yield (first,) + rest

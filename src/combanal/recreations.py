@@ -7,10 +7,10 @@ rod, weighing sets, and rook placements by differentiation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .exactcore import MultiPoly
 from .partitions import enumerate_partitions, is_perfect, is_subperfect
 
 # -- cubes -------------------------------------------------------------------
@@ -709,14 +709,9 @@ def weighing_set(u: int, pans: str = "one") -> Tuple[int, ...]:
 def rook_row_counts(n: int, k: int) -> int:
     """Non-attacking placements of k rooks added row by row on n x n.
 
-    Realized as the leading coefficient after k formal differentiations
-    of x^n, i.e. n (n-1) ... (n-k+1).
+    The leading coefficient after k formal differentiations of x^n, the
+    falling factorial n (n-1) ... (n-k+1).
     """
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    poly = MultiPoly.monomial(("x",), (n,), 1)
-    for _ in range(k):
-        poly = poly.diff("x")
-    value = poly.coeff((n - k,))
-    assert value.denominator == 1
-    return int(value)
+    return math.perm(n, k)

@@ -127,16 +127,20 @@ def test_criterion_4_invariant_theory():
     assert basis == [iv.quartic_invariant_j()]
 
     # Dimension laws over the whole box.  The classical at-most-j-parts /
-    # at-most-p-each difference matches the full kernel everywhere; the
-    # quoted contains-j partition count matches the new-at-degree-j
-    # dimension in its stable regime p >= w (see the decisions ledger for
-    # the (6,3,6) counterexample to the literal full-kernel reading).
+    # at-most-p-each difference (the Gaussian binomial) matches the full
+    # kernel everywhere; the quoted contains-j partition count matches the
+    # new-at-degree-j dimension in its stable regime p >= w (see the
+    # decisions ledger for the (6,3,6) counterexample to the literal
+    # full-kernel reading).
     for p in range(1, 7):
         for j in range(1, 5):
             for w in range(1, 11):
-                assert iv.seminvariant_dimension(p, j, w) == iv.box_partition_difference(p, j, w)
+                kernel = len(iv.seminvariant_basis(p, j, w))
+                assert iv.seminvariant_dimension(p, j, w) == kernel
                 if p >= w:
-                    assert iv.new_seminvariant_dimension(p, j, w) == iv.non_unitary_contains_count(w, j)
+                    lower = len(iv.seminvariant_basis(p, j - 1, w)) if j > 1 else 0
+                    assert iv.new_seminvariant_dimension(p, j, w) == kernel - lower
+                    assert iv.non_unitary_contains_count(w, j) == kernel - lower
 
     names3 = iv.avar_names(3)
     a0 = MultiPoly.variable(names3, "a0")

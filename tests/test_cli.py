@@ -1,12 +1,15 @@
 import io
 import contextlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
+import combanal
 from combanal import cli
 
 # Golden corpus: argv -> exact expected stdout.  Values anchored in the
@@ -172,7 +175,7 @@ class TestExitCodes:
 # past it), the size in the guard's own unit in the comment.
 CAP_EDGES = [
     ("master coeff --matrix 1 --degree 30", "master coeff --matrix 1 --degree 31"),  # total degree 30
-    ("partition plane 3 --boxed inf,8,8", "partition plane 3 --boxed inf,5,13"),  # 64 box cells
+    ("partition plane 124 --boxed inf,80,100", "partition plane 125 --boxed inf,80,100"),  # 10^6 box-formula cells
     ("compose newcomb 9", "compose newcomb 10"),  # deck of 9 cards
     ("compose count 9 1 --essential", "compose count 6 5 --essential"),  # p + q = 10
     ("puzzle stamps 12", "puzzle stamps 13"),  # 12 stamps
@@ -191,6 +194,44 @@ def test_work_cap_edges(at_cap, past_cap):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_readme_cap_table_cites_every_cap_with_its_value():
+    # each row prints a cap's value and cites the constant, e.g. "10⁶ (`partitions.BOX_CELL_CAP`)"
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        rows = re.findall(r"^\|[^|]+\|[^|]+\| ([^|(]+?) \(`(\w+)\.(\w+)`\) \|$", fh.read(), re.M)
+    digits = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+    cited = set()
+    for printed, module, name in rows:
+        base, power = re.fullmatch(r"(\d+)([⁰¹²³⁴⁵⁶⁷⁸⁹]*)", printed.split(",")[0]).groups()
+        value = int(base) ** int(power.translate(digits) or 1)
+        assert getattr(importlib.import_module(f"combanal.{module}"), name) == value, name
+        cited.add(f"{module}.{name}")
+    defined = {
+        f"{module}.{name}"
+        for module in combanal.__all__
+        for name in vars(importlib.import_module(f"combanal.{module}"))
+        if name.endswith("_CAP")
+    }
+    assert cited == defined
+
+
+FORMERLY_UNBOUNDED = [
+    ("partition plane 30 --boxed 6,6,6", "1142044\n"),
+    ("partition plane 30 --boxed inf,8,8", "4091065\n"),
+    ("partition count 300 --euler-primes 3", "456522576 456522576\n"),
+]
+
+
+@pytest.mark.parametrize("argv,output", FORMERLY_UNBOUNDED, ids=[f[0] for f in FORMERLY_UNBOUNDED])
+def test_formerly_unbounded_argv_answer_at_once(argv, output):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "combanal.cli", *argv.split()],
+        capture_output=True, text=True, timeout=5, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, output, "")
 
 
 def test_mayblox_builds_the_cubes_once(monkeypatch):
@@ -337,6 +378,8 @@ class TestImportIsolation:
             ("partition count 30", 0, "5604\n", ["combanal.partitions"]),
             ("master derange 4", 0, "9\n", ["combanal.exactcore", "combanal.masterthm"]),
             ("partition count abc", 2, "", []),
+            ("puzzle rooks 8 2", 0, "56\n", ["combanal.partitions", "combanal.recreations"]),
+            ("invariant weight 3 4", 0, "6\n", ["combanal.exactcore", "combanal.invariants"]),
         ],
     )
     def test_dispatch_loads_only_its_module(self, argv, code, output, added):

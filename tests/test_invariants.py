@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combanal import invariants as iv
+from combanal import partitions as pt
 from combanal.exactcore import MultiPoly
 
 
@@ -132,19 +135,33 @@ class TestSeminvariantBasis:
 
     def test_full_kernel_dimension_matches_box_difference(self):
         # The classical law: dim = (partitions of w) - (partitions of w-1),
-        # both into at most j parts each at most p.  Exact for every point.
+        # both into at most j parts each at most p, read off the Gaussian
+        # binomial; the kernel solve is the oracle.  Exact for every point.
         for p in range(1, 7):
             for j in range(1, 5):
                 for w in range(1, 11):
-                    assert iv.seminvariant_dimension(p, j, w) == iv.box_partition_difference(
-                        p, j, w
+                    assert iv.seminvariant_dimension(p, j, w) == len(
+                        iv.seminvariant_basis(p, j, w)
                     ), (p, j, w)
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 12))
+    def test_dimension_law_matches_kernel_solve(self, p, j, w):
+        assert iv.seminvariant_dimension(p, j, w) == len(iv.seminvariant_basis(p, j, w))
 
     @pytest.mark.parametrize("point", [(8, 6, 16), (8, 5, 16), (6, 6, 16), (7, 5, 14)])
     def test_dimension_law_and_annihilation_at_large_points(self, point):
-        assert iv.seminvariant_dimension(*point) == iv.box_partition_difference(*point)
-        for s in iv.seminvariant_basis(*point):
+        basis = iv.seminvariant_basis(*point)
+        assert iv.seminvariant_dimension(*point) == len(basis)
+        for s in basis:
             assert iv.omega(s, point[0]).is_zero()
+
+    def test_dimension_refuses_what_the_basis_refuses(self):
+        for point in [(0, 1, 1), (1, 0, 1), (1, 1, -1)]:
+            with pytest.raises(ValueError):
+                iv.seminvariant_basis(*point)
+            with pytest.raises(ValueError):
+                iv.seminvariant_dimension(*point)
 
     def test_contains_j_count_matches_new_dimension_in_stable_range(self):
         # The quoted partition form counts seminvariants of degree exactly
@@ -153,15 +170,26 @@ class TestSeminvariantBasis:
             for j in range(1, 5):
                 for w in range(1, 11):
                     if p >= w:
-                        assert iv.new_seminvariant_dimension(p, j, w) == iv.non_unitary_contains_count(
-                            w, j
-                        ), (p, j, w)
+                        kernel = len(iv.seminvariant_basis(p, j, w))
+                        if j > 1:
+                            kernel -= len(iv.seminvariant_basis(p, j - 1, w))
+                        assert iv.new_seminvariant_dimension(p, j, w) == kernel, (p, j, w)
+                        assert iv.non_unitary_contains_count(w, j) == kernel, (p, j, w)
+
+    def test_contains_j_count_matches_enumeration(self):
+        for w in range(16):
+            for j in range(8):
+                no_ones = pt.PartitionConstraint(min_part=2, max_part=max(j, 2))
+                oracle = sum(1 for lam in pt.enumerate_partitions(w, no_ones) if j in lam)
+                assert iv.non_unitary_contains_count(w, j) == oracle, (w, j)
+        assert iv.non_unitary_contains_count(-1, 3) == 0
 
     def test_literal_reading_counterexample_documented(self):
         # At (p, j, w) = (6, 3, 6) the full kernel holds both the cubic
         # invariant and a0 times the weight-6 quadrinvariant, so the
         # contains-j count (1) undercounts the kernel dimension (2).
         assert iv.seminvariant_dimension(6, 3, 6) == 2
+        assert len(iv.seminvariant_basis(6, 3, 6)) == 2
         assert iv.non_unitary_contains_count(6, 3) == 1
 
     def test_covariants_from_basis_pass_invariance(self):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -22,6 +23,11 @@ def brute_partitions(n, max_part=None):
                 yield (first,) + rest
 
     return list(rec(n, max_part))
+
+
+@lru_cache(maxsize=None)
+def plane_partitions(n):
+    return pt.enumerate_plane_partitions(n)
 
 
 def enumerate_partitions_oracle(n, c):
@@ -488,6 +494,18 @@ class TestGeneralizedEuler:
                 a, b = pt.generalized_euler_counts(ps, n)
                 assert a == b, (ps, n)
 
+    def test_matches_enumeration(self):
+        for ps in [set(), {2}, {3}, {5}, {2, 3}, {3, 5}, {3, 5, 7}]:
+            for n in range(40):
+                allowed = frozenset(v for v in range(1, n + 1) if all(v % p for p in ps))
+                odd = frozenset(v for v in allowed if v % 2)
+                distinct = pt.PartitionConstraint(distinct=True, allowed_parts=allowed)
+                oracle = (
+                    len(pt.enumerate_partitions(n, distinct)),
+                    len(pt.enumerate_partitions(n, pt.PartitionConstraint(allowed_parts=odd))),
+                )
+                assert pt.generalized_euler_counts(ps, n) == oracle, (ps, n)
+
     def test_two_in_p_is_a_counterexample(self):
         # Witness that the naive "any set of primes" reading fails.
         assert pt.generalized_euler_counts({2}, 2) == (0, 1)
@@ -573,9 +591,86 @@ class TestPlanePartitions:
                             oracle += 1
         assert pt.count_boxed_plane_partitions(6, 2, 2, 2) == oracle
 
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 8),
+        st.one_of(st.none(), st.integers(0, 4)),
+        st.integers(0, 4),
+        st.integers(0, 4),
+    )
+    def test_box_formula_matches_filtered_enumeration(self, n, l, m, c):
+        oracle = sum(
+            1
+            for pp in plane_partitions(n)
+            if len(pp) <= m
+            and (not pp or len(pp[0]) <= c and (l is None or pp[0][0] <= l))
+        )
+        assert pt.count_boxed_plane_partitions(n, l, m, c) == oracle
+
+    def test_full_box_total_is_macmahons_product(self):
+        # summed over every n, the a x b x c box holds
+        # prod_{i,j,k} (i+j+k-1)/(i+j+k-2) plane partitions
+        for a, b, c in itertools.product(range(4), repeat=3):
+            total = Fraction(1)
+            for i, j, k in itertools.product(
+                range(1, a + 1), range(1, b + 1), range(1, c + 1)
+            ):
+                total *= Fraction(i + j + k - 1, i + j + k - 2)
+            gf = pt.boxed_plane_partition_gf(a * b * c, c, a, b)
+            assert sum(gf) == total, (a, b, c)
+            assert gf == gf[::-1]  # complementing in the box
+
+    def test_bounds_past_n_change_nothing(self):
+        for n in range(20):
+            assert pt.boxed_plane_partition_gf(n, 10**9, 10**9, 10**9) == pt.plane_partition_gf(n)
+
     def test_boxed_cap_guard(self):
+        # the cap counts min(m, n) * min(cmax, n) * (n + 1) cells
+        assert pt.count_boxed_plane_partitions(124, None, 80, 100) > 0  # exactly 10^6
         with pytest.raises(ValueError):
-            pt.count_boxed_plane_partitions(4, 2, 100, 100)
+            pt.count_boxed_plane_partitions(125, None, 80, 100)  # 1008000
+        # a box wider than n costs no more than an n x n one
+        assert pt.count_boxed_plane_partitions(4, 2, 100, 100) == sum(
+            1 for pp in plane_partitions(4) if pp[0][0] <= 2
+        )
+
+    def test_boxed_rejects_negative_bounds(self):
+        for args in [(-1, None, 1, 1), (3, -1, 1, 1), (3, None, -1, 1), (3, None, 1, -1)]:
+            with pytest.raises(ValueError):
+                pt.count_boxed_plane_partitions(*args)
+            with pytest.raises(ValueError):
+                pt.boxed_plane_partition_gf(*args)
+
+
+class TestQFactor:
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+        st.integers(1, 14),
+        st.integers(-3, 3),
+    )
+    def test_matches_polynomial_product_and_inverts(self, acc, k, power):
+        n = len(acc) - 1
+        expected = list(acc)
+        for _ in range(max(power, 0)):
+            expected = [expected[i] - (expected[i - k] if i >= k else 0) for i in range(n + 1)]
+        got = list(acc)
+        pt.q_factor(got, k, power)
+        if power >= 0:
+            assert got == expected
+        pt.q_factor(got, k, -power)
+        assert got == acc
+
+    def test_division_is_the_geometric_series(self):
+        acc = [1] + [0] * 10
+        pt.q_factor(acc, 3, -1)
+        assert acc == [1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0]
+        pt.q_factor(acc, 1, -1)
+        assert acc == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4]
+
+    def test_rejects_degree_zero(self):
+        with pytest.raises(ValueError):
+            pt.q_factor([1, 0], 0, -1)
 
 
 class TestXeS:

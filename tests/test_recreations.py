@@ -5,6 +5,7 @@ import time
 import pytest
 
 from combanal import recreations as rc
+from combanal.exactcore import MultiPoly
 
 
 def stamp_foldings_oracle(n: int) -> int:
@@ -337,6 +338,14 @@ class TestRooks:
 
     def test_second_differentiation(self):
         assert rc.rook_row_counts(8, 2) == 56
+
+    def test_matches_differentiation_chain(self):
+        # k formal differentiations of x^n leave n (n-1) ... (n-k+1) x^(n-k)
+        for n in range(9):
+            poly = MultiPoly.monomial(("x",), (n,), 1)
+            for k in range(n + 1):
+                assert rc.rook_row_counts(n, k) == poly.coeff((n - k,))
+                poly = poly.diff("x")
 
     def test_falling_factorial(self):
         for n in range(1, 9):
