@@ -5,12 +5,13 @@ potency and multiplicity, factorization counts, and the totient recast.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from .partitions import ordered_factorizations, plane_partition_gf, q_factor
 
 SERIES_KINDS = ("A", "B", "C")
+# Integer products k*n^2 that the divisor-series powers may take.
+DIVISOR_SERIES_CAP = 10**7
 
 
 def divisors(n: int) -> List[int]:
@@ -26,6 +27,37 @@ def divisors(n: int) -> List[int]:
     return small + large[::-1]
 
 
+def _divisor_series_powers(kind: str, max_n: int, max_k: int) -> List[List[int]]:
+    """Rows k = 0..max_k of [x^0..x^max_n] g^k, g = sum_w c_w x^w.
+
+    c_w = sum over s*m = w of the kind's signed s, so [x^n] g^k sums the
+    product s_1 ... s_k over ordered k-tuples of pairs with weight n.
+    """
+    if kind not in SERIES_KINDS:
+        raise ValueError(f"kind must be one of {SERIES_KINDS}")
+    work = max_k * max_n * max_n
+    if work > DIVISOR_SERIES_CAP:
+        raise ValueError(f"k * n^2 = {work} exceeds the divisor-series cap {DIVISOR_SERIES_CAP}")
+    g = [0] * (max_n + 1)
+    for s in range(1, max_n + 1):
+        value = -s if kind == "B" and s % 2 == 0 else s
+        step = 2 * s if kind == "C" else s  # C: odd conjugates m only
+        for w in range(s, max_n + 1, step):
+            g[w] += value
+    powers = [[1] + [0] * max_n]
+    for k in range(1, max_k + 1):
+        prev = powers[-1]
+        # g^(k-1) vanishes below x^(k-1) and g below x^1
+        powers.append(
+            [0] * k
+            + [
+                sum(g[w] * prev[n - w] for w in range(1, n - k + 2))
+                for n in range(k, max_n + 1)
+            ]
+        )
+    return powers
+
+
 def divisor_series_coeff(kind: str, n: int, k: int) -> int:
     """a_{n,k} for series A, B or C.
 
@@ -35,36 +67,14 @@ def divisor_series_coeff(kind: str, n: int, k: int) -> int:
       B: each factor signed by the parity of s_i (odd plus, even minus),
          the literal per-factor extension of the odd-minus-even excess;
       C: each conjugate m_i required odd.
+    The tuples factor over the slots, so a_{n,k} = [x^n] g^k for the
+    divisor generating function g = sum_w c_w x^w, c_w the single-slot
+    sum at weight w; the powers cost k*n^2 integer products, capped at
+    DIVISOR_SERIES_CAP.
     """
-    if kind not in SERIES_KINDS:
-        raise ValueError(f"kind must be one of {SERIES_KINDS}")
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
-
-    def factor_values(total: int) -> List[Tuple[int, int]]:
-        # (weight s*m = total) -> contributions s per (s, m) pair
-        out = []
-        for m in range(1, total + 1):
-            if total % m == 0:
-                s = total // m
-                if kind == "C" and m % 2 == 0:
-                    continue
-                value = s if (kind != "B" or s % 2 == 1) else -s
-                out.append((s, value))
-        return out
-
-    @lru_cache(maxsize=None)
-    def rec(remaining: int, slots: int) -> int:
-        if slots == 0:
-            return 1 if remaining == 0 else 0
-        total = 0
-        for weight in range(1, remaining - slots + 2):
-            contributions = sum(v for _, v in factor_values(weight))
-            if contributions:
-                total += contributions * rec(remaining - weight, slots - 1)
-        return total
-
-    return rec(n, k)
+    return _divisor_series_powers(kind, n, k)[k][n]
 
 
 def sigma(n: int, power: int = 1) -> int:
@@ -199,7 +209,5 @@ def classical_totient(n: int) -> int:
 
 def divisor_table(kind: str, max_n: int = 16, max_k: int = 5) -> List[List[int]]:
     """Rows n = 1..max_n, columns k = 1..max_k of a_{n,k}."""
-    return [
-        [divisor_series_coeff(kind, n, k) for k in range(1, max_k + 1)]
-        for n in range(1, max_n + 1)
-    ]
+    powers = _divisor_series_powers(kind, max_n, max_k)
+    return [[powers[k][n] for k in range(1, max_k + 1)] for n in range(1, max_n + 1)]

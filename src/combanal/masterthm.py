@@ -18,6 +18,8 @@ from .exactcore import MultiPoly, Scalar, poly_det, poly_ring, series_inverse
 Multidegree = Tuple[int, ...]
 
 DEGREE_CAP = 30
+# Letters sum(e_i) that generalized_rencontres takes.
+RENCONTRES_CAP = 200
 
 
 def _names(n: int) -> Tuple[str, ...]:
@@ -153,21 +155,34 @@ def generalized_rencontres(m: int, multidegree: Multidegree) -> int:
     Each of the e_i positions holding symbol i takes a symbol from
     X_i = t*x_i + sum_{j != i} x_j, t marking a kept symbol, so the count
     is the coefficient of x^e t^m in prod X_i^{e_i}.  The Master Theorem
-    reads it from 1/det(I - diag(x) A(t)), where A(t) has t on the
-    diagonal and ones elsewhere.
+    reads it from 1/det(I - diag(x) A(t)), where A(t) = (t - 1) I + J
+    factors per letter, and the coefficient separates (Even & Gillis):
+    with u = t - 1 and N = sum e_i,
+
+      {m; e} = [t^m] sum_{0 <= k_i <= e_i} (sum k_i)! prod C(e_i, k_i) u^(e_i - k_i) / k_i!.
+
+    Every term with K = sum k_i has u-degree N - K, so one integer a_K per
+    K is carried: adding letter i with k_i = k multiplies by
+    C(K + k, k) C(e_i, k), which builds the multinomial step by step.  Then
+    [t^m] sum_K a_K (t - 1)^(N - K) = sum_K a_K C(N - K, m) (-1)^(N - K - m).
+    The cost is O(N^2) big-integer products, capped at RENCONTRES_CAP
+    letters N.
     """
     multidegree = _check_rencontres(m, multidegree)
-    *xs, t = poly_ring(*_names(len(multidegree)), "t")
-    # I - diag(x) A(t) = diag(d) - x 1^T with d_i = 1 - (t - 1) x_i, so the
-    # matrix determinant lemma gives the determinant without elimination.
-    d = [1 - (t - 1) * x for x in xs]
-    denominator = math.prod(d) - sum(
-        x * math.prod(d[:i] + d[i + 1 :]) for i, x in enumerate(xs)
+    total = sum(multidegree)
+    if total > RENCONTRES_CAP:
+        raise ValueError(f"{total} letters exceed the rencontres cap {RENCONTRES_CAP}")
+    a = [1]
+    for e in multidegree:
+        nxt = [0] * (len(a) + e)
+        for big_k, value in enumerate(a):
+            for k in range(e + 1):
+                nxt[big_k + k] += value * math.comb(big_k + k, k) * math.comb(e, k)
+        a = nxt
+    return sum(
+        (-1) ** (total - big_k - m) * math.comb(total - big_k, m) * value
+        for big_k, value in enumerate(a[: total - m + 1])
     )
-    target = multidegree + (m,)
-    value = series_inverse(denominator, target).coeff(target)
-    assert value.denominator == 1
-    return int(value)
 
 
 def multiset_derangement_count(multidegree: Multidegree) -> int:

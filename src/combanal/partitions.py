@@ -552,6 +552,33 @@ def scale_of_numeration(alphas: Sequence[int]) -> NumerationScale:
 
 # -- generalized Euler theorem ------------------------------------------
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(p: int) -> bool:
+    """Miller-Rabin with the first twelve primes as witnesses, which
+    decides every p below 3.3 * 10^24 exactly (Sorenson and Webster, 2015)
+    in O(log p) multiplications."""
+    if p < 2:
+        return False
+    for w in _WITNESSES:
+        if p % w == 0:
+            return p == w
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for w in _WITNESSES:
+        x = pow(w, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def generalized_euler_counts(primes: Iterable[int], n: int) -> Tuple[int, int]:
     """Counts (distinct parts, odd parts) over integers coprime to `primes`.
@@ -563,6 +590,9 @@ def generalized_euler_counts(primes: Iterable[int], n: int) -> Tuple[int, int]:
     if n < 0:
         raise ValueError("n must be non-negative")
     ps = sorted(set(primes))
+    for p in ps:
+        if not _is_prime(p):
+            raise ValueError(f"the excluded values must be primes, not {p}")
     allowed = [
         v for v in range(1, n + 1) if all(v % p for p in ps)
     ]

@@ -508,13 +508,17 @@ def stamp_foldings(n: int) -> int:
     that encloses it is crossed from every slot outside a+1..b.  One
     pass over the arcs and one over the slots find every legal slot:
     O(h) for a stack of height h.
+
+    Reversing a stack maps foldings to foldings and swaps "1 below 2"
+    with "2 below 1", so only the stacks extended from [1, 2] are
+    searched and their count doubled.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if n > STAMP_CAP:
         raise ValueError(f"n = {n} exceeds the enumeration cap {STAMP_CAP}")
-    if n == 1:
-        return 1
+    if n <= 2:
+        return n
     count = 0
 
     def extend(stack: List[int], nxt: int):
@@ -547,8 +551,8 @@ def stamp_foldings(n: int) -> int:
             extend(stack, nxt + 1)
             stack.pop(slot)
 
-    extend([1], 2)
-    return count
+    extend([1, 2], 3)
+    return 2 * count
 
 
 # -- contact systems (involutions) ---------------------------------------------

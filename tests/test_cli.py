@@ -183,6 +183,15 @@ CAP_EDGES = [
     ("partition count 20000 --parts 50", "partition count 20001 --parts 50"),  # n * p = 10^6
     ("puzzle latin --total 4", "puzzle latin --total 5"),  # order 4
     ("compose enum 20", "compose enum 21"),  # 2^19 output lines
+    ("divisor series A --n 1000 --k 10", "divisor series A --n 1001 --k 10"),  # k * n^2 = 10^7
+    (
+        "divisor series B --max-n 1000 --max-k 10",
+        "divisor series B --max-n 1000 --max-k 11",
+    ),  # max_k * max_n^2 = 10^7
+    (
+        "master rencontres 0 20,20,20,20,20,20,20,20,20,20",
+        "master rencontres 0 20,20,20,20,20,20,20,20,20,21",
+    ),  # 200 letters
 ]
 
 
@@ -221,6 +230,7 @@ FORMERLY_UNBOUNDED = [
     ("partition plane 30 --boxed 6,6,6", "1142044\n"),
     ("partition plane 30 --boxed inf,8,8", "4091065\n"),
     ("partition count 300 --euler-primes 3", "456522576 456522576\n"),
+    ("master rencontres 0 2,2,2,2,2,2,2,2,2", "1596005408152\n"),
 ]
 
 
@@ -232,6 +242,25 @@ def test_formerly_unbounded_argv_answer_at_once(argv, output):
         capture_output=True, text=True, timeout=5, env=dict(os.environ, PYTHONPATH=src),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, output, "")
+
+
+def test_divisor_series_table_of_two_hundred_rows_answers_at_once():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "combanal.cli", "divisor", "series", "A", "--max-n", "200", "--max-k", "10"],
+        capture_output=True, text=True, timeout=5, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 200 and lines[0] == "1 1 0 0 0 0 0 0 0 0 0"
+
+
+@pytest.mark.parametrize("primes", ["0", "1", "-3", "4", "3,9"])
+def test_euler_primes_must_be_primes(primes):
+    code, out, err = run(["partition", "count", "5", "--euler-primes", primes])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_mayblox_builds_the_cubes_once(monkeypatch):

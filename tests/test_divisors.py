@@ -1,7 +1,10 @@
+import functools
 import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combanal import divisors as dv
 from combanal.partitions import enumerate_perfect
@@ -24,6 +27,10 @@ def brute_series_coeff(kind, n, k):
             term *= s if (kind != "B" or s % 2 == 1) else -s
         total += term
     return total
+
+
+# hypothesis draws overlapping tables; each brute-force cell is summed once
+cached_brute_series_coeff = functools.lru_cache(maxsize=None)(brute_series_coeff)
 
 
 class TestDivisorSeries:
@@ -55,6 +62,21 @@ class TestDivisorSeries:
                     assert dv.divisor_series_coeff(kind, n, k) == brute_series_coeff(
                         kind, n, k
                     ), (kind, n, k)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(dv.SERIES_KINDS), st.integers(1, 12), st.integers(1, 4))
+    def test_table_matches_brute_force(self, kind, max_n, max_k):
+        table = dv.divisor_table(kind, max_n, max_k)
+        for n in range(1, max_n + 1):
+            for k in range(1, max_k + 1):
+                assert table[n - 1][k - 1] == cached_brute_series_coeff(kind, n, k), (kind, n, k)
+                assert dv.divisor_series_coeff(kind, n, k) == table[n - 1][k - 1]
+
+    def test_cap_is_checked_before_any_work(self):
+        with pytest.raises(ValueError, match="cap"):
+            dv.divisor_series_coeff("A", 1001, 10)
+        with pytest.raises(ValueError, match="cap"):
+            dv.divisor_table("C", 10**6, 1)
 
     def test_table_shape(self):
         table = dv.divisor_table("A", max_n=16, max_k=5)

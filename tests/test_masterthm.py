@@ -140,6 +140,22 @@ class TestDerangements:
             assert coeff == mt.derangements(n)
 
 
+def series_rencontres(m, multidegree):
+    """The multivariate series route: the coefficient of x^e t^m in
+    1/det(I - diag(x) A(t)), A(t) with t on the diagonal and ones
+    elsewhere; the second oracle for generalized_rencontres."""
+    names = tuple(f"x{i}" for i in range(1, len(multidegree) + 1))
+    *xs, t = poly_ring(*names, "t")
+    # I - diag(x) A(t) = diag(d) - x 1^T with d_i = 1 - (t - 1) x_i, so the
+    # matrix determinant lemma gives the determinant without elimination.
+    d = [1 - (t - 1) * x for x in xs]
+    denominator = math.prod(d) - sum(
+        x * math.prod(d[:i] + d[i + 1 :]) for i, x in enumerate(xs)
+    )
+    target = tuple(multidegree) + (m,)
+    return series_inverse(denominator, target).coeff(target)
+
+
 class TestRencontres:
     def test_derangements_of_three(self):
         assert mt.generalized_rencontres(0, (1, 1, 1)) == 2
@@ -175,3 +191,18 @@ class TestRencontres:
     def test_condensed_route_matches_brute_force(self, shape):
         for m in range(sum(shape) + 1):
             assert mt.generalized_rencontres(m, shape) == mt.brute_force_rencontres(m, shape)
+
+    @settings(max_examples=25)
+    @given(
+        st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(
+            lambda shape: 0 < sum(shape) <= 9
+        )
+    )
+    def test_separable_form_matches_series_route(self, shape):
+        for m in range(sum(shape) + 1):
+            assert mt.generalized_rencontres(m, shape) == series_rencontres(m, shape)
+
+    def test_series_route_oracle_matches_brute_force(self):
+        for shape in [(1, 1, 1), (2, 1), (2, 2, 1), (3, 1, 1)]:
+            for m in range(sum(shape) + 1):
+                assert series_rencontres(m, shape) == mt.brute_force_rencontres(m, shape)

@@ -510,6 +510,14 @@ class TestGeneralizedEuler:
         # Witness that the naive "any set of primes" reading fails.
         assert pt.generalized_euler_counts({2}, 2) == (0, 1)
 
+    def test_values_that_are_not_primes_are_refused(self):
+        # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7,
+        # 3825123056546413051 to every prime base up to 23
+        for p in (0, 1, -3, 4, 9, 3215031751, 3825123056546413051):
+            with pytest.raises(ValueError, match="primes"):
+                pt.generalized_euler_counts({3, p}, 10)
+        assert pt.generalized_euler_counts({3, 2**61 - 1}, 9) == pt.generalized_euler_counts({3}, 9)
+
 
 class TestRelationPatterns:
     def test_all_ge_reduces_to_warburton(self):
