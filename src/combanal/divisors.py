@@ -12,6 +12,8 @@ from .partitions import ordered_factorizations, plane_partition_gf, q_factor
 SERIES_KINDS = ("A", "B", "C")
 # Integer products k*n^2 that the divisor-series powers may take.
 DIVISOR_SERIES_CAP = 10**7
+# Cells max_n*max_k of one divisor-series table.
+DIVISOR_TABLE_CELL_CAP = 10**5
 
 
 def divisors(n: int) -> List[int]:
@@ -27,14 +29,19 @@ def divisors(n: int) -> List[int]:
     return small + large[::-1]
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in SERIES_KINDS:
+        raise ValueError(f"kind must be one of {SERIES_KINDS}")
+
+
 def _divisor_series_powers(kind: str, max_n: int, max_k: int) -> List[List[int]]:
-    """Rows k = 0..max_k of [x^0..x^max_n] g^k, g = sum_w c_w x^w.
+    """Rows k = 0..min(max_k, max_n) of [x^0..x^max_n] g^k, g = sum_w c_w x^w.
 
     c_w = sum over s*m = w of the kind's signed s, so [x^n] g^k sums the
     product s_1 ... s_k over ordered k-tuples of pairs with weight n.
+    g^k vanishes below x^k, so the rows k > max_n are zero and not built.
     """
-    if kind not in SERIES_KINDS:
-        raise ValueError(f"kind must be one of {SERIES_KINDS}")
+    _check_kind(kind)
     work = max_k * max_n * max_n
     if work > DIVISOR_SERIES_CAP:
         raise ValueError(f"k * n^2 = {work} exceeds the divisor-series cap {DIVISOR_SERIES_CAP}")
@@ -45,7 +52,7 @@ def _divisor_series_powers(kind: str, max_n: int, max_k: int) -> List[List[int]]
         for w in range(s, max_n + 1, step):
             g[w] += value
     powers = [[1] + [0] * max_n]
-    for k in range(1, max_k + 1):
+    for k in range(1, min(max_k, max_n) + 1):
         prev = powers[-1]
         # g^(k-1) vanishes below x^(k-1) and g below x^1
         powers.append(
@@ -70,10 +77,14 @@ def divisor_series_coeff(kind: str, n: int, k: int) -> int:
     The tuples factor over the slots, so a_{n,k} = [x^n] g^k for the
     divisor generating function g = sum_w c_w x^w, c_w the single-slot
     sum at weight w; the powers cost k*n^2 integer products, capped at
-    DIVISOR_SERIES_CAP.
+    DIVISOR_SERIES_CAP.  Every part has weight at least 1, so a_{n,k} = 0
+    for k > n at no cost.
     """
     if n < 1 or k < 1:
         raise ValueError("n and k must be positive")
+    _check_kind(kind)
+    if k > n:
+        return 0
     return _divisor_series_powers(kind, n, k)[k][n]
 
 
@@ -209,5 +220,13 @@ def classical_totient(n: int) -> int:
 
 def divisor_table(kind: str, max_n: int = 16, max_k: int = 5) -> List[List[int]]:
     """Rows n = 1..max_n, columns k = 1..max_k of a_{n,k}."""
+    cells = max_n * max_k
+    if cells > DIVISOR_TABLE_CELL_CAP:
+        raise ValueError(
+            f"{cells} table cells exceed the divisor-table cap {DIVISOR_TABLE_CELL_CAP}"
+        )
     powers = _divisor_series_powers(kind, max_n, max_k)
-    return [[powers[k][n] for k in range(1, max_k + 1)] for n in range(1, max_n + 1)]
+    return [
+        [powers[k][n] if k <= n else 0 for k in range(1, max_k + 1)]
+        for n in range(1, max_n + 1)
+    ]

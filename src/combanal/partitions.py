@@ -557,7 +557,7 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def _is_prime(p: int) -> bool:
     """Miller-Rabin with the first twelve primes as witnesses, which
-    decides every p below 3.3 * 10^24 exactly (Sorenson and Webster, 2015)
+    decides every p below 3.18 * 10^23 exactly (Sorenson and Webster, 2015)
     in O(log p) multiplications."""
     if p < 2:
         return False

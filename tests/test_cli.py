@@ -189,6 +189,10 @@ CAP_EDGES = [
         "divisor series B --max-n 1000 --max-k 11",
     ),  # max_k * max_n^2 = 10^7
     (
+        "divisor series A --max-n 2 --max-k 50000",
+        "divisor series A --max-n 2 --max-k 50001",
+    ),  # max_n * max_k = 10^5 table cells
+    (
         "master rencontres 0 20,20,20,20,20,20,20,20,20,20",
         "master rencontres 0 20,20,20,20,20,20,20,20,20,21",
     ),  # 200 letters
@@ -253,6 +257,16 @@ def test_divisor_series_table_of_two_hundred_rows_answers_at_once():
     assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     assert len(lines) == 200 and lines[0] == "1 1 0 0 0 0 0 0 0 0 0"
+
+
+@pytest.mark.parametrize("k", ["1000000", "1000000000000"])
+def test_divisor_series_with_more_slots_than_weight_answers_zero_at_once(k):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "combanal.cli", "divisor", "series", "A", "--n", "1", "--k", k],
+        capture_output=True, text=True, timeout=5, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 @pytest.mark.parametrize("primes", ["0", "1", "-3", "4", "3,9"])

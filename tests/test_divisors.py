@@ -72,11 +72,27 @@ class TestDivisorSeries:
                 assert table[n - 1][k - 1] == cached_brute_series_coeff(kind, n, k), (kind, n, k)
                 assert dv.divisor_series_coeff(kind, n, k) == table[n - 1][k - 1]
 
+    def test_table_wider_than_tall_matches_brute_force(self):
+        for kind in dv.SERIES_KINDS:
+            table = dv.divisor_table(kind, 3, 6)
+            for n in range(1, 4):
+                for k in range(1, 7):
+                    assert table[n - 1][k - 1] == cached_brute_series_coeff(kind, n, k), (kind, n, k)
+
+    def test_more_slots_than_weight_is_zero_at_once(self):
+        for kind in dv.SERIES_KINDS:
+            assert dv.divisor_series_coeff(kind, 1, 10**6) == 0
+            assert dv.divisor_series_coeff(kind, 5, 10**12) == 0
+        with pytest.raises(ValueError, match="kind"):
+            dv.divisor_series_coeff("D", 1, 2)
+
     def test_cap_is_checked_before_any_work(self):
         with pytest.raises(ValueError, match="cap"):
             dv.divisor_series_coeff("A", 1001, 10)
         with pytest.raises(ValueError, match="cap"):
             dv.divisor_table("C", 10**6, 1)
+        with pytest.raises(ValueError, match="divisor-table cap"):
+            dv.divisor_table("A", 1, 10**7)
 
     def test_table_shape(self):
         table = dv.divisor_table("A", max_n=16, max_k=5)
