@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 domain error (infeasible input, guard refusal),
 2 usage error.  Results go to stdout, diagnostics to stderr; identical
 argv produces byte-identical output.  Formats: text (default), json
 (stable key order), csv (header row), svg (pattern tiling only).
+
+Each subcommand is one entry of the command table: the @command decorator
+on its handler.  The parser and dispatch are derived from that table.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 # Domain modules are imported inside the functions that use them, so a
 # request loads only what it needs.  Functions are reached as module
@@ -59,6 +62,11 @@ class CommandResult:
 
 class UsageError(Exception):
     pass
+
+
+def _scalar(value) -> CommandResult:
+    """A one-value answer: str(value) as text, the value itself as json."""
+    return CommandResult(str(value), value)
 
 
 def _digit_strings(top: int, lines: int) -> Callable[[int], str]:
@@ -176,387 +184,610 @@ def parse_coeff_poly(expr: str, p: int) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# handlers
+# the command table
+
+# --format takes the same choices for every subcommand.  dispatch refuses
+# a format missing from the command's own list before its handler runs;
+# render() refuses json or csv that a result does not carry.
+FORMATS = ("text", "json", "csv", "svg")
+TABULAR = ("text", "json", "csv")  # every command's formats but pattern tiling's
+# patterns.BASES and divisors.SERIES_KINDS, spelled out so that building
+# the parser imports neither module (a test keeps them equal)
+TILE_BASES = ("triangle", "square", "hexagon")
+SERIES_KINDS = ("A", "B", "C")
+
+Key = Tuple[str, str]
+Argument = Tuple[Tuple[str, ...], dict]
 
 
-def cmd_partition(args) -> CommandResult:
+class Command(NamedTuple):
+    arguments: Tuple[Argument, ...]  # add_argument calls, in --help order
+    formats: Tuple[str, ...]  # the --format values it can print
+
+
+# The command table, filled by the @command decorator on each handler
+# below in the order --help lists them: COMMANDS maps (group, action) to
+# its arguments and formats, RUN to its handler.  dispatch calls handlers
+# through RUN, so a wrapper put there sees every call.
+COMMANDS: Dict[Key, Command] = {}
+RUN: Dict[Key, Callable[[argparse.Namespace], CommandResult]] = {}
+
+
+def command(group: str, action: str, *arguments: Argument, formats: Tuple[str, ...] = TABULAR):
+    """Register the decorated handler as `combanal GROUP ACTION`, taking
+    these arguments (then --format and --out) and printing these formats."""
+
+    def register(handler):
+        COMMANDS[group, action] = Command(arguments, formats)
+        RUN[group, action] = handler
+        return handler
+
+    return register
+
+
+def arg(*names: str, **options) -> Argument:
+    """One add_argument call, made when a parser of its group is built."""
+    return names, options
+
+
+def flag(name: str, help: Optional[str] = None) -> Argument:
+    """An option that is off unless given."""
+    return arg(name, action="store_true", help=help)
+
+
+def ints(*names: str) -> Tuple[Argument, ...]:
+    """Integer positional arguments, in this order."""
+    return tuple(arg(name, type=int) for name in names)
+
+
+N = arg("n", type=int)
+MIN_PART = arg("--min-part", type=int, default=1)
+FORM_ORDER = arg("--p", type=int, required=True)
+POLY = arg("poly", help="e.g. 'a0*a2-a1^2'")
+LIST = flag("--list")
+TILE = (
+    flag("--cairo"),
+    arg("--base", choices=TILE_BASES, default="square"),
+    arg("--contact", help="pairs like '0-2,1-3'"),
+    arg("--profiles", help="'|'-separated profiles"),
+)
+
+
+# partition
+
+@command("partition", "count", N,
+         arg("--parts", type=int, help="exact number of parts (recurrence-checked)"),
+         MIN_PART,
+         arg("--elements", help="count multisets from these elements instead"),
+         arg("--euler-primes", help="distinct-vs-odd counts avoiding these primes"),
+         arg("--pattern", help="adjacent relations, e.g. '>,>='"))
+def cmd_partition_count(args) -> CommandResult:
     from . import partitions as pt
-
-    sub = args.action
-    if sub == "count":
-        if args.pattern:
-            value = pt.relation_pattern_count(args.n, args.pattern.split(","))
-        elif args.elements:
-            value = pt.cayley_denumerant(_ints(args.elements), args.n)
-        elif args.euler_primes is not None:
-            a, b = pt.generalized_euler_counts(set(_ints(args.euler_primes)), args.n)
-            return CommandResult(f"{a} {b}", {"distinct": a, "odd": b})
-        elif args.parts is not None:
-            value = pt.warburton_count(args.n, args.parts, args.min_part)
-        else:
-            value = pt.count_partitions(args.n)
-        return CommandResult(str(value), int(value))
-    if sub == "enum":
-        constraint = pt.PartitionConstraint(
-            max_part=args.max_part,
-            num_parts=args.parts,
-            min_part=args.min_part,
-            distinct=args.distinct,
-            allowed_parts=frozenset(_ints(args.allowed)) if args.allowed else None,
-        )
-        items = pt.enumerate_partitions(args.n, constraint)
-        # the first partition holds the largest part
-        digit = _digit_strings(items[0][0] if items and items[0] else 0, len(items))
-        return CommandResult(
-            lambda: "\n".join([" ".join(map(digit, p)) if p else "()" for p in items]) or "(none)",
-            items,
-            csv_rows=itertools.chain([["partition"]], (["+".join(map(digit, p))] for p in items)),
-        )
-    if sub == "table":
-        if args.demorgan is not None:
-            x = args.demorgan
-            row = [pt.demorgan_u(x, y) for y in range(1, x + 1)]
-            return CommandResult(" ".join(map(str, row)), row)
-        if args.u2 is not None:
-            return CommandResult(str(pt.closed_form_u2(args.u2)), pt.closed_form_u2(args.u2))
-        if args.u3 is not None:
-            return CommandResult(str(pt.closed_form_u3(args.u3)), pt.closed_form_u3(args.u3))
-        rows = [[n, pt.count_partitions(n)] for n in range(args.n + 1)]
-        text = "\n".join(f"{n:>4} {v}" for n, v in rows)
-        return CommandResult(text, {str(n): v for n, v in rows}, csv_rows=[["n", "p"]] + rows)
-    if sub == "conj":
-        conj = pt.conjugate(tuple(_ints(args.parts)))
-        return CommandResult(" ".join(map(str, conj)), list(conj))
-    if sub == "modular":
-        rows = pt.modular_partition(tuple(_ints(args.parts)), args.mod)
-        lines = ["".join(str(v) for v in row) for row in rows]
-        return CommandResult("\n".join(lines), [list(r) for r in rows])
-    if sub == "parity":
-        if args.digits:
-            digits = pt.macmahon_digits(args.digits)
-            return CommandResult(digits, digits)
-        value = pt.parity_p(args.n)
-        return CommandResult(value, value)
-    if sub == "perfect":
-        items = pt.enumerate_perfect(args.n)
-        lines = [" ".join(map(str, p)) for p in items]
-        return CommandResult("\n".join(lines), [list(p) for p in items])
-    if sub == "plane":
-        if args.xy is not None:
-            poly = pt.xy_symmetric_two_layer_poly(args.xy)
-            terms = sorted(poly.items())
-            text = " + ".join(
-                (f"{c}x^{w}" if c != 1 else f"x^{w}") for w, c in terms
-            )
-            return CommandResult(text, {str(w): c for w, c in terms})
-        if args.boxed:
-            l, m, cmax = _box_bounds(args.boxed)
-            value = pt.count_boxed_plane_partitions(args.n, l, m, cmax)
-            return CommandResult(str(value), value)
-        if args.enum:
-            items = pt.enumerate_plane_partitions(args.n)
-            lines = ["/".join("".join(map(str, row)) for row in pp) for pp in items]
-            return CommandResult("\n".join(lines), [[list(r) for r in pp] for pp in items])
-        value = pt.count_plane_partitions(args.n)
-        return CommandResult(str(value), value)
-    if sub == "scale":
-        scale = pt.scale_of_numeration(tuple(_ints(args.alphas)))
-        obj = {
-            "alphas": list(scale.alphas),
-            "place_values": list(scale.place_values),
-            "limit": scale.limit,
-            "partition": list(scale.partition()),
-        }
-        text = (
-            f"places {' '.join(map(str, scale.place_values))}; "
-            f"limit {scale.limit}; partition {' '.join(map(str, scale.partition()))}"
-        )
-        return CommandResult(text, obj)
-    raise UsageError(f"unknown partition action {sub}")
+    if args.pattern:
+        value = pt.relation_pattern_count(args.n, args.pattern.split(","))
+    elif args.elements:
+        value = pt.cayley_denumerant(_ints(args.elements), args.n)
+    elif args.euler_primes is not None:
+        a, b = pt.generalized_euler_counts(set(_ints(args.euler_primes)), args.n)
+        return CommandResult(f"{a} {b}", {"distinct": a, "odd": b})
+    elif args.parts is not None:
+        value = pt.warburton_count(args.n, args.parts, args.min_part)
+    else:
+        value = pt.count_partitions(args.n)
+    return CommandResult(str(value), int(value))
 
 
-def cmd_compose(args) -> CommandResult:
+@command("partition", "enum", N, arg("--max-part", type=int), arg("--parts", type=int), MIN_PART,
+         flag("--distinct"), arg("--allowed", help="comma-separated allowed part values"))
+def cmd_partition_enum(args) -> CommandResult:
+    from . import partitions as pt
+    constraint = pt.PartitionConstraint(
+        max_part=args.max_part,
+        num_parts=args.parts,
+        min_part=args.min_part,
+        distinct=args.distinct,
+        allowed_parts=frozenset(_ints(args.allowed)) if args.allowed else None,
+    )
+    items = pt.enumerate_partitions(args.n, constraint)
+    # the first partition holds the largest part
+    digit = _digit_strings(items[0][0] if items and items[0] else 0, len(items))
+    return CommandResult(
+        lambda: "\n".join([" ".join(map(digit, p)) if p else "()" for p in items]) or "(none)",
+        items,
+        csv_rows=itertools.chain([["partition"]], (["+".join(map(digit, p))] for p in items)),
+    )
+
+
+@command("partition", "table", arg("n", type=int, nargs="?", default=20),
+         arg("--demorgan", type=int, help="print row x of the greatest-part table"),
+         arg("--u2", type=int, help="closed form for greatest part 2"),
+         arg("--u3", type=int, help="closed form for greatest part 3"))
+def cmd_partition_table(args) -> CommandResult:
+    from . import partitions as pt
+    if args.demorgan is not None:
+        x = args.demorgan
+        row = [pt.demorgan_u(x, y) for y in range(1, x + 1)]
+        return CommandResult(" ".join(map(str, row)), row)
+    if args.u2 is not None:
+        return _scalar(pt.closed_form_u2(args.u2))
+    if args.u3 is not None:
+        return _scalar(pt.closed_form_u3(args.u3))
+    rows = [[n, pt.count_partitions(n)] for n in range(args.n + 1)]
+    text = "\n".join(f"{n:>4} {v}" for n, v in rows)
+    return CommandResult(text, {str(n): v for n, v in rows}, csv_rows=[["n", "p"]] + rows)
+
+
+@command("partition", "conj", arg("parts"))
+def cmd_partition_conj(args) -> CommandResult:
+    from . import partitions as pt
+    conj = pt.conjugate(tuple(_ints(args.parts)))
+    return CommandResult(" ".join(map(str, conj)), list(conj))
+
+
+@command("partition", "modular", arg("parts"), arg("--mod", type=int, required=True))
+def cmd_partition_modular(args) -> CommandResult:
+    from . import partitions as pt
+    rows = pt.modular_partition(tuple(_ints(args.parts)), args.mod)
+    lines = ["".join(str(v) for v in row) for row in rows]
+    return CommandResult("\n".join(lines), [list(r) for r in rows])
+
+
+@command("partition", "parity", arg("n", type=int, nargs="?", default=1),
+         arg("--digits", type=int, help="emit this many binary parity digits"))
+def cmd_partition_parity(args) -> CommandResult:
+    from . import partitions as pt
+    return _scalar(pt.macmahon_digits(args.digits) if args.digits else pt.parity_p(args.n))
+
+
+@command("partition", "perfect", N)
+def cmd_partition_perfect(args) -> CommandResult:
+    from . import partitions as pt
+    items = pt.enumerate_perfect(args.n)
+    lines = [" ".join(map(str, p)) for p in items]
+    return CommandResult("\n".join(lines), [list(p) for p in items])
+
+
+@command("partition", "plane", arg("n", type=int, nargs="?", default=0), flag("--enum"),
+         arg("--boxed", help="l,m,cmax bounds (l=-1 for unbounded entries)"),
+         arg("--xy", type=int, help="two-layer axis-symmetric polynomial for this bound"))
+def cmd_partition_plane(args) -> CommandResult:
+    from . import partitions as pt
+    if args.xy is not None:
+        terms = sorted(pt.xy_symmetric_two_layer_poly(args.xy).items())
+        text = " + ".join((f"{c}x^{w}" if c != 1 else f"x^{w}") for w, c in terms)
+        return CommandResult(text, {str(w): c for w, c in terms})
+    if args.boxed:
+        l, m, cmax = _box_bounds(args.boxed)
+        return _scalar(pt.count_boxed_plane_partitions(args.n, l, m, cmax))
+    if args.enum:
+        items = pt.enumerate_plane_partitions(args.n)
+        lines = ["/".join("".join(map(str, row)) for row in pp) for pp in items]
+        return CommandResult("\n".join(lines), [[list(r) for r in pp] for pp in items])
+    return _scalar(pt.count_plane_partitions(args.n))
+
+
+@command("partition", "scale", arg("alphas"))
+def cmd_partition_scale(args) -> CommandResult:
+    from . import partitions as pt
+    scale = pt.scale_of_numeration(tuple(_ints(args.alphas)))
+    obj = {
+        "alphas": list(scale.alphas),
+        "place_values": list(scale.place_values),
+        "limit": scale.limit,
+        "partition": list(scale.partition()),
+    }
+    text = (
+        f"places {' '.join(map(str, scale.place_values))}; "
+        f"limit {scale.limit}; partition {' '.join(map(str, scale.partition()))}"
+    )
+    return CommandResult(text, obj)
+
+
+# compose
+
+@command("compose", "enum", N)
+def cmd_compose_enum(args) -> CommandResult:
     from . import compositions as cp
-
-    sub = args.action
-    if sub == "enum":
-        items = cp.enumerate_compositions(args.n)
-        digit = _digit_strings(args.n, len(items))
-        return CommandResult(lambda: "\n".join([" ".join(map(digit, c)) for c in items]), items)
-    if sub == "conj":
-        if ";" in args.parts:
-            conj = cp.route_conjugate(_vector_parts(args.parts))
-            text = " ".join("(" + ",".join(map(str, v)) + ")" for v in conj)
-            return CommandResult(text, [list(v) for v in conj])
-        parts = tuple(_ints(args.parts))
-        if args.tree:
-            tree = cp.composition_tree(parts)
-            back = cp.tree_composition(tree)
-            text = f"branches {len(tree.children)}; leaves {tree.leaf_count()}; round-trip {' '.join(map(str, back))}"
-            return CommandResult(text, {"leaves": tree.leaf_count(), "round_trip": list(back)})
-        conj = cp.conjugate_composition(parts)
-        return CommandResult(" ".join(map(str, conj)), list(conj))
-    if sub == "zigzag":
-        conj = cp.zigzag_conjugate(tuple(_ints(args.parts)))
-        return CommandResult(" ".join(map(str, conj)), list(conj))
-    if sub == "newcomb":
-        dist = cp.newcomb_distribution(_ints(args.counts), ascending=args.ascending)
-        comp_rows = sorted(
-            ((" ".join(map(str, comp)), n) for comp, n in dist.by_composition.items())
-        )
-        pack_rows = sorted(dist.by_pack_count.items())
-        text = "\n".join(f"{comp}: {n}" for comp, n in comp_rows)
-        text += "\n" + "\n".join(f"packs {m}: {n}" for m, n in pack_rows)
-        return CommandResult(
-            text,
-            {
-                "by_composition": {comp: n for comp, n in comp_rows},
-                "by_pack_count": {str(m): n for m, n in pack_rows},
-            },
-            csv_rows=[["composition", "arrangements"]] + [list(r) for r in comp_rows],
-        )
-    if sub == "count":
-        if args.order_k is not None:
-            value = cp.combinations_order_k_count(args.p, args.order_k)
-            return CommandResult(str(value), value)
-        if args.q is None:
-            raise UsageError("compose count needs q (or --order-k)")
-        if args.essential:
-            tally = cp.count_by_essential_nodes(args.p, args.q)
-            rows = sorted(tally.items())
-            text = "\n".join(f"s={s}: {n}" for s, n in rows)
-            return CommandResult(text, {str(s): n for s, n in rows})
-        value = cp.bipartite_composition_count_gf(args.p, args.q)
-        return CommandResult(str(value), value)
-    raise UsageError(f"unknown compose action {sub}")
+    items = cp.enumerate_compositions(args.n)
+    digit = _digit_strings(args.n, len(items))
+    return CommandResult(lambda: "\n".join([" ".join(map(digit, c)) for c in items]), items)
 
 
-def cmd_master(args) -> CommandResult:
+@command("compose", "conj", arg("parts", help="unipartite '2,1,4' or bipartite '3,1;0,1;1,1'"),
+         flag("--tree", help="round-trip through the rooted tree"))
+def cmd_compose_conj(args) -> CommandResult:
+    from . import compositions as cp
+    if ";" in args.parts:
+        conj = cp.route_conjugate(_vector_parts(args.parts))
+        text = " ".join("(" + ",".join(map(str, v)) + ")" for v in conj)
+        return CommandResult(text, [list(v) for v in conj])
+    parts = tuple(_ints(args.parts))
+    if args.tree:
+        tree = cp.composition_tree(parts)
+        back = cp.tree_composition(tree)
+        text = f"branches {len(tree.children)}; leaves {tree.leaf_count()}; round-trip {' '.join(map(str, back))}"
+        return CommandResult(text, {"leaves": tree.leaf_count(), "round_trip": list(back)})
+    conj = cp.conjugate_composition(parts)
+    return CommandResult(" ".join(map(str, conj)), list(conj))
+
+
+@command("compose", "zigzag", arg("parts"))
+def cmd_compose_zigzag(args) -> CommandResult:
+    from . import compositions as cp
+    conj = cp.zigzag_conjugate(tuple(_ints(args.parts)))
+    return CommandResult(" ".join(map(str, conj)), list(conj))
+
+
+@command("compose", "newcomb", arg("counts", help="cards per value, e.g. '2,1'"),
+         flag("--ascending"))
+def cmd_compose_newcomb(args) -> CommandResult:
+    from . import compositions as cp
+    dist = cp.newcomb_distribution(_ints(args.counts), ascending=args.ascending)
+    comp_rows = sorted(
+        ((" ".join(map(str, comp)), n) for comp, n in dist.by_composition.items())
+    )
+    pack_rows = sorted(dist.by_pack_count.items())
+    text = "\n".join(f"{comp}: {n}" for comp, n in comp_rows)
+    text += "\n" + "\n".join(f"packs {m}: {n}" for m, n in pack_rows)
+    return CommandResult(
+        text,
+        {
+            "by_composition": {comp: n for comp, n in comp_rows},
+            "by_pack_count": {str(m): n for m, n in pack_rows},
+        },
+        csv_rows=[["composition", "arrangements"]] + [list(r) for r in comp_rows],
+    )
+
+
+@command("compose", "count", arg("p", type=int), arg("q", type=int, nargs="?"),
+         flag("--essential", help="tally by essential nodes"),
+         arg("--order-k", type=int, help="count order-k combinations instead"))
+def cmd_compose_count(args) -> CommandResult:
+    from . import compositions as cp
+    if args.order_k is not None:
+        return _scalar(cp.combinations_order_k_count(args.p, args.order_k))
+    if args.q is None:
+        raise UsageError("compose count needs q (or --order-k)")
+    if args.essential:
+        rows = sorted(cp.count_by_essential_nodes(args.p, args.q).items())
+        text = "\n".join(f"s={s}: {n}" for s, n in rows)
+        return CommandResult(text, {str(s): n for s, n in rows})
+    return _scalar(cp.bipartite_composition_count_gf(args.p, args.q))
+
+
+# master
+
+@command("master", "coeff", arg("--matrix", required=True, help="rows 'a,b;c,d'"),
+         arg("--degree", help="multidegree 'e1,e2,...'"),
+         flag("--denominator", help="print the determinant instead"))
+def cmd_master_coeff(args) -> CommandResult:
     from . import masterthm as mt
-
-    sub = args.action
-    if sub == "coeff":
-        matrix = [_ints(row) for row in args.matrix.split(";")]
-        if args.denominator:
-            poly = mt.master_denominator(matrix)
-            return CommandResult(str(poly), str(poly))
-        degree = tuple(_ints(args.degree))
-        text = str(mt.master_coefficient(matrix, degree))
-        return CommandResult(text, text)
-    if sub == "derange":
-        value = mt.derangements(args.n)
-        return CommandResult(str(value), value)
-    if sub == "rencontres":
-        value = mt.generalized_rencontres(args.m, tuple(_ints(args.shape)))
-        return CommandResult(str(value), value)
-    raise UsageError(f"unknown master action {sub}")
+    matrix = [_ints(row) for row in args.matrix.split(";")]
+    if args.denominator:
+        return _scalar(str(mt.master_denominator(matrix)))
+    return _scalar(str(mt.master_coefficient(matrix, tuple(_ints(args.degree)))))
 
 
-def cmd_invariant(args) -> CommandResult:
+@command("master", "derange", N)
+def cmd_master_derange(args) -> CommandResult:
+    from . import masterthm as mt
+    return _scalar(mt.derangements(args.n))
+
+
+@command("master", "rencontres", arg("m", type=int), arg("shape", help="multidegree 'e1,e2,...'"))
+def cmd_master_rencontres(args) -> CommandResult:
+    from . import masterthm as mt
+    return _scalar(mt.generalized_rencontres(args.m, tuple(_ints(args.shape))))
+
+
+# invariant
+
+@command("invariant", "omega", POLY, FORM_ORDER)
+def cmd_invariant_omega(args) -> CommandResult:
+    from . import invariants as iv
+    return CommandResult(str(iv.omega(parse_coeff_poly(args.poly, args.p), args.p)))
+
+
+@command("invariant", "oop", POLY, FORM_ORDER)
+def cmd_invariant_oop(args) -> CommandResult:
+    from . import invariants as iv
+    return CommandResult(str(iv.oop(parse_coeff_poly(args.poly, args.p), args.p)))
+
+
+@command("invariant", "check", POLY, FORM_ORDER,
+         arg("--transform", required=True, help="'l,m,lp,mp'"))
+def cmd_invariant_check(args) -> CommandResult:
+    from . import invariants as iv
+    poly = parse_coeff_poly(args.poly, args.p)
+    transform = _fractions(args.transform, "--transform")
+    if len(transform) != 4:
+        raise UsageError(f"--transform takes four values l,m,lp,mp, not {args.transform!r}")
+    l, m, lp, mp = transform
+    ok, s = iv.invariance_check(poly, args.p, iv.LinearTransform2(l, m, lp, mp))
+    text = f"{'invariant' if ok else 'not invariant'}" + (f" s={s}" if ok else "")
+    return CommandResult(text, {"invariant": ok, "exponent": s})
+
+
+@command("invariant", "covariant", arg("seed"), FORM_ORDER)
+def cmd_invariant_covariant(args) -> CommandResult:
+    from . import invariants as iv
+    return CommandResult(str(iv.covariant_from_seed(parse_coeff_poly(args.seed, args.p), args.p)))
+
+
+@command("invariant", "basis", arg("p", type=int), arg("j", type=int, nargs="?"),
+         arg("w", type=int, nargs="?"),
+         arg("--protomorphs", type=int, help="list sources up to this weight instead"))
+def cmd_invariant_basis(args) -> CommandResult:
+    from . import invariants as iv
+    if args.protomorphs is not None:
+        sources = iv.protomorphs(args.p, args.protomorphs)
+        return CommandResult("\n".join(str(s) for s in sources))
+    basis = iv.seminvariant_basis(args.p, args.j, args.w)
+    if not basis:
+        return CommandResult("(empty)", [])
+    texts = [str(b) for b in basis]
+    return CommandResult("\n".join(texts), texts)
+
+
+@command("invariant", "weight", *ints("i", "p"))
+def cmd_invariant_weight(args) -> CommandResult:
+    from . import invariants as iv
+    w = iv.invariant_weight(args.i, args.p)
+    return CommandResult("infeasible" if w is None else str(w), w)
+
+
+@command("invariant", "syzygant", arg("--p", type=int, default=4),
+         arg("--k", type=int, required=True),
+         arg("--sources", help="'|'-separated coefficient polynomials"))
+def cmd_invariant_syzygant(args) -> CommandResult:
     from . import invariants as iv
     from .exactcore import MultiPoly
 
-    sub = args.action
-    if sub == "omega":
-        poly = parse_coeff_poly(args.poly, args.p)
-        return CommandResult(str(iv.omega(poly, args.p)))
-    if sub == "oop":
-        poly = parse_coeff_poly(args.poly, args.p)
-        return CommandResult(str(iv.oop(poly, args.p)))
-    if sub == "covariant":
-        poly = parse_coeff_poly(args.seed, args.p)
-        return CommandResult(str(iv.covariant_from_seed(poly, args.p)))
-    if sub == "basis":
-        if args.protomorphs is not None:
-            sources = iv.protomorphs(args.p, args.protomorphs)
-            return CommandResult("\n".join(str(s) for s in sources))
-        basis = iv.seminvariant_basis(args.p, args.j, args.w)
-        if not basis:
-            return CommandResult("(empty)", [])
-        texts = [str(b) for b in basis]
-        return CommandResult("\n".join(texts), texts)
-    if sub == "check":
-        poly = parse_coeff_poly(args.poly, args.p)
-        transform = _fractions(args.transform, "--transform")
-        if len(transform) != 4:
-            raise UsageError(f"--transform takes four values l,m,lp,mp, not {args.transform!r}")
-        l, m, lp, mp = transform
-        ok, s = iv.invariance_check(poly, args.p, iv.LinearTransform2(l, m, lp, mp))
-        text = f"{'invariant' if ok else 'not invariant'}" + (f" s={s}" if ok else "")
-        return CommandResult(text, {"invariant": ok, "exponent": s})
-    if sub == "weight":
-        w = iv.invariant_weight(args.i, args.p)
-        return CommandResult("infeasible" if w is None else str(w), w)
-    if sub == "syzygant":
-        if args.sources:
-            sources = [parse_coeff_poly(e, args.p) for e in args.sources.split("|")]
-        else:
-            names = iv.avar_names(args.p)
-            u = MultiPoly.variable(names, "a0")
-            h = iv.quadrinvariant(args.p, 2)
-            c3 = iv.odd_source(args.p, 3)
-            q4 = iv.quadrinvariant(args.p, 4)
-            sources = [h**3, c3**2, u**2 * h * q4]
-        solutions = iv.syzygant_search(sources, args.k)
-        if not solutions:
-            return CommandResult("(no nonzero solution)", [])
-        lines = []
-        for sol in solutions:
-            alphas = ",".join(str(a) for a in sol.alphas)
-            lines.append(f"alphas ({alphas}); quotient {sol.quotient}")
-        return CommandResult("\n".join(lines))
-    if sub == "roots":
-        report = iv.roots_correspondence_check(args.p, args.trials, seed=args.seed)
-        obj = {
-            "trials": report.trials,
-            "q2_identity_ok": report.q2_identity_ok,
-            "prior_product_ok": report.prior_product_ok,
-        }
-        text = (
-            f"trials {report.trials}: q2 {'ok' if report.q2_identity_ok else 'FAIL'}, "
-            f"product {'ok' if report.prior_product_ok else 'FAIL'}"
-        )
-        return CommandResult(text, obj)
-    raise UsageError(f"unknown invariant action {sub}")
-
-
-def cmd_ballot(args) -> CommandResult:
-    from . import probelect as pe
-
-    sub = args.action
-    if sub == "ahead":
-        value = pe.ballot_strictly_ahead(args.m, args.n)
-    elif sub == "neverbehind":
-        value = pe.ballot_never_behind(args.m, args.n)
-    elif sub == "order":
-        value = pe.macmahon_order_probability(pe.VoteTally(tuple(_ints(args.tally))))
+    if args.sources:
+        sources = [parse_coeff_poly(e, args.p) for e in args.sources.split("|")]
     else:
-        raise UsageError(f"unknown ballot action {sub}")
-    return CommandResult(str(value), str(value))
+        u = MultiPoly.variable(iv.avar_names(args.p), "a0")
+        h = iv.quadrinvariant(args.p, 2)
+        c3 = iv.odd_source(args.p, 3)
+        q4 = iv.quadrinvariant(args.p, 4)
+        sources = [h**3, c3**2, u**2 * h * q4]
+    solutions = iv.syzygant_search(sources, args.k)
+    if not solutions:
+        return CommandResult("(no nonzero solution)", [])
+    lines = []
+    for sol in solutions:
+        alphas = ",".join(str(a) for a in sol.alphas)
+        lines.append(f"alphas ({alphas}); quotient {sol.quotient}")
+    return CommandResult("\n".join(lines))
 
 
-def cmd_election(args) -> CommandResult:
+@command("invariant", "roots", arg("--p", type=int, default=4),
+         arg("--trials", type=int, default=20), arg("--seed", type=int, default=0))
+def cmd_invariant_roots(args) -> CommandResult:
+    from . import invariants as iv
+    report = iv.roots_correspondence_check(args.p, args.trials, seed=args.seed)
+    obj = {
+        "trials": report.trials,
+        "q2_identity_ok": report.q2_identity_ok,
+        "prior_product_ok": report.prior_product_ok,
+    }
+    text = (
+        f"trials {report.trials}: q2 {'ok' if report.q2_identity_ok else 'FAIL'}, "
+        f"product {'ok' if report.prior_product_ok else 'FAIL'}"
+    )
+    return CommandResult(text, obj)
+
+
+# ballot
+
+@command("ballot", "ahead", *ints("m", "n"))
+def cmd_ballot_ahead(args) -> CommandResult:
     from . import probelect as pe
-
-    sub = args.action
-    if sub == "prob":
-        model = pe.ElectorateModel(args.b + args.c, args.b, args.c)
-        value = pe.sample_prob_exact(model, args.p, args.q)
-        return CommandResult(str(value), str(value))
-    if sub == "approx":
-        model = pe.ElectorateModel(args.b + args.c, args.b, args.c)
-        c0, s_r = pe.sample_prob_approx(model, args.p, args.r)
-        return CommandResult(f"C0 {c0:.6f}; S_r {s_r:.6f}", {"C0": c0, "S_r": s_r})
-    if sub == "cubelaw":
-        sa, sb = pe.cube_law_seats(args.va, args.vb, args.seats, exponent=args.exponent)
-        return CommandResult(f"{sa} {sb}", [sa, sb])
-    if sub == "simulate":
-        if args.sizes_file:
-            sizes = pe.read_constituency_sizes(args.sizes_file)
-        else:
-            sizes = [args.size] * args.constituencies
-        report = pe.simulate_election(args.share, sizes, args.seed, mixing=args.mixing)
-        return CommandResult(report.to_json(), json.loads(report.to_json()))
-    raise UsageError(f"unknown election action {sub}")
+    return _scalar(str(pe.ballot_strictly_ahead(args.m, args.n)))
 
 
-def cmd_puzzle(args) -> CommandResult:
+@command("ballot", "neverbehind", *ints("m", "n"))
+def cmd_ballot_neverbehind(args) -> CommandResult:
+    from . import probelect as pe
+    return _scalar(str(pe.ballot_never_behind(args.m, args.n)))
+
+
+@command("ballot", "order", arg("tally", help="non-increasing counts '3,2,1'"))
+def cmd_ballot_order(args) -> CommandResult:
+    from . import probelect as pe
+    return _scalar(str(pe.macmahon_order_probability(pe.VoteTally(tuple(_ints(args.tally))))))
+
+
+# election
+
+@command("election", "prob", *ints("b", "c", "p", "q"))
+def cmd_election_prob(args) -> CommandResult:
+    from . import probelect as pe
+    model = pe.ElectorateModel(args.b + args.c, args.b, args.c)
+    return _scalar(str(pe.sample_prob_exact(model, args.p, args.q)))
+
+
+@command("election", "approx", *ints("b", "c", "p", "r"))
+def cmd_election_approx(args) -> CommandResult:
+    from . import probelect as pe
+    model = pe.ElectorateModel(args.b + args.c, args.b, args.c)
+    c0, s_r = pe.sample_prob_approx(model, args.p, args.r)
+    return CommandResult(f"C0 {c0:.6f}; S_r {s_r:.6f}", {"C0": c0, "S_r": s_r})
+
+
+@command("election", "cubelaw", arg("va", type=float), arg("vb", type=float),
+         arg("seats", type=int), arg("--exponent", type=float, default=3.0))
+def cmd_election_cubelaw(args) -> CommandResult:
+    from . import probelect as pe
+    sa, sb = pe.cube_law_seats(args.va, args.vb, args.seats, exponent=args.exponent)
+    return CommandResult(f"{sa} {sb}", [sa, sb])
+
+
+@command("election", "simulate", arg("--share", type=float, required=True),
+         arg("--seed", type=int, default=0), arg("--mixing", type=float, default=1.0),
+         arg("--sizes-file"), arg("--constituencies", type=int, default=100),
+         arg("--size", type=int, default=1000))
+def cmd_election_simulate(args) -> CommandResult:
+    from . import probelect as pe
+    if args.sizes_file:
+        sizes = pe.read_constituency_sizes(args.sizes_file)
+    else:
+        sizes = [args.size] * args.constituencies
+    report = pe.simulate_election(args.share, sizes, args.seed, mixing=args.mixing)
+    return CommandResult(report.to_json(), json.loads(report.to_json()))
+
+
+# puzzle
+
+@command("puzzle", "cubes", arg("--colors", type=int, default=6),
+         arg("--mode", choices=("all-distinct-faces", "any-coloring"),
+             default="all-distinct-faces"),
+         LIST, arg("--associated", type=int, help="print the mirror partner of this index"))
+def cmd_puzzle_cubes(args) -> CommandResult:
     from . import recreations as rc
+    cubes = rc.generate_cubes(args.colors, args.mode)
+    if args.associated is not None:
+        cube = _item(cubes, args.associated, "--associated")
+        mate = rc.associated_cube(cube)
+        return CommandResult(
+            f"{''.join(map(str, cube))} -> {''.join(map(str, mate))}",
+            {"cube": list(cube), "associated": list(mate)},
+        )
+    lines = ["".join(map(str, c)) for c in cubes]
+    return CommandResult(
+        f"{len(cubes)}" if not args.list else "\n".join(lines),
+        [list(c) for c in cubes],
+    )
 
-    sub = args.action
-    if sub == "cubes":
-        cubes = rc.generate_cubes(args.colors, args.mode)
-        if args.associated is not None:
-            cube = _item(cubes, args.associated, "--associated")
-            mate = rc.associated_cube(cube)
-            return CommandResult(
-                f"{''.join(map(str, cube))} -> {''.join(map(str, mate))}",
-                {"cube": list(cube), "associated": list(mate)},
-            )
-        lines = ["".join(map(str, c)) for c in cubes]
-        return CommandResult(
-            f"{len(cubes)}" if not args.list else "\n".join(lines),
-            [list(c) for c in cubes],
+
+@command("puzzle", "mayblox", arg("--target", type=int, default=0),
+         flag("--any", help="target-free uniform assembly"), flag("--include-associate"))
+def cmd_puzzle_mayblox(args) -> CommandResult:
+    from . import recreations as rc
+    if args.any:
+        solution = rc.mayblox_solve_any()
+        target = None
+    else:
+        cubes = rc.generate_cubes(6)
+        target = _item(cubes, args.target, "--target")
+        solution = rc.mayblox_solve(
+            target, pool=cubes, exclude_associate=not args.include_associate
         )
-    if sub == "mayblox":
-        if args.any:
-            solution = rc.mayblox_solve_any()
-            target = None
-        else:
-            cubes = rc.generate_cubes(6)
-            target = _item(cubes, args.target, "--target")
-            solution = rc.mayblox_solve(
-                target, pool=cubes, exclude_associate=not args.include_associate
-            )
-        if solution is None:
-            raise ValueError("no assembly found")
-        ok = rc.verify_assembly(solution, target)
-        obj = {
-            "verified": ok,
-            "placements": [
-                {"position": list(pos), "cube": list(cube), "rotation": rot}
-                for pos, cube, rot in solution.placements
-            ],
-        }
-        lines = [
-            f"{pos}: cube {''.join(map(str, cube))} rotation {rot}"
+    if solution is None:
+        raise ValueError("no assembly found")
+    ok = rc.verify_assembly(solution, target)
+    obj = {
+        "verified": ok,
+        "placements": [
+            {"position": list(pos), "cube": list(cube), "rotation": rot}
             for pos, cube, rot in solution.placements
-        ]
-        return CommandResult("\n".join(lines + [f"verified {ok}"]), obj)
-    if sub == "triangles":
-        tiles = rc.generate_squares(args.k) if args.squares else rc.generate_triangles(args.k)
-        lines = ["".join(map(str, t)) for t in tiles]
-        return CommandResult(
-            f"{len(tiles)}" if not args.list else "\n".join(lines),
-            [list(t) for t in tiles],
-        )
-    if sub == "hexagon":
-        tiles = rc.generate_triangles(4)
-        solution = rc.hexagon_solve(tiles, args.border)
-        if solution is None:
-            raise ValueError("no hexagon arrangement found")
-        ok = rc.verify_hexagon(solution, tiles)
-        obj = {
-            "border_color": solution.border_color,
-            "verified": ok,
-            "placements": [
-                {"cell": list(cell), "tile": list(tile), "rotation": rot}
-                for cell, tile, rot in solution.placements
-            ],
-        }
-        lines = [
-            f"{cell}: tile {''.join(map(str, tile))} rotation {rot}"
+        ],
+    }
+    lines = [
+        f"{pos}: cube {''.join(map(str, cube))} rotation {rot}"
+        for pos, cube, rot in solution.placements
+    ]
+    return CommandResult("\n".join(lines + [f"verified {ok}"]), obj)
+
+
+@command("puzzle", "triangles", arg("k", type=int),
+         flag("--squares", help="four compartments instead of three"), LIST)
+def cmd_puzzle_triangles(args) -> CommandResult:
+    from . import recreations as rc
+    tiles = rc.generate_squares(args.k) if args.squares else rc.generate_triangles(args.k)
+    lines = ["".join(map(str, t)) for t in tiles]
+    return CommandResult(
+        f"{len(tiles)}" if not args.list else "\n".join(lines),
+        [list(t) for t in tiles],
+    )
+
+
+@command("puzzle", "hexagon", arg("--border", type=int, default=0))
+def cmd_puzzle_hexagon(args) -> CommandResult:
+    from . import recreations as rc
+    tiles = rc.generate_triangles(4)
+    solution = rc.hexagon_solve(tiles, args.border)
+    if solution is None:
+        raise ValueError("no hexagon arrangement found")
+    ok = rc.verify_hexagon(solution, tiles)
+    obj = {
+        "border_color": solution.border_color,
+        "verified": ok,
+        "placements": [
+            {"cell": list(cell), "tile": list(tile), "rotation": rot}
             for cell, tile, rot in solution.placements
-        ]
-        return CommandResult("\n".join(lines + [f"verified {ok}"]), obj)
-    if sub == "stamps":
-        value = rc.stamp_foldings(args.n)
-        return CommandResult(str(value), value)
-    if sub == "contacts":
-        if args.list:
-            systems = rc.enumerate_contact_systems(args.n)
-            lines = [",".join(map(str, s)) for s in systems]
-            return CommandResult("\n".join(lines), [list(s) for s in systems])
-        value = rc.contact_system_count(args.n)
-        return CommandResult(str(value), value)
-    if sub == "latin":
-        if args.total is not None:
-            value = rc.latin_total_count(args.total)
-        elif args.reduced is not None:
-            value = rc.latin_reduced_count(args.reduced)
-        else:
-            raise UsageError("latin needs --reduced N or --total N")
-        return CommandResult(str(value), value)
-    if sub == "rod":
-        marks = rc.measuring_rod(args.k)
-        return CommandResult(" ".join(map(str, marks)), list(marks))
-    if sub == "weights":
-        weights = rc.weighing_set(args.u, args.pans)
-        return CommandResult(" ".join(map(str, weights)), list(weights))
-    if sub == "rooks":
-        value = rc.rook_row_counts(args.n, args.k)
-        return CommandResult(str(value), value)
-    raise UsageError(f"unknown puzzle action {sub}")
+        ],
+    }
+    lines = [
+        f"{cell}: tile {''.join(map(str, tile))} rotation {rot}"
+        for cell, tile, rot in solution.placements
+    ]
+    return CommandResult("\n".join(lines + [f"verified {ok}"]), obj)
+
+
+@command("puzzle", "stamps", N)
+def cmd_puzzle_stamps(args) -> CommandResult:
+    from . import recreations as rc
+    return _scalar(rc.stamp_foldings(args.n))
+
+
+@command("puzzle", "contacts", N, LIST)
+def cmd_puzzle_contacts(args) -> CommandResult:
+    from . import recreations as rc
+    if args.list:
+        systems = rc.enumerate_contact_systems(args.n)
+        lines = [",".join(map(str, s)) for s in systems]
+        return CommandResult("\n".join(lines), [list(s) for s in systems])
+    return _scalar(rc.contact_system_count(args.n))
+
+
+@command("puzzle", "latin", arg("--reduced", type=int), arg("--total", type=int))
+def cmd_puzzle_latin(args) -> CommandResult:
+    from . import recreations as rc
+    if args.total is not None:
+        value = rc.latin_total_count(args.total)
+    elif args.reduced is not None:
+        value = rc.latin_reduced_count(args.reduced)
+    else:
+        raise UsageError("latin needs --reduced N or --total N")
+    return _scalar(value)
+
+
+@command("puzzle", "rod", arg("k", type=int))
+def cmd_puzzle_rod(args) -> CommandResult:
+    from . import recreations as rc
+    marks = rc.measuring_rod(args.k)
+    return CommandResult(" ".join(map(str, marks)), list(marks))
+
+
+@command("puzzle", "weights", arg("u", type=int),
+         arg("--pans", choices=("one", "two"), default="one"))
+def cmd_puzzle_weights(args) -> CommandResult:
+    from . import recreations as rc
+    weights = rc.weighing_set(args.u, args.pans)
+    return CommandResult(" ".join(map(str, weights)), list(weights))
+
+
+@command("puzzle", "rooks", *ints("n", "k"))
+def cmd_puzzle_rooks(args) -> CommandResult:
+    from . import recreations as rc
+    return _scalar(rc.rook_row_counts(args.n, args.k))
+
+
+# pattern
+
+@command("pattern", "classify", arg("profile", help="points '0,0;1/2,1/4;1,0'"))
+def cmd_pattern_classify(args) -> CommandResult:
+    from . import patterns as pa
+    return _scalar(pa.classify_edge(_profile(args.profile)))
+
+
+@command("pattern", "angles",
+         arg("angles", help="interior angles as fractions of pi, e.g. '1/3,1/3,1/3'"))
+def cmd_pattern_angles(args) -> CommandResult:
+    from . import patterns as pa
+    ok = pa.angle_distribution_check(_fractions(args.angles, "angles"))
+    return CommandResult("repeat" if ok else "not-a-repeat", ok)
 
 
 def _named_tile(args) -> pa.RepeatTile:
@@ -583,405 +814,150 @@ def _named_tile(args) -> pa.RepeatTile:
     return pa.build_repeat_tile(args.base, contact, profiles)
 
 
-def cmd_pattern(args) -> CommandResult:
+@command("pattern", "tile", *TILE)
+def cmd_pattern_tile(args) -> CommandResult:
+    tile = _named_tile(args)
+    text = (
+        f"base {tile.base}; contact {','.join(map(str, tile.contact))}; "
+        f"area offset {tile.area_offset()}"
+    )
+    return CommandResult(text, {
+        "base": tile.base,
+        "contact": list(tile.contact),
+        "area_offset": str(tile.area_offset()),
+    })
+
+
+@command("pattern", "tiling", *TILE, arg("--extent", type=int, default=2), formats=FORMATS)
+def cmd_pattern_tiling(args) -> CommandResult:
+    from . import patterns as pa
+    result = pa.generate_tiling(_named_tile(args), args.extent)
+    text = f"copies {len(result.placements)}; verified {result.verified}"
+    return CommandResult(text, lambda: json.loads(result.to_placement_json()), svg=result.to_svg)
+
+
+@command("pattern", "euler", arg("solid", choices=("cube", "tetrahedron")))
+def cmd_pattern_euler(args) -> CommandResult:
+    from . import patterns as pa
+    if args.solid == "cube":
+        report = pa.cube_deficiency_report()
+    else:
+        report = pa.tetrahedron_deficiency_report()
+    text = (
+        f"vertex sum {report.vertex_sum:.9f}; edge sum {report.edge_sum:.9f}; "
+        f"equal {report.equal}"
+    )
+    return CommandResult(text, {
+        "vertex_sum": report.vertex_sum,
+        "edge_sum": report.edge_sum,
+        "equal": report.equal,
+        "euler_ok": report.euler_ok,
+    })
+
+
+@command("pattern", "tetra", flag("--prism", help="the prism-midpoint variant"))
+def cmd_pattern_tetra(args) -> CommandResult:
     from fractions import Fraction
 
     from . import patterns as pa
 
-    sub = args.action
-    if sub == "classify":
-        profile = _profile(args.profile)
-        cls = pa.classify_edge(profile)
-        return CommandResult(cls, cls)
-    if sub == "angles":
-        ok = pa.angle_distribution_check(_fractions(args.angles, "angles"))
-        return CommandResult("repeat" if ok else "not-a-repeat", ok)
-    if sub == "tile":
-        tile = _named_tile(args)
-        text = (
-            f"base {tile.base}; contact {','.join(map(str, tile.contact))}; "
-            f"area offset {tile.area_offset()}"
-        )
-        return CommandResult(text, {
-            "base": tile.base,
-            "contact": list(tile.contact),
-            "area_offset": str(tile.area_offset()),
-        })
-    if sub == "tiling":
-        tile = _named_tile(args)
-        result = pa.generate_tiling(tile, args.extent)
-        text = f"copies {len(result.placements)}; verified {result.verified}"
-        return CommandResult(
-            text,
-            lambda: json.loads(result.to_placement_json()),
-            svg=result.to_svg,
-        )
-    if sub == "euler":
-        if args.solid == "cube":
-            report = pa.cube_deficiency_report()
-        elif args.solid == "tetrahedron":
-            report = pa.tetrahedron_deficiency_report()
-        else:
-            raise UsageError("solid must be cube or tetrahedron")
-        text = (
-            f"vertex sum {report.vertex_sum:.9f}; edge sum {report.edge_sum:.9f}; "
-            f"equal {report.equal}"
-        )
-        return CommandResult(text, {
-            "vertex_sum": report.vertex_sum,
-            "edge_sum": report.edge_sum,
-            "equal": report.equal,
-            "euler_ok": report.euler_ok,
-        })
-    if sub == "tetra":
-        tetra = pa.prism_midpoint_tetrahedron() if args.prism else pa.schoenflies_tetrahedron()
-        squares = sorted(set(tetra.edge_lengths_squared()))
-        ratio = Fraction(squares[1], squares[0])
-        obj = {
-            "vertices": [[str(c) for c in v] for v in tetra.vertices],
-            "edge_ratio_squared": str(ratio),
-            "volume": str(tetra.volume()),
-        }
-        text = (
-            "vertices "
-            + "; ".join(",".join(str(c) for c in v) for v in tetra.vertices)
-            + f"; ratio^2 {ratio}; volume {tetra.volume()}"
-        )
-        return CommandResult(text, obj)
-    raise UsageError(f"unknown pattern action {sub}")
+    tetra = pa.prism_midpoint_tetrahedron() if args.prism else pa.schoenflies_tetrahedron()
+    squares = sorted(set(tetra.edge_lengths_squared()))
+    ratio = Fraction(squares[1], squares[0])
+    obj = {
+        "vertices": [[str(c) for c in v] for v in tetra.vertices],
+        "edge_ratio_squared": str(ratio),
+        "volume": str(tetra.volume()),
+    }
+    text = (
+        "vertices "
+        + "; ".join(",".join(str(c) for c in v) for v in tetra.vertices)
+        + f"; ratio^2 {ratio}; volume {tetra.volume()}"
+    )
+    return CommandResult(text, obj)
 
 
-def cmd_divisor(args) -> CommandResult:
+# divisor
+
+@command("divisor", "series", arg("kind", choices=SERIES_KINDS), arg("--n", type=int),
+         arg("--k", type=int, default=1), arg("--max-n", type=int, default=16),
+         arg("--max-k", type=int, default=5))
+def cmd_divisor_series(args) -> CommandResult:
     from . import divisors as dv
+    if args.n is not None:
+        if args.n < 1 or args.k < 1:
+            raise UsageError("--n and --k must be at least 1")
+        return _scalar(dv.divisor_series_coeff(args.kind, args.n, args.k))
+    if args.max_n < 1 or args.max_k < 1:
+        raise UsageError("--max-n and --max-k must be at least 1")
+    table = dv.divisor_table(args.kind, args.max_n, args.max_k)
+    header = ["n"] + [f"k{k}" for k in range(1, args.max_k + 1)]
+    rows = [[n + 1] + table[n] for n in range(args.max_n)]
+    text = "\n".join(" ".join(str(v) for v in row) for row in rows)
+    return CommandResult(text, {"kind": args.kind, "rows": rows}, csv_rows=[header] + rows)
 
-    sub = args.action
-    if sub == "series":
-        if args.n is not None:
-            value = dv.divisor_series_coeff(args.kind, args.n, args.k)
-            return CommandResult(str(value), value)
-        if args.max_n < 1 or args.max_k < 1:
-            raise UsageError("--max-n and --max-k must be at least 1")
-        table = dv.divisor_table(args.kind, args.max_n, args.max_k)
-        header = ["n"] + [f"k{k}" for k in range(1, args.max_k + 1)]
-        rows = [[n + 1] + table[n] for n in range(args.max_n)]
-        text = "\n".join(" ".join(str(v) for v in row) for row in rows)
-        return CommandResult(text, {"kind": args.kind, "rows": rows}, csv_rows=[header] + rows)
-    if sub == "sigma2":
-        values = dv.sigma2_from_plane_partitions(args.bound)
-        text = " ".join(map(str, values))
-        return CommandResult(text, values, csv_rows=[["n", "sigma2"]] + [[i + 1, v] for i, v in enumerate(values)])
-    if sub == "potency":
-        if args.count is not None:
-            value = dv.potency_count(args.count)
-            return CommandResult(str(value), value)
-        pt_, mt_ = dv.potency(args.n), dv.multiplicity(args.n)
-        return CommandResult(f"{pt_} {mt_}", {"potency": pt_, "multiplicity": mt_})
-    if sub == "factorize":
-        value = dv.factorizations(args.m, ordered=args.ordered)
-        return CommandResult(str(value), value)
-    if sub == "totient":
-        value = dv.totient_bipartite(args.n)
-        return CommandResult(str(value), value)
-    raise UsageError(f"unknown divisor action {sub}")
+
+@command("divisor", "sigma2", arg("bound", type=int))
+def cmd_divisor_sigma2(args) -> CommandResult:
+    from . import divisors as dv
+    values = dv.sigma2_from_plane_partitions(args.bound)
+    text = " ".join(map(str, values))
+    return CommandResult(text, values, csv_rows=[["n", "sigma2"]] + [[i + 1, v] for i, v in enumerate(values)])
+
+
+@command("divisor", "potency", arg("n", type=int, nargs="?", default=1),
+         arg("--count", type=int, help="count integers with this potency instead"))
+def cmd_divisor_potency(args) -> CommandResult:
+    from . import divisors as dv
+    if args.count is not None:
+        return _scalar(dv.potency_count(args.count))
+    pt_, mt_ = dv.potency(args.n), dv.multiplicity(args.n)
+    return CommandResult(f"{pt_} {mt_}", {"potency": pt_, "multiplicity": mt_})
+
+
+@command("divisor", "factorize", arg("m", type=int), flag("--ordered"))
+def cmd_divisor_factorize(args) -> CommandResult:
+    from . import divisors as dv
+    return _scalar(dv.factorizations(args.m, ordered=args.ordered))
+
+
+@command("divisor", "totient", N)
+def cmd_divisor_totient(args) -> CommandResult:
+    from . import divisors as dv
+    return _scalar(dv.totient_bipartite(args.n))
 
 
 # ---------------------------------------------------------------------------
 # parser
 
-FORMATS = ("text", "json", "csv", "svg")
-# The only (command, action) with svg output; dispatch refuses
-# --format svg for every other before its handler runs.
-SVG_ACTIONS = {("pattern", "tiling")}
-# patterns.BASES and divisors.SERIES_KINDS, spelled out so that building
-# the parser imports neither module (a test keeps them equal)
-TILE_BASES = ("triangle", "square", "hexagon")
-SERIES_KINDS = ("A", "B", "C")
+# the groups in the order --help lists them
+GROUPS = tuple(dict.fromkeys(group for group, _ in COMMANDS))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(groups: Iterable[str] = GROUPS) -> argparse.ArgumentParser:
+    """The combanal parser: all the group names, with the actions of those
+    named in `groups` (every group by default; other words are ignored)."""
     parser = argparse.ArgumentParser(
         prog="combanal",
         description="Exact combinatory analysis: partitions, compositions, "
         "the condensed-determinant theorem, binary-form invariants, ballot "
         "problems, puzzles and repeating patterns.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=FORMATS, default="text")
-        p.add_argument("--out", help="write output to this path instead of stdout")
-
-    # partition
-    p = sub.add_parser("partition")
-    pa_ = p.add_subparsers(dest="action", required=True)
-    q = pa_.add_parser("count")
-    q.add_argument("n", type=int)
-    q.add_argument("--parts", type=int, help="exact number of parts (recurrence-checked)")
-    q.add_argument("--min-part", type=int, default=1)
-    q.add_argument("--elements", help="count multisets from these elements instead")
-    q.add_argument("--euler-primes", help="distinct-vs-odd counts avoiding these primes")
-    q.add_argument("--pattern", help="adjacent relations, e.g. '>,>='")
-    common(q)
-    q = pa_.add_parser("enum")
-    q.add_argument("n", type=int)
-    q.add_argument("--max-part", type=int)
-    q.add_argument("--parts", type=int)
-    q.add_argument("--min-part", type=int, default=1)
-    q.add_argument("--distinct", action="store_true")
-    q.add_argument("--allowed", help="comma-separated allowed part values")
-    common(q)
-    q = pa_.add_parser("table")
-    q.add_argument("n", type=int, nargs="?", default=20)
-    q.add_argument("--demorgan", type=int, help="print row x of the greatest-part table")
-    q.add_argument("--u2", type=int, help="closed form for greatest part 2")
-    q.add_argument("--u3", type=int, help="closed form for greatest part 3")
-    common(q)
-    q = pa_.add_parser("conj")
-    q.add_argument("parts")
-    common(q)
-    q = pa_.add_parser("modular")
-    q.add_argument("parts")
-    q.add_argument("--mod", type=int, required=True)
-    common(q)
-    q = pa_.add_parser("parity")
-    q.add_argument("n", type=int, nargs="?", default=1)
-    q.add_argument("--digits", type=int, help="emit this many binary parity digits")
-    common(q)
-    q = pa_.add_parser("perfect")
-    q.add_argument("n", type=int)
-    common(q)
-    q = pa_.add_parser("plane")
-    q.add_argument("n", type=int, nargs="?", default=0)
-    q.add_argument("--enum", action="store_true")
-    q.add_argument("--boxed", help="l,m,cmax bounds (l=-1 for unbounded entries)")
-    q.add_argument("--xy", type=int, help="two-layer axis-symmetric polynomial for this bound")
-    common(q)
-    q = pa_.add_parser("scale")
-    q.add_argument("alphas")
-    common(q)
-
-    # compose
-    p = sub.add_parser("compose")
-    pa_ = p.add_subparsers(dest="action", required=True)
-    q = pa_.add_parser("enum")
-    q.add_argument("n", type=int)
-    common(q)
-    q = pa_.add_parser("conj")
-    q.add_argument("parts", help="unipartite '2,1,4' or bipartite '3,1;0,1;1,1'")
-    q.add_argument("--tree", action="store_true", help="round-trip through the rooted tree")
-    common(q)
-    q = pa_.add_parser("zigzag")
-    q.add_argument("parts")
-    common(q)
-    q = pa_.add_parser("newcomb")
-    q.add_argument("counts", help="cards per value, e.g. '2,1'")
-    q.add_argument("--ascending", action="store_true")
-    common(q)
-    q = pa_.add_parser("count")
-    q.add_argument("p", type=int)
-    q.add_argument("q", type=int, nargs="?")
-    q.add_argument("--essential", action="store_true", help="tally by essential nodes")
-    q.add_argument("--order-k", type=int, help="count order-k combinations instead")
-    common(q)
-
-    # master
-    p = sub.add_parser("master")
-    pa_ = p.add_subparsers(dest="action", required=True)
-    q = pa_.add_parser("coeff")
-    q.add_argument("--matrix", required=True, help="rows 'a,b;c,d'")
-    q.add_argument("--degree", help="multidegree 'e1,e2,...'")
-    q.add_argument("--denominator", action="store_true", help="print the determinant instead")
-    common(q)
-    q = pa_.add_parser("derange")
-    q.add_argument("n", type=int)
-    common(q)
-    q = pa_.add_parser("rencontres")
-    q.add_argument("m", type=int)
-    q.add_argument("shape", help="multidegree 'e1,e2,...'")
-    common(q)
-
-    # invariant
-    p = sub.add_parser("invariant")
-    pa_ = p.add_subparsers(dest="action", required=True)
-    for name in ("omega", "oop", "check"):
-        q = pa_.add_parser(name)
-        q.add_argument("poly", help="e.g. 'a0*a2-a1^2'")
-        q.add_argument("--p", type=int, required=True)
-        if name == "check":
-            q.add_argument("--transform", required=True, help="'l,m,lp,mp'")
-        common(q)
-    q = pa_.add_parser("covariant")
-    q.add_argument("seed")
-    q.add_argument("--p", type=int, required=True)
-    common(q)
-    q = pa_.add_parser("basis")
-    q.add_argument("p", type=int)
-    q.add_argument("j", type=int, nargs="?")
-    q.add_argument("w", type=int, nargs="?")
-    q.add_argument("--protomorphs", type=int, help="list sources up to this weight instead")
-    common(q)
-    q = pa_.add_parser("weight")
-    q.add_argument("i", type=int)
-    q.add_argument("p", type=int)
-    common(q)
-    q = pa_.add_parser("syzygant")
-    q.add_argument("--p", type=int, default=4)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--sources", help="'|'-separated coefficient polynomials")
-    common(q)
-    q = pa_.add_parser("roots")
-    q.add_argument("--p", type=int, default=4)
-    q.add_argument("--trials", type=int, default=20)
-    q.add_argument("--seed", type=int, default=0)
-    common(q)
-
-    # ballot
-    p = sub.add_parser("ballot")
-    pa_ = p.add_subparsers(dest="action", required=True)
-    for name in ("ahead", "neverbehind"):
-        q = pa_.add_parser(name)
-        q.add_argument("m", type=int)
-        q.add_argument("n", type=int)
-        common(q)
-    q = pa_.add_parser("order")
-    q.add_argument("tally", help="non-increasing counts '3,2,1'")
-    common(q)
-
-    # election
-    p = sub.add_parser("election")
-    pa_ = p.add_subparsers(dest="action", required=True)
-    q = pa_.add_parser("prob")
-    for name in ("b", "c", "p", "q"):
-        q.add_argument(name, type=int)
-    common(q)
-    q = pa_.add_parser("approx")
-    for name in ("b", "c", "p", "r"):
-        q.add_argument(name, type=int)
-    common(q)
-    q = pa_.add_parser("cubelaw")
-    q.add_argument("va", type=float)
-    q.add_argument("vb", type=float)
-    q.add_argument("seats", type=int)
-    q.add_argument("--exponent", type=float, default=3.0)
-    common(q)
-    q = pa_.add_parser("simulate")
-    q.add_argument("--share", type=float, required=True)
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--mixing", type=float, default=1.0)
-    q.add_argument("--sizes-file")
-    q.add_argument("--constituencies", type=int, default=100)
-    q.add_argument("--size", type=int, default=1000)
-    common(q)
-
-    # puzzle
-    p = sub.add_parser("puzzle")
-    pa_ = p.add_subparsers(dest="action", required=True)
-    q = pa_.add_parser("cubes")
-    q.add_argument("--colors", type=int, default=6)
-    q.add_argument("--mode", choices=("all-distinct-faces", "any-coloring"), default="all-distinct-faces")
-    q.add_argument("--list", action="store_true")
-    q.add_argument("--associated", type=int, help="print the mirror partner of this index")
-    common(q)
-    q = pa_.add_parser("mayblox")
-    q.add_argument("--target", type=int, default=0)
-    q.add_argument("--any", action="store_true", help="target-free uniform assembly")
-    q.add_argument("--include-associate", action="store_true")
-    common(q)
-    q = pa_.add_parser("triangles")
-    q.add_argument("k", type=int)
-    q.add_argument("--squares", action="store_true", help="four compartments instead of three")
-    q.add_argument("--list", action="store_true")
-    common(q)
-    q = pa_.add_parser("hexagon")
-    q.add_argument("--border", type=int, default=0)
-    common(q)
-    q = pa_.add_parser("stamps")
-    q.add_argument("n", type=int)
-    common(q)
-    q = pa_.add_parser("contacts")
-    q.add_argument("n", type=int)
-    q.add_argument("--list", action="store_true")
-    common(q)
-    q = pa_.add_parser("latin")
-    q.add_argument("--reduced", type=int)
-    q.add_argument("--total", type=int)
-    common(q)
-    q = pa_.add_parser("rod")
-    q.add_argument("k", type=int)
-    common(q)
-    q = pa_.add_parser("weights")
-    q.add_argument("u", type=int)
-    q.add_argument("--pans", choices=("one", "two"), default="one")
-    common(q)
-    q = pa_.add_parser("rooks")
-    q.add_argument("n", type=int)
-    q.add_argument("k", type=int)
-    common(q)
-
-    # pattern
-    p = sub.add_parser("pattern")
-    pa_ = p.add_subparsers(dest="action", required=True)
-    q = pa_.add_parser("classify")
-    q.add_argument("profile", help="points '0,0;1/2,1/4;1,0'")
-    common(q)
-    q = pa_.add_parser("angles")
-    q.add_argument("angles", help="interior angles as fractions of pi, e.g. '1/3,1/3,1/3'")
-    common(q)
-    for name in ("tile", "tiling"):
-        q = pa_.add_parser(name)
-        q.add_argument("--cairo", action="store_true")
-        q.add_argument("--base", choices=TILE_BASES, default="square")
-        q.add_argument("--contact", help="pairs like '0-2,1-3'")
-        q.add_argument("--profiles", help="'|'-separated profiles")
-        if name == "tiling":
-            q.add_argument("--extent", type=int, default=2)
-        common(q)
-    q = pa_.add_parser("euler")
-    q.add_argument("solid", choices=("cube", "tetrahedron"))
-    common(q)
-    q = pa_.add_parser("tetra")
-    q.add_argument("--prism", action="store_true", help="the prism-midpoint variant")
-    common(q)
-
-    # divisor
-    p = sub.add_parser("divisor")
-    pa_ = p.add_subparsers(dest="action", required=True)
-    q = pa_.add_parser("series")
-    q.add_argument("kind", choices=SERIES_KINDS)
-    q.add_argument("--n", type=int)
-    q.add_argument("--k", type=int, default=1)
-    q.add_argument("--max-n", type=int, default=16)
-    q.add_argument("--max-k", type=int, default=5)
-    common(q)
-    q = pa_.add_parser("sigma2")
-    q.add_argument("bound", type=int)
-    common(q)
-    q = pa_.add_parser("potency")
-    q.add_argument("n", type=int, nargs="?", default=1)
-    q.add_argument("--count", type=int, help="count integers with this potency instead")
-    common(q)
-    q = pa_.add_parser("factorize")
-    q.add_argument("m", type=int)
-    q.add_argument("--ordered", action="store_true")
-    common(q)
-    q = pa_.add_parser("totient")
-    q.add_argument("n", type=int)
-    common(q)
-
+    group_parsers = parser.add_subparsers(dest="command", required=True)
+    for group in GROUPS:
+        group_parser = group_parsers.add_parser(group)
+        if group not in groups:
+            continue
+        actions = group_parser.add_subparsers(dest="action", required=True)
+        for (owner, action), cmd in COMMANDS.items():
+            if owner == group:
+                q = actions.add_parser(action)
+                for names, options in cmd.arguments:
+                    q.add_argument(*names, **options)
+                q.add_argument("--format", choices=FORMATS, default="text")
+                q.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 
-
-HANDLERS = {
-    "partition": cmd_partition,
-    "compose": cmd_compose,
-    "master": cmd_master,
-    "invariant": cmd_invariant,
-    "ballot": cmd_ballot,
-    "election": cmd_election,
-    "puzzle": cmd_puzzle,
-    "pattern": cmd_pattern,
-    "divisor": cmd_divisor,
-}
 
 # Audit table: every library operation and the subcommand that reaches it
 # (possibly indirectly, as with the series machinery behind master coeff).
@@ -1052,6 +1028,7 @@ OPERATION_COVERAGE = {
     "recreations.contact_system_count": "puzzle contacts",
     "recreations.enumerate_contact_systems": "puzzle contacts --list",
     "recreations.latin_reduced_count": "puzzle latin --reduced",
+    "recreations.latin_total_count": "puzzle latin --total",
     "recreations.measuring_rod": "puzzle rod",
     "recreations.weighing_set": "puzzle weights",
     "recreations.rook_row_counts": "puzzle rooks",
@@ -1071,23 +1048,29 @@ OPERATION_COVERAGE = {
 }
 
 
-# The parser is built on the first dispatch and reused: parsing leaves it
-# unchanged, and building it costs far more than one parse.
+# dispatch's default parser holds the whole table.  It is built on the first
+# call and reused: parsing leaves it unchanged, and building it costs far
+# more than one parse.  main answers one command and builds only its group.
 _PARSER: Optional[argparse.ArgumentParser] = None
 
 
-def dispatch(argv: Sequence[str]) -> int:
+def dispatch(argv: Sequence[str], parser: Optional[argparse.ArgumentParser] = None) -> int:
+    """Answer one command line with `parser`, or by default with the
+    reused parser of the whole table."""
     global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
+    if parser is None:
+        if _PARSER is None:
+            _PARSER = build_parser()
+        parser = _PARSER
     try:
-        args = _PARSER.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    key = (args.command, args.action)
     try:
-        if args.format == "svg" and (args.command, args.action) not in SVG_ACTIONS:
-            raise UsageError("this subcommand has no svg output")
-        result = HANDLERS[args.command](args)
+        if args.format not in COMMANDS[key].formats:
+            raise UsageError(f"this subcommand has no {args.format} output")
+        result = RUN[key](args)
         rendered = result.render(args.format)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -1104,7 +1087,8 @@ def dispatch(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    # one command per process: build only the group that it names
+    sys.exit(dispatch(sys.argv[1:], build_parser(sys.argv[1:2])))
 
 
 if __name__ == "__main__":

@@ -72,11 +72,11 @@ GOLDEN = [
 ]
 
 
-def run(argv):
+def run(argv, parser=None):
     out = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.dispatch(argv.split() if isinstance(argv, str) else argv)
+        code = cli.dispatch(argv.split() if isinstance(argv, str) else argv, parser)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -137,7 +137,7 @@ class TestExitCodes:
 
     def test_svg_is_refused_before_the_handler_runs(self, monkeypatch):
         calls = []
-        monkeypatch.setitem(cli.HANDLERS, "master", lambda args: calls.append(args))
+        monkeypatch.setitem(cli.RUN, ("master", "derange"), lambda args: calls.append(args))
         # derangements(-1) is a domain error (exit 1) if the handler runs
         assert run("master derange -1 --format svg") == (
             2, "", "usage error: this subcommand has no svg output\n"
@@ -149,6 +149,8 @@ class TestExitCodes:
         "invariant oop a0^-1 --p 2",
         "invariant oop 1/0 --p 2",
         "divisor series A --max-n -1",
+        "divisor series A --n 5 --k 0",
+        "divisor series A --max-n 5 --max-k 0",
         "puzzle cubes --associated 99",
         "puzzle mayblox --target 40",
         "puzzle mayblox --target -1",
@@ -169,6 +171,10 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", ["divisor series A --n 0", "divisor series A --n 5 --k 0"])
+    def test_divisor_series_index_is_one_usage_line(self, argv):
+        assert run(argv) == (2, "", "usage error: --n and --k must be at least 1\n")
 
 
 # Each fixed work guard at its edge: (argv exactly at the cap, argv just
@@ -383,11 +389,46 @@ class TestParserReuse:
             fresh.append(run(argv))
         assert len(builds) == 1 + len(self.ARGV)
         assert reused == fresh
+        # a parser with only the group that argv[0] names, as a one-shot
+        # command builds it, answers the same
+        assert [run(argv, build(argv.split()[:1])) for argv in self.ARGV] == reused
         assert reused[4][0] == 0 and reused[4][1].startswith("usage: combanal")
         assert reused[2][0] == 2 and reused[3] == (0, "4536\n", "")
 
     def test_not_built_at_import(self):
         assert fresh_interpreter("import combanal.cli as c; print(c._PARSER)") == "None\n"
+
+    def test_one_group_parser_matches_the_help_snapshot(self, monkeypatch):
+        # the --help and usage-error surface of tests/test_cli_help.py, from
+        # parsers that hold only the group named by argv[0]
+        monkeypatch.setenv("COLUMNS", "80")
+        snapshot = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_help_snapshot.json")
+        with open(snapshot, encoding="utf-8") as fh:
+            expected = json.load(fh)
+        for argv, answer in expected.items():
+            assert list(run(argv, cli.build_parser(argv.split()[:1]))) == answer, argv
+
+    def test_a_command_builds_only_its_group(self):
+        # every parser made is recorded by its prog: "combanal GROUP ACTION"
+        # for the action parsers, which exist only for the group named
+        code = (
+            "import argparse, sys\n"
+            "progs = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def record(self, *a, **k):\n"
+            "    progs.append(k.get('prog', ''))\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = record\n"
+            "import combanal.cli as cli\n"
+            "sys.argv = ['combanal', 'partition', 'count', '30']\n"
+            "try:\n"
+            "    cli.main()\n"
+            "except SystemExit as done:\n"
+            "    print(done.code, sorted(p.split()[1] for p in progs if p.count(' ') == 2))\n"
+        )
+        out = fresh_interpreter(code).splitlines()
+        partition_actions = [a for g, a in cli.COMMANDS if g == "partition"]
+        assert out == ["5604", f"0 {['partition'] * len(partition_actions)}"]
 
 
 def fresh_interpreter(code: str, *argv: str) -> str:
@@ -556,7 +597,7 @@ class TestCoverage:
                 "generate_cubes", "associated_cube", "mayblox_solve",
                 "generate_triangles", "generate_squares", "hexagon_solve",
                 "stamp_foldings", "contact_system_count",
-                "enumerate_contact_systems", "latin_reduced_count",
+                "enumerate_contact_systems", "latin_reduced_count", "latin_total_count",
                 "measuring_rod", "weighing_set", "rook_row_counts",
             ],
             "patterns": [
@@ -576,11 +617,15 @@ class TestCoverage:
                 assert key in cli.OPERATION_COVERAGE, f"{key} unmapped"
 
     def test_coverage_subcommands_exist(self):
-        parser = cli.build_parser()
-        groups = {"partition", "compose", "master", "invariant", "ballot",
-                  "election", "puzzle", "pattern", "divisor"}
-        for target in cli.OPERATION_COVERAGE.values():
-            assert target.split()[0] in groups
+        # each target's group and action are a command of the table, and
+        # every --flag it names is one of that command's arguments
+        for op, target in cli.OPERATION_COVERAGE.items():
+            group, action, *rest = target.split()
+            assert (group, action) in cli.COMMANDS, op
+            options = {name for names, _ in cli.COMMANDS[group, action].arguments for name in names}
+            for word in rest:
+                if word.startswith("--"):
+                    assert word in options, f"{op}: {target}"
 
 
 class TestSelectedBehaviors:
