@@ -230,23 +230,9 @@ def arg(*names: str, **options) -> Argument:
     return names, options
 
 
-def flag(name: str, help: Optional[str] = None) -> Argument:
-    """An option that is off unless given."""
-    return arg(name, action="store_true", help=help)
-
-
-def ints(*names: str) -> Tuple[Argument, ...]:
-    """Integer positional arguments, in this order."""
-    return tuple(arg(name, type=int) for name in names)
-
-
-N = arg("n", type=int)
-MIN_PART = arg("--min-part", type=int, default=1)
-FORM_ORDER = arg("--p", type=int, required=True)
-POLY = arg("poly", help="e.g. 'a0*a2-a1^2'")
-LIST = flag("--list")
+# the tile options that pattern tile and pattern tiling share
 TILE = (
-    flag("--cairo"),
+    arg("--cairo", action="store_true"),
     arg("--base", choices=TILE_BASES, default="square"),
     arg("--contact", help="pairs like '0-2,1-3'"),
     arg("--profiles", help="'|'-separated profiles"),
@@ -255,9 +241,9 @@ TILE = (
 
 # partition
 
-@command("partition", "count", N,
+@command("partition", "count", arg("n", type=int),
          arg("--parts", type=int, help="exact number of parts (recurrence-checked)"),
-         MIN_PART,
+         arg("--min-part", type=int, default=1),
          arg("--elements", help="count multisets from these elements instead"),
          arg("--euler-primes", help="distinct-vs-odd counts avoiding these primes"),
          arg("--pattern", help="adjacent relations, e.g. '>,>='"))
@@ -277,8 +263,10 @@ def cmd_partition_count(args) -> CommandResult:
     return CommandResult(str(value), int(value))
 
 
-@command("partition", "enum", N, arg("--max-part", type=int), arg("--parts", type=int), MIN_PART,
-         flag("--distinct"), arg("--allowed", help="comma-separated allowed part values"))
+@command("partition", "enum", arg("n", type=int), arg("--max-part", type=int),
+         arg("--parts", type=int), arg("--min-part", type=int, default=1),
+         arg("--distinct", action="store_true"),
+         arg("--allowed", help="comma-separated allowed part values"))
 def cmd_partition_enum(args) -> CommandResult:
     from . import partitions as pt
     constraint = pt.PartitionConstraint(
@@ -339,7 +327,7 @@ def cmd_partition_parity(args) -> CommandResult:
     return _scalar(pt.macmahon_digits(args.digits) if args.digits else pt.parity_p(args.n))
 
 
-@command("partition", "perfect", N)
+@command("partition", "perfect", arg("n", type=int))
 def cmd_partition_perfect(args) -> CommandResult:
     from . import partitions as pt
     items = pt.enumerate_perfect(args.n)
@@ -347,7 +335,8 @@ def cmd_partition_perfect(args) -> CommandResult:
     return CommandResult("\n".join(lines), [list(p) for p in items])
 
 
-@command("partition", "plane", arg("n", type=int, nargs="?", default=0), flag("--enum"),
+@command("partition", "plane", arg("n", type=int, nargs="?", default=0),
+         arg("--enum", action="store_true"),
          arg("--boxed", help="l,m,cmax bounds (l=-1 for unbounded entries)"),
          arg("--xy", type=int, help="two-layer axis-symmetric polynomial for this bound"))
 def cmd_partition_plane(args) -> CommandResult:
@@ -385,7 +374,7 @@ def cmd_partition_scale(args) -> CommandResult:
 
 # compose
 
-@command("compose", "enum", N)
+@command("compose", "enum", arg("n", type=int))
 def cmd_compose_enum(args) -> CommandResult:
     from . import compositions as cp
     items = cp.enumerate_compositions(args.n)
@@ -394,7 +383,7 @@ def cmd_compose_enum(args) -> CommandResult:
 
 
 @command("compose", "conj", arg("parts", help="unipartite '2,1,4' or bipartite '3,1;0,1;1,1'"),
-         flag("--tree", help="round-trip through the rooted tree"))
+         arg("--tree", action="store_true", help="round-trip through the rooted tree"))
 def cmd_compose_conj(args) -> CommandResult:
     from . import compositions as cp
     if ";" in args.parts:
@@ -419,7 +408,7 @@ def cmd_compose_zigzag(args) -> CommandResult:
 
 
 @command("compose", "newcomb", arg("counts", help="cards per value, e.g. '2,1'"),
-         flag("--ascending"))
+         arg("--ascending", action="store_true"))
 def cmd_compose_newcomb(args) -> CommandResult:
     from . import compositions as cp
     dist = cp.newcomb_distribution(_ints(args.counts), ascending=args.ascending)
@@ -440,7 +429,7 @@ def cmd_compose_newcomb(args) -> CommandResult:
 
 
 @command("compose", "count", arg("p", type=int), arg("q", type=int, nargs="?"),
-         flag("--essential", help="tally by essential nodes"),
+         arg("--essential", action="store_true", help="tally by essential nodes"),
          arg("--order-k", type=int, help="count order-k combinations instead"))
 def cmd_compose_count(args) -> CommandResult:
     from . import compositions as cp
@@ -459,7 +448,7 @@ def cmd_compose_count(args) -> CommandResult:
 
 @command("master", "coeff", arg("--matrix", required=True, help="rows 'a,b;c,d'"),
          arg("--degree", help="multidegree 'e1,e2,...'"),
-         flag("--denominator", help="print the determinant instead"))
+         arg("--denominator", action="store_true", help="print the determinant instead"))
 def cmd_master_coeff(args) -> CommandResult:
     from . import masterthm as mt
     matrix = [_ints(row) for row in args.matrix.split(";")]
@@ -468,7 +457,7 @@ def cmd_master_coeff(args) -> CommandResult:
     return _scalar(str(mt.master_coefficient(matrix, tuple(_ints(args.degree)))))
 
 
-@command("master", "derange", N)
+@command("master", "derange", arg("n", type=int))
 def cmd_master_derange(args) -> CommandResult:
     from . import masterthm as mt
     return _scalar(mt.derangements(args.n))
@@ -482,19 +471,22 @@ def cmd_master_rencontres(args) -> CommandResult:
 
 # invariant
 
-@command("invariant", "omega", POLY, FORM_ORDER)
+@command("invariant", "omega",
+         arg("poly", help="e.g. 'a0*a2-a1^2'"), arg("--p", type=int, required=True))
 def cmd_invariant_omega(args) -> CommandResult:
     from . import invariants as iv
     return CommandResult(str(iv.omega(parse_coeff_poly(args.poly, args.p), args.p)))
 
 
-@command("invariant", "oop", POLY, FORM_ORDER)
+@command("invariant", "oop",
+         arg("poly", help="e.g. 'a0*a2-a1^2'"), arg("--p", type=int, required=True))
 def cmd_invariant_oop(args) -> CommandResult:
     from . import invariants as iv
     return CommandResult(str(iv.oop(parse_coeff_poly(args.poly, args.p), args.p)))
 
 
-@command("invariant", "check", POLY, FORM_ORDER,
+@command("invariant", "check",
+         arg("poly", help="e.g. 'a0*a2-a1^2'"), arg("--p", type=int, required=True),
          arg("--transform", required=True, help="'l,m,lp,mp'"))
 def cmd_invariant_check(args) -> CommandResult:
     from . import invariants as iv
@@ -508,7 +500,7 @@ def cmd_invariant_check(args) -> CommandResult:
     return CommandResult(text, {"invariant": ok, "exponent": s})
 
 
-@command("invariant", "covariant", arg("seed"), FORM_ORDER)
+@command("invariant", "covariant", arg("seed"), arg("--p", type=int, required=True))
 def cmd_invariant_covariant(args) -> CommandResult:
     from . import invariants as iv
     return CommandResult(str(iv.covariant_from_seed(parse_coeff_poly(args.seed, args.p), args.p)))
@@ -529,7 +521,7 @@ def cmd_invariant_basis(args) -> CommandResult:
     return CommandResult("\n".join(texts), texts)
 
 
-@command("invariant", "weight", *ints("i", "p"))
+@command("invariant", "weight", arg("i", type=int), arg("p", type=int))
 def cmd_invariant_weight(args) -> CommandResult:
     from . import invariants as iv
     w = iv.invariant_weight(args.i, args.p)
@@ -580,13 +572,13 @@ def cmd_invariant_roots(args) -> CommandResult:
 
 # ballot
 
-@command("ballot", "ahead", *ints("m", "n"))
+@command("ballot", "ahead", arg("m", type=int), arg("n", type=int))
 def cmd_ballot_ahead(args) -> CommandResult:
     from . import probelect as pe
     return _scalar(str(pe.ballot_strictly_ahead(args.m, args.n)))
 
 
-@command("ballot", "neverbehind", *ints("m", "n"))
+@command("ballot", "neverbehind", arg("m", type=int), arg("n", type=int))
 def cmd_ballot_neverbehind(args) -> CommandResult:
     from . import probelect as pe
     return _scalar(str(pe.ballot_never_behind(args.m, args.n)))
@@ -600,14 +592,16 @@ def cmd_ballot_order(args) -> CommandResult:
 
 # election
 
-@command("election", "prob", *ints("b", "c", "p", "q"))
+@command("election", "prob", arg("b", type=int), arg("c", type=int), arg("p", type=int),
+         arg("q", type=int))
 def cmd_election_prob(args) -> CommandResult:
     from . import probelect as pe
     model = pe.ElectorateModel(args.b + args.c, args.b, args.c)
     return _scalar(str(pe.sample_prob_exact(model, args.p, args.q)))
 
 
-@command("election", "approx", *ints("b", "c", "p", "r"))
+@command("election", "approx", arg("b", type=int), arg("c", type=int), arg("p", type=int),
+         arg("r", type=int))
 def cmd_election_approx(args) -> CommandResult:
     from . import probelect as pe
     model = pe.ElectorateModel(args.b + args.c, args.b, args.c)
@@ -642,7 +636,8 @@ def cmd_election_simulate(args) -> CommandResult:
 @command("puzzle", "cubes", arg("--colors", type=int, default=6),
          arg("--mode", choices=("all-distinct-faces", "any-coloring"),
              default="all-distinct-faces"),
-         LIST, arg("--associated", type=int, help="print the mirror partner of this index"))
+         arg("--list", action="store_true"),
+         arg("--associated", type=int, help="print the mirror partner of this index"))
 def cmd_puzzle_cubes(args) -> CommandResult:
     from . import recreations as rc
     cubes = rc.generate_cubes(args.colors, args.mode)
@@ -661,7 +656,8 @@ def cmd_puzzle_cubes(args) -> CommandResult:
 
 
 @command("puzzle", "mayblox", arg("--target", type=int, default=0),
-         flag("--any", help="target-free uniform assembly"), flag("--include-associate"))
+         arg("--any", action="store_true", help="target-free uniform assembly"),
+         arg("--include-associate", action="store_true"))
 def cmd_puzzle_mayblox(args) -> CommandResult:
     from . import recreations as rc
     if args.any:
@@ -691,7 +687,8 @@ def cmd_puzzle_mayblox(args) -> CommandResult:
 
 
 @command("puzzle", "triangles", arg("k", type=int),
-         flag("--squares", help="four compartments instead of three"), LIST)
+         arg("--squares", action="store_true", help="four compartments instead of three"),
+         arg("--list", action="store_true"))
 def cmd_puzzle_triangles(args) -> CommandResult:
     from . import recreations as rc
     tiles = rc.generate_squares(args.k) if args.squares else rc.generate_triangles(args.k)
@@ -725,13 +722,13 @@ def cmd_puzzle_hexagon(args) -> CommandResult:
     return CommandResult("\n".join(lines + [f"verified {ok}"]), obj)
 
 
-@command("puzzle", "stamps", N)
+@command("puzzle", "stamps", arg("n", type=int))
 def cmd_puzzle_stamps(args) -> CommandResult:
     from . import recreations as rc
     return _scalar(rc.stamp_foldings(args.n))
 
 
-@command("puzzle", "contacts", N, LIST)
+@command("puzzle", "contacts", arg("n", type=int), arg("--list", action="store_true"))
 def cmd_puzzle_contacts(args) -> CommandResult:
     from . import recreations as rc
     if args.list:
@@ -768,7 +765,7 @@ def cmd_puzzle_weights(args) -> CommandResult:
     return CommandResult(" ".join(map(str, weights)), list(weights))
 
 
-@command("puzzle", "rooks", *ints("n", "k"))
+@command("puzzle", "rooks", arg("n", type=int), arg("k", type=int))
 def cmd_puzzle_rooks(args) -> CommandResult:
     from . import recreations as rc
     return _scalar(rc.rook_row_counts(args.n, args.k))
@@ -855,7 +852,7 @@ def cmd_pattern_euler(args) -> CommandResult:
     })
 
 
-@command("pattern", "tetra", flag("--prism", help="the prism-midpoint variant"))
+@command("pattern", "tetra", arg("--prism", action="store_true", help="the prism-midpoint variant"))
 def cmd_pattern_tetra(args) -> CommandResult:
     from fractions import Fraction
 
@@ -915,13 +912,13 @@ def cmd_divisor_potency(args) -> CommandResult:
     return CommandResult(f"{pt_} {mt_}", {"potency": pt_, "multiplicity": mt_})
 
 
-@command("divisor", "factorize", arg("m", type=int), flag("--ordered"))
+@command("divisor", "factorize", arg("m", type=int), arg("--ordered", action="store_true"))
 def cmd_divisor_factorize(args) -> CommandResult:
     from . import divisors as dv
     return _scalar(dv.factorizations(args.m, ordered=args.ordered))
 
 
-@command("divisor", "totient", N)
+@command("divisor", "totient", arg("n", type=int))
 def cmd_divisor_totient(args) -> CommandResult:
     from . import divisors as dv
     return _scalar(dv.totient_bipartite(args.n))
@@ -930,13 +927,8 @@ def cmd_divisor_totient(args) -> CommandResult:
 # ---------------------------------------------------------------------------
 # parser
 
-# the groups in the order --help lists them
-GROUPS = tuple(dict.fromkeys(group for group, _ in COMMANDS))
-
-
-def build_parser(groups: Iterable[str] = GROUPS) -> argparse.ArgumentParser:
-    """The combanal parser: all the group names, with the actions of those
-    named in `groups` (every group by default; other words are ignored)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The combanal parser, read from the command table."""
     parser = argparse.ArgumentParser(
         prog="combanal",
         description="Exact combinatory analysis: partitions, compositions, "
@@ -944,18 +936,16 @@ def build_parser(groups: Iterable[str] = GROUPS) -> argparse.ArgumentParser:
         "problems, puzzles and repeating patterns.",
     )
     group_parsers = parser.add_subparsers(dest="command", required=True)
-    for group in GROUPS:
-        group_parser = group_parsers.add_parser(group)
-        if group not in groups:
-            continue
-        actions = group_parser.add_subparsers(dest="action", required=True)
-        for (owner, action), cmd in COMMANDS.items():
-            if owner == group:
-                q = actions.add_parser(action)
-                for names, options in cmd.arguments:
-                    q.add_argument(*names, **options)
-                q.add_argument("--format", choices=FORMATS, default="text")
-                q.add_argument("--out", help="write output to this path instead of stdout")
+    actions = {}
+    for (group, action), cmd in COMMANDS.items():
+        if group not in actions:
+            group_parser = group_parsers.add_parser(group)
+            actions[group] = group_parser.add_subparsers(dest="action", required=True)
+        q = actions[group].add_parser(action)
+        for names, options in cmd.arguments:
+            q.add_argument(*names, **options)
+        q.add_argument("--format", choices=FORMATS, default="text")
+        q.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 
 
@@ -1048,22 +1038,17 @@ OPERATION_COVERAGE = {
 }
 
 
-# dispatch's default parser holds the whole table.  It is built on the first
-# call and reused: parsing leaves it unchanged, and building it costs far
-# more than one parse.  main answers one command and builds only its group.
+# The parser is built on the first dispatch and reused: parsing leaves it
+# unchanged, and building it costs far more than one parse.
 _PARSER: Optional[argparse.ArgumentParser] = None
 
 
-def dispatch(argv: Sequence[str], parser: Optional[argparse.ArgumentParser] = None) -> int:
-    """Answer one command line with `parser`, or by default with the
-    reused parser of the whole table."""
+def dispatch(argv: Sequence[str]) -> int:
     global _PARSER
-    if parser is None:
-        if _PARSER is None:
-            _PARSER = build_parser()
-        parser = _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     key = (args.command, args.action)
@@ -1087,8 +1072,7 @@ def dispatch(argv: Sequence[str], parser: Optional[argparse.ArgumentParser] = No
 
 
 def main() -> None:
-    # one command per process: build only the group that it names
-    sys.exit(dispatch(sys.argv[1:], build_parser(sys.argv[1:2])))
+    sys.exit(dispatch(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -72,11 +72,11 @@ GOLDEN = [
 ]
 
 
-def run(argv, parser=None):
+def run(argv):
     out = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.dispatch(argv.split() if isinstance(argv, str) else argv, parser)
+        code = cli.dispatch(argv.split() if isinstance(argv, str) else argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -389,46 +389,11 @@ class TestParserReuse:
             fresh.append(run(argv))
         assert len(builds) == 1 + len(self.ARGV)
         assert reused == fresh
-        # a parser with only the group that argv[0] names, as a one-shot
-        # command builds it, answers the same
-        assert [run(argv, build(argv.split()[:1])) for argv in self.ARGV] == reused
         assert reused[4][0] == 0 and reused[4][1].startswith("usage: combanal")
         assert reused[2][0] == 2 and reused[3] == (0, "4536\n", "")
 
     def test_not_built_at_import(self):
         assert fresh_interpreter("import combanal.cli as c; print(c._PARSER)") == "None\n"
-
-    def test_one_group_parser_matches_the_help_snapshot(self, monkeypatch):
-        # the --help and usage-error surface of tests/test_cli_help.py, from
-        # parsers that hold only the group named by argv[0]
-        monkeypatch.setenv("COLUMNS", "80")
-        snapshot = os.path.join(os.path.dirname(os.path.abspath(__file__)), "cli_help_snapshot.json")
-        with open(snapshot, encoding="utf-8") as fh:
-            expected = json.load(fh)
-        for argv, answer in expected.items():
-            assert list(run(argv, cli.build_parser(argv.split()[:1]))) == answer, argv
-
-    def test_a_command_builds_only_its_group(self):
-        # every parser made is recorded by its prog: "combanal GROUP ACTION"
-        # for the action parsers, which exist only for the group named
-        code = (
-            "import argparse, sys\n"
-            "progs = []\n"
-            "init = argparse.ArgumentParser.__init__\n"
-            "def record(self, *a, **k):\n"
-            "    progs.append(k.get('prog', ''))\n"
-            "    init(self, *a, **k)\n"
-            "argparse.ArgumentParser.__init__ = record\n"
-            "import combanal.cli as cli\n"
-            "sys.argv = ['combanal', 'partition', 'count', '30']\n"
-            "try:\n"
-            "    cli.main()\n"
-            "except SystemExit as done:\n"
-            "    print(done.code, sorted(p.split()[1] for p in progs if p.count(' ') == 2))\n"
-        )
-        out = fresh_interpreter(code).splitlines()
-        partition_actions = [a for g, a in cli.COMMANDS if g == "partition"]
-        assert out == ["5604", f"0 {['partition'] * len(partition_actions)}"]
 
 
 def fresh_interpreter(code: str, *argv: str) -> str:

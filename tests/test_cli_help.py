@@ -3,6 +3,10 @@ group and of every action, and the usage error of one malformed argv per
 action, against a stored snapshot.  Groups and actions are read from the
 help text itself, so the test does not depend on how the parser is built.
 
+argparse's wording and line layout can change between Python minor
+releases, so the snapshot records the version that wrote it, and a
+mismatch on another version says so in its failure message.
+
 Regenerate the snapshot (only for an intended change of the surface) with
 
     PYTHONPATH=src python tests/test_cli_help.py
@@ -13,6 +17,7 @@ import io
 import json
 import os
 import re
+import sys
 
 import pytest
 
@@ -47,14 +52,26 @@ def surface():
     return out
 
 
+def python_version() -> str:
+    return "%d.%d" % sys.version_info[:2]
+
+
 def load():
     if not os.path.exists(SNAPSHOT):
-        return {}
+        return {"python": python_version(), "surface": {}}
     with open(SNAPSHOT, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-EXPECTED = load()
+_snapshot = load()
+SNAPSHOT_PYTHON, EXPECTED = _snapshot["python"], _snapshot["surface"]
+# added to a failure's message when this interpreter is not the snapshot's
+VERSION_NOTE = (
+    ""
+    if SNAPSHOT_PYTHON == python_version()
+    else f"the snapshot was written by Python {SNAPSHOT_PYTHON} and this is "
+    f"Python {python_version()}, whose argparse may word or lay out help differently"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -63,17 +80,17 @@ def fixed_width(monkeypatch):
 
 
 def test_snapshot_covers_every_group_and_action():
-    assert sorted(surface()) == sorted(EXPECTED)
+    assert sorted(surface()) == sorted(EXPECTED), VERSION_NOTE
     assert len(EXPECTED) == 1 + 9 + 2 * 53
 
 
 @pytest.mark.parametrize("argv", sorted(EXPECTED))
 def test_surface_matches_snapshot(argv):
-    assert run(argv) == EXPECTED[argv]
+    assert run(argv) == EXPECTED[argv], VERSION_NOTE
 
 
 if __name__ == "__main__":
     os.environ["COLUMNS"] = COLUMNS
     with open(SNAPSHOT, "w", encoding="utf-8") as fh:
-        json.dump(surface(), fh, indent=1, sort_keys=True)
+        json.dump({"python": python_version(), "surface": surface()}, fh, indent=1, sort_keys=True)
         fh.write("\n")
