@@ -2,7 +2,7 @@
 
 Modules
 -------
-exactcore     rational polynomials, box-truncated series inversion, determinants, solving
+exactcore     rational polynomials, the cofactor determinant, rational solving
 partitions    partition counting/enumeration and the recurrence tradition
 compositions  compositions, conjugations, trees, the pack-dealing problem
 masterthm     condensed generating functions and the derangement family

@@ -454,6 +454,8 @@ def cmd_master_coeff(args) -> CommandResult:
     matrix = [_ints(row) for row in args.matrix.split(";")]
     if args.denominator:
         return _scalar(str(mt.master_denominator(matrix)))
+    if args.degree is None:
+        raise UsageError("master coeff needs --degree (or --denominator)")
     return _scalar(str(mt.master_coefficient(matrix, tuple(_ints(args.degree)))))
 
 
@@ -950,10 +952,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # Audit table: every library operation and the subcommand that reaches it
-# (possibly indirectly, as with the series machinery behind master coeff).
+# (possibly indirectly, as with the kernel solve behind invariant basis).
 OPERATION_COVERAGE = {
-    "exactcore.poly_det": "master coeff --denominator",
-    "exactcore.series_inverse": "master coeff",
     "exactcore.linsolve_rational": "invariant syzygant",
     "exactcore.nullspace_integer": "invariant basis",
     "partitions.enumerate_partitions": "partition enum",

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exactcore import poly_ring, series_inverse
-
 Composition = Tuple[int, ...]
 VectorPart = Tuple[int, ...]
 MultipartiteComposition = Tuple[VectorPart, ...]
@@ -22,6 +20,9 @@ MULTIPARTITE_CAP = 10
 NEWCOMB_CAP = 9
 # lines enumerate_compositions may return: 2^19, n = 20
 COMPOSE_ENUM_CAP = 2**19
+# cells (p + 1)(q + 1) of bipartite_composition_count_gf's table; entries
+# reach p + q bits, so the thinnest table at the cap costs the most
+BIPARTITE_TABLE_CELL_CAP = 10**5
 
 
 def check_composition(parts: Sequence[int], n: Optional[int] = None) -> Composition:
@@ -128,19 +129,24 @@ def enumerate_multipartite_compositions(target: Sequence[int]) -> List[Multipart
 
 
 def bipartite_composition_count_gf(p: int, q: int) -> int:
-    """Compositions of the bipartite number (p, q) via the generating
-    function: half the coefficient of x^p y^q in 1/(1 - 2x - 2y + 2xy).
-
-    The halving corrects the series' uniform double count (its
-    unipartite specialization gives 2^n rather than 2^(n-1)).
+    """Compositions of the bipartite number (p, q): half the coefficient
+    c(p, q) of x^p y^q in 1/(1 - 2x - 2y + 2xy).  The halving corrects the
+    series' uniform double count (it gives 2^n, not 2^(n-1), for a
+    unipartite n).  Multiplying by the denominator gives the table
+    c(p, q) = 2c(p-1, q) + 2c(p, q-1) - 2c(p-1, q-1), c(0, 0) = 1.
     """
     if (p, q) == (0, 0) or p < 0 or q < 0:
         raise ValueError("need a nonzero non-negative bipartite number")
-    x, y = poly_ring("x", "y")
-    series = series_inverse(1 - 2 * x - 2 * y + 2 * x * y, (p, q))
-    twice = series.coeff((p, q))
-    assert type(twice) is int and twice % 2 == 0
-    return twice // 2
+    cells = (p + 1) * (q + 1)
+    if cells > BIPARTITE_TABLE_CELL_CAP:
+        raise ValueError(f"{cells} table cells exceed the cap {BIPARTITE_TABLE_CELL_CAP}")
+    p, q = max(p, q), min(p, q)  # c is symmetric; keep the row short
+    row = [2**j for j in range(q + 1)]  # c(0, j) = 2^j
+    for _ in range(p):
+        prev, row = row, [2 * row[0]]
+        for j in range(1, q + 1):
+            row.append(2 * (prev[j] + row[j - 1] - prev[j - 1]))
+    return row[q] // 2
 
 
 # -- lines of route and essential nodes ----------------------------------

@@ -1,5 +1,5 @@
-"""Exact rational arithmetic: multivariate polynomials, box-truncated
-series inversion, polynomial determinants and rational linear solving.
+"""Exact rational arithmetic: multivariate polynomials, a cofactor
+polynomial determinant and rational linear solving.
 
 A coefficient is an `int` when it is integral, else a `fractions.Fraction`;
 nothing here rounds.  The rational linear solver eliminates on integer
@@ -9,10 +9,8 @@ and safe to share between threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
-from operator import sub
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
@@ -24,10 +22,6 @@ MAX_EXPONENT = 2**31
 
 class DimensionError(ValueError):
     """Matrix shape does not admit the requested operation."""
-
-
-class SingularSeriesError(ZeroDivisionError):
-    """Series inversion requires a nonzero constant term."""
 
 
 def _frac(value: Scalar) -> Scalar:
@@ -304,81 +298,15 @@ def poly_ring(*names: str) -> Tuple[MultiPoly, ...]:
     return tuple(MultiPoly.variable(names, n) for n in names)
 
 
-def series_inverse(p: MultiPoly, box: Sequence[int]) -> MultiPoly:
-    """1/p as a power series, exact at every exponent componentwise within `box`.
-
-    Exponents are non-negative, so only the terms of p inside the box reach
-    a cell of it.  The cells are filled in lexicographic order from p*q = 1:
-    q_e = -(1/c0) * sum over the non-constant terms p_f of p_f * q_{e-f}.
-    """
-    c0 = p.constant_term()
-    if c0 == 0:
-        raise SingularSeriesError("cannot invert a series with zero constant term")
-    box = tuple(box)
-    if any(b < 0 for b in box):
-        raise ValueError(f"box {box} has a negative bound")
-    rest = [(f, c) for f, c in p.truncate(box).terms.items() if any(f)]
-    scale = _div(-1, c0)
-    cells = itertools.product(*(range(b + 1) for b in box))
-    q: Dict[Exponent, Scalar] = {next(cells): _div(1, c0)}  # the origin comes first
-    for e in cells:
-        total = 0
-        for f, c in rest:
-            # an e - f with a negative entry is not a key of q
-            v = q.get(tuple(map(sub, e, f)))
-            if v:
-                total += c * v
-        q[e] = total * scale
-    return MultiPoly(p.names, q)
-
-
 # -- determinants ------------------------------------------------------
 
 
-def _square_check(matrix: Sequence[Sequence[MultiPoly]]) -> int:
+def poly_det_cofactor(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Determinant of a square MultiPoly matrix by cofactor expansion
+    along the first row."""
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise DimensionError("determinant needs a square matrix")
-    return n
-
-
-def poly_det(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant of a square MultiPoly matrix by fraction-free elimination.
-
-    Bareiss elimination keeps every intermediate value a polynomial, which
-    avoids rational-function blow-up for small dense matrices.
-    """
-    n = _square_check(matrix)
-    names = matrix[0][0].names
-    m = [[entry for entry in row] for row in matrix]
-    for row in m:
-        for entry in row:
-            if entry.names != names:
-                raise ValueError("matrix entries use mixed variable tuples")
-    sign = 1
-    prev = MultiPoly.const(names, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(names)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = MultiPoly.zero(names)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def poly_det_cofactor(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Cofactor-expansion determinant; the independent oracle for poly_det."""
-    n = _square_check(matrix)
     names = matrix[0][0].names
     if n == 1:
         return matrix[0][0]

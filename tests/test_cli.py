@@ -159,6 +159,7 @@ class TestExitCodes:
         "pattern tile --contact a-b",
         "partition enum 10 --allowed x,y",
         "master rencontres 0 a,b",
+        "master coeff --matrix 1",
         "ballot order 2,x",
         "compose conj 1,2;x",
         "pattern classify 0,0;1",
@@ -177,10 +178,24 @@ class TestExitCodes:
         assert run(argv) == (2, "", "usage error: --n and --k must be at least 1\n")
 
 
+def derangement_matrix(n):
+    """The --matrix literal with zeros on the diagonal and ones elsewhere."""
+    return ";".join(",".join("0" if i == j else "1" for j in range(n)) for i in range(n))
+
+
 # Each fixed work guard at its edge: (argv exactly at the cap, argv just
 # past it), the size in the guard's own unit in the comment.
 CAP_EDGES = [
     ("master coeff --matrix 1 --degree 30", "master coeff --matrix 1 --degree 31"),  # total degree 30
+    (
+        f"master coeff --matrix {derangement_matrix(8)} --degree 3,3,3,3,3,3,3,3",
+        f"master coeff --matrix {derangement_matrix(8)} --degree 3,3,3,3,3,3,3,4",
+    ),  # 4^8 * 8^2 = 2^22 finite-difference products
+    (
+        f"master coeff --matrix {derangement_matrix(13)} --denominator",
+        f"master coeff --matrix {derangement_matrix(14)} --denominator",
+    ),  # matrix order 13
+    ("compose count 999 99", "compose count 999 100"),  # 10^5 table cells
     ("partition plane 124 --boxed inf,80,100", "partition plane 125 --boxed inf,80,100"),  # 10^6 box-formula cells
     ("compose newcomb 9", "compose newcomb 10"),  # deck of 9 cards
     ("compose count 9 1 --essential", "compose count 6 5 --essential"),  # p + q = 10
@@ -213,6 +228,26 @@ def test_work_cap_edges(at_cap, past_cap):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+UNGUARDED_BEFORE = [
+    f"master coeff --matrix {derangement_matrix(30)} --degree {','.join(['1'] * 30)}",
+    f"master coeff --matrix {derangement_matrix(20)} --denominator",
+    "compose count 100000 100000",
+]
+
+
+@pytest.mark.parametrize(
+    "argv", UNGUARDED_BEFORE, ids=["30x30 degree 1^30", "order 20 denominator", "compose count 10^5 10^5"]
+)
+def test_formerly_unguarded_argv_refuse_at_once(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "combanal.cli", *argv.split()],
+        capture_output=True, text=True, timeout=5, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_readme_cap_table_cites_every_cap_with_its_value():
@@ -524,7 +559,7 @@ class TestCoverage:
         # audit: each module operation appears in the coverage table, and
         # the table's subcommands parse.
         expected_ops = {
-            "exactcore": ["poly_det", "series_inverse", "linsolve_rational", "nullspace_integer"],
+            "exactcore": ["linsolve_rational", "nullspace_integer"],
             "partitions": [
                 "enumerate_partitions", "count_partitions", "demorgan_u",
                 "closed_form_u2", "closed_form_u3", "warburton_count",

@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combanal import compositions as cp
 
@@ -142,6 +144,14 @@ class TestMultipartite:
                     continue
                 oracle = len(cp.enumerate_multipartite_compositions((p, q)))
                 assert cp.bipartite_composition_count_gf(p, q) == oracle
+
+    @settings(max_examples=30)
+    @given(
+        st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda t: 0 < sum(t) <= 8)
+    )
+    def test_gf_table_matches_enumeration_on_random_shapes(self, shape):
+        oracle = len(cp.enumerate_multipartite_compositions(shape))
+        assert cp.bipartite_composition_count_gf(*shape) == oracle
 
 
 class TestRoutes:

@@ -8,12 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combanal import masterthm as mt
-from combanal.exactcore import (
-    MultiPoly,
-    poly_det,
-    poly_ring,
-    series_inverse,
-)
+from combanal.exactcore import MultiPoly, poly_det_cofactor, poly_ring
+from series_support import series_inverse
+
+
+def integer_matrices(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
 
 
 class TestDenominator:
@@ -51,7 +55,7 @@ class TestDenominator:
                 ]
                 for i in range(n)
             ]
-            flipped = poly_det(entries)
+            flipped = poly_det_cofactor(entries)
             expected = mt.master_denominator(a)
             assert ((-1) ** n) * flipped == expected
 
@@ -80,6 +84,18 @@ class TestDenominator:
         for exp in set(balanced) | set(condensed.terms):
             assert balanced.get(exp, Fraction(0)) == condensed.coeff(exp), exp
 
+    @settings(max_examples=40)
+    @given(integer_matrices(5))
+    def test_principal_minors_match_cofactor_determinant(self, a):
+        n = len(a)
+        names = tuple(f"x{i}" for i in range(1, n + 1))
+        xs = poly_ring(*names)
+        one, zero = MultiPoly.const(names, 1), MultiPoly.zero(names)
+        entries = [
+            [(one if i == j else zero) - xs[i] * a[i][j] for j in range(n)] for i in range(n)
+        ]
+        assert mt.master_denominator(a) == poly_det_cofactor(entries)
+
 
 class TestCoefficients:
     def test_appendix_values(self):
@@ -106,18 +122,24 @@ class TestCoefficients:
                         a, degree
                     ), (a, degree)
 
-    @settings(max_examples=40)
+    @settings(max_examples=60)
     @given(st.data())
     def test_master_theorem_on_random_matrices(self, data):
-        n = data.draw(st.integers(1, 3))
-        a = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
-                               min_size=n, max_size=n))
-        degree = data.draw(st.tuples(*[st.integers(0, 5)] * n).filter(lambda d: sum(d) <= 5))
-        assert mt.master_coefficient(a, degree) == mt.redundant_coefficient(a, degree)
+        # finite difference = redundant product = condensed series
+        a = data.draw(integer_matrices(4))
+        degree = data.draw(st.tuples(*[st.integers(0, 3)] * len(a)).filter(lambda d: sum(d) <= 8))
+        got = mt.master_coefficient(a, degree)
+        assert type(got) is int
+        assert got == mt.redundant_coefficient(a, degree)
+        assert got == series_inverse(mt.master_denominator(a), degree).coeff(degree)
 
     def test_degree_cap_refusal(self):
         with pytest.raises(ValueError):
             mt.master_coefficient(mt.derangement_matrix(2), (20, 20))
+
+    def test_checks_square_before_degree(self):
+        with pytest.raises(ValueError, match="square"):
+            mt.master_coefficient([[1, 2]], (1, 1))
 
 
 class TestDerangements:
