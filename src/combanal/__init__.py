@@ -2,7 +2,7 @@
 
 Modules
 -------
-exactcore     rational polynomials, the cofactor determinant, rational solving
+exactcore     rational polynomials, the cofactor determinant, the integer nullspace
 partitions    partition counting/enumeration and the recurrence tradition
 compositions  compositions, conjugations, trees, the pack-dealing problem
 masterthm     condensed generating functions and the derangement family

@@ -150,7 +150,7 @@ def parse_coeff_poly(expr: str, p: int) -> MultiPoly:
     from fractions import Fraction
 
     from . import invariants as iv
-    from .exactcore import MultiPoly
+    from .exactcore import MAX_EXPONENT, MultiPoly
 
     names = iv.avar_names(p, with_xy="x" in expr or "y" in expr)
     cleaned = expr.replace(" ", "").replace("-", "+-")
@@ -175,10 +175,17 @@ def parse_coeff_poly(expr: str, p: int) -> MultiPoly:
             name, caret, power_text = factor.partition("^")
             if caret and not power_text.isdecimal():
                 raise UsageError(f"power must be a non-negative integer in {expr!r}")
-            power = int(power_text) if caret else 1
+            try:
+                power = int(power_text) if caret else 1
+            except ValueError:  # more digits than int() converts
+                raise UsageError(f"term of degree above {MAX_EXPONENT} in {expr!r}") from None
             if name not in names:
                 raise UsageError(f"unknown symbol {name!r} for order {p}")
             exp[names.index(name)] += power
+        # Omega and O keep a term's degree, so every exponent they form
+        # stays within MultiPoly's range when the degree does.
+        if sum(exp) > MAX_EXPONENT:
+            raise UsageError(f"term of degree above {MAX_EXPONENT} in {expr!r}")
         out = out + MultiPoly.monomial(names, tuple(exp), coeff)
     return out
 
@@ -954,7 +961,6 @@ def build_parser() -> argparse.ArgumentParser:
 # Audit table: every library operation and the subcommand that reaches it
 # (possibly indirectly, as with the kernel solve behind invariant basis).
 OPERATION_COVERAGE = {
-    "exactcore.linsolve_rational": "invariant syzygant",
     "exactcore.nullspace_integer": "invariant basis",
     "partitions.enumerate_partitions": "partition enum",
     "partitions.count_partitions": "partition count",
@@ -1005,8 +1011,6 @@ OPERATION_COVERAGE = {
     "probelect.sample_prob_exact": "election prob",
     "probelect.sample_prob_approx": "election approx",
     "probelect.cube_law_seats": "election cubelaw",
-    "probelect.taagepera_exponent": "election cubelaw --exponent",
-    "probelect.cube_root_seat_rule": "election cubelaw",
     "probelect.simulate_election": "election simulate",
     "recreations.generate_cubes": "puzzle cubes",
     "recreations.associated_cube": "puzzle cubes --associated",

@@ -1,10 +1,10 @@
 """Exact rational arithmetic: multivariate polynomials, a cofactor
-polynomial determinant and rational linear solving.
+polynomial determinant and the integer nullspace.
 
 A coefficient is an `int` when it is integral, else a `fractions.Fraction`;
-nothing here rounds.  The rational linear solver eliminates on integer
-rows internally and returns `Fraction`s.  Values are immutable once built
-and safe to share between threads.
+nothing here rounds.  The nullspace comes from fraction-free Gauss-Jordan
+elimination on integer rows and is returned as primitive integer vectors.
+Values are immutable once built and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -176,13 +176,6 @@ class MultiPoly:
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * len(self.names), 0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def degree_in(self, name: str) -> int:
-        idx = self.names.index(name)
-        return max((e[idx] for e in self.terms), default=0)
-
     def sorted_terms(self):
         """Terms in a canonical order: total degree, then lexicographic."""
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
@@ -221,16 +214,6 @@ class MultiPoly:
                     term = term * images[name] ** e
             result = result + term
         return result
-
-    def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
-        out = Fraction(0)
-        for exp, c in self.terms.items():
-            term = c
-            for name, e in zip(self.names, exp):
-                if e:
-                    term *= _frac(values[name]) ** e
-            out += term
-        return out
 
     def truncate(self, box: Sequence[int]) -> "MultiPoly":
         """The terms whose exponent lies componentwise within `box`."""
@@ -318,29 +301,7 @@ def poly_det_cofactor(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     return out
 
 
-# -- rational linear algebra -----------------------------------------
-
-
-class LinearSolution:
-    """Result of solving A x = b over the rationals.
-
-    kind is one of 'unique', 'parametric', 'inconsistent'.  For solvable
-    systems `particular` is one exact solution and `basis` spans the
-    homogeneous solution space (empty when unique).
-    """
-
-    __slots__ = ("kind", "particular", "basis")
-
-    def __init__(self, kind: str, particular, basis):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "particular", particular)
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("LinearSolution is immutable")
-
-    def __repr__(self) -> str:
-        return f"LinearSolution({self.kind}, {self.particular}, {self.basis})"
+# -- integer linear algebra -------------------------------------------
 
 
 def _eliminate(row: Dict[int, int], prow: Dict[int, int], c: int) -> Dict[int, int]:
@@ -362,28 +323,22 @@ def _eliminate(row: Dict[int, int], prow: Dict[int, int], c: int) -> Dict[int, i
     return out
 
 
-def _rref(
-    a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]
-) -> Tuple[List[Tuple[int, Dict[int, int]]], bool]:
-    """The reduced row echelon form of [a | b] over the integers, as
-    (pivot column, row) pairs, and whether the system is consistent.
+def _rref(a: Sequence[Sequence[Scalar]]) -> List[Tuple[int, Dict[int, int]]]:
+    """The reduced row echelon form of `a` over the integers, as
+    (pivot column, row) pairs.
 
-    Each augmented row is scaled to integers by the lcm of its denominators
-    and kept as a sparse {column: int} map.  Elimination is fraction-free:
+    Each row is scaled to integers by the lcm of its denominators and kept
+    as a sparse {column: int} map.  Elimination is fraction-free:
     row_i <- (pv/g) row_i - (f/g) row_r with g = gcd(pv, f), then the row's
     content is divided out.  Every row that holds a pivot is zero on the
     other pivot columns, so row[j] / row[pivot] is its rational RREF entry.
     """
-    rows = len(a)
-    if rows != len(b):
-        raise DimensionError("matrix/vector size mismatch")
-    cols = len(a[0]) if rows else 0
+    cols = len(a[0]) if a else 0
     if any(len(row) != cols for row in a):
         raise DimensionError("ragged matrix")
     pending: List[Dict[int, int]] = []  # rows that hold no pivot yet
-    for row, rhs in zip(a, b):
+    for row in a:
         entries = [_frac(v) for v in row]
-        entries.append(_frac(rhs))
         scale = math.lcm(*(v.denominator for v in entries))
         pending.append(
             {j: v.numerator * (scale // v.denominator) for j, v in enumerate(entries) if v}
@@ -400,56 +355,21 @@ def _rref(
         reduced.append((c, prow))
         if not pending:
             break
-    # A row left without a pivot is zero on every column of `a`.
-    return reduced, not any(pending)
-
-
-def linsolve_rational(
-    a: Sequence[Sequence[Scalar]], b: Sequence[Scalar]
-) -> LinearSolution:
-    """Exact Gauss-Jordan elimination with full solution-set description.
-
-    The integer reduced row echelon form is unique up to each row's
-    scale, so reading it back as Fraction(row[j], row[pivot]) gives the
-    same solution as elimination over the rationals.
-    """
-    reduced, consistent = _rref(a, b)
-    if not consistent:
-        return LinearSolution("inconsistent", None, None)
-    cols = len(a[0]) if a else 0
-    particular = [Fraction(0)] * cols
-    for c, row in reduced:
-        particular[c] = Fraction(row.get(cols, 0), row[c])
-    pivot_cols = {c for c, _ in reduced}
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_cols:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for c, row in reduced:
-            if fc in row:
-                vec[c] = Fraction(-row[fc], row[c])
-        basis.append(vec)
-    kind = "unique" if not basis else "parametric"
-    return LinearSolution(kind, particular, basis)
-
-
-def nullspace_rational(a: Sequence[Sequence[Scalar]]) -> list:
-    """Basis of the rational nullspace of `a`."""
-    rows = len(a)
-    sol = linsolve_rational(a, [0] * rows)
-    return sol.basis or []
+    return reduced
 
 
 def nullspace_integer(a: Sequence[Sequence[Scalar]]) -> List[List[int]]:
-    """Basis of the rational nullspace of `a` as primitive integer vectors.
+    """Basis of the rational nullspace of `a` as primitive integer vectors,
+    one per free column in ascending order.
 
-    Each vector is the `nullspace_rational` vector of the same free column
-    times a positive rational: the free entry is the lcm of the pivots it
-    meets, which makes every entry an integer, and the gcd is divided out.
+    Each vector is the RREF basis vector of its free column times a
+    positive rational: the free entry is the lcm of the pivots it meets,
+    which makes every entry an integer, and the gcd is divided out.  A
+    pivot row holds entries only at its pivot and at later free columns,
+    so the free entry is each vector's last nonzero entry, and positive;
+    dividing by it gives back the RREF basis vector.
     """
-    reduced, _ = _rref(a, [0] * len(a))
+    reduced = _rref(a)
     cols = len(a[0]) if a else 0
     pivot_cols = {c for c, _ in reduced}
     basis = []

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactcore import MultiPoly, nullspace_integer, nullspace_rational
+from .exactcore import MultiPoly, nullspace_integer
 
 
 def avar_names(p: int, with_xy: bool = False) -> Tuple[str, ...]:
@@ -398,8 +398,9 @@ class SyzygantSolution:
 def syzygant_search(sources: Sequence[MultiPoly], k: int) -> List[SyzygantSolution]:
     """Rational combinations of the sources divisible by a0^k.
 
-    Returns one solution per nullspace basis vector; each quotient is
-    verified to be a seminvariant.  Sources must share degree and weight.
+    Returns one solution per nullspace basis vector, scaled so that its
+    last nonzero alpha is 1; each quotient is verified to be a
+    seminvariant.  Sources must be seminvariants of one degree and weight.
     """
     if not sources:
         raise ValueError("need at least one source")
@@ -407,24 +408,32 @@ def syzygant_search(sources: Sequence[MultiPoly], k: int) -> List[SyzygantSoluti
     dw = {degree_and_weight(s) for s in sources}
     if len(dw) != 1:
         raise ValueError(f"sources mix degree-weights: {sorted(dw)}")
-    (j, w) = dw.pop()
     p = len(names) - 1
+    for i, s in enumerate(sources, 1):
+        if not omega(s, p).is_zero():
+            raise ValueError(f"source {i} is not a seminvariant: Omega does not annihilate it")
     a0_idx = names.index("a0")
     constrained = sorted(
         {exp for s in sources for exp in s.terms if exp[a0_idx] < k}
     )
     rows = [[s.terms.get(exp, 0) for s in sources] for exp in constrained]
-    basis = nullspace_rational(rows) if rows else [
-        [Fraction(1 if i == t else 0) for i in range(len(sources))]
-        for t in range(len(sources))
-    ]
-    a0k = MultiPoly.variable(names, "a0") ** k
+    if rows:
+        # Each vector's last nonzero entry is its free column's and positive,
+        # so dividing by it gives the RREF basis vector.
+        basis = []
+        for vec in nullspace_integer(rows):
+            last = next(v for v in reversed(vec) if v)
+            basis.append([Fraction(v, last) for v in vec])
+    else:
+        basis = [[Fraction(1 if i == t else 0) for i in range(len(sources))]
+                 for t in range(len(sources))]
     out = []
     for vec in basis:
         combo = MultiPoly.zero(names)
         for alpha, s in zip(vec, sources):
             combo = combo + s * alpha
-        quotient = combo.exact_div(a0k) if not combo.is_zero() else combo
+        # every term of a nonzero combo has a0 exponent >= k, so a0^k is in range
+        quotient = combo.exact_div(MultiPoly.variable(names, "a0") ** k) if combo else combo
         if not omega(quotient, p).is_zero():
             raise AssertionError("syzygant quotient is not a seminvariant")
         out.append(SyzygantSolution(tuple(vec), quotient))
