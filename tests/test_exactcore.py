@@ -215,6 +215,22 @@ class TestSeries:
         assert (x**2 + x * y + y**3).truncate((2, 1)) == x**2 + x * y
 
 
+def draw_matrix(data):
+    """A 1..6 by 1..6 matrix of zeros, ints and Fractions, sometimes with
+    row 0 copied into a later row so that the rank drops."""
+    rows = data.draw(st.integers(1, 6), label="rows")
+    cols = data.draw(st.integers(1, 6), label="cols")
+    entry = st.one_of(
+        st.just(0),
+        st.integers(-6, 6),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    )
+    a = [data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows > 1 and data.draw(st.booleans(), label="duplicate row 0"):
+        a[data.draw(st.integers(1, rows - 1), label="copy")] = list(a[0])
+    return a
+
+
 class TestLinSolve:
     def test_weight6_syzygant_system(self):
         # alpha1 - 4*alpha2 = 0, alpha2 + alpha3 = 0, alpha1 - 3*alpha2 + alpha3 = 0
@@ -232,6 +248,19 @@ class TestLinSolve:
         target = [-4, -1, 1, 0]
         columns = [[basis[0][i], basis[1][i], target[i]] for i in range(4)]
         assert any(vec[2] for vec in nullspace_integer(columns))
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_matches_fraction_gauss_jordan(self, data):
+        # Each integer vector, divided by its last nonzero entry, is the
+        # RREF basis vector of the same free column, in the same order.
+        a = draw_matrix(data)
+        got = nullspace_integer(a)
+        want = fraction_gauss_jordan(a, [0] * len(a)).basis
+        assert len(got) == len(want)
+        for ints, vec in zip(got, want):
+            last = max(j for j, v in enumerate(ints) if v)
+            assert [Fraction(v, ints[last]) for v in ints] == vec
 
     def test_nullspace(self):
         basis = nullspace_integer([[1, 1, 0]])
@@ -402,29 +431,16 @@ class TestCoefficientNormalForm:
     @settings(max_examples=100)
     @given(st.data())
     def test_nullspace_integer_is_primitive_rational_basis(self, data):
-        rows = data.draw(st.integers(1, 6), label="rows")
-        cols = data.draw(st.integers(1, 6), label="cols")
-        entry = st.one_of(
-            st.just(0),
-            st.integers(-6, 6),
-            st.fractions(min_value=-5, max_value=5, max_denominator=7),
-        )
-        a = [data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
-        if rows > 1 and data.draw(st.booleans(), label="duplicate row 0"):
-            a[data.draw(st.integers(1, rows - 1), label="copy")] = list(a[0])
-        got = nullspace_integer(a)
-        want = fraction_gauss_jordan(a, [0] * rows).basis
-        assert len(got) == len(want)
+        a = draw_matrix(data)
+        rows, cols = len(a), len(a[0])
 
         def rank(k):  # of the first k columns
             return k - len(fraction_gauss_jordan([row[:k] for row in a], [0] * rows).basis)
 
         pivot_cols = {j for j in range(cols) if rank(j + 1) > rank(j)}
-        for ints, vec in zip(got, want):
+        for ints in nullspace_integer(a):
             assert all(type(v) is int for v in ints)
             assert math.gcd(*ints) == 1
-            # the last nonzero entry is positive and on a non-pivot column,
-            # and dividing by it gives the RREF basis vector
+            # the last nonzero entry is positive and on a non-pivot column
             last = max(j for j, v in enumerate(ints) if v)
             assert last not in pivot_cols and ints[last] > 0
-            assert [Fraction(v, ints[last]) for v in ints] == vec
