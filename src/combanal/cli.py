@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import re
 import sys
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -83,6 +84,17 @@ def _ints(text: str) -> List[int]:
         return [int(v) for v in text.replace(" ", "").split(",") if v != ""]
     except ValueError:
         raise UsageError(f"expected comma-separated integers, not {text!r}") from None
+
+
+def _order(text: str) -> int:
+    """--p, the order of a binary form: an integer of at least 1."""
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if p < 1:
+        raise argparse.ArgumentTypeError(f"the order must be at least 1, not {p}")
+    return p
 
 
 def _vector_parts(text: str) -> List[tuple]:
@@ -481,21 +493,21 @@ def cmd_master_rencontres(args) -> CommandResult:
 # invariant
 
 @command("invariant", "omega",
-         arg("poly", help="e.g. 'a0*a2-a1^2'"), arg("--p", type=int, required=True))
+         arg("poly", help="e.g. 'a0*a2-a1^2'"), arg("--p", type=_order, required=True))
 def cmd_invariant_omega(args) -> CommandResult:
     from . import invariants as iv
     return CommandResult(str(iv.omega(parse_coeff_poly(args.poly, args.p), args.p)))
 
 
 @command("invariant", "oop",
-         arg("poly", help="e.g. 'a0*a2-a1^2'"), arg("--p", type=int, required=True))
+         arg("poly", help="e.g. 'a0*a2-a1^2'"), arg("--p", type=_order, required=True))
 def cmd_invariant_oop(args) -> CommandResult:
     from . import invariants as iv
     return CommandResult(str(iv.oop(parse_coeff_poly(args.poly, args.p), args.p)))
 
 
 @command("invariant", "check",
-         arg("poly", help="e.g. 'a0*a2-a1^2'"), arg("--p", type=int, required=True),
+         arg("poly", help="e.g. 'a0*a2-a1^2'"), arg("--p", type=_order, required=True),
          arg("--transform", required=True, help="'l,m,lp,mp'"))
 def cmd_invariant_check(args) -> CommandResult:
     from . import invariants as iv
@@ -509,7 +521,7 @@ def cmd_invariant_check(args) -> CommandResult:
     return CommandResult(text, {"invariant": ok, "exponent": s})
 
 
-@command("invariant", "covariant", arg("seed"), arg("--p", type=int, required=True))
+@command("invariant", "covariant", arg("seed"), arg("--p", type=_order, required=True))
 def cmd_invariant_covariant(args) -> CommandResult:
     from . import invariants as iv
     return CommandResult(str(iv.covariant_from_seed(parse_coeff_poly(args.seed, args.p), args.p)))
@@ -537,7 +549,7 @@ def cmd_invariant_weight(args) -> CommandResult:
     return CommandResult("infeasible" if w is None else str(w), w)
 
 
-@command("invariant", "syzygant", arg("--p", type=int, default=4),
+@command("invariant", "syzygant", arg("--p", type=_order, default=4),
          arg("--k", type=int, required=True),
          arg("--sources", help="'|'-separated coefficient polynomials"))
 def cmd_invariant_syzygant(args) -> CommandResult:
@@ -1056,11 +1068,22 @@ def dispatch(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     key = (args.command, args.action)
+    # Python's int-string digit limit bounds the cost of reading a number
+    # from argv, and only a token longer than the limit can hold a longer
+    # number.  Past that check the limit is lifted, so that an exact answer
+    # prints in full however many digits it has.
+    limit = sys.get_int_max_str_digits()
     try:
         if args.format not in COMMANDS[key].formats:
             raise UsageError(f"this subcommand has no {args.format} output")
-        result = RUN[key](args)
-        rendered = result.render(args.format)
+        if limit and any(len(t) > limit and re.search(rf"\d{{{limit + 1}}}", t) for t in argv):
+            raise UsageError(f"a number in the arguments has more than {limit} digits")
+        sys.set_int_max_str_digits(0)
+        try:
+            result = RUN[key](args)
+            rendered = result.render(args.format)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

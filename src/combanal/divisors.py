@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List
 
-from .partitions import ordered_factorizations, plane_partition_gf, q_factor
+from .partitions import plane_partition_gf, q_factor
 
 SERIES_KINDS = ("A", "B", "C")
 # Integer products k*n^2 that the divisor-series powers may take.
@@ -185,10 +185,17 @@ def factorizations(m: int, ordered: bool = False) -> int:
     sequences when ordered.  m = 1 counts the empty product once."""
     if m < 1:
         raise ValueError("m must be positive")
+    ds = divisors(m)  # every factor of a cofactor divides m too
     if ordered:
-        return len(ordered_factorizations(m))
+        # H(n) = sum of H(d) over the divisors d < n of n, H(1) = 1: the
+        # first factor n/d is at least 2 and the rest factorizes d.
+        counts = {1: 1}
+        for i in range(1, len(ds)):
+            n = ds[i]
+            counts[n] = sum(counts[d] for d in ds[:i] if n % d == 0)
+        return counts[m]
 
-    factors = divisors(m)[1:]  # every factor of a cofactor divides m too
+    factors = ds[1:]
 
     def count(n: int, max_factor: int) -> int:
         if n == 1:

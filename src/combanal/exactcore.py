@@ -2,8 +2,8 @@
 polynomial determinant and the integer nullspace.
 
 A coefficient is an `int` when it is integral, else a `fractions.Fraction`;
-nothing here rounds.  The nullspace comes from fraction-free Gauss-Jordan
-elimination on integer rows and is returned as primitive integer vectors.
+nothing here rounds.  The nullspace comes from fraction-free elimination
+on integer rows and is returned as primitive integer vectors.
 Values are immutable once built and safe to share between threads.
 """
 
@@ -323,38 +323,99 @@ def _eliminate(row: Dict[int, int], prow: Dict[int, int], c: int) -> Dict[int, i
     return out
 
 
-def _rref(a: Sequence[Sequence[Scalar]]) -> List[Tuple[int, Dict[int, int]]]:
-    """The reduced row echelon form of `a` over the integers, as
-    (pivot column, row) pairs.
-
-    Each row is scaled to integers by the lcm of its denominators and kept
-    as a sparse {column: int} map.  Elimination is fraction-free:
-    row_i <- (pv/g) row_i - (f/g) row_r with g = gcd(pv, f), then the row's
-    content is divided out.  Every row that holds a pivot is zero on the
-    other pivot columns, so row[j] / row[pivot] is its rational RREF entry.
-    """
+def _integer_rows(a: Sequence[Sequence[Scalar]]) -> List[Dict[int, int]]:
+    """The nonzero rows of `a` as sparse {column: int} maps, each scaled to
+    integers by the lcm of its denominators."""
     cols = len(a[0]) if a else 0
     if any(len(row) != cols for row in a):
         raise DimensionError("ragged matrix")
-    pending: List[Dict[int, int]] = []  # rows that hold no pivot yet
+    rows = []
     for row in a:
         entries = [_frac(v) for v in row]
         scale = math.lcm(*(v.denominator for v in entries))
-        pending.append(
-            {j: v.numerator * (scale // v.denominator) for j, v in enumerate(entries) if v}
-        )
+        ints = {j: v.numerator * (scale // v.denominator) for j, v in enumerate(entries) if v}
+        if ints:
+            rows.append(ints)
+    return rows
 
-    reduced: List[Tuple[int, Dict[int, int]]] = []  # (pivot column, row)
-    for c in range(cols):
-        r = next((i for i, row in enumerate(pending) if c in row), None)
-        if r is None:
+
+def _markowitz_echelon(pending: List[Dict[int, int]]) -> List[Tuple[int, Dict[int, int]]]:
+    """A row echelon form of the integer rows `pending`, as (pivot column,
+    row) pairs in pivot order; `pending` is consumed.
+
+    Each step takes the sparsest pending row (the first of equals) and, in
+    it, the column held by the fewest pending rows (the lower of equals),
+    then clears that column from the other pending rows.  Finished rows are
+    never updated, so the k-th row is zero on the pivot columns before it.
+    """
+    held: Dict[int, int] = {}  # column -> pending rows holding it
+    for row in pending:
+        for j in row:
+            held[j] = held.get(j, 0) + 1
+    echelon = []
+    while pending:
+        prow = pending.pop(min(range(len(pending)), key=lambda i: len(pending[i])))
+        for j in prow:
+            held[j] -= 1
+        c = min(prow, key=lambda j: (held[j], j))
+        kept = []
+        for row in pending:
+            if c in row:
+                for j in row:
+                    held[j] -= 1
+                row = _eliminate(row, prow, c)
+                for j in row:
+                    held[j] = held.get(j, 0) + 1
+            if row:
+                kept.append(row)
+        pending = kept
+        echelon.append((c, prow))
+    return echelon
+
+
+def _back_substitute(echelon: List[Tuple[int, Dict[int, int]]], cols: int) -> List[Dict[int, int]]:
+    """One integer kernel vector per non-pivot column of the echelon form:
+    1 at that column, 0 at the other non-pivot columns, and the pivot
+    entries solved in reverse pivot order, scaling the vector whenever a
+    pivot does not divide its row's sum."""
+    pivot_cols = {c for c, _ in echelon}
+    vectors = []
+    for fc in range(cols):
+        if fc in pivot_cols:
             continue
-        prow = pending.pop(r)
-        pending = [_eliminate(row, prow, c) if c in row else row for row in pending]
-        reduced = [(pc, _eliminate(row, prow, c) if c in row else row) for pc, row in reduced]
-        reduced.append((c, prow))
-        if not pending:
-            break
+        vec = {fc: 1}
+        for c, row in reversed(echelon):
+            s = sum(v * vec[j] for j, v in row.items() if j in vec)
+            if s:
+                g = math.gcd(s, row[c])
+                scale = row[c] // g
+                if scale != 1:
+                    vec = {j: scale * v for j, v in vec.items()}
+                vec[c] = -s // g
+        vectors.append(vec)
+    return vectors
+
+
+def _reverse_echelon(pending: List[Dict[int, int]]) -> Dict[int, Dict[int, int]]:
+    """The kernel basis `pending` in reduced reverse echelon form, keyed by
+    free column: each vector's last nonzero column is its free column, and
+    no other vector is nonzero there.  `pending` is consumed.
+
+    Columns are taken right to left.  A pending vector that is nonzero at
+    column c has no entry right of it, so c is its free column; the
+    sparsest such vector keeps it, and c is cleared from all the others.
+    """
+    reduced: Dict[int, Dict[int, int]] = {}
+    for c in sorted({j for vec in pending for j in vec}, reverse=True):
+        hits = [i for i, vec in enumerate(pending) if c in vec]
+        if not hits:
+            continue
+        pvec = pending.pop(min(hits, key=lambda i: len(pending[i])))
+        pending = [_eliminate(vec, pvec, c) if c in vec else vec for vec in pending]
+        for fc, vec in reduced.items():
+            if c in vec:
+                reduced[fc] = _eliminate(vec, pvec, c)
+        reduced[c] = pvec
     return reduced
 
 
@@ -363,25 +424,24 @@ def nullspace_integer(a: Sequence[Sequence[Scalar]]) -> List[List[int]]:
     one per free column in ascending order.
 
     Each vector is the RREF basis vector of its free column times a
-    positive rational: the free entry is the lcm of the pivots it meets,
-    which makes every entry an integer, and the gcd is divided out.  A
-    pivot row holds entries only at its pivot and at later free columns,
-    so the free entry is each vector's last nonzero entry, and positive;
-    dividing by it gives back the RREF basis vector.
+    positive rational: its last nonzero entry is at the free column and
+    positive, and it is zero on every other free column, so dividing by
+    that entry gives back the RREF basis vector.  That basis is unique, so
+    any kernel basis leads to it: back-substitution in a Markowitz echelon
+    form gives one, and a reverse echelon normalises it.  The echelon pass
+    never updates a finished row of `a`, which is where Gauss-Jordan
+    elimination fills in; only the normalisation of the d kernel vectors
+    updates finished ones.
     """
-    reduced = _rref(a)
     cols = len(a[0]) if a else 0
-    pivot_cols = {c for c, _ in reduced}
+    kernel = _back_substitute(_markowitz_echelon(_integer_rows(a)), cols)
     basis = []
-    for fc in range(cols):
-        if fc in pivot_cols:
-            continue
-        hits = [(c, row) for c, row in reduced if fc in row]
-        lcm = math.lcm(*(row[c] for c, row in hits))
-        vec = [0] * cols
-        vec[fc] = lcm
-        for c, row in hits:
-            vec[c] = -row[fc] * (lcm // row[c])
-        g = math.gcd(*vec)
-        basis.append([v // g for v in vec])
+    for fc, vec in sorted(_reverse_echelon(kernel).items()):
+        g = math.gcd(*vec.values())
+        if vec[fc] < 0:
+            g = -g
+        out = [0] * cols
+        for j, v in vec.items():
+            out[j] = v // g
+        basis.append(out)
     return basis

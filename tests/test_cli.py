@@ -196,6 +196,39 @@ class TestExitCodes:
     def test_syzygant_k_past_the_exponent_range_answers(self):
         assert run("invariant syzygant --k 3000000000") == (0, "(no nonzero solution)\n", "")
 
+    @pytest.mark.parametrize("argv", [
+        "invariant omega 3 --p -5",
+        "invariant omega a0 --p 0",
+        "invariant oop a0 --p 0",
+        "invariant syzygant --p -1 --k 1 --sources 3",
+        "invariant syzygant --p 0 --k 1",
+        "invariant covariant a0 --p 0",
+        "invariant check a0 --p -2 --transform 1,0,0,1",
+    ])
+    def test_order_below_one_is_usage_error(self, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.rstrip("\n").endswith("error: argument --p: the order must be at least 1, not "
+                                          + argv.split("--p ")[1].split()[0])
+
+    def test_answer_past_the_int_string_limit_prints_in_full(self):
+        # the bipartite compositions of (49999, 1) number 15056 digits,
+        # past Python's default limit of 4300 on int -> str
+        code, out, err = run("compose count 49999 1")
+        assert (code, err) == (0, "")
+        assert len(out) - 1 > sys.int_info.default_max_str_digits
+        assert sys.get_int_max_str_digits() == sys.int_info.default_max_str_digits
+
+    @pytest.mark.parametrize("argv", [
+        "partition count " + "9" * 5000,
+        "partition conj 1," + "9" * 5000,
+        "invariant oop " + "7" * 5000 + "*a0 --p 2",
+    ])
+    def test_argv_number_past_the_int_string_limit_is_usage_error(self, argv):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert "Traceback" not in err
+
 
 # Polynomial arguments from the parser's alphabet and just past it: names
 # a0..a5, x, y and junk; powers small, negative, empty and above 2^31;
@@ -203,8 +236,8 @@ class TestExitCodes:
 # that junk is drawn about one time in eight and many strings parse;
 # isobaric polynomials, Omega-killed and not, are mixed in so that
 # syzygant reaches its source check and its kernel.
-# `covariant` and `check` are left out: a large power there runs without
-# a time bound.
+# `covariant` and `check` are left out: a covariant within its cap may
+# take a second, and a large power in `check` runs without a time bound.
 POLY_NAMES = ("a0", "a1", "a2", "a3", "a4", "a5", "x", "y") * 5 + ("a", "a9", "b", "-", "/", "")
 POLY_POWERS = ("", "^0", "^1", "^2", "^3", "^2147483647", "^2147483648") * 3 + ("^", "^-1", "^3000000000")
 POLY_COEFFS = ("", "0*", "2*", "1/2*", "-3*", "7") * 2 + ("1/0*", "1/*")
@@ -279,6 +312,10 @@ CAP_EDGES = [
         "master rencontres 0 20,20,20,20,20,20,20,20,20,20",
         "master rencontres 0 20,20,20,20,20,20,20,20,20,21",
     ),  # 200 letters
+    (
+        "invariant covariant a0^2*a2-a0*a1^2 --p 23",
+        "invariant covariant a0^3 --p 23",
+    ),  # 65 * C(26,3) * 24 = 4056000 and 69 * C(26,3) * 24 = 4305600 term entries, cap 2^22
 ]
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combanal import divisors as dv
-from combanal.partitions import enumerate_perfect
+from combanal.partitions import enumerate_perfect, ordered_factorizations
 
 
 def brute_series_coeff(kind, n, k):
@@ -172,6 +172,15 @@ class TestFactorizations:
         for m in range(1, 301):
             assert dv.factorizations(m) == unordered(m, m), m
             assert dv.factorizations(m, ordered=True) == ordered(m), m
+
+    def test_ordered_count_matches_the_listing_to_2000(self):
+        for m in range(1, 2001):
+            assert dv.factorizations(m, ordered=True) == len(ordered_factorizations(m)), m
+
+    def test_ordered_count_of_a_power_of_two(self):
+        # an ordered factorization of 2^k is a composition of k
+        for k in range(1, 41):
+            assert dv.factorizations(2**k, ordered=True) == 2 ** (k - 1)
 
 
 class TestDivisorList:

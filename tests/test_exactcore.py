@@ -11,11 +11,14 @@ from hypothesis import strategies as st
 from combanal.exactcore import (
     DimensionError,
     MultiPoly,
+    _integer_rows,
+    _markowitz_echelon,
     poly_det_cofactor,
     nullspace_integer,
     poly_ring,
 )
 from combanal.invariants import BinaryQuantic, avar_names, covariant_from_seed
+from nullspace_support import gauss_jordan_nullspace, gauss_jordan_rref
 from series_support import SingularSeriesError, series_inverse
 
 
@@ -261,6 +264,34 @@ class TestLinSolve:
         for ints, vec in zip(got, want):
             last = max(j for j, v in enumerate(ints) if v)
             assert [Fraction(v, ints[last]) for v in ints] == vec
+
+    def test_markowitz_pivots_still_give_the_rref_basis(self):
+        # The sparsest row, [0,2,0,1], pivots on its rarer column 3, so the
+        # pivot columns are {1,3}; Gauss-Jordan's are {1,2}.  The vectors
+        # are still those of the RREF free columns 0 and 3.
+        a = [[0, 2, 0, 1], [0, 1, 1, 0]]
+        assert {c for c, _ in _markowitz_echelon(_integer_rows(a))} == {1, 3}
+        assert {c for c, _ in gauss_jordan_rref(a)} == {1, 2}
+        assert nullspace_integer(a) == gauss_jordan_nullspace(a) == [[1, 0, 0, 0], [0, -1, 1, 2]]
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_matches_gauss_jordan_on_sparse_wide_rank_deficient_matrices(self, data):
+        # Sparse rows make the sparsest row and its rarest column differ
+        # from the left-to-right pivots; extra rows that combine two others
+        # drop the rank.
+        rows = data.draw(st.integers(2, 7), label="rows")
+        cols = data.draw(st.integers(rows + 1, 14), label="cols")
+        entry = st.one_of(
+            st.just(0), st.just(0), st.just(0),
+            st.fractions(min_value=-6, max_value=6, max_denominator=5),
+        )
+        a = [data.draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+        for _ in range(data.draw(st.integers(1, 3), label="dependent rows")):
+            i, k = data.draw(st.tuples(st.integers(0, rows - 1), st.integers(0, rows - 1)))
+            x, y = data.draw(st.tuples(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)))
+            a.append([x * u + y * v for u, v in zip(a[i], a[k])])
+        assert nullspace_integer(a) == gauss_jordan_nullspace(a)
 
     def test_nullspace(self):
         basis = nullspace_integer([[1, 1, 0]])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from combanal import invariants as iv
 from combanal import partitions as pt
 from combanal.exactcore import MultiPoly
+from nullspace_support import gauss_jordan_nullspace
 
 
 def a(p, *exps_and_coeffs):
@@ -155,6 +156,29 @@ class TestSeminvariantBasis:
         assert iv.seminvariant_dimension(*point) == len(basis)
         for s in basis:
             assert iv.omega(s, point[0]).is_zero()
+
+    def test_cayley_sylvester_certificate_at_10_6_20(self):
+        # Omega is a 175x199 matrix here; its kernel has the 24 dimensions
+        # of the Cayley-Sylvester law, and Omega kills every basis vector.
+        basis = iv.seminvariant_basis(10, 6, 20)
+        assert len(basis) == iv.seminvariant_dimension(10, 6, 20) == 24
+        for s in basis:
+            assert iv.omega(s, 10).is_zero()
+
+    # every invariant basis point of the benchmark's linalg pool, and (10,6,20)
+    OMEGA_POINTS = [
+        (3, 4, 6), (3, 6, 9), (4, 2, 4), (4, 3, 6), (4, 4, 8), (4, 5, 10), (4, 6, 12),
+        (4, 7, 12), (4, 7, 14), (5, 4, 8), (5, 4, 10), (5, 5, 10), (5, 6, 11), (5, 6, 13),
+        (5, 6, 15), (6, 4, 8), (6, 4, 10), (6, 4, 12), (6, 5, 12), (6, 5, 13), (6, 5, 15),
+        (6, 6, 12), (6, 6, 14), (6, 6, 16), (7, 4, 10), (7, 4, 12), (7, 4, 14), (7, 5, 14),
+        (8, 4, 12), (8, 4, 14), (8, 4, 16), (8, 5, 16), (8, 6, 16), (10, 6, 20),
+    ]
+
+    def test_basis_matches_the_gauss_jordan_route(self, monkeypatch):
+        new = [iv.seminvariant_basis(*point) for point in self.OMEGA_POINTS]
+        monkeypatch.setattr(iv, "nullspace_integer", gauss_jordan_nullspace)
+        old = [iv.seminvariant_basis(*point) for point in self.OMEGA_POINTS]
+        assert new == old
 
     def test_dimension_refuses_what_the_basis_refuses(self):
         for point in [(0, 1, 1), (1, 0, 1), (1, 1, -1)]:
