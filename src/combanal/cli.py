@@ -12,28 +12,38 @@ on its handler.  The parser and dispatch are derived from that table.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import re
 import sys
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 # Domain modules are imported inside the functions that use them, so a
 # request loads only what it needs.  Functions are reached as module
 # attributes (pt.f), never copied into this namespace.
 
 
+class Stream:
+    """A format's output too long to hold whole: `chunks()` makes its bytes
+    as an iterable of str pieces, and dispatch writes each as it comes.
+    Every domain check runs when chunks() is called, before the first
+    piece is made."""
+
+    def __init__(self, chunks: Callable[[], Iterable[str]]) -> None:
+        self.chunks = chunks
+
+
 class CommandResult:
     """One handler's answer in every format it supports.  `text`,
     `json_obj` and `svg` may each be a zero-argument callable and
     `csv_rows` a one-shot iterable: each is built only when render() asks
-    for its format."""
+    for its format.  `text`, `json_obj` and `csv_rows` may also be a
+    Stream, which render() hands back as its iterable of chunks."""
 
     def __init__(
         self,
-        text: Union[str, Callable[[], str]],
+        text: Union[str, Callable[[], str], Stream],
         json_obj: object = None,
-        csv_rows: Optional[Iterable[Sequence]] = None,
+        csv_rows: Union[None, Iterable[Sequence], Stream] = None,
         svg: Union[None, str, Callable[[], str]] = None,
     ) -> None:
         self.text = text
@@ -41,18 +51,24 @@ class CommandResult:
         self.csv_rows = csv_rows
         self.svg = svg
 
-    def render(self, fmt: str) -> str:
+    def render(self, fmt: str) -> Union[str, Iterable[str]]:
         if fmt == "text":
+            if isinstance(self.text, Stream):
+                return self.text.chunks()
             text = self.text() if callable(self.text) else self.text
             return text if text.endswith("\n") else text + "\n"
         if fmt == "json":
             if self.json_obj is None:
                 raise UsageError("this subcommand has no json output")
+            if isinstance(self.json_obj, Stream):
+                return self.json_obj.chunks()
             obj = self.json_obj() if callable(self.json_obj) else self.json_obj
             return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
         if fmt == "csv":
             if self.csv_rows is None:
                 raise UsageError("this subcommand has no csv output")
+            if isinstance(self.csv_rows, Stream):
+                return self.csv_rows.chunks()
             return "\n".join(",".join(str(v) for v in row) for row in self.csv_rows) + "\n"
         if fmt == "svg":
             if self.svg is None:
@@ -70,13 +86,32 @@ def _scalar(value) -> CommandResult:
     return CommandResult(str(value), value)
 
 
-def _digit_strings(top: int, lines: int) -> Callable[[int], str]:
-    """str for the parts of a `lines`-line listing whose largest part is
-    `top`: a lookup in a table of str(0..top), cheaper than str() per part,
-    when the listing is longer than the table."""
-    if top >= lines:
-        return str
-    return [str(v) for v in range(top + 1)].__getitem__
+def _text_lines(batches: Iterable[List[str]], none: str) -> Iterator[str]:
+    """A listing as text, one chunk per batch of lines, or `none` when it
+    is empty.  The one empty line a listing can hold, the partition of 0,
+    prints as ()."""
+    empty = True
+    for batch in batches:
+        empty = False
+        yield ("\n".join(batch) or "()") + "\n"
+    if empty:
+        yield none + "\n"
+
+
+def _csv_lines(header: str, batches: Iterable[List[str]]) -> Iterator[str]:
+    """A listing as csv: the header row, then one chunk per batch of rows."""
+    yield header + "\n"
+    for batch in batches:
+        yield "\n".join(batch) + "\n"
+
+
+def _json_list(batches: Iterable[list]) -> Iterator[str]:
+    """A listing's items as one compact JSON list, one chunk per batch."""
+    sep = "["
+    for batch in batches:
+        yield sep + json.dumps(batch, separators=(",", ":"))[1:-1]
+        sep = ","
+    yield "[]\n" if sep == "[" else "]\n"
 
 
 def _ints(text: str) -> List[int]:
@@ -295,13 +330,13 @@ def cmd_partition_enum(args) -> CommandResult:
         distinct=args.distinct,
         allowed_parts=frozenset(_ints(args.allowed)) if args.allowed else None,
     )
-    items = pt.enumerate_partitions(args.n, constraint)
-    # the first partition holds the largest part
-    digit = _digit_strings(items[0][0] if items and items[0] else 0, len(items))
+    n = args.n
     return CommandResult(
-        lambda: "\n".join([" ".join(map(digit, p)) if p else "()" for p in items]) or "(none)",
-        items,
-        csv_rows=itertools.chain([["partition"]], (["+".join(map(digit, p))] for p in items)),
+        Stream(lambda: _text_lines(pt.partition_batches(n, constraint, sep=" "), "(none)")),
+        Stream(lambda: _json_list(pt.partition_batches(n, constraint))),
+        csv_rows=Stream(
+            lambda: _csv_lines("partition", pt.partition_batches(n, constraint, sep="+"))
+        ),
     )
 
 
@@ -396,9 +431,11 @@ def cmd_partition_scale(args) -> CommandResult:
 @command("compose", "enum", arg("n", type=int))
 def cmd_compose_enum(args) -> CommandResult:
     from . import compositions as cp
-    items = cp.enumerate_compositions(args.n)
-    digit = _digit_strings(args.n, len(items))
-    return CommandResult(lambda: "\n".join([" ".join(map(digit, c)) for c in items]), items)
+    n = args.n
+    return CommandResult(
+        Stream(lambda: _text_lines(cp.composition_batches(n, sep=" "), "")),
+        Stream(lambda: _json_list(cp.composition_batches(n))),
+    )
 
 
 @command("compose", "conj", arg("parts", help="unipartite '2,1,4' or bipartite '3,1;0,1;1,1'"),
@@ -975,6 +1012,7 @@ def build_parser() -> argparse.ArgumentParser:
 OPERATION_COVERAGE = {
     "exactcore.nullspace_integer": "invariant basis",
     "partitions.enumerate_partitions": "partition enum",
+    "partitions.partition_batches": "partition enum",
     "partitions.count_partitions": "partition count",
     "partitions.demorgan_u": "partition table --demorgan",
     "partitions.closed_form_u2": "partition table --u2",
@@ -995,6 +1033,7 @@ OPERATION_COVERAGE = {
     "partitions.count_boxed_plane_partitions": "partition plane --boxed",
     "partitions.xy_symmetric_two_layer_poly": "partition plane --xy",
     "compositions.enumerate_compositions": "compose enum",
+    "compositions.composition_batches": "compose enum",
     "compositions.conjugate_composition": "compose conj",
     "compositions.enumerate_multipartite_compositions": "compose count --essential",
     "compositions.bipartite_composition_count_gf": "compose count",
@@ -1092,10 +1131,17 @@ def dispatch(argv: Sequence[str]) -> int:
         return 1
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+            _write(fh, rendered)
     else:
-        sys.stdout.write(rendered)
+        _write(sys.stdout, rendered)
     return 0
+
+
+def _write(fh, rendered: Union[str, Iterable[str]]) -> None:
+    if isinstance(rendered, str):
+        fh.write(rendered)
+    else:
+        fh.writelines(rendered)
 
 
 def main() -> None:

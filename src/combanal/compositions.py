@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Composition = Tuple[int, ...]
 VectorPart = Tuple[int, ...]
@@ -20,6 +20,11 @@ MULTIPARTITE_CAP = 10
 NEWCOMB_CAP = 9
 # lines enumerate_compositions may return: 2^19, n = 20
 COMPOSE_ENUM_CAP = 2**19
+# compositions per batch of a listing
+_BATCH = 4096
+# remainders below this keep every composition as a shared suffix: at
+# most 2^10 of them, 2^11 - 1 over all the lists
+_SHARED = 12
 # cells (p + 1)(q + 1) of bipartite_composition_count_gf's table; entries
 # reach p + q bits, so the thinnest table at the cap costs the most
 BIPARTITE_TABLE_CELL_CAP = 10**5
@@ -34,22 +39,55 @@ def check_composition(parts: Sequence[int], n: Optional[int] = None) -> Composit
     return parts
 
 
-def enumerate_compositions(n: int) -> List[Composition]:
-    """All 2^(n-1) compositions of n, in lexicographic order.
-
-    Built bottom-up: the compositions of m are (v,) + c for each first
-    part v = 1..m and each composition c of m - v.
-    """
+def composition_batches(n: int, sep: Optional[str] = None) -> Iterator[list]:
+    """All 2^(n-1) compositions of n, in lexicographic order, in batches of
+    about 4096: tuples, or with `sep` the parts as one string joined by
+    sep.  n is checked against COMPOSE_ENUM_CAP (ValueError) before the
+    first batch is made."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n - 1 >= COMPOSE_ENUM_CAP.bit_length():  # 2^(n-1) > COMPOSE_ENUM_CAP
         raise ValueError(
             f"n = {n} has 2^{n - 1} compositions, past the output cap of {COMPOSE_ENUM_CAP}"
         )
-    table: List[List[Composition]] = [[()]]
-    for m in range(1, n + 1):
-        table.append([(v,) + rest for v in range(1, m + 1) for rest in table[m - v]])
-    return table[n]
+    if sep is None:
+        return _composition_walk(n, [(v,) for v in range(n + 1)], (), 0)
+    return _composition_walk(n, [sep + str(v) for v in range(n + 1)], "", len(sep))
+
+
+def _composition_walk(n: int, unit: list, empty, cut: int) -> Iterator[list]:
+    """The compositions of n as unit pieces, the leading `cut` items of each
+    dropped, in batches."""
+    suffix = [[empty]]  # suffix[m]: every composition of m
+    for m in range(1, min(n, _SHARED - 1) + 1):
+        suffix.append([unit[v] + s for v in range(1, m + 1) for s in suffix[m - v]])
+    buf: list = []
+    yield from _compositions_after(empty, n, unit, suffix, buf, cut)
+    if buf:
+        yield buf
+
+
+def _compositions_after(
+    prefix, r: int, unit: list, suffix: list, buf: list, cut: int = 0
+) -> Iterator[list]:
+    """Append prefix + c to buf for every composition c of r, recursing on
+    the first part down to a remainder below _SHARED, whose compositions
+    are shared suffixes; yield a copy of buf (then emptied) whenever it
+    holds a batch."""
+    if r < _SHARED:
+        buf += [(prefix + s)[cut:] for s in suffix[r]] if cut else [prefix + s for s in suffix[r]]
+    else:
+        for v in range(1, r + 1):
+            yield from _compositions_after((prefix + unit[v])[cut:], r - v, unit, suffix, buf)
+    if len(buf) >= _BATCH:
+        yield buf[:]
+        buf.clear()
+
+
+def enumerate_compositions(n: int) -> List[Composition]:
+    """All 2^(n-1) compositions of n, in lexicographic order: the tuple
+    batches of composition_batches, joined."""
+    return [c for batch in composition_batches(n) for c in batch]
 
 
 def conjugate_composition(parts: Sequence[int]) -> Composition:

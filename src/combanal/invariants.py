@@ -498,6 +498,8 @@ class RootsReport:
 def roots_correspondence_check(p: int, trials: int, seed: int = 0) -> RootsReport:
     """Random rational root sets: verify the q2 identity for order p and
     the three-variable product identity (= 9) exactly."""
+    if p < 2:  # the q2 identity reads the coefficient a2
+        raise ValueError(f"p must be at least 2, not {p}")
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 Partition = Tuple[int, ...]
 PlanePartition = Tuple[Tuple[int, ...], ...]
@@ -64,70 +65,242 @@ class PartitionConstraint:
                 raise ValueError("allowed parts must be positive")
 
 
+# partitions that partition_batches and enumerate_partitions may list:
+# 2^19, as for compose enum (p(55) = 451276 is the largest p(n) within it)
+PARTITION_ENUM_CAP = 2**19
+# partitions per batch of a listing
+_BATCH = 4096
+# remainders up to this share their completions, at most p(16) = 231 each
+_SHARED = 16
+
+
+class _Units(dict):
+    """unit[v]: what one part v adds to a listed partition, made on first
+    use and kept for v below _BATCH, so a listing of huge values holds no
+    more of them than one batch does."""
+
+    def __init__(self, make: Callable[[int], object]) -> None:
+        self.make = make
+
+    def __missing__(self, v: int):
+        piece = self.make(v)
+        if v < _BATCH:
+            self[v] = piece
+        return piece
+
+
+class _PartitionWalk:
+    """The partitions of n meeting a constraint, lexicographically
+    descending, as a prefix walk that yields batches of about _BATCH.
+
+    Each level places one distinct value v with its multiplicity m,
+    largest value and then largest multiplicity first, and extends the
+    prefix by unit[v] * m: (v,) for tuples, sep + str(v) for lines, whose
+    leading sep is cut.  Levels that end a line are closed, with no call
+    of their own: with the last two values a > b left, every line is
+    prefix + unit[a] * m + unit[b] * q, and with one part left it is
+    prefix + unit[r].  A remainder of at most _SHARED shares its list of
+    completions with every prefix that leaves it, and a larger state
+    (remainder, value index, parts used) found to complete nothing is
+    remembered, so neither is walked twice.
+    """
+
+    def __init__(self, n: int, c: PartitionConstraint, unit: _Units, empty, cut: int) -> None:
+        self.n, self.unit, self.empty, self.cut = n, unit, empty, cut
+        top = n if c.max_part is None else min(n, c.max_part)
+        self.top, self.plain = top, c.allowed_parts is None
+        if self.plain:
+            self.vals: Sequence[int] = range(top, c.min_part - 1, -1)
+            self.valset: Container[int] = self.vals
+        else:
+            self.vals = sorted((v for v in c.allowed_parts if c.min_part <= v <= top), reverse=True)
+            self.valset = frozenset(self.vals)
+        nv = self.nv = len(self.vals)
+        self.lo = max((k for k in (c.num_parts, c.min_parts) if k is not None), default=0)
+        self.hi = min((k for k in (c.num_parts, c.max_parts) if k is not None), default=n)
+        self.counted = self.lo > 0 or self.hi < n  # parts used matter only under a count bound
+        self.max_mult = 1 if c.distinct else n
+        # reach(k) = sum(vals[k:]): at most `left` distinct values from index
+        # k on sum to at most reach(k) - reach(k + left), and the `need`
+        # smallest allowed values sum to reach(nv - need)
+        if not c.distinct:
+            self.reach = None
+        elif self.plain:  # vals[k:] is top - k down to min_part
+            base = (c.min_part - 1) * c.min_part // 2
+            self.reach = lambda k: (top - k) * (top - k + 1) // 2 - base
+        else:
+            self.reach = list(itertools.accumulate(reversed(self.vals), initial=0))[::-1].__getitem__
+        # with no count bound and repeats allowed, a closed tail of ones
+        # takes every remainder
+        self.fast = nv > 0 and self.vals[-1] == 1 and not (self.counted or c.distinct)
+        self.buf: list = []
+        self.flushed = 0
+        self.dead: set = set()
+        self.tails: Dict[Tuple[int, int, int, int], list] = {}
+
+    def batches(self) -> Iterator[list]:
+        if self.n:
+            yield from self._place(self.empty, self.n, 0, 0, self.cut)
+        elif self.lo == 0:
+            self.buf.append(self.empty)  # the empty partition of 0
+        if self.buf:
+            yield from self._flush()
+
+    def _flush(self) -> Iterator[list]:
+        self.flushed += len(self.buf)
+        yield self.buf[:]
+        self.buf.clear()
+
+    def _place(self, prefix, r: int, j: int, used: int, cut: int, share: bool = True):
+        """Extend prefix by every partition of r > 0 into vals[j:], having
+        placed `used` parts; return whether any line was made.  Unless
+        `share` is false, a small r takes its completions from self.tails,
+        made once by a walk into an empty buffer."""
+        vals, nv, lo, reach, buf = self.vals, self.nv, self.lo, self.reach, self.buf
+        # skip to the largest allowed value not above r
+        j = max(j, self.top - r if self.plain else bisect.bisect_left(vals, -r, key=operator.neg))
+        need = lo - used
+        if j >= nv or need > 0 and (
+            (need > nv - j or reach(nv - need) > r) if reach else need * vals[-1] > r
+        ):
+            return False
+        if r <= _SHARED and share:
+            # the completions depend on r, j and the part counts still
+            # needed and allowed, at most r parts
+            key = (r, j, max(need, 0), min(self.hi - used, r))
+            tails = self.tails.get(key)
+            if tails is None:
+                self.buf = []
+                for _ in self._place(self.empty, r, j, used, 0, False):
+                    pass
+                tails = self.tails[key] = self.buf
+                self.buf = buf
+            buf += [(prefix + t)[cut:] for t in tails] if cut else [prefix + t for t in tails]
+            if len(buf) >= _BATCH:
+                yield from self._flush()
+            return bool(tails)
+        key = (r, j, used)
+        if key in self.dead:
+            return False
+        before = self.flushed + len(buf)
+        unit, valset, counted, max_mult = self.unit, self.valset, self.counted, self.max_mult
+        left = self.hi - used
+        for k in range(j, nv):
+            v = vals[k]
+            if (reach(k) - reach(min(k + left, nv)) if reach else v * left) < r:
+                break
+            if k >= nv - 2:
+                top_m = min(r // v, left, max_mult) if k < nv - 1 else 0
+                for start in range(top_m, -1, -_BATCH):
+                    self._close(prefix, r, k, used, cut, range(start, max(start - _BATCH, -1), -1))
+                    if len(buf) >= _BATCH:
+                        yield from self._flush()
+                break
+            uv = unit[v]
+            for m in range(min(r // v, left, max_mult), 0, -1):
+                rest = r - m * v
+                if rest:
+                    if left - m > 1:
+                        line = prefix + uv * m
+                        yield from self._place(line[cut:] if cut else line, rest, k + 1,
+                                               used + m if counted else 0, 0)
+                    elif left - m == 1 and rest < v and rest in valset and used + m + 1 >= lo:
+                        line = prefix + uv * m + unit[rest]  # the one part left is rest
+                        buf.append(line[cut:] if cut else line)
+                elif used + m >= lo:
+                    line = prefix + uv * m
+                    buf.append(line[cut:] if cut else line)
+            if len(buf) >= _BATCH:
+                yield from self._flush()
+        if self.flushed + len(buf) == before:
+            self.dead.add(key)
+            return False
+        return True
+
+    def _close(self, prefix, r: int, k: int, used: int, cut: int, ms: range) -> None:
+        """The lines prefix + unit[a] * m + unit[b] * q for m in ms, with
+        a = vals[k] and b the last value (b = a when k is the last index)."""
+        a, b = self.vals[k], self.vals[-1]
+        ua, ub = self.unit[a], self.unit[b]
+        if self.fast and not cut:  # every remainder is that many ones
+            self.buf += [prefix + ua * m + ub * (r - m * a) for m in ms]
+            return
+        lo, hi, max_mult = self.lo, self.hi, self.max_mult
+        for m in ms:
+            q, extra = divmod(r - m * a, b)
+            if not extra and q <= max_mult and lo <= used + m + q <= hi:
+                self.buf.append((prefix + ua * m + ub * q)[cut:])
+
+
+def _partitions_past_cap(n: int) -> bool:
+    """Whether p(n) > PARTITION_ENUM_CAP.  p is nondecreasing, so p is read
+    only up to the first value past the cap."""
+    m = 0
+    while m < n and count_partitions(m) <= PARTITION_ENUM_CAP:
+        m += 1
+    return count_partitions(m) > PARTITION_ENUM_CAP
+
+
+def _few_parts_fit(n: int, k: int) -> bool:
+    """Whether the partitions of n into at most k parts number at most
+    PARTITION_ENUM_CAP by the bound C(n + k(k+1)/2 - 1, k - 1) / k!: adding
+    k - i to the i-th of k parts (zeros included) makes them distinct, and
+    each set of k distinct parts is k! of the compositions of
+    n + k(k-1)/2 into k parts.  The bound grows with k, so it is computed
+    only up to the first k past the cap."""
+    return all(
+        math.comb(n + i * (i + 1) // 2 - 1, i - 1) // math.factorial(i) <= PARTITION_ENUM_CAP
+        for i in range(1, k + 1)
+    )
+
+
+def _check_listing(n: int, c: PartitionConstraint) -> None:
+    """Refuse a listing of more than PARTITION_ENUM_CAP partitions.  Nothing
+    is counted within p(n) <= cap, or within the bound for at most k parts
+    (k the part-count bound, or by conjugation the largest part allowed).
+    An unconstrained n past the cap is refused at once; any other listing
+    is counted by a walk that stops at cap + 1."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if not _partitions_past_cap(n):
+        return
+    if c == PartitionConstraint():
+        raise ValueError(f"n = {n} has more than {PARTITION_ENUM_CAP} partitions, the output cap")
+    bounds = [c.max_part, c.num_parts, c.max_parts]
+    if c.allowed_parts is not None:
+        bounds.append(max(c.allowed_parts, default=0))
+    if _few_parts_fit(n, min((k for k in bounds if k is not None), default=n)):
+        return
+    total = 0
+    for batch in _PartitionWalk(n, c, _Units(lambda v: ""), "", 0).batches():
+        total += len(batch)
+        if total > PARTITION_ENUM_CAP:
+            raise ValueError(
+                f"n = {n} has more than {PARTITION_ENUM_CAP} partitions under these"
+                " constraints, the output cap"
+            )
+
+
+def partition_batches(
+    n: int, constraint: Optional[PartitionConstraint] = None, sep: Optional[str] = None
+) -> Iterator[list]:
+    """The partitions of n meeting the constraint, lexicographically
+    descending, in batches of about 4096: tuples, or with `sep` the parts
+    as one string joined by sep.  The listing is checked against
+    PARTITION_ENUM_CAP (ValueError) before the first batch is made."""
+    c = constraint or PartitionConstraint()
+    _check_listing(n, c)
+    if sep is None:
+        return _PartitionWalk(n, c, _Units(lambda v: (v,)), (), 0).batches()
+    return _PartitionWalk(n, c, _Units(lambda v: sep + str(v)), "", len(sep)).batches()
+
+
 def enumerate_partitions(
     n: int, constraint: Optional[PartitionConstraint] = None
 ) -> List[Partition]:
-    """All partitions of n meeting the constraint, lexicographically descending.
-
-    The partitions are built from memoised suffix lists: a suffix is a
-    partition of the remainder into allowed values below the last one
-    placed, keyed by (remainder, value index, parts used).  Each level
-    places one distinct value with its multiplicity, largest value and
-    then largest multiplicity first, so the recursion is only as deep as
-    the number of distinct parts (at most about sqrt(2n)).
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    c = constraint or PartitionConstraint()
-    top = n if c.max_part is None else min(n, c.max_part)
-    plain = c.allowed_parts is None
-    if plain:
-        vals: Sequence[int] = range(top, c.min_part - 1, -1)
-    else:
-        vals = sorted((v for v in c.allowed_parts if c.min_part <= v <= top), reverse=True)
-    nv = len(vals)
-    lo = max((k for k in (c.num_parts, c.min_parts) if k is not None), default=0)
-    hi = min((k for k in (c.num_parts, c.max_parts) if k is not None), default=n)
-    counted = lo > 0 or hi < n  # parts used matter only under a count bound
-    distinct = c.distinct
-    # reach[k] = sum(vals[k:]): at most `left` distinct values from index k
-    # on sum to at most reach[k] - reach[k + left], and the `need` smallest
-    # allowed values sum to reach[nv - need]
-    reach = list(itertools.accumulate(reversed(vals), initial=0))[::-1] if distinct else []
-    max_mult = 1 if distinct else n
-    memo: Dict[Tuple[int, int, int], List[Partition]] = {}
-
-    def suffixes(r: int, j: int, used: int) -> List[Partition]:
-        if r == 0:
-            return [()] if used >= lo else []
-        # skip to the largest allowed value not above r
-        j = max(j, top - r if plain else bisect.bisect_left(vals, -r, key=operator.neg))
-        need = lo - used
-        if j >= nv or need > 0 and (
-            (need > nv - j or reach[nv - need] > r) if distinct else need * vals[-1] > r
-        ):
-            return []
-        key = (r, j, used)
-        if key in memo:
-            return memo[key]
-        left = hi - used
-        out: List[Partition] = []
-        for k in range(j, nv):
-            v = vals[k]
-            if (reach[k] - reach[min(k + left, nv)] if distinct else v * left) < r:
-                break
-            for m in range(min(r // v, left, max_mult), 0, -1):
-                head = (v,) * m
-                out += [head + s for s in suffixes(r - m * v, k + 1, used + m if counted else 0)]
-        memo[key] = out
-        return out
-
-    try:
-        return suffixes(n, 0, 0)
-    finally:
-        # suffixes refers to itself; without this the cycle keeps memo (every
-        # suffix list) alive until the collector happens to run
-        del suffixes
+    """All partitions of n meeting the constraint, lexicographically
+    descending: the tuple batches of partition_batches, joined."""
+    return [p for batch in partition_batches(n, constraint) for p in batch]
 
 
 _PARTITION_TABLE = [1]
@@ -367,15 +540,24 @@ def cayley_p12_closed_form(q: int) -> int:
 # -- conjugation and graphs --------------------------------------------
 
 
+# parts of a conjugate, its input's largest part
+CONJUGATE_PARTS_CAP = 10**6
+
+
 def conjugate(partition: Sequence[int]) -> Partition:
-    """Conjugate partition (column reading of the Ferrers graph)."""
+    """Conjugate partition (column reading of the Ferrers graph): column i
+    holds the parts above i, so the parts from the smallest up fill the
+    columns in runs, in time linear in the output."""
     parts = check_partition(partition)
     if not parts:
         return ()
-    cols = [0] * parts[0]
-    for p in parts:
-        for i in range(p):
-            cols[i] += 1
+    if parts[0] > CONJUGATE_PARTS_CAP:
+        raise ValueError(
+            f"the conjugate has {parts[0]} parts, past the cap of {CONJUGATE_PARTS_CAP}"
+        )
+    cols: List[int] = []
+    for i in range(len(parts) - 1, -1, -1):
+        cols += [i + 1] * (parts[i] - len(cols))
     return tuple(cols)
 
 

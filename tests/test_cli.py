@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from hypothesis import strategies as st
 
 import combanal
 from combanal import cli
+from combanal import partitions as pt
+from enumeration_support import enumerate_compositions_oracle, enumerate_partitions_oracle
 
 # Golden corpus: argv -> exact expected stdout.  Values anchored in the
 # module test suites; byte stability across runs is asserted below.
@@ -299,6 +302,8 @@ CAP_EDGES = [
     ("partition count 20000 --parts 50", "partition count 20001 --parts 50"),  # n * p = 10^6
     ("puzzle latin --total 4", "puzzle latin --total 5"),  # order 4
     ("compose enum 20", "compose enum 21"),  # 2^19 output lines
+    ("partition enum 55", "partition enum 56"),  # p(55) = 451276 and p(56) = 526823 lines, cap 2^19
+    ("partition conj 1000000,1", "partition conj 1000001,1"),  # 10^6 parts of the conjugate
     ("divisor series A --n 1000 --k 10", "divisor series A --n 1001 --k 10"),  # k * n^2 = 10^7
     (
         "divisor series B --max-n 1000 --max-k 10",
@@ -333,11 +338,18 @@ UNGUARDED_BEFORE = [
     f"master coeff --matrix {derangement_matrix(30)} --degree {','.join(['1'] * 30)}",
     f"master coeff --matrix {derangement_matrix(20)} --denominator",
     "compose count 100000 100000",
+    "partition enum 90",  # 56634173 lines; a MemoryError when listings were built whole
+    "partition conj 99999999999999999999,1",  # an OverflowError traceback from conjugate
 ]
 
 
 @pytest.mark.parametrize(
-    "argv", UNGUARDED_BEFORE, ids=["30x30 degree 1^30", "order 20 denominator", "compose count 10^5 10^5"]
+    "argv",
+    UNGUARDED_BEFORE,
+    ids=[
+        "30x30 degree 1^30", "order 20 denominator", "compose count 10^5 10^5",
+        "partition enum 90", "partition conj 10^20,1",
+    ],
 )
 def test_formerly_unguarded_argv_refuse_at_once(argv):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -409,6 +421,12 @@ def test_divisor_series_with_more_slots_than_weight_answers_zero_at_once(k):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
+@pytest.mark.parametrize("p", ["1", "0", "-2"])
+def test_roots_needs_order_two(p):
+    code, out, err = run(["invariant", "roots", "--p", p])
+    assert (code, out, err) == (1, "", f"error: p must be at least 2, not {p}\n")
+
+
 @pytest.mark.parametrize("primes", ["0", "1", "-3", "4", "3,9"])
 def test_euler_primes_must_be_primes(primes):
     code, out, err = run(["partition", "count", "5", "--euler-primes", primes])
@@ -472,16 +490,27 @@ class TestOutputBoundEnumerations:
 
     @pytest.mark.parametrize("argv", ["partition enum 12 --format json", "compose enum 6 --format json"])
     def test_text_listing_is_built_only_for_text(self, monkeypatch, argv):
-        formatted = []
-        digit_strings = cli._digit_strings
-        monkeypatch.setattr(
-            cli, "_digit_strings", lambda *a: lambda v: formatted.append(v) or digit_strings(*a)(v)
-        )
+        # a listing asks its walk for tuples (sep None) for json and for
+        # joined lines (sep " ") for text, and only json calls json.dumps
+        from combanal import compositions as cp
+        from combanal import partitions as pt
+
+        seps, dumps = [], []
+        for module, name in [(pt, "partition_batches"), (cp, "composition_batches")]:
+            walk = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, sep=None, walk=walk: seps.append(sep) or walk(*a, sep=sep)
+            )
+        json_dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: dumps.append(a) or json_dumps(*a, **k))
         code, out, err = run(argv)
         assert (code, err) == (0, "") and out.startswith("[[")
-        assert formatted == []
+        assert seps == [None] and dumps
+        seps.clear()
+        dumps.clear()
         code, out, err = run(argv.replace("json", "text"))
-        assert code == 0 and len(formatted) == sum(len(line.split()) for line in out.splitlines())
+        assert (code, err) == (0, "") and out[0].isdigit()
+        assert seps == [" "] and dumps == []
 
     def test_three_parts_of_three_hundred(self):
         code, out, err = run("partition enum 300 --parts 3")
@@ -494,6 +523,149 @@ class TestOutputBoundEnumerations:
         import math
 
         assert run("partition count 400 --pattern *,*,*,*") == (0, f"{math.comb(399, 4)}\n", "")
+
+
+@st.composite
+def enum_flags(draw):
+    """partition enum flags and the PartitionConstraint they stand for."""
+    min_part = draw(st.integers(1, 5))
+    c = pt.PartitionConstraint(
+        max_part=draw(st.none() | st.integers(min_part, 14)),
+        num_parts=draw(st.none() | st.integers(0, 8)),
+        min_part=min_part,
+        distinct=draw(st.booleans()),
+        allowed_parts=draw(st.none() | st.frozensets(st.integers(1, 16), min_size=1, max_size=7)),
+    )
+    flags = ["--min-part", str(min_part)]
+    for flag, value in [("--max-part", c.max_part), ("--parts", c.num_parts)]:
+        if value is not None:
+            flags += [flag, str(value)]
+    if c.distinct:
+        flags.append("--distinct")
+    if c.allowed_parts is not None:
+        flags += ["--allowed", ",".join(map(str, sorted(c.allowed_parts)))]
+    return flags, c
+
+
+def eager_partition_listing(items):
+    """The bytes each format printed when a listing was built whole."""
+    return {
+        "text": ("\n".join(" ".join(map(str, p)) if p else "()" for p in items) or "(none)") + "\n",
+        "json": json.dumps(items, separators=(",", ":")) + "\n",
+        "csv": "\n".join(["partition"] + ["+".join(map(str, p)) for p in items]) + "\n",
+    }
+
+
+# Every refusal of a listing, with its exit code: each comes before the
+# first chunk, so stdout stays empty.
+LISTING_REFUSALS = [
+    ("partition enum -1", 1),
+    ("partition enum 56", 1),
+    ("partition enum 56 --format json", 1),
+    ("partition enum 56 --format csv", 1),
+    ("partition enum 100 --max-part 100", 1),  # counted past the cap
+    ("partition enum 1000000000 --max-part 2", 1),
+    ("partition enum 10 --allowed x,y", 2),
+    ("partition enum 10 --min-part 0", 1),
+    ("partition enum 10 --max-part 0", 1),
+    ("partition enum 10 --parts -1", 1),
+    ("compose enum 0", 1),
+    ("compose enum 21", 1),
+    ("compose enum 21 --format json", 1),
+    ("compose enum 3 --format csv", 2),
+]
+
+
+class _Discard:
+    """A stdout that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+    def writelines(self, chunks):
+        for _ in chunks:
+            pass
+
+
+class TestStreamedListings:
+    @settings(max_examples=150)
+    @given(st.integers(0, 20), enum_flags())
+    def test_partition_formats_join_the_oracle(self, n, flags_and_constraint):
+        flags, c = flags_and_constraint
+        expected = eager_partition_listing(enumerate_partitions_oracle(n, c))
+        for fmt in ("text", "json", "csv"):
+            argv = ["partition", "enum", str(n), *flags, "--format", fmt]
+            assert run(argv) == (0, expected[fmt], "")
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_composition_formats_join_the_oracle(self, n):
+        items = enumerate_compositions_oracle(n)
+        text = "\n".join(" ".join(map(str, c)) for c in items) + "\n"
+        assert run(f"compose enum {n}") == (0, text, "")
+        json_text = json.dumps(items, separators=(",", ":")) + "\n"
+        assert run(f"compose enum {n} --format json") == (0, json_text, "")
+
+    @pytest.mark.parametrize("argv", [
+        "partition enum 30", "partition enum 30 --format csv",
+        "partition enum 24 --distinct --format json", "partition enum 5 --allowed 4",
+        "compose enum 14", "compose enum 13 --format json",
+    ])
+    def test_out_file_gets_the_stdout_bytes(self, tmp_path, argv):
+        code, out, err = run(argv)
+        path = tmp_path / "listing"
+        assert (code, err) == (0, "") and run(f"{argv} --out {path}") == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("argv,code", LISTING_REFUSALS, ids=[r[0] for r in LISTING_REFUSALS])
+    def test_refusal_prints_nothing(self, argv, code):
+        got, out, err = run(argv)
+        assert (got, out) == (code, "")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,code", LISTING_REFUSALS, ids=[r[0] for r in LISTING_REFUSALS])
+    def test_refusal_comes_before_the_first_chunk(self, argv, code):
+        # the handler or render() raises; no chunk iterable reaches the writer
+        args = cli.build_parser().parse_args(argv.split())
+        with pytest.raises((ValueError, cli.UsageError)):
+            cli.RUN[args.command, args.action](args).render(args.format)
+
+    @pytest.mark.parametrize("argv", ["partition enum 45", "compose enum 18"])
+    def test_listing_memory_is_one_batch(self, argv):
+        # 89134 lines (1.9 MB) and 131072 lines (2.4 MB); built whole, the
+        # listing and its text took tens of MiB
+        run(argv.split()[0] + " enum 3")  # the parser and the module, outside the trace
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(_Discard()):
+                code = cli.dispatch(argv.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 3 * 2**20
+
+
+# Runs ARGV with stdout to /dev/null and prints its exit code and peak RSS
+# in KiB.  A child's peak counts the process it was forked from, so the
+# command is started from this small interpreter, not from the test runner.
+PEAK_RSS = (
+    "import os, subprocess, sys; "
+    "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+    "_, status, usage = os.wait4(p.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+@pytest.mark.parametrize("argv", ["partition enum 55", "compose enum 20"])
+def test_largest_listings_peak_below_40_mib(argv):
+    # the largest listings within their caps, 13.8 MB and 10 MB of text;
+    # built whole they peaked at 216 and 158 MiB
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "combanal.cli", *argv.split()],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+    )
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0 and peak_kib < 40 * 1024
 
 
 class TestParserReuse:

@@ -6,23 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combanal import compositions as cp
-
-def enumerate_compositions_oracle(n):
-    """Part-by-part recursion in lexicographic order: the oracle for the
-    bottom-up table."""
-    out = []
-
-    def rec(remaining, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for v in range(1, remaining + 1):
-            prefix.append(v)
-            rec(remaining - v, prefix)
-            prefix.pop()
-
-    rec(n, [])
-    return out
+from enumeration_support import enumerate_compositions_oracle
 
 
 # The twenty-six compositions of the bipartite number (2, 2), frozen from
@@ -72,6 +56,11 @@ class TestUnipartite:
     def test_table_matches_recursive_oracle(self):
         for n in range(1, 15):
             assert cp.enumerate_compositions(n) == enumerate_compositions_oracle(n)
+
+    def test_string_batches_join_the_oracle(self):
+        for n in range(1, 15):
+            lines = [line for batch in cp.composition_batches(n, " ") for line in batch]
+            assert lines == [" ".join(map(str, c)) for c in enumerate_compositions_oracle(n)]
 
     def test_counts_are_powers_of_two(self):
         for n in range(1, 17):

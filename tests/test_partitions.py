@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combanal import partitions as pt
+from enumeration_support import constraints, enumerate_partitions_oracle
 
 
 def brute_partitions(n, max_part=None):
@@ -28,43 +30,6 @@ def brute_partitions(n, max_part=None):
 @lru_cache(maxsize=None)
 def plane_partitions(n):
     return pt.enumerate_plane_partitions(n)
-
-
-def enumerate_partitions_oracle(n, c):
-    """Part-by-part backtracking over the constraint's fields, in
-    lexicographically descending order: the oracle for the suffix-table
-    enumerator."""
-
-    def count_ok(k):
-        return (
-            (c.num_parts is None or k == c.num_parts)
-            and (c.min_parts is None or k >= c.min_parts)
-            and (c.max_parts is None or k <= c.max_parts)
-        )
-
-    def part_ok(v):
-        return (c.max_part is None or v <= c.max_part) and (
-            c.allowed_parts is None or v in c.allowed_parts
-        )
-
-    out = []
-
-    def rec(remaining, cap, prefix):
-        if remaining == 0:
-            if count_ok(len(prefix)):
-                out.append(tuple(prefix))
-            return
-        for bound in (c.max_parts, c.num_parts):
-            if bound is not None and len(prefix) >= bound:
-                return
-        for v in range(min(cap, remaining), c.min_part - 1, -1):
-            if part_ok(v):
-                prefix.append(v)
-                rec(remaining - v, v - 1 if c.distinct else v, prefix)
-                prefix.pop()
-
-    rec(n, n, [])
-    return out
 
 
 RELATION_CHECKS = {
@@ -92,22 +57,6 @@ def relation_pattern_oracle(n, pattern):
         )
 
     return rec(n, 0, None)
-
-
-@st.composite
-def constraints(draw):
-    """A PartitionConstraint with every field drawn, valid by construction."""
-    counts = st.none() | st.integers(0, 8)
-    min_part = draw(st.integers(1, 5))
-    return pt.PartitionConstraint(
-        max_part=draw(st.none() | st.integers(min_part, 14)),
-        num_parts=draw(counts),
-        min_parts=draw(counts),
-        max_parts=draw(counts),
-        min_part=min_part,
-        distinct=draw(st.booleans()),
-        allowed_parts=draw(st.none() | st.frozensets(st.integers(1, 16), max_size=7)),
-    )
 
 
 # Frozen from the De Morgan table (x up to 10, y = greatest part).  The
@@ -187,8 +136,8 @@ class TestSuffixTableEnumeration:
         assert pt.enumerate_partitions(3000, pt.PartitionConstraint(max_part=1)) == [(1,) * 3000]
 
     def test_memo_is_freed_without_the_collector(self):
-        # the suffix memo holds every suffix list; a reference cycle would
-        # keep it alive until the next full collection
+        # the walk's dead-end memo, units and batch buffer: a reference
+        # cycle would keep them alive until the next full collection
         gc.collect()
         gc.disable()
         try:
@@ -207,6 +156,52 @@ class TestSuffixTableEnumeration:
         assert len(got) == sum(pt.count_exact_parts(60, k) for k in range(50, 61))
         assert all(len(p) >= 50 and sum(p) == 60 for p in got)
         assert got == sorted(got, reverse=True)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 20), constraints(), st.sampled_from([" ", "+"]))
+    def test_string_batches_join_the_oracle(self, n, c, sep):
+        lines = [line for batch in pt.partition_batches(n, c, sep) for line in batch]
+        assert lines == [sep.join(map(str, p)) for p in enumerate_partitions_oracle(n, c)]
+
+    def test_batches_hold_about_4096(self):
+        sizes = [len(batch) for batch in pt.partition_batches(40, sep=" ")]
+        assert sum(sizes) == pt.count_partitions(40)
+        assert len(sizes) > 1 and max(sizes) < 2 * 4096
+
+
+class TestListingCap:
+    def test_unconstrained_past_the_cap_is_refused_before_any_batch(self):
+        assert pt.count_partitions(55) <= pt.PARTITION_ENUM_CAP < pt.count_partitions(56)
+        for n in (56, 90, 10**30):
+            with pytest.raises(ValueError, match="output cap"):
+                pt.partition_batches(n)
+
+    def test_constrained_listing_past_p_n_is_counted(self):
+        assert len(pt.enumerate_partitions(100, pt.PartitionConstraint(num_parts=2))) == 50
+        for n, c in [
+            (100, pt.PartitionConstraint(max_part=100)),
+            (10**9, pt.PartitionConstraint(max_part=2)),  # one closed tail of 5 * 10^8 + 1 lines
+            (10**9, pt.PartitionConstraint(distinct=True)),
+        ]:
+            with pytest.raises(ValueError, match="output cap"):
+                pt.partition_batches(n, c)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_few_parts_bound_holds(self, k):
+        # the bound that lets a listing of at most k parts skip its count
+        for n in range(80):
+            count = sum(pt.count_exact_parts(n, i) for i in range(k + 1))
+            assert count <= math.comb(n + k * (k + 1) // 2 - 1, k - 1) // math.factorial(k)
+
+    def test_only_listings_past_the_bound_are_counted(self, monkeypatch):
+        walks = []
+        walk = pt._PartitionWalk
+        monkeypatch.setattr(pt, "_PartitionWalk", lambda *a: walks.append(a) or walk(*a))
+        assert len(pt.enumerate_partitions(300, pt.PartitionConstraint(num_parts=3))) == 7500
+        assert len(walks) == 1  # the bound is 7726
+        walks.clear()
+        got = pt.enumerate_partitions(60, pt.PartitionConstraint(num_parts=10))
+        assert len(got) == pt.count_exact_parts(60, 10) and len(walks) == 2  # a count, then the list
 
 
 class TestDeMorgan:
@@ -361,6 +356,18 @@ class TestConjugate:
         for n in range(13):
             for p in brute_partitions(n):
                 assert pt.conjugate(pt.conjugate(p)) == p
+
+    def test_column_reading(self):
+        for n in range(1, 13):
+            for p in brute_partitions(n):
+                assert pt.conjugate(p) == tuple(sum(1 for q in p if q > i) for i in range(p[0]))
+
+    def test_cap_on_the_conjugates_parts(self):
+        cap = pt.CONJUGATE_PARTS_CAP
+        assert pt.conjugate((cap, 1)) == (2,) + (1,) * (cap - 1)
+        for p in [(cap + 1,), (10**20, 1)]:
+            with pytest.raises(ValueError, match="past the cap"):
+                pt.conjugate(p)
 
 
 class TestModular:
