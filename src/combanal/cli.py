@@ -762,8 +762,6 @@ def cmd_puzzle_hexagon(args) -> CommandResult:
     from . import recreations as rc
     tiles = rc.generate_triangles(4)
     solution = rc.hexagon_solve(tiles, args.border)
-    if solution is None:
-        raise ValueError("no hexagon arrangement found")
     ok = rc.verify_hexagon(solution, tiles)
     obj = {
         "border_color": solution.border_color,
@@ -1005,92 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--format", choices=FORMATS, default="text")
         q.add_argument("--out", help="write output to this path instead of stdout")
     return parser
-
-
-# Audit table: every library operation and the subcommand that reaches it
-# (possibly indirectly, as with the kernel solve behind invariant basis).
-OPERATION_COVERAGE = {
-    "exactcore.nullspace_integer": "invariant basis",
-    "partitions.enumerate_partitions": "partition enum",
-    "partitions.partition_batches": "partition enum",
-    "partitions.count_partitions": "partition count",
-    "partitions.demorgan_u": "partition table --demorgan",
-    "partitions.closed_form_u2": "partition table --u2",
-    "partitions.closed_form_u3": "partition table --u3",
-    "partitions.warburton_count": "partition count --parts",
-    "partitions.cayley_denumerant": "partition count --elements",
-    "partitions.conjugate": "partition conj",
-    "partitions.modular_partition": "partition modular",
-    "partitions.parity_p": "partition parity",
-    "partitions.macmahon_digits": "partition parity --digits",
-    "partitions.enumerate_perfect": "partition perfect",
-    "partitions.scale_of_numeration": "partition scale",
-    "partitions.generalized_euler_counts": "partition count --euler-primes",
-    "partitions.relation_pattern_count": "partition count --pattern",
-    "partitions.enumerate_plane_partitions": "partition plane --enum",
-    "partitions.count_plane_partitions": "partition plane",
-    "partitions.plane_partition_gf": "divisor sigma2",
-    "partitions.count_boxed_plane_partitions": "partition plane --boxed",
-    "partitions.xy_symmetric_two_layer_poly": "partition plane --xy",
-    "compositions.enumerate_compositions": "compose enum",
-    "compositions.composition_batches": "compose enum",
-    "compositions.conjugate_composition": "compose conj",
-    "compositions.enumerate_multipartite_compositions": "compose count --essential",
-    "compositions.bipartite_composition_count_gf": "compose count",
-    "compositions.route_conjugate": "compose conj (vector parts)",
-    "compositions.count_by_essential_nodes": "compose count --essential",
-    "compositions.zigzag_conjugate": "compose zigzag",
-    "compositions.composition_tree": "compose conj --tree",
-    "compositions.combinations_order_k_count": "compose count --order-k",
-    "compositions.newcomb_distribution": "compose newcomb",
-    "masterthm.master_denominator": "master coeff --denominator",
-    "masterthm.master_coefficient": "master coeff",
-    "masterthm.derangements": "master derange",
-    "masterthm.generalized_rencontres": "master rencontres",
-    "invariants.omega": "invariant omega",
-    "invariants.oop": "invariant oop",
-    "invariants.covariant_from_seed": "invariant covariant",
-    "invariants.seminvariant_basis": "invariant basis",
-    "invariants.invariance_check": "invariant check",
-    "invariants.invariant_weight": "invariant weight",
-    "invariants.protomorphs": "invariant basis --protomorphs",
-    "invariants.syzygant_search": "invariant syzygant",
-    "invariants.roots_correspondence_check": "invariant roots",
-    "probelect.ballot_strictly_ahead": "ballot ahead",
-    "probelect.ballot_never_behind": "ballot neverbehind",
-    "probelect.macmahon_order_probability": "ballot order",
-    "probelect.sample_prob_exact": "election prob",
-    "probelect.sample_prob_approx": "election approx",
-    "probelect.cube_law_seats": "election cubelaw",
-    "probelect.simulate_election": "election simulate",
-    "recreations.generate_cubes": "puzzle cubes",
-    "recreations.associated_cube": "puzzle cubes --associated",
-    "recreations.mayblox_solve": "puzzle mayblox",
-    "recreations.generate_triangles": "puzzle triangles",
-    "recreations.generate_squares": "puzzle triangles --squares",
-    "recreations.hexagon_solve": "puzzle hexagon",
-    "recreations.stamp_foldings": "puzzle stamps",
-    "recreations.contact_system_count": "puzzle contacts",
-    "recreations.enumerate_contact_systems": "puzzle contacts --list",
-    "recreations.latin_reduced_count": "puzzle latin --reduced",
-    "recreations.latin_total_count": "puzzle latin --total",
-    "recreations.measuring_rod": "puzzle rod",
-    "recreations.weighing_set": "puzzle weights",
-    "recreations.rook_row_counts": "puzzle rooks",
-    "patterns.classify_edge": "pattern classify",
-    "patterns.build_repeat_tile": "pattern tile",
-    "patterns.generate_tiling": "pattern tiling",
-    "patterns.angle_distribution_check": "pattern angles",
-    "patterns.euler_deficiency_check": "pattern euler",
-    "patterns.schoenflies_tetrahedron": "pattern tetra",
-    "divisors.divisor_series_coeff": "divisor series",
-    "divisors.sigma2_from_plane_partitions": "divisor sigma2",
-    "divisors.potency": "divisor potency",
-    "divisors.multiplicity": "divisor potency",
-    "divisors.potency_count": "divisor potency --count",
-    "divisors.factorizations": "divisor factorize",
-    "divisors.totient_bipartite": "divisor totient",
-}
 
 
 # The parser is built on the first dispatch and reused: parsing leaves it

@@ -18,7 +18,7 @@ MultipartiteComposition = Tuple[VectorPart, ...]
 
 MULTIPARTITE_CAP = 10
 NEWCOMB_CAP = 9
-# lines enumerate_compositions may return: 2^19, n = 20
+# lines composition_batches may list: 2^19, n = 20
 COMPOSE_ENUM_CAP = 2**19
 # compositions per batch of a listing
 _BATCH = 4096
@@ -82,12 +82,6 @@ def _compositions_after(
     if len(buf) >= _BATCH:
         yield buf[:]
         buf.clear()
-
-
-def enumerate_compositions(n: int) -> List[Composition]:
-    """All 2^(n-1) compositions of n, in lexicographic order: the tuple
-    batches of composition_batches, joined."""
-    return [c for batch in composition_batches(n) for c in batch]
 
 
 def conjugate_composition(parts: Sequence[int]) -> Composition:
@@ -285,11 +279,6 @@ class RootedTree:
     """Immutable rooted tree; leaves have no children."""
 
     children: Tuple["RootedTree", ...] = ()
-
-    def height(self) -> int:
-        if not self.children:
-            return 0
-        return 1 + max(c.height() for c in self.children)
 
     def leaf_count(self) -> int:
         if not self.children:

@@ -4,8 +4,9 @@ potency and multiplicity, factorization counts, and the totient recast.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .partitions import plane_partition_gf, q_factor
 
@@ -14,11 +15,25 @@ SERIES_KINDS = ("A", "B", "C")
 DIVISOR_SERIES_CAP = 10**7
 # Cells max_n*max_k of one divisor-series table.
 DIVISOR_TABLE_CELL_CAP = 10**5
+# Trial divisors, up to sqrt(n), that divisors() and prime_factorization()
+# may try: n below (2^20 + 1)^2, so 2^40 and every n below 10^12.
+TRIAL_DIVISION_CAP = 2**20
+# Table additions, sum of nu + 1 - p over the primes p <= nu, of one
+# potency count: about half a second.
+POTENCY_ADDITION_CAP = 2**22
+
+
+def _check_trial_division(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be positive")
+    if math.isqrt(n) > TRIAL_DIVISION_CAP:
+        raise ValueError(
+            f"n = {n} needs trial divisors up to {math.isqrt(n)}, past the cap of {TRIAL_DIVISION_CAP}"
+        )
 
 
 def divisors(n: int) -> List[int]:
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_trial_division(n)
     small: List[int] = []
     large: List[int] = []
     for d in range(1, math.isqrt(n) + 1):
@@ -109,8 +124,7 @@ def sigma2_from_plane_partitions(bound: int) -> List[int]:
 
 
 def prime_factorization(n: int) -> Dict[int, int]:
-    if n < 1:
-        raise ValueError("n must be positive")
+    _check_trial_division(n)
     out: Dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -139,16 +153,27 @@ def _primes_up_to(limit: int) -> List[int]:
     for p in range(2, int(limit**0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return [p for p in range(2, limit + 1) if sieve[p]]
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
 def potency_count(nu: int) -> int:
     """Number of integers with potency nu: the prime partitions of nu,
-    the coefficient of b^nu in prod over primes p of 1/(1 - b^p)."""
+    the coefficient of b^nu in prod over primes p of 1/(1 - b^p).
+
+    Dividing by 1 - b^p takes nu + 1 - p additions; past
+    POTENCY_ADDITION_CAP of them the count is refused.  The prime 2 alone
+    takes nu - 1, so a nu past the cap is refused before the sieve.
+    """
     if nu < 0:
         raise ValueError("nu must be non-negative")
+    primes = _primes_up_to(nu) if nu - 1 <= POTENCY_ADDITION_CAP else [2]
+    additions = sum(nu + 1 - p for p in primes)
+    if additions > POTENCY_ADDITION_CAP:
+        raise ValueError(
+            f"potency {nu} needs {additions} or more table additions, past the cap of {POTENCY_ADDITION_CAP}"
+        )
     table = [1] + [0] * nu  # table[0]: n = 1 with the empty factorization
-    for p in _primes_up_to(nu):
+    for p in primes:
         q_factor(table, p, -1)
     return table[nu]
 
@@ -180,22 +205,31 @@ def goldbach_recast_holds(nu: int) -> bool:
     return any(multiplicity(n) == 2 for n in integers_with_potency(nu))
 
 
+def ordered_factorization_totals(m: int) -> Tuple[int, int]:
+    """(H(m), T(m)): the ordered factorizations of m into factors >= 2,
+    and the sum of f - 1 over the factors f of all of them, which is the
+    number of parts of all the perfect partitions of m - 1.  A first
+    factor n/d >= 2 leaves the H(d) factorizations of d, so
+    H(n) = sum H(d) and T(n) = sum T(d) + (n/d - 1) H(d) over the
+    divisors d < n of n, with H(1) = 1 and T(1) = 0."""
+    ds = divisors(m)  # every factor of a cofactor divides m too
+    h, t = {1: 1}, {1: 0}
+    for i in range(1, len(ds)):
+        n = ds[i]
+        rest = [d for d in ds[:i] if n % d == 0]
+        h[n] = sum(h[d] for d in rest)
+        t[n] = sum(t[d] + (n // d - 1) * h[d] for d in rest)
+    return h[m], t[m]
+
+
 def factorizations(m: int, ordered: bool = False) -> int:
     """Factorizations of m into parts >= 2: multisets by default,
     sequences when ordered.  m = 1 counts the empty product once."""
     if m < 1:
         raise ValueError("m must be positive")
-    ds = divisors(m)  # every factor of a cofactor divides m too
     if ordered:
-        # H(n) = sum of H(d) over the divisors d < n of n, H(1) = 1: the
-        # first factor n/d is at least 2 and the rest factorizes d.
-        counts = {1: 1}
-        for i in range(1, len(ds)):
-            n = ds[i]
-            counts[n] = sum(counts[d] for d in ds[:i] if n % d == 0)
-        return counts[m]
-
-    factors = ds[1:]
+        return ordered_factorization_totals(m)[0]
+    factors = divisors(m)[1:]  # every factor of a cofactor divides m too
 
     def count(n: int, max_factor: int) -> int:
         if n == 1:
@@ -213,12 +247,13 @@ def factorizations(m: int, ordered: bool = False) -> int:
 
 def totient_bipartite(n: int) -> int:
     """Number of splits n = a + (n - a), 1 <= a <= n-1, with the two
-    parts coprime; equals the classical totient for n >= 2."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n == 1:
-        return 1  # classical convention; no proper splits exist
-    return sum(1 for a in range(1, n) if math.gcd(a, n - a) == 1)
+    parts coprime.  gcd(a, n - a) = gcd(a, n), and a = n is never coprime
+    to n >= 2, so the count is the totient phi(n) = n prod (1 - 1/p) over
+    the primes p dividing n.  n = 1 has no proper split and gives
+    phi(1) = 1, the classical convention."""
+    for p in prime_factorization(n):
+        n = n // p * (p - 1)
+    return n
 
 
 def classical_totient(n: int) -> int:

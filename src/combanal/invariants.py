@@ -309,12 +309,15 @@ def transformed_coefficients(p: int, t: LinearTransform2) -> List[MultiPoly]:
     return out
 
 
-def invariance_check(
-    f: MultiPoly, p: int, t: LinearTransform2, max_exponent: int = 64
-) -> Tuple[bool, Optional[int]]:
+# the largest exponent s of the modulus that invariance_check tries
+INVARIANCE_EXPONENTS = 64
+
+
+def invariance_check(f: MultiPoly, p: int, t: LinearTransform2) -> Tuple[bool, Optional[int]]:
     """Test f(A) = M^s f(a) (or the covariant version) exactly.
 
-    Returns (True, s) for the smallest working exponent, else (False, None).
+    Returns (True, s) for the smallest working s <= INVARIANCE_EXPONENTS,
+    else (False, None).
     """
     names = avar_names(p, with_xy=True)
     if f.names == avar_names(p):
@@ -336,7 +339,7 @@ def invariance_check(
     )
     modulus = t.modulus()
     power = Fraction(1)
-    for s in range(max_exponent + 1):
+    for s in range(INVARIANCE_EXPONENTS + 1):
         if lhs == rhs_base * power:
             return True, s
         power *= modulus

@@ -235,7 +235,3 @@ def generalized_rencontres(m: int, multidegree: Multidegree) -> int:
         for big_k, value in enumerate(a[: total - m + 1])
     )
 
-
-def multiset_derangement_count(multidegree: Multidegree) -> int:
-    """{0; e1 ... en}: no position keeps its original symbol."""
-    return generalized_rencontres(0, multidegree)

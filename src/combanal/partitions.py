@@ -68,6 +68,9 @@ class PartitionConstraint:
 # partitions that partition_batches and enumerate_partitions may list:
 # 2^19, as for compose enum (p(55) = 451276 is the largest p(n) within it)
 PARTITION_ENUM_CAP = 2**19
+# parts that a listing may hold, bounded as lines * longest line: 2^25,
+# which admits the p(55) = 451276 lines of at most 55 parts
+PARTITION_PARTS_CAP = 2**25
 # partitions per batch of a listing
 _BATCH = 4096
 # remainders up to this share their completions, at most p(16) = 231 each
@@ -241,44 +244,56 @@ def _partitions_past_cap(n: int) -> bool:
     return count_partitions(m) > PARTITION_ENUM_CAP
 
 
-def _few_parts_fit(n: int, k: int) -> bool:
-    """Whether the partitions of n into at most k parts number at most
-    PARTITION_ENUM_CAP by the bound C(n + k(k+1)/2 - 1, k - 1) / k!: adding
+def _few_parts_bound(n: int, k: int) -> Optional[int]:
+    """A bound on the partitions of n into at most k parts,
+    C(n + k(k+1)/2 - 1, k - 1) / k!, or None past PARTITION_ENUM_CAP: adding
     k - i to the i-th of k parts (zeros included) makes them distinct, and
     each set of k distinct parts is k! of the compositions of
     n + k(k-1)/2 into k parts.  The bound grows with k, so it is computed
     only up to the first k past the cap."""
-    return all(
-        math.comb(n + i * (i + 1) // 2 - 1, i - 1) // math.factorial(i) <= PARTITION_ENUM_CAP
-        for i in range(1, k + 1)
-    )
+    bound = 1
+    for i in range(1, k + 1):
+        bound = math.comb(n + i * (i + 1) // 2 - 1, i - 1) // math.factorial(i)
+        if bound > PARTITION_ENUM_CAP:
+            return None
+    return bound
 
 
 def _check_listing(n: int, c: PartitionConstraint) -> None:
-    """Refuse a listing of more than PARTITION_ENUM_CAP partitions.  Nothing
-    is counted within p(n) <= cap, or within the bound for at most k parts
-    (k the part-count bound, or by conjugation the largest part allowed).
-    An unconstrained n past the cap is refused at once; any other listing
-    is counted by a walk that stops at cap + 1."""
+    """Refuse a listing of more than PARTITION_ENUM_CAP partitions, or of
+    more than PARTITION_PARTS_CAP parts.  Nothing is counted within
+    p(n) <= cap, or within the bound for at most k parts (k the part-count
+    bound, or by conjugation the largest part allowed).  An unconstrained
+    n past the cap is refused at once; any other listing is counted by a
+    walk that stops at cap + 1.  The parts are bounded by that line bound
+    times the longest line: min(part-count bound, n // smallest part)."""
     if n < 0:
         raise ValueError("n must be non-negative")
     if not _partitions_past_cap(n):
-        return
-    if c == PartitionConstraint():
+        lines = count_partitions(n)
+    elif c == PartitionConstraint():
         raise ValueError(f"n = {n} has more than {PARTITION_ENUM_CAP} partitions, the output cap")
-    bounds = [c.max_part, c.num_parts, c.max_parts]
-    if c.allowed_parts is not None:
-        bounds.append(max(c.allowed_parts, default=0))
-    if _few_parts_fit(n, min((k for k in bounds if k is not None), default=n)):
-        return
-    total = 0
-    for batch in _PartitionWalk(n, c, _Units(lambda v: ""), "", 0).batches():
-        total += len(batch)
-        if total > PARTITION_ENUM_CAP:
-            raise ValueError(
-                f"n = {n} has more than {PARTITION_ENUM_CAP} partitions under these"
-                " constraints, the output cap"
-            )
+    else:
+        bounds = [c.max_part, c.num_parts, c.max_parts]
+        if c.allowed_parts is not None:
+            bounds.append(max(c.allowed_parts, default=0))
+        lines = _few_parts_bound(n, min((k for k in bounds if k is not None), default=n))
+        if lines is None:
+            lines = 0
+            for batch in _PartitionWalk(n, c, _Units(lambda v: ""), "", 0).batches():
+                lines += len(batch)
+                if lines > PARTITION_ENUM_CAP:
+                    raise ValueError(
+                        f"n = {n} has more than {PARTITION_ENUM_CAP} partitions under these"
+                        " constraints, the output cap"
+                    )
+    sizes = [v for v in c.allowed_parts or () if v >= c.min_part] or [c.min_part]
+    longest = min(k for k in (n // min(sizes), c.num_parts, c.max_parts) if k is not None)
+    if lines * longest > PARTITION_PARTS_CAP:
+        raise ValueError(
+            f"n = {n} lists up to {lines} partitions of up to {longest} parts,"
+            f" past the cap of {PARTITION_PARTS_CAP} parts"
+        )
 
 
 def partition_batches(
@@ -561,11 +576,6 @@ def conjugate(partition: Sequence[int]) -> Partition:
     return tuple(cols)
 
 
-def ferrers_rows(partition: Sequence[int], dot: str = "*") -> List[str]:
-    """Ferrers graph rendering: one string of dots per part."""
-    return [dot * p for p in check_partition(partition)]
-
-
 def modular_partition(partition: Sequence[int], m: int) -> List[Tuple[int, ...]]:
     """Rewrite each part q as m + m + ... + r with 0 < r <= m.
 
@@ -601,6 +611,10 @@ def macmahon_digits(k: int) -> str:
 
 
 # -- perfect and subperfect partitions ----------------------------------
+
+# parts of the perfect partitions one call lists: 2^20, which admits the
+# 20128 partitions of 5039 with 822812 parts
+PERFECT_PARTS_CAP = 2**20
 
 
 def _subset_sum_counts(parts: Sequence[int], signed: bool = False) -> Dict[int, int]:
@@ -669,28 +683,40 @@ def ordered_factorizations(m: int) -> List[Tuple[int, ...]]:
     return rec(m)
 
 
+def perfect_partition(factors: Sequence[int]) -> Partition:
+    """The perfect partition of f1*f2*...*fk - 1 that the ordered
+    factorization f1, ..., fk gives: f_i - 1 copies of the place value
+    f1*...*f_{i-1}, descending.  Refused past PERFECT_PARTS_CAP parts."""
+    size = sum(f - 1 for f in factors)
+    if size > PERFECT_PARTS_CAP:
+        raise ValueError(f"the perfect partition has {size} parts, past the cap of {PERFECT_PARTS_CAP}")
+    parts: List[int] = []
+    place = 1
+    for f in factors:
+        parts += [place] * (f - 1)
+        place *= f
+    return tuple(reversed(parts))
+
+
 def enumerate_perfect(n: int) -> List[Partition]:
     """All perfect partitions of n, one per ordered factorization of n + 1.
 
     The chain 1 + x + ... + x^n factors as a product of cyclotomic-style
     blocks; each ordered factorization n + 1 = f1*f2*...*fk yields the
-    perfect partition with f_i - 1 copies of the place value f1*...*f_{i-1}.
+    perfect partition with f_i - 1 copies of the place value f1*...*f_{i-1},
+    and distinct factorizations yield distinct partitions.  Refused before
+    any is made when their parts together pass PERFECT_PARTS_CAP.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    seen = set()
-    out: List[Partition] = []
-    for factors in ordered_factorizations(n + 1):
-        parts: List[int] = []
-        place = 1
-        for f in factors:
-            parts.extend([place] * (f - 1))
-            place *= f
-        partition = tuple(sorted(parts, reverse=True))
-        if partition not in seen:
-            seen.add(partition)
-            out.append(partition)
-    return sorted(out, reverse=True)
+    from .divisors import ordered_factorization_totals  # a local import: divisors imports this module
+
+    total = ordered_factorization_totals(n + 1)[1]
+    if total > PERFECT_PARTS_CAP:
+        raise ValueError(
+            f"the perfect partitions of {n} have {total} parts, past the cap of {PERFECT_PARTS_CAP}"
+        )
+    return sorted(map(perfect_partition, ordered_factorizations(n + 1)), reverse=True)
 
 
 @dataclass(frozen=True)
@@ -969,11 +995,6 @@ def xy_symmetric_two_layer_poly(i: int) -> Dict[int, int]:
                     w = wl + sum(2 * j - 1 for j in upper)
                     out[w] = out.get(w, 0) + 1
     return out
-
-
-def xy_symmetric_count(w: int, i: int) -> int:
-    """Coefficient of x^w in the two-layer polynomial for axis bound i."""
-    return xy_symmetric_two_layer_poly(i).get(w, 0)
 
 
 def xy_symmetric_cell_enumeration(i: int) -> Dict[int, int]:

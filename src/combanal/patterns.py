@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .recreations import enumerate_contact_systems
-
 Point = Tuple[Fraction, Fraction]
 
 
@@ -265,6 +263,10 @@ class Placement:
     boundary: Tuple[Tuple[float, float], ...]
 
 
+# SVG user units to one edge of the base polygon
+SVG_UNITS_PER_EDGE = 96
+
+
 @dataclass
 class TilingResult:
     tile: RepeatTile
@@ -272,14 +274,15 @@ class TilingResult:
     verified: bool
     first_failure: Optional[Tuple[float, float]]
 
-    def to_svg(self, units_per_edge: int = 96) -> str:
-        """SVG 1.1 document, one path per copy, deterministic order."""
+    def to_svg(self) -> str:
+        """SVG 1.1 document, one path per copy, deterministic order, at
+        SVG_UNITS_PER_EDGE user units to an edge."""
         xs = [x for p in self.placements for x, _ in p.boundary]
         ys = [y for p in self.placements for _, y in p.boundary]
         pad = 0.1
         minx, maxx = min(xs) - pad, max(xs) + pad
         miny, maxy = min(ys) - pad, max(ys) + pad
-        s = units_per_edge
+        s = SVG_UNITS_PER_EDGE
         width = (maxx - minx) * s
         height = (maxy - miny) * s
         paths = []
@@ -498,20 +501,22 @@ class DeficiencyReport:
     euler_ok: bool
 
 
+# how far apart the two float deficiency sums may be and still be equal
+DEFICIENCY_TOLERANCE = 1e-9
+
+
 def euler_deficiency_check(
-    vertex_solid_angles: Sequence[float],
-    edge_dihedral_angles: Sequence[float],
-    faces: int,
-    tolerance: float = 1e-9,
+    vertex_solid_angles: Sequence[float], edge_dihedral_angles: Sequence[float], faces: int
 ) -> DeficiencyReport:
     """Compare vertex deficiencies sum(2*pi - omega) with edge
-    deficiencies sum(2*pi - 2*theta) for a convex polyhedron."""
+    deficiencies sum(2*pi - 2*theta) for a convex polyhedron, equal
+    within DEFICIENCY_TOLERANCE."""
     v, e = len(vertex_solid_angles), len(edge_dihedral_angles)
     euler_ok = v - e + faces == 2
     vertex_sum = sum(2 * math.pi - omega for omega in vertex_solid_angles)
     edge_sum = sum(2 * math.pi - 2 * theta for theta in edge_dihedral_angles)
     return DeficiencyReport(
-        vertex_sum, edge_sum, abs(vertex_sum - edge_sum) <= tolerance, euler_ok
+        vertex_sum, edge_sum, abs(vertex_sum - edge_sum) <= DEFICIENCY_TOLERANCE, euler_ok
     )
 
 
@@ -632,8 +637,3 @@ def achievable_square_contact_systems() -> List[Tuple[int, ...]]:
         if ok and len(pairs) == 4:
             results.add(tuple(pairs[i] for i in range(4)))
     return sorted(results)
-
-
-def contact_systems_for(base: str) -> List[Tuple[int, ...]]:
-    """All contact systems of the base polygon (shared enumeration)."""
-    return enumerate_contact_systems(BASES[base])

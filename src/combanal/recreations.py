@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .partitions import enumerate_partitions, is_perfect, is_subperfect
+from .partitions import perfect_partition
 
 # -- cubes -------------------------------------------------------------------
 
@@ -178,13 +178,11 @@ def mayblox_solve(
     return _assemble(pool, target)
 
 
-def mayblox_solve_any(pool: Optional[Sequence[Cube]] = None) -> Optional[CubeAssembly]:
-    """Target-free variant: any uniform-face 2x2x2 from eight pool cubes."""
+def mayblox_solve_any() -> Optional[CubeAssembly]:
+    """Target-free variant: any uniform-face 2x2x2 from eight of the 30 cubes."""
     cubes = generate_cubes(6)
-    if pool is None:
-        pool = cubes
     for virtual_target in cubes:
-        result = _assemble(pool, virtual_target)
+        result = _assemble(cubes, virtual_target)
         if result is not None:
             return result
     return None
@@ -380,24 +378,27 @@ def verify_hexagon(solution: HexagonSolution, tiles: Sequence[Tile]) -> bool:
     return True
 
 
-def hexagon_solve(
-    tiles: Sequence[Tile],
-    border_color: int,
-    restarts: int = 60,
-    node_budget: int = 60_000,
-) -> Optional[HexagonSolution]:
+# the hexagon search: seeds 0..HEXAGON_RESTARTS-1, each given
+# HEXAGON_NODES backtracking nodes
+HEXAGON_RESTARTS = 60
+HEXAGON_NODES = 60_000
+
+
+def hexagon_solve(tiles: Sequence[Tile], border_color: int) -> HexagonSolution:
     """Edge-matched side-2 hexagon with a uniform border color.
 
-    Expects the full set of 24 triangles; returns None when unsolvable.
-    The backtracker randomizes its value order per restart (seeds
-    0..restarts-1 with a fixed node budget each), which is deterministic
-    across runs while escaping pathological orderings.
+    Expects the full set of 24 triangles.  The backtracker randomizes its
+    value order per restart (seeds 0..HEXAGON_RESTARTS-1 with
+    HEXAGON_NODES nodes each), which is deterministic across runs while
+    escaping pathological orderings.  A ValueError tells the two failures
+    apart: a search that ran to its end proves that no arrangement
+    exists, while restarts that all ran out of nodes prove nothing.
     """
     import random as _random
 
     cells, edge_map, perimeter = hexagon_board(2)
     if len(tiles) != len(cells):
-        return None
+        raise ValueError("no hexagon arrangement exists")
     perimeter_set = set(perimeter)
     tiles = [canonical_tile(t) for t in tiles]
     cell_edges = {cell: _cell_edges(cell) for cell in cells}
@@ -440,7 +441,7 @@ def hexagon_solve(
         def search(depth: int) -> bool:
             nonlocal nodes
             nodes += 1
-            if nodes > node_budget:
+            if nodes > HEXAGON_NODES:
                 raise _Budget
             if depth == len(cells):
                 return True
@@ -471,8 +472,7 @@ def hexagon_solve(
         except _Budget:
             return None
 
-    exhausted = False
-    for seed in range(restarts):
+    for seed in range(HEXAGON_RESTARTS):
         result = attempt(seed)
         if result:
             return HexagonSolution(
@@ -480,11 +480,8 @@ def hexagon_solve(
                 border_color,
             )
         if result == {}:
-            exhausted = True
-            break  # full search space exhausted: genuinely unsolvable
-    if exhausted:
-        return None
-    return None
+            raise ValueError("no hexagon arrangement exists")
+    raise ValueError(f"none found within {HEXAGON_RESTARTS} restarts of {HEXAGON_NODES} nodes")
 
 
 # -- stamp foldings ------------------------------------------------------------
@@ -681,30 +678,48 @@ def measuring_rod(k: int) -> Tuple[int, ...]:
 
 
 def weighing_set(u: int, pans: str = "one") -> Tuple[int, ...]:
-    """Fewest weights measuring every 1..u uniquely.
+    """Fewest weights measuring every 1..u uniquely, as a descending part
+    list; ties break on the lexicographically least list.
 
-    One pan: a perfect partition of u (unique subset sums); two pans: a
-    subperfect partition (unique signed subset sums).  Ties in size break
-    lexicographically on the descending part list.
+    One pan: a perfect partition of u (unique subset sums).  Each comes
+    from an ordered factorization u + 1 = f1 ... fk, with f_i - 1 parts
+    f1 ... f_(i-1), so sum(f_i - 1) parts.  Splitting a factor ab into
+    a, b lowers that sum by (a - 1)(b - 1) > 0, so the fewest parts come
+    from the prime factors of u + 1.  Taken in ascending order they put
+    the largest prime last, whose place value (u + 1) / f_k is the least
+    possible largest part, and so on down: the least list.
 
-    Perfect partitions exist for every u; subperfect ones only for
-    certain u (1, 2, 4, 13, ...), so the two-pan mode can raise.
+    Two pans: a subperfect partition (unique signed subset sums).  A part
+    v repeated m >= 2 times gives u - 2v the two representations (m - 2
+    plus, 0 minus) and (m - 1 plus, 1 minus) at v, which is a value in
+    1..u unless the parts are v, v with u = 2v; so (1, 1) for u = 2, and
+    otherwise the k parts are distinct.  Two sign vectors with one sum c
+    are two representations of |c| if c != 0; if c = 0 one of them is
+    nonzero, and the parts it adds and the parts it subtracts are two
+    representations of one value.  So all 3^k signed sums are distinct and
+    fill -u..u, and the product of 1 + x^a + x^2a over the parts is
+    (1 - x^(3^k)) / (1 - x).  Its lowest term past 1 makes 1 a part;
+    dividing by 1 + x + x^2 leaves (1 - x^(3^k)) / (1 - x^3), whose lowest
+    term makes 3 a part, and so on: the parts are 1, 3, ..., 3^(k - 1),
+    and 2u + 1 = 3^k.  Any other u has no subperfect partition.
     """
     if u < 1:
         raise ValueError("u must be at least 1")
-    if pans not in ("one", "two"):
+    if pans == "one":
+        from .divisors import prime_factorization
+
+        primes = sorted(prime_factorization(u + 1).items())
+        return perfect_partition([p for p, e in primes for _ in range(e)])
+    if pans != "two":
         raise ValueError("pans must be 'one' or 'two'")
-    test = is_perfect if pans == "one" else is_subperfect
-    best: Optional[Tuple[int, ...]] = None
-    for partition in enumerate_partitions(u):
-        if best is not None and len(partition) > len(best):
-            continue
-        if test(partition):
-            if best is None or (len(partition), partition) < (len(best), best):
-                best = partition
-    if best is None:
-        raise ValueError(f"no {'perfect' if pans == 'one' else 'subperfect'} partition of {u} exists")
-    return best
+    if u == 2:
+        return (1, 1)
+    k = 0
+    while 3**k < 2 * u + 1:
+        k += 1
+    if 3**k != 2 * u + 1:
+        raise ValueError(f"no subperfect partition of {u} exists")
+    return tuple(3**i for i in range(k - 1, -1, -1))
 
 
 # -- rook placements by differentiation ----------------------------------------------

@@ -127,6 +127,10 @@ class TestExitCodes:
         code, out, err = run("puzzle stamps 13")
         assert code == 1
 
+    def test_exhausted_hexagon_search_says_none_exists(self):
+        # no tile carries colour 4; spent restarts would say "none found within ..."
+        assert run("puzzle hexagon --border 4") == (1, "", "error: no hexagon arrangement exists\n")
+
     def test_max_work_flag_is_gone(self):
         code, out, err = run("puzzle stamps 6 --max-work 5")
         assert code == 2 and out == ""
@@ -321,6 +325,14 @@ CAP_EDGES = [
         "invariant covariant a0^2*a2-a0*a1^2 --p 23",
         "invariant covariant a0^3 --p 23",
     ),  # 65 * C(26,3) * 24 = 4056000 and 69 * C(26,3) * 24 = 4305600 term entries, cap 2^22
+    (
+        "partition enum 8191 --max-part 2",
+        "partition enum 8192 --max-part 2",
+    ),  # 4096 * 8191 = 33550336 and 4097 * 8192 = 33562624 listed parts at most, cap 2^25
+    ("partition perfect 13055", "partition perfect 21671"),  # 2^20 and 1048684 parts
+    ("puzzle weights 1048572", "puzzle weights 1048582"),  # 1048573 and 1048583 prime: parts u
+    ("divisor potency 1099513724928", "divisor potency 1099513724929"),  # (2^20 + 1)^2 - 1, trial divisors to 2^20
+    ("divisor potency --count 7876", "divisor potency --count 7877"),  # 4194191 and 4195186 additions
 ]
 
 
@@ -340,6 +352,12 @@ UNGUARDED_BEFORE = [
     "compose count 100000 100000",
     "partition enum 90",  # 56634173 lines; a MemoryError when listings were built whole
     "partition conj 99999999999999999999,1",  # an OverflowError traceback from conjugate
+    "partition enum 1000000000000 --max-part 1",  # a MemoryError: one line of 10^12 parts
+    "partition perfect 720719",  # a MemoryError after 22 s: 510002468 parts
+    "divisor potency 1000000000000000003",  # trial division to 10^9, past 60 s
+    "divisor factorize 1000000000000000003",
+    "divisor potency --count 1000000000000",  # a MemoryError from the sieve
+    "puzzle weights 100 --pans two",  # a walk of all p(100) partitions
 ]
 
 
@@ -348,7 +366,9 @@ UNGUARDED_BEFORE = [
     UNGUARDED_BEFORE,
     ids=[
         "30x30 degree 1^30", "order 20 denominator", "compose count 10^5 10^5",
-        "partition enum 90", "partition conj 10^20,1",
+        "partition enum 90", "partition conj 10^20,1", "partition enum 10^12 --max-part 1",
+        "partition perfect 720719", "divisor potency 10^18+3", "divisor factorize 10^18+3",
+        "divisor potency --count 10^12", "puzzle weights 100 --pans two",
     ],
 )
 def test_formerly_unguarded_argv_refuse_at_once(argv):
@@ -383,6 +403,9 @@ def test_readme_cap_table_cites_every_cap_with_its_value():
 
 
 FORMERLY_UNBOUNDED = [
+    ("puzzle weights 56", "3 " * 18 + "1 1\n"),  # 57 = 3 * 19
+    ("puzzle weights 1000000", " ".join(["101"] * 9900 + ["1"] * 100) + "\n"),  # 101 * 9901
+    ("divisor totient 100000000", "40000000\n"),
     ("partition plane 30 --boxed 6,6,6", "1142044\n"),
     ("partition plane 30 --boxed inf,8,8", "4091065\n"),
     ("partition count 300 --euler-primes 3", "456522576 456522576\n"),
@@ -823,79 +846,6 @@ class TestFormats:
         assert code == 0
         payload = json.loads(out)
         assert payload["seats_a"] + payload["seats_b"] == 10
-
-
-class TestCoverage:
-    def test_every_operation_reachable(self):
-        # audit: each module operation appears in the coverage table, and
-        # the table's subcommands parse.
-        expected_ops = {
-            "exactcore": ["nullspace_integer"],
-            "partitions": [
-                "enumerate_partitions", "count_partitions", "demorgan_u",
-                "closed_form_u2", "closed_form_u3", "warburton_count",
-                "cayley_denumerant", "conjugate", "modular_partition",
-                "parity_p", "macmahon_digits", "enumerate_perfect",
-                "scale_of_numeration", "generalized_euler_counts",
-                "relation_pattern_count", "enumerate_plane_partitions",
-                "count_plane_partitions", "plane_partition_gf",
-                "count_boxed_plane_partitions", "xy_symmetric_two_layer_poly",
-            ],
-            "compositions": [
-                "enumerate_compositions", "conjugate_composition",
-                "enumerate_multipartite_compositions",
-                "bipartite_composition_count_gf", "route_conjugate",
-                "count_by_essential_nodes", "zigzag_conjugate",
-                "composition_tree", "combinations_order_k_count",
-                "newcomb_distribution",
-            ],
-            "masterthm": [
-                "master_denominator", "master_coefficient", "derangements",
-                "generalized_rencontres",
-            ],
-            "invariants": [
-                "omega", "oop", "covariant_from_seed", "seminvariant_basis",
-                "invariance_check", "invariant_weight", "protomorphs",
-                "syzygant_search", "roots_correspondence_check",
-            ],
-            "probelect": [
-                "ballot_strictly_ahead", "ballot_never_behind",
-                "macmahon_order_probability", "sample_prob_exact",
-                "sample_prob_approx", "cube_law_seats", "simulate_election",
-            ],
-            "recreations": [
-                "generate_cubes", "associated_cube", "mayblox_solve",
-                "generate_triangles", "generate_squares", "hexagon_solve",
-                "stamp_foldings", "contact_system_count",
-                "enumerate_contact_systems", "latin_reduced_count", "latin_total_count",
-                "measuring_rod", "weighing_set", "rook_row_counts",
-            ],
-            "patterns": [
-                "classify_edge", "build_repeat_tile", "generate_tiling",
-                "angle_distribution_check", "euler_deficiency_check",
-                "schoenflies_tetrahedron",
-            ],
-            "divisors": [
-                "divisor_series_coeff", "sigma2_from_plane_partitions",
-                "potency", "multiplicity", "potency_count", "factorizations",
-                "totient_bipartite",
-            ],
-        }
-        for module, ops in expected_ops.items():
-            for op in ops:
-                key = f"{module}.{op}"
-                assert key in cli.OPERATION_COVERAGE, f"{key} unmapped"
-
-    def test_coverage_subcommands_exist(self):
-        # each target's group and action are a command of the table, and
-        # every --flag it names is one of that command's arguments
-        for op, target in cli.OPERATION_COVERAGE.items():
-            group, action, *rest = target.split()
-            assert (group, action) in cli.COMMANDS, op
-            options = {name for names, _ in cli.COMMANDS[group, action].arguments for name in names}
-            for word in rest:
-                if word.startswith("--"):
-                    assert word in options, f"{op}: {target}"
 
 
 class TestSelectedBehaviors:

@@ -9,6 +9,15 @@ from combanal import compositions as cp
 from enumeration_support import enumerate_compositions_oracle
 
 
+def compositions(n):
+    """The compositions of n as tuples: composition_batches joined."""
+    return [c for batch in cp.composition_batches(n) for c in batch]
+
+
+def height(tree):
+    return 1 + max(map(height, tree.children)) if tree.children else 0
+
+
 # The twenty-six compositions of the bipartite number (2, 2), frozen from
 # the published list.
 COMPOSITIONS_22 = {
@@ -43,7 +52,7 @@ COMPOSITIONS_22 = {
 
 class TestUnipartite:
     def test_eight_compositions_of_four(self):
-        got = cp.enumerate_compositions(4)
+        got = compositions(4)
         assert len(got) == 8
         assert set(got) == {
             (1, 1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2),
@@ -51,11 +60,11 @@ class TestUnipartite:
         }
 
     def test_one(self):
-        assert cp.enumerate_compositions(1) == [(1,)]
+        assert compositions(1) == [(1,)]
 
     def test_table_matches_recursive_oracle(self):
         for n in range(1, 15):
-            assert cp.enumerate_compositions(n) == enumerate_compositions_oracle(n)
+            assert compositions(n) == enumerate_compositions_oracle(n)
 
     def test_string_batches_join_the_oracle(self):
         for n in range(1, 15):
@@ -65,8 +74,8 @@ class TestUnipartite:
     def test_counts_are_powers_of_two(self):
         for n in range(1, 17):
             if n <= 10:
-                assert len(cp.enumerate_compositions(n)) == 2 ** (n - 1)
-        assert len(cp.enumerate_compositions(10)) == 512
+                assert len(compositions(n)) == 2 ** (n - 1)
+        assert len(compositions(10)) == 512
 
     def test_conjugate_published_pair(self):
         assert cp.conjugate_composition((2, 1, 4)) == (1, 3, 1, 1, 1)
@@ -77,7 +86,7 @@ class TestUnipartite:
 
     def test_conjugate_involution_and_part_count(self):
         for n in range(1, 9):
-            for comp in cp.enumerate_compositions(n):
+            for comp in compositions(n):
                 conj = cp.conjugate_composition(comp)
                 assert sum(conj) == n
                 assert len(conj) == n - len(comp) + 1
@@ -91,7 +100,7 @@ class TestUnipartite:
 
     def test_zigzag_involution(self):
         for n in range(1, 9):
-            for comp in cp.enumerate_compositions(n):
+            for comp in compositions(n):
                 conj = cp.zigzag_conjugate(comp)
                 assert sum(conj) == n
                 assert len(conj) == n - len(comp) + 1
@@ -99,7 +108,7 @@ class TestUnipartite:
 
     def test_zigzag_agrees_with_circled_dots(self):
         for n in range(1, 9):
-            for comp in cp.enumerate_compositions(n):
+            for comp in compositions(n):
                 assert cp.zigzag_conjugate(comp) == cp.conjugate_composition(comp)
 
 
@@ -185,20 +194,20 @@ class TestEssentialNodes:
 
 class TestTrees:
     def test_eight_trees_of_four(self):
-        trees = {cp.composition_tree(c) for c in cp.enumerate_compositions(4)}
+        trees = {cp.composition_tree(c) for c in compositions(4)}
         assert len(trees) == 8
         for t in trees:
-            assert t.height() == 2
+            assert height(t) == 2
             assert t.leaf_count() == 4
 
     def test_minimal(self):
         t = cp.composition_tree((1,))
-        assert t.height() == 2
+        assert height(t) == 2
         assert cp.tree_composition(t) == (1,)
 
     def test_round_trip(self):
         for p in range(1, 8):
-            for comp in cp.enumerate_compositions(p):
+            for comp in compositions(p):
                 assert cp.tree_composition(cp.composition_tree(comp)) == comp
 
     def test_malformed_rejected(self):

@@ -206,3 +206,31 @@ class TestTotient:
 
     def test_n1_flagged_convention(self):
         assert dv.totient_bipartite(1) == 1
+
+    def test_matches_the_split_count(self):
+        # the splits n = a + (n - a) with coprime parts, counted one by one
+        for n in range(2, 501):
+            splits = sum(1 for a in range(1, n) if math.gcd(a, n - a) == 1)
+            assert dv.totient_bipartite(n) == splits, n
+
+    def test_large_n_from_the_factorization(self):
+        assert dv.totient_bipartite(10**8) == 4 * 10**7
+        assert dv.totient_bipartite(999983 * 1000003) == 999982 * 1000002
+
+
+class TestTrialDivisionCap:
+    # n below (2^20 + 1)^2 needs trial divisors up to 2^20 at most
+    def test_edge(self):
+        n = (2**20 + 1) ** 2 - 1
+        assert dv.prime_factorization(n) == {2: 21, 3: 1, 174763: 1}
+        assert dv.divisors(n)[:4] == [1, 2, 3, 4]
+        for f in (dv.prime_factorization, dv.divisors):
+            with pytest.raises(ValueError, match="past the cap of 1048576$"):
+                f(n + 1)
+
+    def test_potency_count_edge(self):
+        # sum of 7877 - p over the primes p <= 7876 is 4194191 additions
+        assert dv.potency_count(7876) > 0
+        for nu in (7877, 10**7, 10**12):
+            with pytest.raises(ValueError, match="past the cap of 4194304$"):
+                dv.potency_count(nu)

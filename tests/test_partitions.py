@@ -709,5 +709,5 @@ class TestXeS:
             assert pt.xy_symmetric_two_layer_poly(i) == pt.xy_symmetric_cell_enumeration(i)
 
     def test_count_accessor(self):
-        assert pt.xy_symmetric_count(11, 4) == 3
-        assert pt.xy_symmetric_count(6, 4) == 0
+        assert pt.xy_symmetric_two_layer_poly(4).get(11, 0) == 3
+        assert pt.xy_symmetric_two_layer_poly(4).get(6, 0) == 0

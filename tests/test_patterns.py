@@ -233,7 +233,7 @@ class TestTilings:
 
     def test_contact_systems_shared_with_involution_count(self):
         for base, n in (("triangle", 3), ("square", 4), ("hexagon", 6)):
-            systems = pa.contact_systems_for(base)
+            systems = rc.enumerate_contact_systems(pa.BASES[base])
             assert len(systems) == rc.contact_system_count(n)
 
     def test_achievable_square_systems_reported(self):

@@ -6,6 +6,7 @@ import pytest
 
 from combanal import recreations as rc
 from combanal.exactcore import MultiPoly
+from combanal.partitions import enumerate_partitions, is_perfect, is_subperfect
 
 
 def stamp_foldings_oracle(n: int) -> int:
@@ -194,7 +195,18 @@ class TestHexagon:
 
     def test_incomplete_set_unsolvable(self):
         tiles = rc.generate_triangles(4)
-        assert rc.hexagon_solve(tiles[:23], 0) is None
+        with pytest.raises(ValueError, match="^no hexagon arrangement exists$"):
+            rc.hexagon_solve(tiles[:23], 0)
+
+    def test_exhausted_search_proves_no_arrangement(self):
+        # no tile carries colour 4, so the search ends at its first cell
+        with pytest.raises(ValueError, match="^no hexagon arrangement exists$"):
+            rc.hexagon_solve(rc.generate_triangles(4), 4)
+
+    def test_spent_budget_proves_nothing(self, monkeypatch):
+        monkeypatch.setattr(rc, "HEXAGON_NODES", 10)
+        with pytest.raises(ValueError, match="^none found within 60 restarts of 10 nodes$"):
+            rc.hexagon_solve(rc.generate_triangles(4), 2)
 
 
 class TestStamps:
@@ -316,8 +328,6 @@ class TestWeighing:
         assert rc.weighing_set(4, "two") == (3, 1)
 
     def test_outputs_pass_checks(self):
-        from combanal.partitions import is_perfect, is_subperfect
-
         for u in range(1, 14):
             assert is_perfect(rc.weighing_set(u))
         for u in (1, 2, 4, 13):
@@ -327,6 +337,38 @@ class TestWeighing:
         # no multiset summing to 3 measures 1..3 uniquely on two pans
         with pytest.raises(ValueError):
             rc.weighing_set(3, "two")
+
+    @pytest.mark.parametrize("pans", ["one", "two"])
+    def test_closed_forms_match_the_search(self, pans):
+        # the search tests every partition of u: 0.3 s (one pan) and 1.5 s
+        # (two pans) to u = 30, but 6 s and 18 s to u = 40
+        for u in range(1, 31):
+            expected = weighing_search(u, pans)
+            if expected is None:
+                with pytest.raises(ValueError, match="no subperfect partition"):
+                    rc.weighing_set(u, pans)
+            else:
+                assert rc.weighing_set(u, pans) == expected, u
+
+    def test_large_u_answers_without_a_search(self):
+        # 1000001 = 101 * 9901: 100 ones, then 9900 parts of 101
+        assert rc.weighing_set(1_000_000) == (101,) * 9900 + (1,) * 100
+        assert rc.weighing_set(3**40 // 2, "two") == tuple(3**i for i in range(39, -1, -1))
+        with pytest.raises(ValueError, match="no subperfect partition of 100 exists"):
+            rc.weighing_set(100, "two")
+
+
+def weighing_search(u, pans):
+    """The fewest-part perfect (one pan) or subperfect (two pans) partition
+    of u, least descending list first, by testing every partition of u."""
+    test = is_perfect if pans == "one" else is_subperfect
+    best = None
+    for partition in enumerate_partitions(u):
+        if best is not None and len(partition) > len(best):
+            continue
+        if test(partition) and (best is None or (len(partition), partition) < (len(best), best)):
+            best = partition
+    return best
 
 
 class TestRooks:
