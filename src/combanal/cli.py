@@ -494,7 +494,7 @@ def cmd_compose_count(args) -> CommandResult:
     if args.q is None:
         raise UsageError("compose count needs q (or --order-k)")
     if args.essential:
-        rows = sorted(cp.count_by_essential_nodes(args.p, args.q).items())
+        rows = sorted(cp.essential_node_tally(args.p, args.q).items())
         text = "\n".join(f"s={s}: {n}" for s, n in rows)
         return CommandResult(text, {str(s): n for s, n in rows})
     return _scalar(cp.bipartite_composition_count_gf(args.p, args.q))

@@ -254,7 +254,8 @@ def route_conjugate(parts: Sequence[VectorPart]) -> MultipartiteComposition:
 
 
 def count_by_essential_nodes(p: int, q: int) -> Dict[int, int]:
-    """Tally of bipartite compositions of (p, q) by essential-node count."""
+    """Tally of bipartite compositions of (p, q) by essential-node count,
+    by enumerating them: the oracle of essential_node_tally."""
     if p < 1 or q < 1:
         raise ValueError("p and q must be at least 1")
     tally: Dict[int, int] = {}
@@ -262,6 +263,19 @@ def count_by_essential_nodes(p: int, q: int) -> Dict[int, int]:
         s = len(LineOfRoute.from_composition(comp).essential_nodes())
         tally[s] = tally.get(s, 0) + 1
     return tally
+
+
+def essential_node_tally(p: int, q: int) -> Dict[int, int]:
+    """Tally of bipartite compositions of (p, q) by essential-node count,
+    from the closed form: every s in 0..min(p, q) occurs.  Priced like
+    bipartite_composition_count_gf, by (p + 1)(q + 1) against
+    BIPARTITE_TABLE_CELL_CAP."""
+    if p < 1 or q < 1:
+        raise ValueError("p and q must be at least 1")
+    cells = (p + 1) * (q + 1)
+    if cells > BIPARTITE_TABLE_CELL_CAP:
+        raise ValueError(f"{cells} table cells exceed the cap {BIPARTITE_TABLE_CELL_CAP}")
+    return {s: essential_node_formula_term(p, q, s) for s in range(min(p, q) + 1)}
 
 
 def essential_node_formula_term(p: int, q: int, s: int) -> int:

@@ -312,12 +312,24 @@ def transformed_coefficients(p: int, t: LinearTransform2) -> List[MultiPoly]:
 # the largest exponent s of the modulus that invariance_check tries
 INVARIANCE_EXPONENTS = 64
 
+# invariance_check builds the images A_k by expanding the p + 1 terms of
+# the quantic, about (p + 1)^3 term pairs, then substitutes them into
+# every term of f: for a term of degree j in a0..ap the largest product
+# pairs at most C(p + h, h)^2 terms, h = ceil(j / 2).  Each pair builds
+# p + 3 exponent entries and multiplies coefficients that grow with j, so
+# the work is (term pairs) * (p + 3 + j), capped.  Measured in process
+# with --transform 1,2,3,5 (Python 3.11, 2-vCPU VM): a0^4 --p 24
+# (3758750) takes 0.74 s, a0^2 --p 43 (4181760) 0.49 s, a0^44 --p 2
+# (3733947) 0.12 s.
+INVARIANCE_WORK_CAP = 2**22
+
 
 def invariance_check(f: MultiPoly, p: int, t: LinearTransform2) -> Tuple[bool, Optional[int]]:
     """Test f(A) = M^s f(a) (or the covariant version) exactly.
 
     Returns (True, s) for the smallest working s <= INVARIANCE_EXPONENTS,
-    else (False, None).
+    else (False, None).  Refused (ValueError) before any substitution
+    when the work priced above INVARIANCE_WORK_CAP passes the cap.
     """
     names = avar_names(p, with_xy=True)
     if f.names == avar_names(p):
@@ -326,6 +338,14 @@ def invariance_check(f: MultiPoly, p: int, t: LinearTransform2) -> Tuple[bool, O
         lifted = f
     else:
         raise ValueError("polynomial must live over a0..ap (optionally with x, y)")
+    j = max((sum(exp[: p + 1]) for exp in f.terms), default=0)
+    h = (j + 1) // 2
+    work = ((p + 1) ** 3 + len(f.terms) * math.comb(p + h, h) ** 2) * (p + 3 + j)
+    if work > INVARIANCE_WORK_CAP:
+        raise ValueError(
+            f"invariance check of a degree-{j} polynomial over a0..a{p}: "
+            f"{work} units of work exceed the cap {INVARIANCE_WORK_CAP}"
+        )
     a_images = {f"a{k}": img for k, img in enumerate(transformed_coefficients(p, t))}
     x = MultiPoly.variable(names, "x")
     y = MultiPoly.variable(names, "y")

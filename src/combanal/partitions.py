@@ -105,7 +105,8 @@ class _PartitionWalk:
     prefix + unit[r].  A remainder of at most _SHARED shares its list of
     completions with every prefix that leaves it, and a larger state
     (remainder, value index, parts used) found to complete nothing is
-    remembered, so neither is walked twice.
+    remembered, so neither is walked twice.  A remainder that the gcd of
+    the allowed values left does not divide is not walked at all.
     """
 
     def __init__(self, n: int, c: PartitionConstraint, unit: _Units, empty, cut: int) -> None:
@@ -133,6 +134,13 @@ class _PartitionWalk:
             self.reach = lambda k: (top - k) * (top - k + 1) // 2 - base
         else:
             self.reach = list(itertools.accumulate(reversed(self.vals), initial=0))[::-1].__getitem__
+        # gcd(vals[j:]) for allowed parts: a remainder it does not divide
+        # completes nothing (a range has gcd 1 unless it holds one value,
+        # and then _close tests the division)
+        if self.plain:
+            self.gcds = None
+        else:
+            self.gcds = list(itertools.accumulate(reversed(self.vals), math.gcd))[::-1]
         # with no count bound and repeats allowed, a closed tail of ones
         # takes every remainder
         self.fast = nv > 0 and self.vals[-1] == 1 and not (self.counted or c.distinct)
@@ -166,6 +174,8 @@ class _PartitionWalk:
         if j >= nv or need > 0 and (
             (need > nv - j or reach(nv - need) > r) if reach else need * vals[-1] > r
         ):
+            return False
+        if self.gcds and r % self.gcds[j]:
             return False
         if r <= _SHARED and share:
             # the completions depend on r, j and the part counts still

@@ -170,37 +170,43 @@ def mayblox_solve(
     """
     target = canonical_cube(target)
     if pool is None:
-        pool = [c for c in generate_cubes(6) if c != target]
+        pool = generate_cubes(6)
     banned = {target}
     if exclude_associate:
         banned.add(associated_cube(target))
-    pool = [c for c in pool if canonical_cube(c) not in banned]
-    return _assemble(pool, target)
+    # each cube is oriented once; its canonical form is the least orientation
+    turns = [orientations(c) for c in pool]
+    keep = [i for i, t in enumerate(turns) if min(t) not in banned]
+    return _assemble([pool[i] for i in keep], [turns[i] for i in keep], target)
 
 
 def mayblox_solve_any() -> Optional[CubeAssembly]:
     """Target-free variant: any uniform-face 2x2x2 from eight of the 30 cubes."""
     cubes = generate_cubes(6)
+    turns = [orientations(c) for c in cubes]
     for virtual_target in cubes:
-        result = _assemble(cubes, virtual_target)
+        result = _assemble(cubes, turns, virtual_target)
         if result is not None:
             return result
     return None
 
 
-def _assemble(pool: Sequence[Cube], target: Cube) -> Optional[CubeAssembly]:
-    # Precompute, per cube, the orientations satisfying each corner's
-    # outer-face constraint.
+def _assemble(
+    pool: Sequence[Cube], turns: Sequence[Sequence[Cube]], target: Cube
+) -> Optional[CubeAssembly]:
+    # turns[ci][ri] is pool[ci] under ROTATIONS[ri], built once per pool;
+    # each corner's options are those showing the target's colours on its
+    # three outer faces, cube index first, then rotation index
     per_position: List[List[Tuple[int, Cube, int]]] = []
     for pos in _POSITIONS:
-        wanted = {face: target[face] for face in _outer_faces(pos)}
-        options = []
-        for ci, cube in enumerate(pool):
-            for ri, rot in enumerate(ROTATIONS):
-                faces = _apply(rot, cube)
-                if all(faces[f] == color for f, color in wanted.items()):
-                    options.append((ci, faces, ri))
-        per_position.append(options)
+        a, b, c = _outer_faces(pos)
+        ta, tb, tc = target[a], target[b], target[c]
+        per_position.append([
+            (ci, faces, ri)
+            for ci, oriented in enumerate(turns)
+            for ri, faces in enumerate(oriented)
+            if faces[a] == ta and faces[b] == tb and faces[c] == tc
+        ])
 
     order = sorted(range(len(_POSITIONS)), key=lambda i: len(per_position[i]))
     placed: Dict[Tuple[int, int, int], Tuple[int, Cube, int]] = {}
@@ -596,7 +602,7 @@ def enumerate_contact_systems(n: int) -> List[Tuple[int, ...]]:
 # -- Latin squares ---------------------------------------------------------------
 
 LATIN_ORDER_CAP = 6
-# Largest order latin_total_count backtracks over (576 squares at n = 4).
+# Largest order latin_total_count counts (576 squares at n = 4).
 LATIN_TOTAL_CAP = 4
 
 
@@ -608,47 +614,61 @@ def latin_reduced_count(n: int) -> int:
 
 
 def latin_total_count(n: int) -> int:
-    """All n x n Latin squares by exhaustive backtracking (small n)."""
+    """All n x n Latin squares (small n)."""
     if not 1 <= n <= LATIN_TOTAL_CAP:
         raise ValueError(f"total counting is desk-scale only (n <= {LATIN_TOTAL_CAP})")
     return _latin_count(n, reduced=False)
 
 
 def _latin_count(n: int, reduced: bool) -> int:
-    """Count n x n Latin squares by backtracking over the open cells in
-    row-major order.
+    """Count n x n Latin squares one row at a time over memoised column
+    states.
 
-    Each row and each column keeps a bitmask of the values it holds, so
-    a cell's candidates are `full & ~(rows[r] | cols[c])`, tried lowest
-    bit first.  `reduced` fixes the first row and column to 0..n-1.
+    A state is the sorted tuple of the open columns' value bitmasks (each
+    holds the r values of the rows placed, so it fixes the row r).  The
+    fillings of rows r..n-1 depend only on that state: permuting the open
+    columns maps fillings to fillings one to one, and a row's own
+    constraint ignores column identity.  Each state's row fillings are
+    enumerated once by bitmask and grouped by the state they lead to.
+    Row n-1 is forced: each column misses one value and each value is
+    missing from one column.  `reduced` fixes the first row and column to
+    0..n-1, leaving columns 1..n-1 open, row r to hold every value but r.
     """
     full = (1 << n) - 1
     if reduced:
-        # row 0 and column 0 hold every value; row i and column i hold i
-        rows = [full] + [1 << i for i in range(1, n)]
-        cols = list(rows)
-        start = 1
+        start, first = 1, tuple(1 << c for c in range(1, n))
     else:
-        rows, cols, start = [0] * n, [0] * n, 0
-    cells = [(r, c) for r in range(start, n) for c in range(start, n)]
+        start, first = 0, (0,) * n
+    width = len(first)
+    memo: Dict[Tuple[int, ...], int] = {}
+    new = [0] * width  # the row being filled; ways() recurses only after fill() ends
 
-    def search(idx: int) -> int:
-        if idx == len(cells):
+    def ways(r: int, cols: Tuple[int, ...]) -> int:
+        if r >= n - 1:
             return 1
-        r, c = cells[idx]
-        free = full & ~(rows[r] | cols[c])
-        total = 0
-        while free:
-            bit = free & -free
-            free ^= bit
-            rows[r] |= bit
-            cols[c] |= bit
-            total += search(idx + 1)
-            rows[r] ^= bit
-            cols[c] ^= bit
+        total = memo.get(cols)
+        if total is not None:
+            return total
+        after: Dict[Tuple[int, ...], int] = {}
+
+        def fill(i: int, free: int) -> None:
+            if i == width:
+                key = tuple(sorted(new))
+                after[key] = after.get(key, 0) + 1
+                return
+            col = cols[i]
+            avail = free & ~col
+            while avail:
+                bit = avail & -avail
+                avail ^= bit
+                new[i] = col | bit
+                fill(i + 1, free ^ bit)
+
+        fill(0, full & ~(1 << r) if reduced else full)
+        total = memo[cols] = sum(m * ways(r + 1, key) for key, m in after.items())
         return total
 
-    return search(0)
+    return ways(start, first)
 
 
 # -- measuring rod ----------------------------------------------------------------

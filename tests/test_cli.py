@@ -300,7 +300,11 @@ CAP_EDGES = [
     ("compose count 999 99", "compose count 999 100"),  # 10^5 table cells
     ("partition plane 124 --boxed inf,80,100", "partition plane 125 --boxed inf,80,100"),  # 10^6 box-formula cells
     ("compose newcomb 9", "compose newcomb 10"),  # deck of 9 cards
-    ("compose count 9 1 --essential", "compose count 6 5 --essential"),  # p + q = 10
+    ("compose count 999 99 --essential", "compose count 999 100 --essential"),  # 10^5 cells, as above
+    (
+        "invariant check a0^44 --p 2 --transform 1,2,3,5",
+        "invariant check a0^45 --p 2 --transform 1,2,3,5",
+    ),  # (3^3 + 276^2) * 49 = 3733947 and (3^3 + 300^2) * 50 = 4501350 units, cap 2^22
     ("puzzle stamps 12", "puzzle stamps 13"),  # 12 stamps
     ("puzzle latin --reduced 6", "puzzle latin --reduced 7"),  # order 6
     ("partition count 20000 --parts 50", "partition count 20001 --parts 50"),  # n * p = 10^6
@@ -358,6 +362,7 @@ UNGUARDED_BEFORE = [
     "divisor factorize 1000000000000000003",
     "divisor potency --count 1000000000000",  # a MemoryError from the sieve
     "puzzle weights 100 --pans two",  # a walk of all p(100) partitions
+    "invariant check a0^100 --p 4 --transform 1,2,3,5",  # an expansion of A_0^100, past 60 s
 ]
 
 
@@ -369,6 +374,7 @@ UNGUARDED_BEFORE = [
         "partition enum 90", "partition conj 10^20,1", "partition enum 10^12 --max-part 1",
         "partition perfect 720719", "divisor potency 10^18+3", "divisor factorize 10^18+3",
         "divisor potency --count 10^12", "puzzle weights 100 --pans two",
+        "invariant check a0^100 --p 4",
     ],
 )
 def test_formerly_unguarded_argv_refuse_at_once(argv):
@@ -410,6 +416,7 @@ FORMERLY_UNBOUNDED = [
     ("partition plane 30 --boxed inf,8,8", "4091065\n"),
     ("partition count 300 --euler-primes 3", "456522576 456522576\n"),
     ("master rencontres 0 2,2,2,2,2,2,2,2,2", "1596005408152\n"),
+    ("partition enum 4001 --allowed 2,4,6,8,10,12", "(none)\n"),  # no even sum is odd
 ]
 
 

@@ -182,14 +182,21 @@ class TestEssentialNodes:
         assert tally == {0: 2, 1: 1}
 
     def test_formula_matches_enumeration(self):
-        for p in range(1, 5):
-            for q in range(1, 5):
-                if p + q > 7:
-                    continue
+        # every (p, q) the enumeration oracle can reach
+        for p in range(1, cp.MULTIPARTITE_CAP):
+            for q in range(1, cp.MULTIPARTITE_CAP - p + 1):
                 tally = cp.count_by_essential_nodes(p, q)
                 for s in range(0, min(p, q) + 1):
                     assert tally.get(s, 0) == cp.essential_node_formula_term(p, q, s), (p, q, s)
                 assert sum(tally.values()) == cp.bipartite_composition_count_gf(p, q)
+                assert cp.essential_node_tally(p, q) == tally, (p, q)
+
+    def test_closed_form_tally_is_priced_by_table_cells(self):
+        assert len(cp.essential_node_tally(999, 99)) == 100
+        with pytest.raises(ValueError, match="table cells"):
+            cp.essential_node_tally(999, 100)
+        with pytest.raises(ValueError, match="at least 1"):
+            cp.essential_node_tally(0, 3)
 
 
 class TestTrees:

@@ -169,6 +169,28 @@ class TestSuffixTableEnumeration:
         assert len(sizes) > 1 and max(sizes) < 2 * 4096
 
 
+class TestGcdPruning:
+    @staticmethod
+    def unpruned(n, c):
+        walk = pt._PartitionWalk(n, c, pt._Units(lambda v: (v,)), (), 0)
+        walk.gcds = None
+        return [p for batch in walk.batches() for p in batch]
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, 40),
+        st.integers(2, 5),
+        st.frozensets(st.integers(1, 8), min_size=1, max_size=5),
+        st.none() | st.integers(0, 8),
+        st.booleans(),
+    )
+    def test_common_factor_matches_the_unpruned_walk(self, n, factor, multiples, parts, distinct):
+        c = pt.PartitionConstraint(
+            allowed_parts=frozenset(factor * m for m in multiples), num_parts=parts, distinct=distinct
+        )
+        assert pt.enumerate_partitions(n, c) == self.unpruned(n, c)
+
+
 class TestListingCap:
     def test_unconstrained_past_the_cap_is_refused_before_any_batch(self):
         assert pt.count_partitions(55) <= pt.PARTITION_ENUM_CAP < pt.count_partitions(56)

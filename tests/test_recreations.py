@@ -75,6 +75,55 @@ def latin_count_oracle(n: int, reduced: bool) -> int:
     return count
 
 
+def assemble_oracle(pool, target):
+    """The earlier assembly search: every (position, cube, rotation)
+    orients the cube afresh to test the corner's three outer faces."""
+    per_position = []
+    for pos in rc._POSITIONS:
+        wanted = {face: target[face] for face in rc._outer_faces(pos)}
+        options = []
+        for ci, cube in enumerate(pool):
+            for ri, rot in enumerate(rc.ROTATIONS):
+                faces = rc._apply(rot, cube)
+                if all(faces[f] == color for f, color in wanted.items()):
+                    options.append((ci, faces, ri))
+        per_position.append(options)
+
+    order = sorted(range(len(rc._POSITIONS)), key=lambda i: len(per_position[i]))
+    placed = {}
+    used = set()
+    pairs = ((rc.R, rc.L, (1, 0, 0)), (rc.B, rc.F, (0, 1, 0)), (rc.U, rc.D, (0, 0, 1)))
+
+    def fits(pos, faces):
+        for hi, lo, delta in pairs:
+            above = tuple(p + d for p, d in zip(pos, delta))
+            below = tuple(p - d for p, d in zip(pos, delta))
+            if above in placed and faces[hi] != placed[above][1][lo]:
+                return False
+            if below in placed and placed[below][1][hi] != faces[lo]:
+                return False
+        return True
+
+    def search(idx):
+        if idx == len(order):
+            return True
+        pos = rc._POSITIONS[order[idx]]
+        for ci, faces, ri in per_position[order[idx]]:
+            if ci in used or not fits(pos, faces):
+                continue
+            placed[pos] = (ci, faces, ri)
+            used.add(ci)
+            if search(idx + 1):
+                return True
+            del placed[pos]
+            used.discard(ci)
+        return False
+
+    if not search(0):
+        return None
+    return rc.CubeAssembly(tuple((pos, pool[ci], ri) for pos, (ci, _, ri) in sorted(placed.items())))
+
+
 class TestCubes:
     def test_rotation_group_order(self):
         assert len(rc.ROTATIONS) == 24
@@ -150,6 +199,21 @@ class TestMayblox:
         solution = rc.mayblox_solve_any()
         assert solution is not None
         assert rc.verify_assembly(solution, None)
+
+    @pytest.mark.parametrize("exclude_associate", [True, False])
+    def test_matches_the_per_option_orienting_search(self, exclude_associate):
+        cubes = rc.generate_cubes(6)
+        for target in cubes:
+            banned = {target, rc.associated_cube(target)} if exclude_associate else {target}
+            pool = [c for c in cubes if c not in banned]
+            assert rc.mayblox_solve(target, pool=cubes, exclude_associate=exclude_associate) == (
+                assemble_oracle(pool, target)
+            ), target
+
+    def test_target_free_variant_matches_the_per_option_orienting_search(self):
+        cubes = rc.generate_cubes(6)
+        oracle = next(a for a in (assemble_oracle(cubes, t) for t in cubes) if a is not None)
+        assert rc.mayblox_solve_any() == oracle
 
 
 class TestTiles:
@@ -284,7 +348,7 @@ class TestLatin:
             rc.latin_reduced_count(7)
 
     def test_matches_row_and_column_scan_oracle(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             assert rc._latin_count(n, reduced=True) == latin_count_oracle(n, True), n
         for n in range(1, 5):
             assert rc._latin_count(n, reduced=False) == latin_count_oracle(n, False), n
@@ -292,6 +356,14 @@ class TestLatin:
     def test_order_six(self):
         # OEIS A000315: 1, 1, 1, 4, 56, 9408
         assert rc.latin_reduced_count(6) == 9408
+
+    def test_order_seven_below_the_cap(self):
+        # OEIS A000315; latin_reduced_count refuses 7, the count itself does not
+        assert rc._latin_count(7, reduced=True) == 16942080
+
+    def test_total_order_five_below_the_cap(self):
+        # OEIS A002860: 5! * 4! * 56
+        assert rc._latin_count(5, reduced=False) == 161280
 
 
 class TestRod:
