@@ -683,7 +683,10 @@ def cmd_election_simulate(args) -> CommandResult:
     from . import probelect as pe
     if args.sizes_file:
         sizes = pe.read_constituency_sizes(args.sizes_file)
+    elif args.size < 1:
+        sizes = [args.size]  # refused by simulate_election
     else:
+        pe.check_voter_count(args.constituencies * args.size)  # before the list is built
         sizes = [args.size] * args.constituencies
     report = pe.simulate_election(args.share, sizes, args.seed, mixing=args.mixing)
     return CommandResult(report.to_json(), json.loads(report.to_json()))
@@ -885,8 +888,11 @@ def cmd_pattern_tile(args) -> CommandResult:
 def cmd_pattern_tiling(args) -> CommandResult:
     from . import patterns as pa
     result = pa.generate_tiling(_named_tile(args), args.extent)
-    text = f"copies {len(result.placements)}; verified {result.verified}"
-    return CommandResult(text, lambda: json.loads(result.to_placement_json()), svg=result.to_svg)
+    return CommandResult(
+        lambda: f"copies {len(result.placements)}; verified {result.verified}",
+        lambda: json.loads(result.to_placement_json()),
+        svg=result.to_svg,
+    )
 
 
 @command("pattern", "euler", arg("solid", choices=("cube", "tetrahedron")))

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .partitions import plane_partition_gf, q_factor
 
@@ -205,44 +205,66 @@ def goldbach_recast_holds(nu: int) -> bool:
     return any(multiplicity(n) == 2 for n in integers_with_potency(nu))
 
 
+def _divisor_lattice(m: int) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """The divisors of m indexed by their prime-exponent vectors, and the
+    (exponent, stride) of each prime: divisor p1^a1 ... pk^ak sits at
+    index sum a_i * stride_i, so m itself is last and every proper
+    divisor of a divisor has a smaller index."""
+    values = [1]
+    radix: List[Tuple[int, int]] = []
+    for p, e in sorted(prime_factorization(m).items()):
+        radix.append((e, len(values)))
+        values = [v * p**a for a in range(e + 1) for v in values]
+    return values, radix
+
+
+def _cofactor_divisors(i: int, radix: Sequence[Tuple[int, int]]) -> List[int]:
+    """Indices, ascending, of the divisors of m / (divisor at index i)."""
+    box = [0]
+    for e, stride in radix:
+        room = e - i // stride % (e + 1)
+        box = [x + a * stride for a in range(room + 1) for x in box]
+    return box
+
+
 def ordered_factorization_totals(m: int) -> Tuple[int, int]:
     """(H(m), T(m)): the ordered factorizations of m into factors >= 2,
     and the sum of f - 1 over the factors f of all of them, which is the
-    number of parts of all the perfect partitions of m - 1.  A first
-    factor n/d >= 2 leaves the H(d) factorizations of d, so
-    H(n) = sum H(d) and T(n) = sum T(d) + (n/d - 1) H(d) over the
-    divisors d < n of n, with H(1) = 1 and T(1) = 0."""
-    ds = divisors(m)  # every factor of a cofactor divides m too
-    h, t = {1: 1}, {1: 0}
-    for i in range(1, len(ds)):
-        n = ds[i]
-        rest = [d for d in ds[:i] if n % d == 0]
-        h[n] = sum(h[d] for d in rest)
-        t[n] = sum(t[d] + (n // d - 1) * h[d] for d in rest)
-    return h[m], t[m]
+    number of parts of all the perfect partitions of m - 1.  A last
+    factor f >= 2 extends each of the H(c) factorizations of c = n/f, so
+    H(n) = sum H(c) and T(n) = sum T(c) + (f - 1) H(c) over the pairs
+    c * f = n, with H(1) = 1 and T(1) = 0.  Each divisor c, in index
+    order, pushes into its multiples c * f | m: prod (e+1)(e+2)/2 pairs
+    over the prime exponents e of m, no divisibility test."""
+    values, radix = _divisor_lattice(m)
+    h = [1] + [0] * (len(values) - 1)
+    t = [0] * len(values)
+    for c in range(len(values)):
+        hc, tc = h[c], t[c]
+        for f in _cofactor_divisors(c, radix)[1:]:
+            h[c + f] += hc
+            t[c + f] += tc + (values[f] - 1) * hc
+    return h[-1], t[-1]
 
 
 def factorizations(m: int, ordered: bool = False) -> int:
     """Factorizations of m into parts >= 2: multisets by default,
-    sequences when ordered.  m = 1 counts the empty product once."""
+    sequences when ordered.  m = 1 counts the empty product once.
+
+    The multisets are counted as coins: each factor d >= 2 of m in turn
+    may be used any number of times, so ways[d * c] += ways[c] over the
+    divisors c of m/d in index order, where c/d comes before c and has
+    already counted the uses of d; the same pairs as the ordered count."""
     if m < 1:
         raise ValueError("m must be positive")
     if ordered:
         return ordered_factorization_totals(m)[0]
-    factors = divisors(m)[1:]  # every factor of a cofactor divides m too
-
-    def count(n: int, max_factor: int) -> int:
-        if n == 1:
-            return 1
-        total = 0
-        for d in factors:
-            if d > max_factor or d > n:
-                break
-            if n % d == 0:
-                total += count(n // d, d)
-        return total
-
-    return count(m, m)
+    values, radix = _divisor_lattice(m)
+    ways = [1] + [0] * (len(values) - 1)
+    for d in range(1, len(values)):
+        for c in _cofactor_divisors(d, radix):
+            ways[d + c] += ways[c]
+    return ways[-1]
 
 
 def totient_bipartite(n: int) -> int:

@@ -868,8 +868,9 @@ def relation_pattern_count(n: int, pattern: Sequence[str]) -> int:
             for v in range(1, r):
                 t = r - v
                 nxt = below[t]
-                acc += (nxt[t] if high is None else nxt[min(v + high, t)]) - (
-                    0 if low is None else nxt[min(v + low, t)]
+                # conditional expressions, not min(): this is the innermost loop
+                acc += nxt[t if high is None or v + high >= t else v + high] - (
+                    0 if low is None else nxt[t if v + low >= t else v + low]
                 )
                 row.append(acc)
             row.append(acc)

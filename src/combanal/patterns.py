@@ -9,6 +9,7 @@ overlap/gap verification convert to floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -269,10 +270,21 @@ SVG_UNITS_PER_EDGE = 96
 
 @dataclass
 class TilingResult:
+    """The copies of a tiling, and the cover check over the disc of the
+    given radius, run on first use of `verified` or `first_failure`."""
+
     tile: RepeatTile
     placements: List[Placement]
-    verified: bool
-    first_failure: Optional[Tuple[float, float]]
+    radius: float
+
+    @functools.cached_property
+    def first_failure(self) -> Optional[Tuple[float, float]]:
+        """The first sample point that no copy or more than one holds, or None."""
+        return _verify_cover(self.placements, self.radius)[1]
+
+    @property
+    def verified(self) -> bool:
+        return self.first_failure is None
 
     def to_svg(self) -> str:
         """SVG 1.1 document, one path per copy, deterministic order, at
@@ -328,9 +340,12 @@ def generate_tiling(tile: RepeatTile, extent: int) -> TilingResult:
     Starting from one copy at the origin, each unmatched edge demands a
     neighbour: the unique direct isometry carrying the partner edge onto
     the shared segment (reversed).  Copies whose centroid lies within the
-    extent (in edge lengths, Chebyshev) are kept.  Coverage is then
-    verified on a sampling grid: every probe point clear of boundaries
-    must lie in exactly one copy.
+    extent (in edge lengths, Chebyshev) are kept; each copy's outline is
+    the tile's one float boundary() under its transform.  Coverage of the
+    disc of radius extent/2 is verified by _verify_cover on a sampling
+    grid, every probe point clear of boundaries in exactly one copy, the
+    first time the result's `verified` or `first_failure` is read: the
+    SVG and placement JSON do not print the verdict and skip the check.
     """
     if extent < 1:
         raise ValueError("extent must be at least 1")
@@ -351,13 +366,12 @@ def generate_tiling(tile: RepeatTile, extent: int) -> TilingResult:
         pts = [_apply_transform(t, v) for v in verts]
         return (sum(p[0] for p in pts) / n, sum(p[1] for p in pts) / n)
 
-    def key(t: Transform) -> Tuple:
-        cx, cy = centroid(t)
+    def key(t: Transform, cx: float, cy: float) -> Tuple:
         return (round(cx, 6), round(cy, 6), round(t[0], 6), round(t[2], 6))
 
     placements: Dict[Tuple, Transform] = {}
     queue = deque([identity])
-    placements[key(identity)] = identity
+    placements[key(identity, *centroid(identity))] = identity
     while queue:
         current = queue.popleft()
         for i in range(n):
@@ -373,21 +387,17 @@ def generate_tiling(tile: RepeatTile, extent: int) -> TilingResult:
             cx, cy = centroid(neighbor)
             if abs(cx) > limit or abs(cy) > limit:
                 continue
-            k = key(neighbor)
+            k = key(neighbor, cx, cy)
             if k not in placements:
                 placements[k] = neighbor
                 queue.append(neighbor)
 
-    ordered = [placements[k] for k in sorted(placements)]
+    outline = tile.boundary()
     result = [
-        Placement(t, tuple(_transformed_boundary(tile, t))) for t in ordered
+        Placement(t, tuple(_apply_transform(t, p) for p in outline))
+        for t in (placements[k] for k in sorted(placements))
     ]
-    verified, failure = _verify_cover(result, radius=extent * 0.5)
-    return TilingResult(tile, result, verified, failure)
-
-
-def _transformed_boundary(tile: RepeatTile, t: Transform):
-    return [_apply_transform(t, p) for p in tile.boundary()]
+    return TilingResult(tile, result, radius=extent * 0.5)
 
 
 def _point_in_polygon(pt: Tuple[float, float], poly: Sequence[Tuple[float, float]]) -> bool:
@@ -413,50 +423,103 @@ def _distance_to_boundary(pt, poly) -> float:
     return best
 
 
-def _verify_cover(placements: Sequence[Placement], radius: float):
-    """Sample on an 8-per-edge grid (64 points per unit area): each point
-    away from all boundaries must sit inside exactly one copy.
+# The cover check's sampling step, the distance from a boundary within
+# which a sample is not checked, and the half-width of the band around a
+# column's crossings inside which a sample is decided point by point.
+COVER_STEP = 1.0 / 8.0
+COVER_GUARD = 1e-6
+COVER_BAND = 1e-4
 
-    A point outside a copy's bounding box widened by the guard is farther
-    than the guard from that copy and outside it, so the copy can neither
-    excuse the point as near its boundary nor hold it.  Each grid column
-    therefore keeps the copies whose widened x-range holds its x, and each
-    point tests only those whose widened y-range holds its y: the cost is
-    samples x nearby copies, and the verdict and first failure are those
-    of a scan over every copy.
+
+def _cover_at(pt, column) -> Optional[int]:
+    """How many copies of the column hold pt by the horizontal ray cast,
+    or None when pt lies within the guard of a copy's boundary."""
+    hits = 0
+    for y0, y1, poly, _ in column:
+        if not y0 <= pt[1] <= y1:
+            continue
+        if _distance_to_boundary(pt, poly) < COVER_GUARD:
+            return None
+        if _point_in_polygon(pt, poly):
+            hits += 1
+    return hits
+
+
+def _verify_cover(placements: Sequence[Placement], radius: float):
+    """Sample on an 8-per-edge grid (64 points per unit area) within the
+    disc of the radius: each point away from all boundaries must sit
+    inside exactly one copy.  Returns (True, None), or False and the first
+    failing point in column-major order.
+
+    The check sweeps the grid columns.  A point outside a copy's bounding
+    box widened by the guard can neither be near its boundary nor inside
+    it, so column x keeps the copies whose widened x-range holds x.  Each
+    kept edge that crosses the vertical line at x, its ends on either
+    side by the half-open rule of the ray cast, crosses it at one y; a
+    copy's sorted crossings pair up into the intervals of the line inside
+    it, by the even-odd rule, and a running count over all the intervals
+    gives the cover of each sample as the column is walked upwards.
+
+    Off the boundaries the even-odd parity along the vertical line equals
+    the parity of the per-point check's horizontal ray cast.  The points
+    close to a boundary are handed to that per-point check (_cover_at)
+    instead: those within COVER_BAND * length / |dx| in y of a crossing,
+    and those within COVER_BAND of the y-range of an edge that does not
+    cross but ends within COVER_BAND of x.  A point within distance g of a
+    crossing edge lies within g * length / |dx| of its crossing in y, and
+    one within g of an edge that does not cross has an end of that edge
+    within g of x.  So with COVER_BAND a hundred times the guard, every
+    point that the per-point check would skip, or whose ray cast rounding
+    could sway, is handed to it, with room for the rounding of the
+    crossings: the verdict and the first failure are those of the
+    per-point check run on every sample against every copy.
     """
-    step = 1.0 / 8.0
-    guard = 1e-6
-    k = int(radius / step)
-    boxes = []
+    k = int(radius / COVER_STEP)
+    copies = []
     for placement in placements:
-        xs = [x for x, _ in placement.boundary]
-        ys = [y for _, y in placement.boundary]
-        boxes.append((
-            min(xs) - guard, max(xs) + guard,
-            min(ys) - guard, max(ys) + guard,
-            placement.boundary,
+        poly = placement.boundary
+        xs = [x for x, _ in poly]
+        ys = [y for _, y in poly]
+        copies.append((
+            min(xs) - COVER_GUARD, max(xs) + COVER_GUARD,
+            min(ys) - COVER_GUARD, max(ys) + COVER_GUARD,
+            poly, list(zip(poly, poly[1:] + poly[:1])),
         ))
+    samples = [iy * COVER_STEP + 0.0071 for iy in range(-k, k + 1)]
     for ix in range(-k, k + 1):
-        x = ix * step + 0.0137  # avoid lattice ties
-        column = [(y0, y1, poly) for x0, x1, y0, y1, poly in boxes if x0 <= x <= x1]
-        for iy in range(-k, k + 1):
-            pt = (x, iy * step + 0.0071)
-            if math.hypot(pt[0], pt[1]) > radius:
+        x = ix * COVER_STEP + 0.0137  # avoid lattice ties
+        column = [c[2:] for c in copies if c[0] <= x <= c[1]]
+        events: List[Tuple[float, int]] = []  # (y, +1 entering a copy / -1 leaving it)
+        bands: List[Tuple[float, float]] = []
+        for _, _, _, edges in column:
+            crossings = []
+            for (xa, ya), (xb, yb) in edges:
+                if (xa > x) != (xb > x):
+                    dx, dy = xb - xa, yb - ya
+                    yc = ya + (x - xa) * dy / dx
+                    crossings.append(yc)
+                    width = COVER_BAND * math.hypot(dx, dy) / abs(dx)
+                    bands.append((yc - width, yc + width))
+                elif abs(xa - x) <= COVER_BAND or abs(xb - x) <= COVER_BAND:
+                    bands.append((min(ya, yb) - COVER_BAND, max(ya, yb) + COVER_BAND))
+            crossings.sort()
+            events.extend(zip(crossings, itertools.cycle((1, -1))))
+        events.sort()
+        bands.sort()
+        cover = e = b = 0
+        band_top = -math.inf  # the top of the bands that start below y
+        for y in samples:
+            while e < len(events) and events[e][0] < y:
+                cover += events[e][1]
+                e += 1
+            while b < len(bands) and bands[b][0] <= y:
+                band_top = max(band_top, bands[b][1])
+                b += 1
+            if math.hypot(x, y) > radius:
                 continue
-            hits = 0
-            near_boundary = False
-            for y0, y1, poly in column:
-                if not y0 <= pt[1] <= y1:
-                    continue
-                if _distance_to_boundary(pt, poly) < guard:
-                    near_boundary = True
-                    break
-                if _point_in_polygon(pt, poly):
-                    hits += 1
-            if near_boundary:
-                continue
-            if hits != 1:
+            pt = (x, y)
+            hits = _cover_at(pt, column) if y <= band_top else cover
+            if hits is not None and hits != 1:
                 return False, pt
     return True, None
 

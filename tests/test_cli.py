@@ -337,6 +337,10 @@ CAP_EDGES = [
     ("puzzle weights 1048572", "puzzle weights 1048582"),  # 1048573 and 1048583 prime: parts u
     ("divisor potency 1099513724928", "divisor potency 1099513724929"),  # (2^20 + 1)^2 - 1, trial divisors to 2^20
     ("divisor potency --count 7876", "divisor potency --count 7877"),  # 4194191 and 4195186 additions
+    (
+        "election simulate --share 0.5 --constituencies 64 --size 65536",
+        "election simulate --share 0.5 --constituencies 64 --size 65537",
+    ),  # 2^22 and 4194368 voters
 ]
 
 
@@ -363,6 +367,8 @@ UNGUARDED_BEFORE = [
     "divisor potency --count 1000000000000",  # a MemoryError from the sieve
     "puzzle weights 100 --pans two",  # a walk of all p(100) partitions
     "invariant check a0^100 --p 4 --transform 1,2,3,5",  # an expansion of A_0^100, past 60 s
+    "election simulate --share 0.5 --constituencies 1000000 --size 1000000",  # 10^12 draws
+    "election simulate --share 0.5 --constituencies 1000000000000 --size -1",  # a MemoryError
 ]
 
 
@@ -374,7 +380,8 @@ UNGUARDED_BEFORE = [
         "partition enum 90", "partition conj 10^20,1", "partition enum 10^12 --max-part 1",
         "partition perfect 720719", "divisor potency 10^18+3", "divisor factorize 10^18+3",
         "divisor potency --count 10^12", "puzzle weights 100 --pans two",
-        "invariant check a0^100 --p 4",
+        "invariant check a0^100 --p 4", "election simulate 10^6 x 10^6",
+        "election simulate 10^12 x -1",
     ],
 )
 def test_formerly_unguarded_argv_refuse_at_once(argv):
@@ -417,6 +424,7 @@ FORMERLY_UNBOUNDED = [
     ("partition count 300 --euler-primes 3", "456522576 456522576\n"),
     ("master rencontres 0 2,2,2,2,2,2,2,2,2", "1596005408152\n"),
     ("partition enum 4001 --allowed 2,4,6,8,10,12", "(none)\n"),  # no even sum is odd
+    ("divisor factorize 963761198400", "266865794\n"),  # 6720 divisors; past 20 s by recursion
 ]
 
 
@@ -823,9 +831,10 @@ class TestFormats:
         assert "<path" in out
 
     @pytest.mark.parametrize("fmt,built", [
-        ("text", []), ("json", ["to_placement_json"]), ("svg", ["to_svg"]),
+        ("text", ["_verify_cover"]), ("json", ["to_placement_json"]), ("svg", ["to_svg"]),
     ])
     def test_tiling_builds_only_the_asked_format(self, monkeypatch, fmt, built):
+        # only the text prints the verdict, so only the text runs the cover check
         from combanal import patterns as pa
 
         calls = []
@@ -835,6 +844,8 @@ class TestFormats:
                 pa.TilingResult, name,
                 lambda self, _m=method, _n=name: calls.append(_n) or _m(self),
             )
+        check = pa._verify_cover
+        monkeypatch.setattr(pa, "_verify_cover", lambda *a: calls.append("_verify_cover") or check(*a))
         code, out, err = run(f"pattern tiling --cairo --extent 1 --format {fmt}")
         assert (code, err) == (0, "") and out
         assert calls == built

@@ -3,7 +3,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combanal import divisors as dv
@@ -176,6 +176,28 @@ class TestFactorizations:
     def test_ordered_count_matches_the_listing_to_2000(self):
         for m in range(1, 2001):
             assert dv.factorizations(m, ordered=True) == len(ordered_factorizations(m)), m
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**6))
+    @example(720720)
+    @example(997920)
+    def test_coin_counts_match_the_divisor_recursion(self, m):
+        # Oracle: the earlier recursion over the divisors, largest factor
+        # first, and the earlier divisibility test over every divisor pair
+        ds = dv.divisors(m)
+
+        def unordered(n, max_factor):
+            if n == 1:
+                return 1
+            return sum(unordered(n // d, d) for d in ds[1:] if d <= min(n, max_factor) and n % d == 0)
+
+        h, t = {1: 1}, {1: 0}
+        for n in ds[1:]:
+            rest = [d for d in ds if d < n and n % d == 0]
+            h[n] = sum(h[d] for d in rest)
+            t[n] = sum(t[d] + (n // d - 1) * h[d] for d in rest)
+        assert dv.factorizations(m) == unordered(m, m)
+        assert dv.ordered_factorization_totals(m) == (h[m], t[m])
 
     def test_ordered_count_of_a_power_of_two(self):
         # an ordered factorization of 2^k is a composition of k

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combanal import cli
 from combanal import patterns as pa
@@ -56,6 +58,21 @@ TILING_ARGV = [
 def cli_tiling(argv):
     args = cli.build_parser().parse_args(argv.split())
     return pa.generate_tiling(cli._named_tile(args), args.extent), args.extent
+
+
+def random_tile(rng, layout):
+    """A legal tile that the direct-isometry tiler accepts, its profiles
+    from profile_support.random_profile."""
+    if layout == "square-translation":
+        p0, p1 = random_profile(rng), random_profile(rng)
+        return pa.build_repeat_tile("square", (2, 3, 0, 1), (p0, p1, pa.point_profile(p0), pa.point_profile(p1)))
+    if layout == "square-adjacent":
+        p0, p1 = random_profile(rng), random_profile(rng)
+        return pa.build_repeat_tile("square", (3, 2, 1, 0), (p0, p1, pa.point_profile(p1), pa.point_profile(p0)))
+    if layout == "triangle":
+        return pa.build_repeat_tile("triangle", (0, 1, 2), tuple(random_profile(rng, "U") for _ in range(3)))
+    ps = [random_profile(rng) for _ in range(3)]
+    return pa.build_repeat_tile("hexagon", (3, 4, 5, 0, 1, 2), (*ps, *map(pa.point_profile, ps)))
 
 
 class TestClassification:
@@ -216,6 +233,39 @@ class TestTilings:
         verdict = pa._verify_cover(placements, radius=1.0)
         assert verdict[0] is False
         assert verdict == verify_cover_full_scan(placements, radius=1.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(["square-translation", "square-adjacent", "triangle", "hexagon"]),
+        extent=st.integers(1, 4),
+        change=st.sampled_from([None, "gap", "overlap"]),
+    )
+    def test_random_tile_cover_check_matches_full_scan(self, seed, layout, extent, change):
+        rng = random.Random(seed)
+        placements = list(pa.generate_tiling(random_tile(rng, layout), extent).placements)
+        if change == "gap":
+            del placements[rng.randrange(len(placements))]
+        elif change == "overlap":
+            placements.append(placements[rng.randrange(len(placements))])
+        radius = extent * 0.5
+        assert pa._verify_cover(placements, radius) == verify_cover_full_scan(placements, radius)
+
+    @pytest.mark.parametrize("axis", ["column", "row"])
+    def test_samples_within_the_guard_of_a_seam_are_skipped(self, axis):
+        # two rectangles leave a seam 1e-6 wide around the grid line x =
+        # 0.0137 (a column) or y = 0.0071 (a row of samples): every sample
+        # on it is within the guard of both and skipped, so the sweep must
+        # hand it to the per-point check rather than count it as a gap
+        def rect(x0, x1, y0, y1):
+            return pa.Placement((1.0, 0.0, 0.0, 1.0, 0.0, 0.0), ((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+
+        c, h = (0.0137, 0.0071)[axis == "row"], 5e-7
+        if axis == "column":
+            placements = [rect(-2, c - h, -2, 2), rect(c + h, 2, -2, 2)]
+        else:
+            placements = [rect(-2, 2, -2, c - h), rect(-2, 2, c + h, 2)]
+        assert pa._verify_cover(placements, 1.0) == verify_cover_full_scan(placements, 1.0) == (True, None)
 
     def test_reflection_contact_refused_by_tiler(self):
         # zero-net-area V profile: tall narrow bump up, shallow wide dip

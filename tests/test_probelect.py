@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -233,7 +234,52 @@ class TestSeatRules:
         assert pe.cube_root_seat_rule(v) == s
 
 
+def simulate_one_draw_per_voter(share, sizes, seed, mixing=1.0):
+    """Oracle: (seats, votes) of the first party, one rng.random() a voter."""
+    rng = random.Random(seed)
+    seats = votes = 0
+    spread = math.sqrt((1 - mixing) * share * (1 - share))
+    for size in sizes:
+        local = share if mixing == 1.0 else min(1.0, max(0.0, rng.gauss(share, spread)))
+        won = sum(1 for _ in range(size) if rng.random() < local)
+        votes += won
+        seats += 2 * won > size
+    return seats, votes
+
+
 class TestSimulation:
+    @pytest.mark.parametrize("share", [0.5, 1e-9, 0.999, 0.51])
+    @pytest.mark.parametrize("mixing", [1.0, 0.3, 0.0])
+    def test_bulk_draws_match_one_draw_per_voter(self, share, mixing):
+        # mixing below 1 clamps some local shares to 0 and some to 1
+        sizes_list = ([1], [2], [3], [1, 2, 3] * 4, [2001] * 4)
+        for seed in range(4):
+            for sizes in sizes_list:
+                r = pe.simulate_election(share, sizes, seed, mixing=mixing)
+                votes = round(r.vote_share_a * sum(sizes))
+                assert (r.seats_a, votes) == simulate_one_draw_per_voter(share, sizes, seed, mixing)
+
+    @pytest.mark.parametrize("local", [0.0, 2**-53, 0.25, 0.5 + 2**-40, 1 - 2**-53, 1.0])
+    def test_votes_below_spans_blocks_and_consumes_every_draw(self, local):
+        size = pe.DRAW_BLOCK + 3
+        bulk, single = random.Random(7), random.Random(7)
+        assert pe._votes_below(bulk, size, local) == sum(single.random() < local for _ in range(size))
+        assert bulk.random() == single.random()
+
+    def test_tied_high_bytes_are_settled_exactly(self):
+        # a threshold whose high byte is drawn about once in 256 and whose
+        # low 45 bits split the ties
+        local = (0x80 * 2**45 + 2**44) / 2**53
+        for seed in range(3):
+            bulk, single = random.Random(seed), random.Random(seed)
+            assert pe._votes_below(bulk, 5000, local) == sum(
+                single.random() < local for _ in range(5000)
+            )
+
+    def test_voter_cap(self):
+        with pytest.raises(ValueError, match="voters exceed"):
+            pe.simulate_election(0.5, [pe.ELECTION_VOTER_CAP // 2, pe.ELECTION_VOTER_CAP // 2 + 1], 0)
+
     def test_deterministic_per_seed(self):
         sizes = [200] * 40
         a = pe.simulate_election(0.53, sizes, seed=11)
