@@ -347,13 +347,14 @@ def cmd_partition_enum(args) -> CommandResult:
 def cmd_partition_table(args) -> CommandResult:
     from . import partitions as pt
     if args.demorgan is not None:
-        x = args.demorgan
-        row = [pt.demorgan_u(x, y) for y in range(1, x + 1)]
+        row = pt.demorgan_row(args.demorgan)
         return CommandResult(" ".join(map(str, row)), row)
     if args.u2 is not None:
         return _scalar(pt.closed_form_u2(args.u2))
     if args.u3 is not None:
         return _scalar(pt.closed_form_u3(args.u3))
+    if args.n > pt.PARTITION_TABLE_CAP:
+        raise ValueError(f"a table to n = {args.n} is past the cap of {pt.PARTITION_TABLE_CAP} rows")
     rows = [[n, pt.count_partitions(n)] for n in range(args.n + 1)]
     text = "\n".join(f"{n:>4} {v}" for n, v in rows)
     return CommandResult(text, {str(n): v for n, v in rows}, csv_rows=[["n", "p"]] + rows)
@@ -385,8 +386,10 @@ def cmd_partition_parity(args) -> CommandResult:
 def cmd_partition_perfect(args) -> CommandResult:
     from . import partitions as pt
     items = pt.enumerate_perfect(args.n)
-    lines = [" ".join(map(str, p)) for p in items]
-    return CommandResult("\n".join(lines), [list(p) for p in items])
+    return CommandResult(
+        lambda: "\n".join(" ".join(map(str, p)) for p in items),
+        lambda: [list(p) for p in items],
+    )
 
 
 @command("partition", "plane", arg("n", type=int, nargs="?", default=0),
@@ -403,9 +406,15 @@ def cmd_partition_plane(args) -> CommandResult:
         l, m, cmax = _box_bounds(args.boxed)
         return _scalar(pt.count_boxed_plane_partitions(args.n, l, m, cmax))
     if args.enum:
+        from functools import lru_cache
+
         items = pt.enumerate_plane_partitions(args.n)
-        lines = ["/".join("".join(map(str, row)) for row in pp) for pp in items]
-        return CommandResult("\n".join(lines), [[list(r) for r in pp] for pp in items])
+        # a row recurs across the listing, so each is spelled once
+        spell = lru_cache(maxsize=None)(lambda row: "".join(map(str, row)))
+        return CommandResult(
+            lambda: "\n".join("/".join(map(spell, pp)) for pp in items),
+            lambda: [[list(r) for r in pp] for pp in items],
+        )
     return _scalar(pt.count_plane_partitions(args.n))
 
 
@@ -701,18 +710,23 @@ def cmd_election_simulate(args) -> CommandResult:
          arg("--associated", type=int, help="print the mirror partner of this index"))
 def cmd_puzzle_cubes(args) -> CommandResult:
     from . import recreations as rc
-    cubes = rc.generate_cubes(args.colors, args.mode)
+    k, mode = args.colors, args.mode
     if args.associated is not None:
-        cube = _item(cubes, args.associated, "--associated")
+        cube = _item(rc.generate_cubes(k, mode), args.associated, "--associated")
         mate = rc.associated_cube(cube)
         return CommandResult(
             f"{''.join(map(str, cube))} -> {''.join(map(str, mate))}",
             {"cube": list(cube), "associated": list(mate)},
         )
-    lines = ["".join(map(str, c)) for c in cubes]
+    if mode == "any-coloring":
+        # the orbit count answers a count; the cubes are built only to be listed
+        count, cubes = rc.cube_orbit_count(k), lambda: rc.generate_cubes(k, mode)
+    else:
+        built = rc.generate_cubes(k, mode)
+        count, cubes = len(built), lambda: built
     return CommandResult(
-        f"{len(cubes)}" if not args.list else "\n".join(lines),
-        [list(c) for c in cubes],
+        (lambda: "\n".join("".join(map(str, c)) for c in cubes())) if args.list else str(count),
+        lambda: [list(c) for c in cubes()],
     )
 
 
@@ -752,11 +766,14 @@ def cmd_puzzle_mayblox(args) -> CommandResult:
          arg("--list", action="store_true"))
 def cmd_puzzle_triangles(args) -> CommandResult:
     from . import recreations as rc
-    tiles = rc.generate_squares(args.k) if args.squares else rc.generate_triangles(args.k)
-    lines = ["".join(map(str, t)) for t in tiles]
+    k = args.k
+    if args.squares:
+        count, tiles = rc.square_count_formula(k), lambda: rc.generate_squares(k)
+    else:
+        count, tiles = rc.triangle_count_formula(k), lambda: rc.generate_triangles(k)
     return CommandResult(
-        f"{len(tiles)}" if not args.list else "\n".join(lines),
-        [list(t) for t in tiles],
+        (lambda: "\n".join("".join(map(str, t)) for t in tiles())) if args.list else str(count),
+        lambda: [list(t) for t in tiles()],
     )
 
 
@@ -792,8 +809,10 @@ def cmd_puzzle_contacts(args) -> CommandResult:
     from . import recreations as rc
     if args.list:
         systems = rc.enumerate_contact_systems(args.n)
-        lines = [",".join(map(str, s)) for s in systems]
-        return CommandResult("\n".join(lines), [list(s) for s in systems])
+        return CommandResult(
+            lambda: "\n".join(",".join(map(str, s)) for s in systems),
+            lambda: [list(s) for s in systems],
+        )
     return _scalar(rc.contact_system_count(args.n))
 
 

@@ -32,26 +32,23 @@ class BinaryQuantic:
     """Binary form of order p with symbolic coefficients a0..ap."""
 
     order: int
-    convention: str = "binomial"
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be at least 1")
-        if self.convention not in ("binomial", "plain"):
-            raise ValueError("convention must be 'binomial' or 'plain'")
 
     def polynomial(self) -> MultiPoly:
-        """The quantic as a polynomial in a0..ap, x, y."""
+        """The quantic sum C(p,k) a_k x^(p-k) y^k as a polynomial in
+        a0..ap, x, y."""
         p = self.order
         names = avar_names(p, with_xy=True)
         out = MultiPoly.zero(names)
         for k in range(p + 1):
-            weight = math.comb(p, k) if self.convention == "binomial" else 1
             exp = [0] * len(names)
             exp[k] = 1
             exp[-2] = p - k
             exp[-1] = k
-            out = out + MultiPoly.monomial(names, tuple(exp), weight)
+            out = out + MultiPoly.monomial(names, tuple(exp), math.comb(p, k))
         return out
 
 
@@ -289,7 +286,7 @@ def transformed_coefficients(p: int, t: LinearTransform2) -> List[MultiPoly]:
     Binomial convention: both quantics carry C(p,k) weights.
     """
     names = avar_names(p, with_xy=True)
-    quantic = BinaryQuantic(p, "binomial").polynomial()
+    quantic = BinaryQuantic(p).polynomial()
     x = MultiPoly.variable(names, "x")
     y = MultiPoly.variable(names, "y")
     images = {n: MultiPoly.variable(names, n) for n in names}

@@ -65,8 +65,9 @@ class PartitionConstraint:
                 raise ValueError("allowed parts must be positive")
 
 
-# partitions that partition_batches and enumerate_partitions may list:
-# 2^19, as for compose enum (p(55) = 451276 is the largest p(n) within it)
+# partitions that partition_batches and enumerate_partitions may list, and
+# plane partitions that enumerate_plane_partitions may: 2^19, as for
+# compose enum (p(55) = 451276 and PL(24) = 451194 are the largest within it)
 PARTITION_ENUM_CAP = 2**19
 # parts that a listing may hold, bounded as lines * longest line: 2^25,
 # which admits the p(55) = 451276 lines of at most 55 parts
@@ -245,13 +246,14 @@ class _PartitionWalk:
                 self.buf.append((prefix + ua * m + ub * q)[cut:])
 
 
-def _partitions_past_cap(n: int) -> bool:
-    """Whether p(n) > PARTITION_ENUM_CAP.  p is nondecreasing, so p is read
-    only up to the first value past the cap."""
+def past_cap(count: Callable[[int], int], n: int, cap: int) -> bool:
+    """Whether count(n) > cap, for a count nondecreasing in n: count is
+    read at m = 0, 1, ... only up to the first value past the cap, so a
+    huge n costs no more than the cap does."""
     m = 0
-    while m < n and count_partitions(m) <= PARTITION_ENUM_CAP:
+    while m < n and count(m) <= cap:
         m += 1
-    return count_partitions(m) > PARTITION_ENUM_CAP
+    return count(m) > cap
 
 
 def _few_parts_bound(n: int, k: int) -> Optional[int]:
@@ -279,7 +281,7 @@ def _check_listing(n: int, c: PartitionConstraint) -> None:
     times the longest line: min(part-count bound, n // smallest part)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if not _partitions_past_cap(n):
+    if not past_cap(count_partitions, n, PARTITION_ENUM_CAP):
         lines = count_partitions(n)
     elif c == PartitionConstraint():
         raise ValueError(f"n = {n} has more than {PARTITION_ENUM_CAP} partitions, the output cap")
@@ -329,6 +331,9 @@ def enumerate_partitions(
 
 
 _PARTITION_TABLE = [1]
+# rows of p(0..n) that partition table may print (about 0.5 s as a
+# command at the cap, with Python 3.11 on a 2-vCPU VM)
+PARTITION_TABLE_CAP = 10**4
 
 
 def count_partitions(n: int) -> int:
@@ -433,6 +438,20 @@ def demorgan_u(x: int, y: int) -> int:
     if y == 1 or y == x:
         return 1
     return demorgan_u(x - 1, y - 1) + demorgan_u(x - y, y)
+
+
+def demorgan_row(x: int) -> List[int]:
+    """Row x of De Morgan's table, u(x, 1..x), empty for x <= 0.
+
+    Read from the column P(x, 0..x) of the exact-parts table: conjugation
+    turns a greatest part exactly y into exactly y parts.  Refused when the
+    x * x table cells pass EXACT_PARTS_CELL_CAP.
+    """
+    if x <= 0:
+        return []
+    if x * x > EXACT_PARTS_CELL_CAP:
+        raise ValueError(f"x * x = {x * x} exceeds the exact-parts table cap {EXACT_PARTS_CELL_CAP}")
+    return _exact_parts(x, x, x)[1][1:]
 
 
 def closed_form_u2(x: int) -> int:
@@ -565,7 +584,8 @@ def cayley_p12_closed_form(q: int) -> int:
 # -- conjugation and graphs --------------------------------------------
 
 
-# parts of a conjugate, its input's largest part
+# parts of a conjugate (its input's largest part), or of the rows of a
+# modular partition
 CONJUGATE_PARTS_CAP = 10**6
 
 
@@ -589,12 +609,18 @@ def conjugate(partition: Sequence[int]) -> Partition:
 def modular_partition(partition: Sequence[int], m: int) -> List[Tuple[int, ...]]:
     """Rewrite each part q as m + m + ... + r with 0 < r <= m.
 
-    The mod-1 case gives the unary rows of the Ferrers graph.
+    The mod-1 case gives the unary rows of the Ferrers graph.  Refused
+    before any row is made when the rows' parts, the sum of ceil(q / m),
+    pass CONJUGATE_PARTS_CAP.
     """
     if m < 1:
         raise ValueError("modulus must be at least 1")
+    parts = check_partition(partition)
+    size = sum(-(-q // m) for q in parts)
+    if size > CONJUGATE_PARTS_CAP:
+        raise ValueError(f"the rows have {size} parts, past the cap of {CONJUGATE_PARTS_CAP}")
     rows = []
-    for q in check_partition(partition):
+    for q in parts:
         full, rest = divmod(q, m)
         row = [m] * full
         if rest:
@@ -719,14 +745,26 @@ def enumerate_perfect(n: int) -> List[Partition]:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    from .divisors import ordered_factorization_totals  # a local import: divisors imports this module
+    from .divisors import divisors, ordered_factorization_totals  # a local import: divisors imports this module
 
     total = ordered_factorization_totals(n + 1)[1]
     if total > PERFECT_PARTS_CAP:
         raise ValueError(
             f"the perfect partitions of {n} have {total} parts, past the cap of {PERFECT_PARTS_CAP}"
         )
-    return sorted(map(perfect_partition, ordered_factorizations(n + 1)), reverse=True)
+    # the partitions of m - 1 for each divisor m of n + 1, ascending: a
+    # last factor d puts d - 1 copies of m / d first, so ascending d
+    # gives descending order
+    factors = divisors(n + 1)[1:]
+    perfect: Dict[int, List[Partition]] = {1: [()]}
+    for m in factors:
+        perfect[m] = [
+            (m // d,) * (d - 1) + rest
+            for d in factors
+            if d <= m and m % d == 0
+            for rest in perfect[m // d]
+        ]
+    return perfect[n + 1]
 
 
 @dataclass(frozen=True)
@@ -898,36 +936,46 @@ def check_plane_partition(rows: Sequence[Sequence[int]]) -> PlanePartition:
     return canon
 
 
+def _rows_under(limit: Tuple[int, ...], budget: int, prefix: Tuple[int, ...] = ()):
+    """(row, budget left) for each non-increasing row extending prefix,
+    of sum at most budget, that fits under limit entry by entry: in
+    lexicographic order, each row before its extensions."""
+    i = len(prefix)
+    if i < len(limit):
+        for v in range(1, min(limit[i], budget, prefix[-1] if prefix else budget) + 1):
+            row = prefix + (v,)
+            yield row, budget - v
+            yield from _rows_under(limit, budget - v, row)
+
+
+def _plane_completions(
+    limit: Tuple[int, ...], total: int, memo: Dict[Tuple[Tuple[int, ...], int], List[PlanePartition]]
+) -> List[PlanePartition]:
+    """The plane partitions of total whose first row fits under limit, in
+    lexicographic order.  Entries past total and columns past total cannot
+    bind, so the key trims them and shares the list."""
+    if total == 0:
+        return [()]
+    key = (tuple(min(v, total) for v in limit[:total]), total)
+    if key not in memo:
+        memo[key] = [
+            (row,) + rest
+            for row, left in _rows_under(key[0], total)
+            for rest in _plane_completions(row, left, memo)
+        ]
+    return memo[key]
+
+
 def enumerate_plane_partitions(n: int) -> List[PlanePartition]:
-    """All plane partitions of n in canonical ragged form."""
+    """All plane partitions of n in canonical ragged form, in lexicographic
+    order: first rows in lexicographic order, each followed by the
+    memoised completions under it.  Refused past PARTITION_ENUM_CAP
+    plane partitions."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    if n == 0:
-        return [()]
-    out: List[PlanePartition] = []
-
-    def rows_under(limit_row: Tuple[int, ...], total: int, acc: List[Tuple[int, ...]]):
-        if total == 0:
-            out.append(tuple(acc))
-            return
-        # next row: a partition of some s <= total fitting under limit_row
-        def build(idx: int, cap: int, remaining: int, row: List[int]):
-            if row:
-                rows_under(tuple(row), remaining, acc + [tuple(row)])
-            if idx >= len(limit_row) or remaining == 0:
-                return
-            for v in range(min(cap, limit_row[idx], remaining), 0, -1):
-                row.append(v)
-                build(idx + 1, v, remaining - v, row)
-                row.pop()
-
-        build(0, total, total, [])
-
-    for first_sum in range(1, n + 1):
-        for first in enumerate_partitions(first_sum):
-            rows_under(first, n - first_sum, [first])
-    # group by first row weight descending then lexicographic for stability
-    return sorted(out)
+    if past_cap(count_plane_partitions, n, PARTITION_ENUM_CAP):
+        raise ValueError(f"n = {n} has more than {PARTITION_ENUM_CAP} plane partitions, the output cap")
+    return _plane_completions((n,) * n, n, {})
 
 
 def plane_partition_gf(bound: int) -> List[int]:
@@ -972,13 +1020,10 @@ def count_boxed_plane_partitions(n: int, l: Optional[int], m: int, cmax: int) ->
 # -- xy-symmetric two-layer stacked graphs -------------------------------
 
 
-def _dominates(lower: FrozenSet[int], upper: FrozenSet[int], i: int) -> bool:
-    # upper layer fits on the lower one: for every threshold k, the lower
-    # layer owns at least as many hooks of index >= k.
-    for k in range(1, i + 1):
-        if sum(1 for j in lower if j >= k) < sum(1 for j in upper if j >= k):
-            return False
-    return True
+# Largest DP size i^4 of xy_symmetric_two_layer_poly: about i hooks times
+# i leads times 2i^2 weights (about 0.2 s at i = 32 with Python 3.11 on a
+# 2-vCPU VM)
+XY_DP_CAP = 2**20
 
 
 def xy_symmetric_two_layer_poly(i: int) -> Dict[int, int]:
@@ -988,24 +1033,38 @@ def xy_symmetric_two_layer_poly(i: int) -> Dict[int, int]:
     The lower layer is a self-conjugate diagram given by a set of
     principal hook sizes {2j-1} containing 2i-1; the upper layer is any
     self-conjugate diagram whose hooks it dominates thresholdwise (the
-    survivors of the negative-power deletion).
+    survivors of the negative-power deletion): for every k, the lower
+    layer owns at least as many hooks of index >= k.
+
+    Hooks are decided from j = i down to 1, each in the lower layer, the
+    upper, both or neither; hook i is in the lower one.  polys[d][w]
+    counts the choices so far of weight w whose lower layer leads the
+    upper by d hooks, which must stay >= 0; past hook j + 1 the lead is at
+    most i - j.  Refused past XY_DP_CAP.
     """
     if i < 1:
         raise ValueError("i must be at least 1")
-    hooks = list(range(1, i + 1))
-    out: Dict[int, int] = {}
-    for rest in itertools.chain.from_iterable(
-        itertools.combinations(hooks[:-1], r) for r in range(i)
-    ):
-        lower = frozenset(rest) | {i}
-        wl = sum(2 * j - 1 for j in lower)
-        for r2 in range(i + 1):
-            for combo in itertools.combinations(hooks, r2):
-                upper = frozenset(combo)
-                if _dominates(lower, upper, i):
-                    w = wl + sum(2 * j - 1 for j in upper)
-                    out[w] = out.get(w, 0) + 1
-    return out
+    if i**4 > XY_DP_CAP:
+        raise ValueError(f"i = {i} needs a DP of size i^4 = {i**4}, past the cap of {XY_DP_CAP}")
+    size = 2 * i * i + 1
+    polys = [[0] * size for _ in range(i + 1)]
+    hook = 2 * i - 1
+    polys[0][2 * hook] = polys[1][hook] = 1
+    for j in range(i - 1, 0, -1):
+        hook = 2 * j - 1
+        nxt = [[0] * size for _ in range(i + 1)]
+        for d, poly in enumerate(polys[: i - j + 1]):
+            same, up, down = nxt[d], nxt[d + 1], nxt[d - 1]
+            for w, c in enumerate(poly):
+                if c:
+                    same[w] += c  # neither layer
+                    same[w + 2 * hook] += c  # both
+                    up[w + hook] += c  # the lower layer only
+                    if d:
+                        down[w + hook] += c  # the upper layer only
+        polys = nxt
+    totals = [sum(column) for column in zip(*polys)]
+    return {w: c for w, c in enumerate(totals) if c}
 
 
 def xy_symmetric_cell_enumeration(i: int) -> Dict[int, int]:

@@ -47,10 +47,6 @@ class EdgeProfile:
         segs = list(zip(self.points, self.points[1:]))
         for i, (a1, a2) in enumerate(segs):
             for j in range(i + 2, len(segs)):
-                if i == 0 and j == len(segs) - 1:
-                    adjacent_ends = False
-                else:
-                    adjacent_ends = False
                 b1, b2 = segs[j]
                 if _segments_cross(a1, a2, b1, b2):
                     return True

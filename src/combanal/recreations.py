@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .partitions import perfect_partition
+from .partitions import past_cap, perfect_partition
 
 # -- cubes -------------------------------------------------------------------
 
@@ -67,6 +67,11 @@ def canonical_cube(cube: Sequence[int]) -> Cube:
     return min(orientations(tuple(cube)))
 
 
+# colorings that generate_cubes may walk in any-coloring mode: k^6, at
+# most 2^18 = 8^6 (about 0.8 s at the cap with Python 3.11 on a 2-vCPU VM)
+CUBE_CANDIDATE_CAP = 2**18
+
+
 def generate_cubes(k: int, mode: str = "all-distinct-faces") -> List[Cube]:
     """Rotation-distinct cubes on k colors.
 
@@ -75,6 +80,8 @@ def generate_cubes(k: int, mode: str = "all-distinct-faces") -> List[Cube]:
     """
     if k < 1:
         raise ValueError("need at least one color")
+    if mode == "any-coloring" and k**6 > CUBE_CANDIDATE_CAP:
+        raise ValueError(f"k^6 = {k**6} candidate cubes is past the cap of {CUBE_CANDIDATE_CAP}")
     if mode == "all-distinct-faces":
         if k != 6:
             raise ValueError("all-distinct-faces mode needs exactly six colors")
@@ -97,6 +104,8 @@ def generate_cubes(k: int, mode: str = "all-distinct-faces") -> List[Cube]:
 
 def cube_orbit_count(k: int) -> int:
     """(k^6 + 3k^4 + 12k^3 + 8k^2) / 24: rotation classes of colorings."""
+    if k < 1:
+        raise ValueError("need at least one color")
     return (k**6 + 3 * k**4 + 12 * k**3 + 8 * k**2) // 24
 
 
@@ -258,17 +267,28 @@ def canonical_tile(tile: Sequence[int]) -> Tile:
     return min(tile[i:] + tile[:i] for i in range(n))
 
 
-def generate_tiles(sides: int, k: int) -> List[Tile]:
+# colorings that generate_tiles may walk: k^sides, at most 2^18 = 64^3
+# (22^4 squares; about 0.5 s at the cap with Python 3.11 on a 2-vCPU VM)
+TILE_CANDIDATE_CAP = 2**18
+
+
+def _check_tile(sides: int, k: int) -> None:
     if sides < 3 or k < 1:
         raise ValueError("need at least 3 sides and 1 color")
-    seen = set()
-    out = []
-    for tile in itertools.product(range(k), repeat=sides):
-        canon = canonical_tile(tile)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-    return sorted(out)
+
+
+def generate_tiles(sides: int, k: int) -> List[Tile]:
+    """Rotation-distinct tiles in lexicographic order: each candidate, in
+    the product's own lexicographic order, is kept when it is the least
+    of its rotations.  Refused past TILE_CANDIDATE_CAP candidates."""
+    _check_tile(sides, k)
+    if k**sides > TILE_CANDIDATE_CAP:
+        raise ValueError(f"k^{sides} = {k**sides} candidate tiles is past the cap of {TILE_CANDIDATE_CAP}")
+    return [
+        t
+        for t in itertools.product(range(k), repeat=sides)
+        if all(t <= t[i:] + t[:i] for i in range(1, sides))
+    ]
 
 
 def generate_triangles(k: int) -> List[Tile]:
@@ -282,10 +302,12 @@ def generate_squares(k: int) -> List[Tile]:
 
 
 def triangle_count_formula(k: int) -> int:
+    _check_tile(3, k)
     return (k**3 + 2 * k) // 3
 
 
 def square_count_formula(k: int) -> int:
+    _check_tile(4, k)
     return (k**4 + k**2 + 2 * k) // 4
 
 
@@ -573,30 +595,36 @@ def contact_system_count(n: int) -> int:
     return b
 
 
+# contact systems that enumerate_contact_systems may list: 2^19, as for
+# partition enum (I(12) = 140152 is the largest count within it)
+CONTACT_LIST_CAP = 2**19
+
+
 def enumerate_contact_systems(n: int) -> List[Tuple[int, ...]]:
-    """All involutions of {0..n-1}, each as the tuple of images."""
+    """All involutions of {0..n-1}, each as the tuple of images, in
+    lexicographic order: the lowest open position takes itself, then each
+    open partner in ascending order.  Refused past CONTACT_LIST_CAP."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if past_cap(contact_system_count, n, CONTACT_LIST_CAP):
+        raise ValueError(f"n = {n} has more than {CONTACT_LIST_CAP} contact systems, the output cap")
     out: List[Tuple[int, ...]] = []
+    image = [-1] * n
 
-    def rec(assigned: Dict[int, int]):
-        free = [i for i in range(n) if i not in assigned]
-        if not free:
-            out.append(tuple(assigned[i] for i in range(n)))
+    def rec(first: int):
+        while first < n and image[first] >= 0:
+            first += 1
+        if first == n:
+            out.append(tuple(image))
             return
-        first = free[0]
-        assigned[first] = first
-        rec(assigned)
-        del assigned[first]
-        for partner in free[1:]:
-            assigned[first] = partner
-            assigned[partner] = first
-            rec(assigned)
-            del assigned[first]
-            del assigned[partner]
+        for partner in range(first, n):
+            if image[partner] < 0:
+                image[first], image[partner] = partner, first
+                rec(first + 1)
+                image[first] = image[partner] = -1
 
-    rec({})
-    return sorted(out)
+    rec(0)
+    return out
 
 
 # -- Latin squares ---------------------------------------------------------------
@@ -674,14 +702,23 @@ def _latin_count(n: int, reduced: bool) -> int:
 # -- measuring rod ----------------------------------------------------------------
 
 
+# marks that measuring_rod may place: each candidate up to the last mark
+# is tested against the marks before it (about 0.5 s as a command at the
+# cap, with Python 3.11 on a 2-vCPU VM)
+ROD_MARK_CAP = 100
+
+
 def measuring_rod(k: int) -> Tuple[int, ...]:
     """First k marks of the greedy all-differences-distinct ruler.
 
     Starts 0, 1, 3, 7, 12, 20, 30, 44, ...; each new mark is the smallest
     integer keeping every pairwise difference distinct.  Prefix-stable.
+    Refused past ROD_MARK_CAP marks.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
+    if k > ROD_MARK_CAP:
+        raise ValueError(f"k = {k} marks is past the cap of {ROD_MARK_CAP}")
     marks = [0]
     diffs: Set[int] = set()
     candidate = 1

@@ -1,5 +1,9 @@
-"""Oracles for the partition and composition listings: plain part-by-part
-recursion, shared by the library tests and the CLI streaming tests."""
+"""Oracles for the listings: plain part-by-part recursion for partitions
+and compositions, shared by the library tests and the CLI streaming
+tests, and the build-dedupe-sort enumerators of contact systems, tiles,
+plane and perfect partitions."""
+
+import itertools
 
 from hypothesis import strategies as st
 
@@ -74,3 +78,77 @@ def enumerate_compositions_oracle(n):
 
     rec(n, [])
     return out
+
+
+def contact_systems_oracle(n):
+    """Involutions of {0..n-1} as image tuples: a recursion over a dict
+    of assigned images, sorted at the end."""
+    out = []
+
+    def rec(assigned):
+        free = [i for i in range(n) if i not in assigned]
+        if not free:
+            out.append(tuple(assigned[i] for i in range(n)))
+            return
+        first = free[0]
+        assigned[first] = first
+        rec(assigned)
+        del assigned[first]
+        for partner in free[1:]:
+            assigned[first] = partner
+            assigned[partner] = first
+            rec(assigned)
+            del assigned[first]
+            del assigned[partner]
+
+    rec({})
+    return sorted(out)
+
+
+def tiles_oracle(sides, k):
+    """Rotation-distinct tiles: every coloring's least rotation, deduplicated
+    by a seen-set and sorted."""
+    seen = set()
+    out = []
+    for tile in itertools.product(range(k), repeat=sides):
+        canon = min(tile[i:] + tile[:i] for i in range(sides))
+        if canon not in seen:
+            seen.add(canon)
+            out.append(canon)
+    return sorted(out)
+
+
+def plane_partitions_oracle(n):
+    """Plane partitions of n: each first row a partition of some s <= n,
+    each later row built part by part under the row above, sorted."""
+    if n == 0:
+        return [()]
+    out = []
+
+    def rows_under(limit_row, total, acc):
+        if total == 0:
+            out.append(tuple(acc))
+            return
+
+        def build(idx, cap, remaining, row):
+            if row:
+                rows_under(tuple(row), remaining, acc + [tuple(row)])
+            if idx >= len(limit_row) or remaining == 0:
+                return
+            for v in range(min(cap, limit_row[idx], remaining), 0, -1):
+                row.append(v)
+                build(idx + 1, v, remaining - v, row)
+                row.pop()
+
+        build(0, total, total, [])
+
+    for first_sum in range(1, n + 1):
+        for first in pt.enumerate_partitions(first_sum):
+            rows_under(first, n - first_sum, [first])
+    return sorted(out)
+
+
+def perfect_partitions_oracle(n):
+    """Perfect partitions of n: one per ordered factorization of n + 1,
+    sorted descending."""
+    return sorted(map(pt.perfect_partition, pt.ordered_factorizations(n + 1)), reverse=True)

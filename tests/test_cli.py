@@ -341,6 +341,26 @@ CAP_EDGES = [
         "election simulate --share 0.5 --constituencies 64 --size 65536",
         "election simulate --share 0.5 --constituencies 64 --size 65537",
     ),  # 2^22 and 4194368 voters
+    ("partition plane 24 --enum", "partition plane 25 --enum"),  # PL = 451194 and 696033 lines, cap 2^19
+    ("puzzle contacts 12 --list", "puzzle contacts 13 --list"),  # I = 140152 and 568504 lines, cap 2^19
+    ("puzzle triangles 64 --list", "puzzle triangles 65 --list"),  # 2^18 and 274625 candidates
+    (
+        "puzzle triangles 22 --squares --format json",
+        "puzzle triangles 23 --squares --format json",
+    ),  # 234256 and 279841 candidates, cap 2^18
+    (
+        "puzzle cubes --mode any-coloring --colors 8 --list",
+        "puzzle cubes --mode any-coloring --colors 9 --list",
+    ),  # 2^18 and 531441 candidates
+    ("partition table --demorgan 1000", "partition table --demorgan 1001"),  # 10^6 table cells
+    ("partition modular 1000000 --mod 1", "partition modular 1000001 --mod 1"),  # 10^6 parts printed
+    (
+        "partition modular 1000000,999999 --mod 2",
+        "partition modular 1000001,1000000 --mod 2",
+    ),  # the sum of ceil(q / 2): 10^6 and 1000001 parts
+    ("partition table 10000", "partition table 10001"),  # 10^4 rows
+    ("partition plane --xy 32", "partition plane --xy 33"),  # DP size 2^20 and 1185921
+    ("puzzle rod 100", "puzzle rod 101"),  # 100 marks
 ]
 
 
@@ -369,6 +389,15 @@ UNGUARDED_BEFORE = [
     "invariant check a0^100 --p 4 --transform 1,2,3,5",  # an expansion of A_0^100, past 60 s
     "election simulate --share 0.5 --constituencies 1000000 --size 1000000",  # 10^12 draws
     "election simulate --share 0.5 --constituencies 1000000000000 --size -1",  # a MemoryError
+    "partition plane 100000 --enum",  # N = 20 printed 1.2 MB in 1.2 s, and N had no bound
+    "puzzle contacts 14 --list",  # past 20 s
+    "puzzle triangles 200 --list",  # 30 s and 22 MB
+    "puzzle triangles 200 --squares --format json",
+    "puzzle cubes --mode any-coloring --colors 50 --format json",  # 50^6 candidates
+    "partition table --demorgan 3000",  # a RecursionError traceback
+    "partition modular 300000000 --mod 1",  # a MemoryError traceback
+    "puzzle rod 300",  # 13 s
+    "partition table 200000",  # past 20 s
 ]
 
 
@@ -381,7 +410,10 @@ UNGUARDED_BEFORE = [
         "partition perfect 720719", "divisor potency 10^18+3", "divisor factorize 10^18+3",
         "divisor potency --count 10^12", "puzzle weights 100 --pans two",
         "invariant check a0^100 --p 4", "election simulate 10^6 x 10^6",
-        "election simulate 10^12 x -1",
+        "election simulate 10^12 x -1", "partition plane 10^5 --enum", "puzzle contacts 14 --list",
+        "puzzle triangles 200 --list", "puzzle triangles 200 --squares json",
+        "puzzle cubes any-coloring 50 json", "partition table --demorgan 3000",
+        "partition modular 3*10^8 --mod 1", "puzzle rod 300", "partition table 200000",
     ],
 )
 def test_formerly_unguarded_argv_refuse_at_once(argv):
@@ -436,6 +468,18 @@ def test_formerly_unbounded_argv_answer_at_once(argv, output):
         capture_output=True, text=True, timeout=5, env=dict(os.environ, PYTHONPATH=src),
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, output, "")
+
+
+def test_xy_polynomial_of_fourteen_answers_at_once():
+    # a scan of 4^14 hook-set pairs ran past 20 s; the DP over hooks is quick
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "combanal.cli", "partition", "plane", "--xy", "14"],
+        capture_output=True, text=True, timeout=5, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # the lightest stack is hook 14 alone (27 cells), the heaviest both full layers
+    assert proc.stdout.startswith("x^27 + ") and proc.stdout.endswith(" + x^392\n")
 
 
 def test_divisor_series_table_of_two_hundred_rows_answers_at_once():
@@ -847,6 +891,27 @@ class TestFormats:
         check = pa._verify_cover
         monkeypatch.setattr(pa, "_verify_cover", lambda *a: calls.append("_verify_cover") or check(*a))
         code, out, err = run(f"pattern tiling --cairo --extent 1 --format {fmt}")
+        assert (code, err) == (0, "") and out
+        assert calls == built
+
+    @pytest.mark.parametrize("argv,built", [
+        ("puzzle triangles 200", []),
+        ("puzzle triangles 200 --squares", []),
+        ("puzzle cubes --mode any-coloring --colors 50", []),
+        ("puzzle triangles 5 --list", ["generate_tiles"]),
+        ("puzzle triangles 5 --squares --format json", ["generate_tiles"]),
+        ("puzzle cubes --mode any-coloring --colors 3 --list", ["generate_cubes"]),
+        ("puzzle cubes --mode any-coloring --colors 3 --format json", ["generate_cubes"]),
+    ])
+    def test_count_builds_no_tile_or_cube(self, monkeypatch, argv, built):
+        # a text count reads its closed form; only a listing walks the colorings
+        from combanal import recreations as rc
+
+        calls = []
+        for name in ("generate_tiles", "generate_cubes"):
+            build = getattr(rc, name)
+            monkeypatch.setattr(rc, name, lambda *a, _b=build, _n=name: calls.append(_n) or _b(*a))
+        code, out, err = run(argv)
         assert (code, err) == (0, "") and out
         assert calls == built
 

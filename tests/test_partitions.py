@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combanal import partitions as pt
-from enumeration_support import constraints, enumerate_partitions_oracle
+from enumeration_support import (
+    constraints,
+    enumerate_partitions_oracle,
+    perfect_partitions_oracle,
+    plane_partitions_oracle,
+)
 
 
 def brute_partitions(n, max_part=None):
@@ -248,6 +253,10 @@ class TestDeMorgan:
                 oracle = sum(1 for p in brute_partitions(x) if p and p[0] == y)
                 assert pt.demorgan_u(x, y) == oracle
 
+    def test_row_reads_the_recurrence(self):
+        for x in range(-2, 40):
+            assert pt.demorgan_row(x) == [pt.demorgan_u(x, y) for y in range(1, x + 1)]
+
     def test_euler_duality_with_warburton(self):
         for x in range(1, 21):
             for y in range(1, x + 1):
@@ -452,6 +461,10 @@ class TestPerfect:
             brute = sorted(p for p in brute_partitions(n) if pt.is_perfect(p))
             assert sorted(pt.enumerate_perfect(n)) == brute
 
+    def test_matches_the_sorted_factorization_oracle(self):
+        for n in list(range(1, 401)) + [719, 5039]:
+            assert pt.enumerate_perfect(n) == perfect_partitions_oracle(n), n
+
     def test_subperfect(self):
         assert pt.is_subperfect((3, 1))
         assert not pt.is_subperfect((2, 1))
@@ -598,6 +611,19 @@ class TestPlanePartitions:
     def test_one_of_one(self):
         assert pt.enumerate_plane_partitions(1) == [((1,),)]
 
+    def test_matches_the_sorted_oracle(self):
+        for n in range(16):
+            assert pt.enumerate_plane_partitions(n) == plane_partitions_oracle(n), n
+
+    def test_listing_refuses_past_the_cap_before_counting_far(self, monkeypatch):
+        # PL(25) = 696033 > 2^19: the count is read only up to m = 25
+        counted = []
+        count = pt.count_plane_partitions
+        monkeypatch.setattr(pt, "count_plane_partitions", lambda m: counted.append(m) or count(m))
+        with pytest.raises(ValueError, match="more than 524288 plane partitions"):
+            pt.enumerate_plane_partitions(10**9)
+        assert max(counted) == 25
+
     def test_gf_agreement(self):
         for n in range(16):
             assert pt.count_plane_partitions(n) == len(pt.enumerate_plane_partitions(n))
@@ -728,6 +754,10 @@ class TestXeS:
 
     def test_cell_enumeration_oracle(self):
         for i in range(1, 5):
+            assert pt.xy_symmetric_two_layer_poly(i) == pt.xy_symmetric_cell_enumeration(i)
+
+    def test_hook_dp_matches_the_cell_enumeration(self):
+        for i in range(5, 8):
             assert pt.xy_symmetric_two_layer_poly(i) == pt.xy_symmetric_cell_enumeration(i)
 
     def test_count_accessor(self):

@@ -56,8 +56,11 @@ NOT_REACHED = {
     "partitions.cayley_p12_closed_form": "paper fact",
     "partitions.check_plane_partition": "oracle",
     "partitions.count_exact_parts": "oracle",
+    "partitions.demorgan_u": "oracle",
+    "partitions.enumerate_partitions": "oracle",
     "partitions.is_perfect": "oracle",
     "partitions.is_subperfect": "oracle",
+    "partitions.ordered_factorizations": "oracle",
     "partitions.prime_circulator": "paper fact",
     "partitions.xy_symmetric_cell_enumeration": "oracle",
     "patterns.Tetrahedron.face_edge_multisets": "paper fact",
@@ -66,9 +69,6 @@ NOT_REACHED = {
     "probelect.cube_root_seat_rule": "paper fact",
     "probelect.sample_cumulative_exact": "oracle",
     "probelect.taagepera_exponent": "paper fact",
-    "recreations.cube_orbit_count": "paper fact",
-    "recreations.square_count_formula": "paper fact",
-    "recreations.triangle_count_formula": "paper fact",
 }
 REASONS = {"oracle", "paper fact", "bench"}
 ROOTS = ("cli.main", "cli.dispatch", "cli.build_parser")

@@ -7,6 +7,7 @@ import pytest
 from combanal import recreations as rc
 from combanal.exactcore import MultiPoly
 from combanal.partitions import enumerate_partitions, is_perfect, is_subperfect
+from enumeration_support import contact_systems_oracle, tiles_oracle
 
 
 def stamp_foldings_oracle(n: int) -> int:
@@ -231,6 +232,18 @@ class TestTiles:
         for t in rc.generate_triangles(3):
             assert rc.canonical_tile(t) == t
 
+    @pytest.mark.parametrize("sides", [3, 4])
+    def test_tiles_match_the_dedupe_and_sort_oracle(self, sides):
+        for k in range(1, 7):
+            assert rc.generate_tiles(sides, k) == tiles_oracle(sides, k), k
+
+    def test_count_formulas_refuse_as_the_listing_does(self):
+        for count in (rc.triangle_count_formula, rc.square_count_formula):
+            with pytest.raises(ValueError, match="need at least 3 sides and 1 color"):
+                count(0)
+        with pytest.raises(ValueError, match="need at least one color"):
+            rc.cube_orbit_count(0)
+
     def test_reflection_not_identified(self):
         # (0,1,2) and its mirror (0,2,1) are distinct tiles under rotation
         tiles = set(rc.generate_triangles(3))
@@ -322,6 +335,19 @@ class TestContacts:
     def test_seven_letters(self):
         assert rc.contact_system_count(7) == 232
         assert len(rc.enumerate_contact_systems(7)) == 232
+
+    def test_enumeration_matches_the_sorted_oracle(self):
+        for n in range(1, 11):
+            assert rc.enumerate_contact_systems(n) == contact_systems_oracle(n), n
+
+    def test_listing_refuses_past_the_cap_before_counting_far(self, monkeypatch):
+        # I(13) = 568504 > 2^19: the count is read only up to m = 13
+        counted = []
+        count = rc.contact_system_count
+        monkeypatch.setattr(rc, "contact_system_count", lambda m: counted.append(m) or count(m))
+        with pytest.raises(ValueError, match="more than 524288 contact systems"):
+            rc.enumerate_contact_systems(10**9)
+        assert max(counted) == 13
 
     def test_enumeration_yields_involutions(self):
         for n in range(1, 9):
