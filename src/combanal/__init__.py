@@ -32,6 +32,12 @@ __all__ = [
 __version__ = "0.1.0"
 
 
+class DomainError(ValueError):
+    """A refusal of the input: out of the domain, infeasible, or past a
+    work cap.  The CLI prints its message on one line and exits 1; any
+    other exception is a bug."""
+
+
 def __getattr__(name: str):
     if name in __all__:
         import importlib

@@ -1,7 +1,8 @@
 """Command-line surface: every library operation behind a subcommand.
 
-Exit codes: 0 success, 1 domain error (infeasible input, guard refusal),
-2 usage error.  Results go to stdout, diagnostics to stderr; identical
+Exit codes: 0 success, 1 domain error (a DomainError: infeasible input,
+guard refusal), 2 usage error.  Any other exception is a bug and ends in
+a traceback.  Results go to stdout, diagnostics to stderr; identical
 argv produces byte-identical output.  Formats: text (default), json
 (stable key order), csv (header row), svg (pattern tiling only).
 
@@ -13,9 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+
+from . import DomainError
 
 # Domain modules are imported inside the functions that use them, so a
 # request loads only what it needs.  Functions are reached as module
@@ -112,6 +116,10 @@ def _json_list(batches: Iterable[list]) -> Iterator[str]:
         yield sep + json.dumps(batch, separators=(",", ":"))[1:-1]
         sep = ","
     yield "[]\n" if sep == "[" else "]\n"
+
+
+def _cannot_open(flag: str, path: str, exc: OSError) -> str:
+    return f"argument {flag}: can't open {path!r}: {exc.strerror}"
 
 
 def _ints(text: str) -> List[int]:
@@ -353,8 +361,7 @@ def cmd_partition_table(args) -> CommandResult:
         return _scalar(pt.closed_form_u2(args.u2))
     if args.u3 is not None:
         return _scalar(pt.closed_form_u3(args.u3))
-    if args.n > pt.PARTITION_TABLE_CAP:
-        raise ValueError(f"a table to n = {args.n} is past the cap of {pt.PARTITION_TABLE_CAP} rows")
+    pt.count_partitions(args.n)  # fills the table to n, or refuses past its cap
     rows = [[n, pt.count_partitions(n)] for n in range(args.n + 1)]
     text = "\n".join(f"{n:>4} {v}" for n, v in rows)
     return CommandResult(text, {str(n): v for n, v in rows}, csv_rows=[["n", "p"]] + rows)
@@ -581,6 +588,8 @@ def cmd_invariant_basis(args) -> CommandResult:
     if args.protomorphs is not None:
         sources = iv.protomorphs(args.p, args.protomorphs)
         return CommandResult("\n".join(str(s) for s in sources))
+    if args.j is None or args.w is None:
+        raise UsageError("invariant basis needs j and w (or --protomorphs)")
     basis = iv.seminvariant_basis(args.p, args.j, args.w)
     if not basis:
         return CommandResult("(empty)", [])
@@ -691,7 +700,11 @@ def cmd_election_cubelaw(args) -> CommandResult:
 def cmd_election_simulate(args) -> CommandResult:
     from . import probelect as pe
     if args.sizes_file:
-        sizes = pe.read_constituency_sizes(args.sizes_file)
+        pe.check_shares(args.share, args.mixing)  # before the file is read
+        try:
+            sizes = pe.read_constituency_sizes(args.sizes_file)
+        except OSError as exc:
+            raise UsageError(_cannot_open("--sizes-file", args.sizes_file, exc)) from None
     elif args.size < 1:
         sizes = [args.size]  # refused by simulate_election
     else:
@@ -745,7 +758,7 @@ def cmd_puzzle_mayblox(args) -> CommandResult:
             target, pool=cubes, exclude_associate=not args.include_associate
         )
     if solution is None:
-        raise ValueError("no assembly found")
+        raise DomainError("no assembly found")
     ok = rc.verify_assembly(solution, target)
     obj = {
         "verified": ok,
@@ -1054,6 +1067,8 @@ def dispatch(argv: Sequence[str]) -> int:
             raise UsageError(f"this subcommand has no {args.format} output")
         if limit and any(len(t) > limit and re.search(rf"\d{{{limit + 1}}}", t) for t in argv):
             raise UsageError(f"a number in the arguments has more than {limit} digits")
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise UsageError(f"argument --out: can't open {args.out!r}: no such directory")
         sys.set_int_max_str_digits(0)
         try:
             result = RUN[key](args)
@@ -1063,11 +1078,16 @@ def dispatch(argv: Sequence[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError, IndexError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"usage error: {_cannot_open('--out', args.out, exc)}", file=sys.stderr)
+            return 2
+        with fh:
             _write(fh, rendered)
     else:
         _write(sys.stdout, rendered)

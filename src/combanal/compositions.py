@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from . import DomainError
+
 Composition = Tuple[int, ...]
 VectorPart = Tuple[int, ...]
 MultipartiteComposition = Tuple[VectorPart, ...]
@@ -30,24 +32,33 @@ _SHARED = 12
 BIPARTITE_TABLE_CELL_CAP = 10**5
 
 
+def _check_parts_made(size: int) -> None:
+    """Refuse an answer of more than CONJUGATE_PARTS_CAP parts (or leaves)
+    before any is made."""
+    from .partitions import CONJUGATE_PARTS_CAP  # the one cap on parts printed
+
+    if size > CONJUGATE_PARTS_CAP:
+        raise DomainError(f"the answer has {size} parts, past the cap of {CONJUGATE_PARTS_CAP}")
+
+
 def check_composition(parts: Sequence[int], n: Optional[int] = None) -> Composition:
     parts = tuple(parts)
     if not parts or any(p <= 0 for p in parts):
-        raise ValueError("composition parts must be positive")
+        raise DomainError("composition parts must be positive")
     if n is not None and sum(parts) != n:
-        raise ValueError(f"parts sum to {sum(parts)}, expected {n}")
+        raise DomainError(f"parts sum to {sum(parts)}, expected {n}")
     return parts
 
 
 def composition_batches(n: int, sep: Optional[str] = None) -> Iterator[list]:
     """All 2^(n-1) compositions of n, in lexicographic order, in batches of
     about 4096: tuples, or with `sep` the parts as one string joined by
-    sep.  n is checked against COMPOSE_ENUM_CAP (ValueError) before the
+    sep.  n is checked against COMPOSE_ENUM_CAP (DomainError) before the
     first batch is made."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise DomainError("n must be at least 1")
     if n - 1 >= COMPOSE_ENUM_CAP.bit_length():  # 2^(n-1) > COMPOSE_ENUM_CAP
-        raise ValueError(
+        raise DomainError(
             f"n = {n} has 2^{n - 1} compositions, past the output cap of {COMPOSE_ENUM_CAP}"
         )
     if sep is None:
@@ -92,6 +103,7 @@ def conjugate_composition(parts: Sequence[int]) -> Composition:
     """
     parts = check_composition(parts)
     n = sum(parts)
+    _check_parts_made(n - len(parts) + 1)
     breaks = set(itertools.accumulate(parts[:-1]))
     complement = [i for i in range(1, n) if i not in breaks]
     out = []
@@ -120,6 +132,7 @@ def zigzag_conjugate(parts: Sequence[int]) -> Composition:
     """Column reading of the zig-zag graph."""
     rows = zigzag_rows(parts)
     width = rows[-1][0] + rows[-1][1]
+    _check_parts_made(width)
     cols = [0] * width
     for start, length in rows:
         for c in range(start, start + length):
@@ -134,9 +147,9 @@ def enumerate_multipartite_compositions(target: Sequence[int]) -> List[Multipart
     """All ordered sequences of nonzero vectors summing to the target."""
     target = tuple(target)
     if not target or any(v < 0 for v in target) or not any(target):
-        raise ValueError("target must be a nonzero non-negative vector")
+        raise DomainError("target must be a nonzero non-negative vector")
     if sum(target) > MULTIPARTITE_CAP:
-        raise ValueError(
+        raise DomainError(
             f"component sum {sum(target)} exceeds the enumeration cap {MULTIPARTITE_CAP}"
         )
     out: List[MultipartiteComposition] = []
@@ -168,10 +181,10 @@ def bipartite_composition_count_gf(p: int, q: int) -> int:
     c(p, q) = 2c(p-1, q) + 2c(p, q-1) - 2c(p-1, q-1), c(0, 0) = 1.
     """
     if (p, q) == (0, 0) or p < 0 or q < 0:
-        raise ValueError("need a nonzero non-negative bipartite number")
+        raise DomainError("need a nonzero non-negative bipartite number")
     cells = (p + 1) * (q + 1)
     if cells > BIPARTITE_TABLE_CELL_CAP:
-        raise ValueError(f"{cells} table cells exceed the cap {BIPARTITE_TABLE_CELL_CAP}")
+        raise DomainError(f"{cells} table cells exceed the cap {BIPARTITE_TABLE_CELL_CAP}")
     p, q = max(p, q), min(p, q)  # c is symmetric; keep the row short
     row = [2**j for j in range(q + 1)]  # c(0, j) = 2^j
     for _ in range(p):
@@ -204,9 +217,10 @@ class LineOfRoute:
         pos = (0, 0)
         points = [pos]
         marked = []
+        if any(len(part) != 2 or min(part) < 0 or max(part) == 0 for part in parts):
+            raise DomainError("parts must be nonzero non-negative pairs")
+        _check_parts_made(sum(a + b for a, b in parts))  # the path's steps
         for a, b in parts:
-            if a < 0 or b < 0 or (a == 0 and b == 0):
-                raise ValueError("parts must be nonzero non-negative pairs")
             for _ in range(a):
                 pos = (pos[0] + 1, pos[1])
                 points.append(pos)
@@ -257,7 +271,7 @@ def count_by_essential_nodes(p: int, q: int) -> Dict[int, int]:
     """Tally of bipartite compositions of (p, q) by essential-node count,
     by enumerating them: the oracle of essential_node_tally."""
     if p < 1 or q < 1:
-        raise ValueError("p and q must be at least 1")
+        raise DomainError("p and q must be at least 1")
     tally: Dict[int, int] = {}
     for comp in enumerate_multipartite_compositions((p, q)):
         s = len(LineOfRoute.from_composition(comp).essential_nodes())
@@ -271,17 +285,17 @@ def essential_node_tally(p: int, q: int) -> Dict[int, int]:
     bipartite_composition_count_gf, by (p + 1)(q + 1) against
     BIPARTITE_TABLE_CELL_CAP."""
     if p < 1 or q < 1:
-        raise ValueError("p and q must be at least 1")
+        raise DomainError("p and q must be at least 1")
     cells = (p + 1) * (q + 1)
     if cells > BIPARTITE_TABLE_CELL_CAP:
-        raise ValueError(f"{cells} table cells exceed the cap {BIPARTITE_TABLE_CELL_CAP}")
+        raise DomainError(f"{cells} table cells exceed the cap {BIPARTITE_TABLE_CELL_CAP}")
     return {s: essential_node_formula_term(p, q, s) for s in range(min(p, q) + 1)}
 
 
 def essential_node_formula_term(p: int, q: int, s: int) -> int:
     """C(p,s) * C(q,s) * 2^(p+q-s-1), the closed-form term (s from 0)."""
     if s < 0:
-        raise ValueError("s must be non-negative")
+        raise DomainError("s must be non-negative")
     return math.comb(p, s) * math.comb(q, s) * 2 ** (p + q - s - 1)
 
 
@@ -303,6 +317,7 @@ class RootedTree:
 def composition_tree(parts: Sequence[int]) -> RootedTree:
     """Height-2 tree: one branch per part, carrying that many leaves."""
     parts = check_composition(parts)
+    _check_parts_made(sum(parts))
     leaf = RootedTree()
     return RootedTree(tuple(RootedTree((leaf,) * p) for p in parts))
 
@@ -310,21 +325,30 @@ def composition_tree(parts: Sequence[int]) -> RootedTree:
 def tree_composition(tree: RootedTree) -> Composition:
     """Inverse of composition_tree; rejects malformed trees."""
     if not tree.children:
-        raise ValueError("tree must have height 2, got a bare leaf")
+        raise DomainError("tree must have height 2, got a bare leaf")
     parts = []
     for branch in tree.children:
         if not branch.children:
-            raise ValueError("every branch needs at least one leaf")
+            raise DomainError("every branch needs at least one leaf")
         if any(leaf.children for leaf in branch.children):
-            raise ValueError("tree deeper than height 2")
+            raise DomainError("tree deeper than height 2")
         parts.append(len(branch.children))
     return tuple(parts)
+
+
+# bits of k^(p-1), counted as (p - 1) * ceil(log2 k): printing the power in
+# decimal costs quadratic time in them (about 0.4 s at the cap with Python
+# 3.11 on a 2-vCPU VM)
+ORDER_K_BIT_CAP = 2**19
 
 
 def combinations_order_k_count(p: int, k: int) -> int:
     """k^(p-1): ways to fill the p-1 gaps with one of k symbols."""
     if p < 1 or k < 1:
-        raise ValueError("p and k must be at least 1")
+        raise DomainError("p and k must be at least 1")
+    bits = (p - 1) * (k - 1).bit_length()
+    if bits > ORDER_K_BIT_CAP:
+        raise DomainError(f"k^(p-1) has up to {bits} bits, past the cap of {ORDER_K_BIT_CAP}")
     return k ** (p - 1)
 
 
@@ -376,10 +400,10 @@ def newcomb_distribution(counts: Sequence[int], ascending: bool = False) -> Newc
     as descending; `ascending=True` gives the variant reading.
     """
     if not counts or any(c < 0 for c in counts) or not any(counts):
-        raise ValueError("deck must contain at least one card")
+        raise DomainError("deck must contain at least one card")
     total_cards = sum(counts)
     if total_cards > NEWCOMB_CAP:
-        raise ValueError(f"deck of {total_cards} cards exceeds the cap {NEWCOMB_CAP}")
+        raise DomainError(f"deck of {total_cards} cards exceeds the cap {NEWCOMB_CAP}")
     deck = []
     for value, count in enumerate(counts, start=1):
         deck.extend([value] * count)

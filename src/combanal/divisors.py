@@ -8,6 +8,7 @@ import itertools
 import math
 from typing import Dict, List, Sequence, Tuple
 
+from . import DomainError
 from .partitions import plane_partition_gf, q_factor
 
 SERIES_KINDS = ("A", "B", "C")
@@ -25,9 +26,9 @@ POTENCY_ADDITION_CAP = 2**22
 
 def _check_trial_division(n: int) -> None:
     if n < 1:
-        raise ValueError("n must be positive")
+        raise DomainError("n must be positive")
     if math.isqrt(n) > TRIAL_DIVISION_CAP:
-        raise ValueError(
+        raise DomainError(
             f"n = {n} needs trial divisors up to {math.isqrt(n)}, past the cap of {TRIAL_DIVISION_CAP}"
         )
 
@@ -59,7 +60,7 @@ def _divisor_series_powers(kind: str, max_n: int, max_k: int) -> List[List[int]]
     _check_kind(kind)
     work = max_k * max_n * max_n
     if work > DIVISOR_SERIES_CAP:
-        raise ValueError(f"k * n^2 = {work} exceeds the divisor-series cap {DIVISOR_SERIES_CAP}")
+        raise DomainError(f"k * n^2 = {work} exceeds the divisor-series cap {DIVISOR_SERIES_CAP}")
     g = [0] * (max_n + 1)
     for s in range(1, max_n + 1):
         value = -s if kind == "B" and s % 2 == 0 else s
@@ -96,7 +97,7 @@ def divisor_series_coeff(kind: str, n: int, k: int) -> int:
     for k > n at no cost.
     """
     if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
+        raise DomainError("n and k must be positive")
     _check_kind(kind)
     if k > n:
         return 0
@@ -115,7 +116,7 @@ def sigma2_from_plane_partitions(bound: int) -> List[int]:
     q_n = n f_n - sum_{j=1}^{n-1} q_j f_{n-j}.
     """
     if bound < 1:
-        raise ValueError("bound must be at least 1")
+        raise DomainError("bound must be at least 1")
     f = plane_partition_gf(bound)
     q = [0] * (bound + 1)
     for n in range(1, bound + 1):
@@ -165,11 +166,11 @@ def potency_count(nu: int) -> int:
     takes nu - 1, so a nu past the cap is refused before the sieve.
     """
     if nu < 0:
-        raise ValueError("nu must be non-negative")
+        raise DomainError("nu must be non-negative")
     primes = _primes_up_to(nu) if nu - 1 <= POTENCY_ADDITION_CAP else [2]
     additions = sum(nu + 1 - p for p in primes)
     if additions > POTENCY_ADDITION_CAP:
-        raise ValueError(
+        raise DomainError(
             f"potency {nu} needs {additions} or more table additions, past the cap of {POTENCY_ADDITION_CAP}"
         )
     table = [1] + [0] * nu  # table[0]: n = 1 with the empty factorization
@@ -181,7 +182,7 @@ def potency_count(nu: int) -> int:
 def integers_with_potency(nu: int) -> List[int]:
     """Direct search: all n with potency nu (each is at most 2^nu)."""
     if nu < 0:
-        raise ValueError("nu must be non-negative")
+        raise DomainError("nu must be non-negative")
     if nu == 0:
         return [1]
     out = []
@@ -256,7 +257,7 @@ def factorizations(m: int, ordered: bool = False) -> int:
     divisors c of m/d in index order, where c/d comes before c and has
     already counted the uses of d; the same pairs as the ordered count."""
     if m < 1:
-        raise ValueError("m must be positive")
+        raise DomainError("m must be positive")
     if ordered:
         return ordered_factorization_totals(m)[0]
     values, radix = _divisor_lattice(m)
@@ -286,7 +287,7 @@ def divisor_table(kind: str, max_n: int = 16, max_k: int = 5) -> List[List[int]]
     """Rows n = 1..max_n, columns k = 1..max_k of a_{n,k}."""
     cells = max_n * max_k
     if cells > DIVISOR_TABLE_CELL_CAP:
-        raise ValueError(
+        raise DomainError(
             f"{cells} table cells exceed the divisor-table cap {DIVISOR_TABLE_CELL_CAP}"
         )
     powers = _divisor_series_powers(kind, max_n, max_k)

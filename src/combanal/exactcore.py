@@ -20,10 +20,6 @@ Scalar = Union[int, Fraction]
 MAX_EXPONENT = 2**31
 
 
-class DimensionError(ValueError):
-    """Matrix shape does not admit the requested operation."""
-
-
 def _frac(value: Scalar) -> Scalar:
     """The normal form of an exact coefficient: an `int` when it is
     integral, else a `Fraction`.  One form per value keeps equality and
@@ -289,7 +285,7 @@ def poly_det_cofactor(matrix: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     along the first row."""
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
-        raise DimensionError("determinant needs a square matrix")
+        raise ValueError("determinant needs a square matrix")
     names = matrix[0][0].names
     if n == 1:
         return matrix[0][0]
@@ -328,7 +324,7 @@ def _integer_rows(a: Sequence[Sequence[Scalar]]) -> List[Dict[int, int]]:
     integers by the lcm of its denominators."""
     cols = len(a[0]) if a else 0
     if any(len(row) != cols for row in a):
-        raise DimensionError("ragged matrix")
+        raise ValueError("ragged matrix")
     rows = []
     for row in a:
         entries = [_frac(v) for v in row]

@@ -19,10 +19,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from . import DomainError
 from .exactcore import MultiPoly, nullspace_integer
 
 
+# Largest order p of a binary form.  _isobaric_monomials recurses once per
+# coefficient a0..ap, so the cap stays well below Python's default
+# recursion limit of 1000.
+INVARIANT_ORDER_CAP = 2**9
+
+
 def avar_names(p: int, with_xy: bool = False) -> Tuple[str, ...]:
+    """a0..ap (then x, y): the variables of every form of order p, so
+    every form is refused here past INVARIANT_ORDER_CAP."""
+    if p > INVARIANT_ORDER_CAP:
+        raise DomainError(f"order {p} is past the cap of {INVARIANT_ORDER_CAP}")
     names = tuple(f"a{k}" for k in range(p + 1))
     return names + ("x", "y") if with_xy else names
 
@@ -35,7 +46,7 @@ class BinaryQuantic:
 
     def __post_init__(self):
         if self.order < 1:
-            raise ValueError("order must be at least 1")
+            raise DomainError("order must be at least 1")
 
     def polynomial(self) -> MultiPoly:
         """The quantic sum C(p,k) a_k x^(p-k) y^k as a polynomial in
@@ -102,7 +113,7 @@ def degree_and_weight(f: MultiPoly) -> Tuple[int, int]:
     terms disagree.
     """
     if f.is_zero():
-        raise ValueError("zero polynomial has no degree-weight")
+        raise DomainError("zero polynomial has no degree-weight")
     seen = set()
     for exp in f.terms:
         d = w = 0
@@ -110,13 +121,13 @@ def degree_and_weight(f: MultiPoly) -> Tuple[int, int]:
             idx = _a_index(name)
             if idx is None:
                 if e:
-                    raise ValueError("degree-weight defined for pure coefficient polys")
+                    raise DomainError("degree-weight defined for pure coefficient polys")
                 continue
             d += e
             w += idx * e
         seen.add((d, w))
     if len(seen) != 1:
-        raise ValueError(f"polynomial is not isobaric: {sorted(seen)}")
+        raise DomainError(f"polynomial is not isobaric: {sorted(seen)}")
     return seen.pop()
 
 
@@ -135,16 +146,16 @@ def covariant_from_seed(seed: MultiPoly, p: int) -> MultiPoly:
     order * comb(p + j, j) * (p + 1) exceeds COVARIANT_WORK_CAP.
     """
     if not omega(seed, p).is_zero():
-        raise ValueError("seed is not annihilated by the Omega operator")
+        raise DomainError("seed is not annihilated by the Omega operator")
     j, w = degree_and_weight(seed)
     order = p * j - 2 * w
     if order < 0:
-        raise ValueError("seed weight exceeds p*degree/2; no covariant exists")
+        raise DomainError("seed weight exceeds p*degree/2; no covariant exists")
     if seed.names != avar_names(p):
-        raise ValueError("seed must be a polynomial in a0..ap only")
+        raise DomainError("seed must be a polynomial in a0..ap only")
     work = order * math.comb(p + j, j) * (p + 1)
     if work > COVARIANT_WORK_CAP:
-        raise ValueError(
+        raise DomainError(
             f"covariant of order {order} from degree {j} over a0..a{p}: "
             f"{work} term entries exceed the cap {COVARIANT_WORK_CAP}"
         )
@@ -193,7 +204,7 @@ def _isobaric_monomials(p: int, j: int, w: int) -> List[Tuple[int, ...]]:
 def seminvariant_basis(p: int, j: int, w: int) -> List[MultiPoly]:
     """Integer basis of the Omega kernel on degree-j weight-w monomials."""
     if p < 1 or j < 1 or w < 0:
-        raise ValueError("need p, j >= 1 and w >= 0")
+        raise DomainError("need p, j >= 1 and w >= 0")
     names = avar_names(p)
     src = _isobaric_monomials(p, j, w)
     if not src:
@@ -230,7 +241,7 @@ def seminvariant_dimension(p: int, j: int, w: int) -> int:
     binomial [p+j choose j]_q, the one-row case of MacMahon's box formula.
     """
     if p < 1 or j < 1 or w < 0:
-        raise ValueError("need p, j >= 1 and w >= 0")
+        raise DomainError("need p, j >= 1 and w >= 0")
     # imported here so that invariant requests do not load partitions
     from .partitions import boxed_plane_partition_gf
 
@@ -274,7 +285,7 @@ class LinearTransform2:
         for f in ("l", "m", "lp", "mp"):
             object.__setattr__(self, f, Fraction(getattr(self, f)))
         if self.modulus() == 0:
-            raise ValueError("transform must be invertible")
+            raise DomainError("transform must be invertible")
 
     def modulus(self) -> Fraction:
         return self.l * self.mp - self.lp * self.m
@@ -325,7 +336,7 @@ def invariance_check(f: MultiPoly, p: int, t: LinearTransform2) -> Tuple[bool, O
     """Test f(A) = M^s f(a) (or the covariant version) exactly.
 
     Returns (True, s) for the smallest working s <= INVARIANCE_EXPONENTS,
-    else (False, None).  Refused (ValueError) before any substitution
+    else (False, None).  Refused (DomainError) before any substitution
     when the work priced above INVARIANCE_WORK_CAP passes the cap.
     """
     names = avar_names(p, with_xy=True)
@@ -334,12 +345,12 @@ def invariance_check(f: MultiPoly, p: int, t: LinearTransform2) -> Tuple[bool, O
     elif f.names == names:
         lifted = f
     else:
-        raise ValueError("polynomial must live over a0..ap (optionally with x, y)")
+        raise DomainError("polynomial must live over a0..ap (optionally with x, y)")
     j = max((sum(exp[: p + 1]) for exp in f.terms), default=0)
     h = (j + 1) // 2
     work = ((p + 1) ** 3 + len(f.terms) * math.comb(p + h, h) ** 2) * (p + 3 + j)
     if work > INVARIANCE_WORK_CAP:
-        raise ValueError(
+        raise DomainError(
             f"invariance check of a degree-{j} polynomial over a0..a{p}: "
             f"{work} units of work exceed the cap {INVARIANCE_WORK_CAP}"
         )
@@ -366,7 +377,7 @@ def invariance_check(f: MultiPoly, p: int, t: LinearTransform2) -> Tuple[bool, O
 def invariant_weight(i: int, p: int) -> Optional[int]:
     """w = i*p/2 for an invariant of degree i of the p-ic; None if i*p is odd."""
     if i < 1 or p < 1:
-        raise ValueError("degree and order must be positive")
+        raise DomainError("degree and order must be positive")
     return (i * p) // 2 if (i * p) % 2 == 0 else None
 
 
@@ -377,9 +388,9 @@ def quadrinvariant(p: int, weight: int) -> MultiPoly:
     """Q_{2m} = (1/2) sum_k (-1)^k C(2m,k) a_k a_{2m-k}; Q_2 is the
     Hessian-leading source a0 a2 - a1^2."""
     if weight % 2 or weight < 2:
-        raise ValueError("quadrinvariants have even weight >= 2")
+        raise DomainError("quadrinvariants have even weight >= 2")
     if weight > p:
-        raise ValueError(f"weight {weight} needs order at least {weight}")
+        raise DomainError(f"weight {weight} needs order at least {weight}")
     names = avar_names(p)
     out = MultiPoly.zero(names)
     for k in range(weight + 1):
@@ -393,16 +404,17 @@ def quadrinvariant(p: int, weight: int) -> MultiPoly:
 def odd_source(p: int, weight: int) -> MultiPoly:
     """The degree-3 source of odd weight (C_3, C_5, ...), from the kernel.
 
-    The new degree-3 seminvariant space at odd weight is one-dimensional,
-    so normalization by integer content and sign is canonical.
+    Up to weight 7 the degree-3 seminvariant space at odd weight is
+    one-dimensional, so normalization by integer content and sign is
+    canonical; from weight 9 on it is wider, and the source is refused.
     """
     if weight % 2 == 0 or weight < 3:
-        raise ValueError("odd sources have odd weight >= 3")
+        raise DomainError("odd sources have odd weight >= 3")
     if weight > p:
-        raise ValueError(f"weight {weight} needs order at least {weight}")
+        raise DomainError(f"weight {weight} needs order at least {weight}")
     basis = seminvariant_basis(p, 3, weight)
     if len(basis) != 1:
-        raise AssertionError(f"expected a unique degree-3 source at weight {weight}")
+        raise DomainError(f"the degree-3 seminvariants of weight {weight} span {len(basis)} dimensions, not one")
     return basis[0]
 
 
@@ -412,7 +424,7 @@ def protomorphs(p: int, max_weight: int) -> List[MultiPoly]:
     Every returned polynomial is verified to be annihilated by Omega.
     """
     if p < 2:
-        raise ValueError("order must be at least 2")
+        raise DomainError("order must be at least 2")
     names = avar_names(p)
     out = [MultiPoly.variable(names, "a0")]
     for w in range(2, min(max_weight, p) + 1):
@@ -437,15 +449,17 @@ def syzygant_search(sources: Sequence[MultiPoly], k: int) -> List[SyzygantSoluti
     seminvariant.  Sources must be seminvariants of one degree and weight.
     """
     if not sources:
-        raise ValueError("need at least one source")
+        raise DomainError("need at least one source")
+    if k < 0:
+        raise DomainError("k must be non-negative")
     names = sources[0].names
     dw = {degree_and_weight(s) for s in sources}
     if len(dw) != 1:
-        raise ValueError(f"sources mix degree-weights: {sorted(dw)}")
+        raise DomainError(f"sources mix degree-weights: {sorted(dw)}")
     p = len(names) - 1
     for i, s in enumerate(sources, 1):
         if not omega(s, p).is_zero():
-            raise ValueError(f"source {i} is not a seminvariant: Omega does not annihilate it")
+            raise DomainError(f"source {i} is not a seminvariant: Omega does not annihilate it")
     a0_idx = names.index("a0")
     constrained = sorted(
         {exp for s in sources for exp in s.terms if exp[a0_idx] < k}
@@ -500,9 +514,9 @@ def prior_product(a1: Fraction, a2: Fraction, a3: Fraction) -> Fraction:
     """The two-factor product that equals 9 whenever a1 + a2 + a3 = 0."""
     a1, a2, a3 = Fraction(a1), Fraction(a2), Fraction(a3)
     if a1 + a2 + a3 != 0:
-        raise ValueError("identity requires a1 + a2 + a3 = 0")
+        raise DomainError("identity requires a1 + a2 + a3 = 0")
     if a1 == 0 or a2 == 0 or a3 == 0 or a1 == a2 or a1 == a3 or a2 == a3:
-        raise ValueError("degenerate triple")
+        raise DomainError("degenerate triple")
     first = a1 / (a2 - a3) - a2 / (a1 - a3) + a3 / (a1 - a2)
     second = (a2 - a3) / a1 - (a1 - a3) / a2 + (a1 - a2) / a3
     return first * second
@@ -515,13 +529,22 @@ class RootsReport:
     prior_product_ok: bool
 
 
+# trials * (p^2 + 16): a trial builds the coefficients of p roots in about
+# p^2 Fraction steps, and its draws and three-root product cost about 16
+# more (0.5-0.9 s at the cap in process, Python 3.11 on a 2-vCPU VM)
+ROOTS_WORK_CAP = 2**17
+
+
 def roots_correspondence_check(p: int, trials: int, seed: int = 0) -> RootsReport:
     """Random rational root sets: verify the q2 identity for order p and
     the three-variable product identity (= 9) exactly."""
     if p < 2:  # the q2 identity reads the coefficient a2
-        raise ValueError(f"p must be at least 2, not {p}")
+        raise DomainError(f"p must be at least 2, not {p}")
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise DomainError("need at least one trial")
+    work = trials * (p * p + 16)
+    if work > ROOTS_WORK_CAP:
+        raise DomainError(f"trials * (p^2 + 16) = {work} exceeds the cap {ROOTS_WORK_CAP}")
     rng = random.Random(seed)
 
     def draw() -> Fraction:
@@ -539,7 +562,7 @@ def roots_correspondence_check(p: int, trials: int, seed: int = 0) -> RootsRepor
         a3 = -a1 - a2
         try:
             value = prior_product(a1, a2, a3)
-        except ValueError:
+        except DomainError:
             continue  # degenerate sample; redraw
         prior_ok = prior_ok and value == 9
         done += 1

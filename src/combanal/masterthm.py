@@ -14,6 +14,7 @@ import math
 from operator import mul
 from typing import List, Sequence, Tuple
 
+from . import DomainError
 from .exactcore import MultiPoly, Scalar, poly_ring
 
 Multidegree = Tuple[int, ...]
@@ -24,7 +25,7 @@ DEGREE_CAP = 30
 FINITE_DIFFERENCE_CAP = 2**22
 # Matrix order n of master_denominator: 2^n principal minors, 0.3 s at n = 13.
 DENOMINATOR_ORDER_CAP = 13
-# Letters sum(e_i) that generalized_rencontres takes.
+# Letters sum(e_i) that generalized_rencontres takes, and n of derangements.
 RENCONTRES_CAP = 200
 
 
@@ -35,7 +36,7 @@ def _names(n: int) -> Tuple[str, ...]:
 def _check_square(matrix: Sequence[Sequence[int]]) -> int:
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
-        raise ValueError("coefficient matrix must be square")
+        raise DomainError("coefficient matrix must be square")
     return n
 
 
@@ -69,7 +70,7 @@ def master_denominator(matrix: Sequence[Sequence[int]]) -> MultiPoly:
     most one, and the principal minors of A are its coefficients."""
     n = _check_square(matrix)
     if n > DENOMINATOR_ORDER_CAP:
-        raise ValueError(f"matrix order {n} exceeds the denominator cap {DENOMINATOR_ORDER_CAP}")
+        raise DomainError(f"matrix order {n} exceeds the denominator cap {DENOMINATOR_ORDER_CAP}")
     terms = {}
     for exp in itertools.product((0, 1), repeat=n):
         s = [i for i in range(n) if exp[i]]
@@ -90,15 +91,15 @@ def master_coefficient(matrix: Sequence[Sequence[int]], multidegree: Multidegree
     n = _check_square(matrix)
     multidegree = tuple(multidegree)
     if len(multidegree) != n:
-        raise ValueError("multidegree length must match the matrix size")
+        raise DomainError("multidegree length must match the matrix size")
     if any(e < 0 for e in multidegree):
-        raise ValueError("multidegree entries must be non-negative")
+        raise DomainError("multidegree entries must be non-negative")
     total = sum(multidegree)
     if total > DEGREE_CAP:
-        raise ValueError(f"total degree {total} exceeds the cap {DEGREE_CAP}")
+        raise DomainError(f"total degree {total} exceeds the cap {DEGREE_CAP}")
     work = math.prod(e + 1 for e in multidegree) * n * n
     if work > FINITE_DIFFERENCE_CAP:
-        raise ValueError(
+        raise DomainError(
             f"{work} finite-difference products exceed the cap {FINITE_DIFFERENCE_CAP}"
         )
     rows = [(row, e) for row, e in zip(matrix, multidegree) if e]
@@ -146,9 +147,12 @@ def derangement_matrix(n: int) -> List[List[int]]:
 
 def derangements(n: int) -> int:
     """P_n by the condensed-series recurrence
-    P_n = sum_{j=2..n} (j-1) C(n, j) P_{n-j}, with P_0 = 1, P_1 = 0."""
+    P_n = sum_{j=2..n} (j-1) C(n, j) P_{n-j}, with P_0 = 1, P_1 = 0.
+    The rencontres number {0; 1^n}, so capped at RENCONTRES_CAP letters."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise DomainError("n must be non-negative")
+    if n > RENCONTRES_CAP:
+        raise DomainError(f"{n} letters exceed the rencontres cap {RENCONTRES_CAP}")
     table = [1, 0]
     for m in range(2, n + 1):
         total = 0
@@ -178,9 +182,9 @@ def _distinct_words(reference: Tuple[int, ...]):
 def _check_rencontres(m: int, multidegree: Multidegree) -> Multidegree:
     multidegree = tuple(multidegree)
     if any(e < 0 for e in multidegree) or not any(multidegree):
-        raise ValueError("multidegree must be non-negative and nonzero")
+        raise DomainError("multidegree must be non-negative and nonzero")
     if not 0 <= m <= sum(multidegree):
-        raise ValueError("m out of range")
+        raise DomainError("m out of range")
     return multidegree
 
 
@@ -222,7 +226,7 @@ def generalized_rencontres(m: int, multidegree: Multidegree) -> int:
     multidegree = _check_rencontres(m, multidegree)
     total = sum(multidegree)
     if total > RENCONTRES_CAP:
-        raise ValueError(f"{total} letters exceed the rencontres cap {RENCONTRES_CAP}")
+        raise DomainError(f"{total} letters exceed the rencontres cap {RENCONTRES_CAP}")
     a = [1]
     for e in multidegree:
         nxt = [0] * (len(a) + e)

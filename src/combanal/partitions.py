@@ -21,6 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Container, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from . import DomainError
+
 Partition = Tuple[int, ...]
 PlanePartition = Tuple[Tuple[int, ...], ...]
 
@@ -28,9 +30,9 @@ PlanePartition = Tuple[Tuple[int, ...], ...]
 def check_partition(parts: Sequence[int]) -> Partition:
     parts = tuple(parts)
     if any(p <= 0 for p in parts):
-        raise ValueError("partition parts must be positive")
+        raise DomainError("partition parts must be positive")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError("partition parts must be non-increasing")
+        raise DomainError("partition parts must be non-increasing")
     return parts
 
 
@@ -53,16 +55,16 @@ class PartitionConstraint:
 
     def __post_init__(self):
         if self.min_part < 1:
-            raise ValueError("min_part must be at least 1")
+            raise DomainError("min_part must be at least 1")
         if self.max_part is not None and self.max_part < self.min_part:
-            raise ValueError("max_part below min_part")
+            raise DomainError("max_part below min_part")
         for f in (self.num_parts, self.min_parts, self.max_parts):
             if f is not None and f < 0:
-                raise ValueError("part counts cannot be negative")
+                raise DomainError("part counts cannot be negative")
         if self.allowed_parts is not None:
             object.__setattr__(self, "allowed_parts", frozenset(self.allowed_parts))
             if any(v < 1 for v in self.allowed_parts):
-                raise ValueError("allowed parts must be positive")
+                raise DomainError("allowed parts must be positive")
 
 
 # partitions that partition_batches and enumerate_partitions may list, and
@@ -120,7 +122,8 @@ class _PartitionWalk:
         else:
             self.vals = sorted((v for v in c.allowed_parts if c.min_part <= v <= top), reverse=True)
             self.valset = frozenset(self.vals)
-        nv = self.nv = len(self.vals)
+        # len() of a range past sys.maxsize values is an OverflowError
+        nv = self.nv = max(top - c.min_part + 1, 0) if self.plain else len(self.vals)
         self.lo = max((k for k in (c.num_parts, c.min_parts) if k is not None), default=0)
         self.hi = min((k for k in (c.num_parts, c.max_parts) if k is not None), default=n)
         self.counted = self.lo > 0 or self.hi < n  # parts used matter only under a count bound
@@ -280,11 +283,11 @@ def _check_listing(n: int, c: PartitionConstraint) -> None:
     walk that stops at cap + 1.  The parts are bounded by that line bound
     times the longest line: min(part-count bound, n // smallest part)."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise DomainError("n must be non-negative")
     if not past_cap(count_partitions, n, PARTITION_ENUM_CAP):
         lines = count_partitions(n)
     elif c == PartitionConstraint():
-        raise ValueError(f"n = {n} has more than {PARTITION_ENUM_CAP} partitions, the output cap")
+        raise DomainError(f"n = {n} has more than {PARTITION_ENUM_CAP} partitions, the output cap")
     else:
         bounds = [c.max_part, c.num_parts, c.max_parts]
         if c.allowed_parts is not None:
@@ -295,14 +298,14 @@ def _check_listing(n: int, c: PartitionConstraint) -> None:
             for batch in _PartitionWalk(n, c, _Units(lambda v: ""), "", 0).batches():
                 lines += len(batch)
                 if lines > PARTITION_ENUM_CAP:
-                    raise ValueError(
+                    raise DomainError(
                         f"n = {n} has more than {PARTITION_ENUM_CAP} partitions under these"
                         " constraints, the output cap"
                     )
     sizes = [v for v in c.allowed_parts or () if v >= c.min_part] or [c.min_part]
     longest = min(k for k in (n // min(sizes), c.num_parts, c.max_parts) if k is not None)
     if lines * longest > PARTITION_PARTS_CAP:
-        raise ValueError(
+        raise DomainError(
             f"n = {n} lists up to {lines} partitions of up to {longest} parts,"
             f" past the cap of {PARTITION_PARTS_CAP} parts"
         )
@@ -314,7 +317,7 @@ def partition_batches(
     """The partitions of n meeting the constraint, lexicographically
     descending, in batches of about 4096: tuples, or with `sep` the parts
     as one string joined by sep.  The listing is checked against
-    PARTITION_ENUM_CAP (ValueError) before the first batch is made."""
+    PARTITION_ENUM_CAP (DomainError) before the first batch is made."""
     c = constraint or PartitionConstraint()
     _check_listing(n, c)
     if sep is None:
@@ -331,8 +334,9 @@ def enumerate_partitions(
 
 
 _PARTITION_TABLE = [1]
-# rows of p(0..n) that partition table may print (about 0.5 s as a
-# command at the cap, with Python 3.11 on a 2-vCPU VM)
+# rows of p(0..n) that count_partitions may fill, and so partition table
+# print (about 0.5 s as a command at the cap, with Python 3.11 on a
+# 2-vCPU VM)
 PARTITION_TABLE_CAP = 10**4
 
 
@@ -340,9 +344,12 @@ def count_partitions(n: int) -> int:
     """p(n) by Euler's pentagonal-number recurrence, exact.
 
     Bottom-up table fill, so large n neither recurse deeply nor recompute.
+    Refused past PARTITION_TABLE_CAP rows.
     """
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise DomainError("n must be non-negative")
+    if n > PARTITION_TABLE_CAP:
+        raise DomainError(f"a table to n = {n} is past the cap of {PARTITION_TABLE_CAP} rows")
     table = _PARTITION_TABLE
     for m in range(len(table), n + 1):
         total = 0
@@ -402,7 +409,7 @@ def boxed_plane_partition_gf(n: int, l: Optional[int], m: int, c: int) -> List[i
     n + 1 additions each.
     """
     if n < 0 or m < 0 or c < 0 or (l is not None and l < 0):
-        raise ValueError("bounds must be non-negative")
+        raise DomainError("bounds must be non-negative")
     top = n if l is None else min(l, n)
     rows, cols = min(m, n), min(c, n)
     power = [0] * (n + 1)  # power[d]: net exponent of (1 - q^d)
@@ -450,14 +457,14 @@ def demorgan_row(x: int) -> List[int]:
     if x <= 0:
         return []
     if x * x > EXACT_PARTS_CELL_CAP:
-        raise ValueError(f"x * x = {x * x} exceeds the exact-parts table cap {EXACT_PARTS_CELL_CAP}")
+        raise DomainError(f"x * x = {x * x} exceeds the exact-parts table cap {EXACT_PARTS_CELL_CAP}")
     return _exact_parts(x, x, x)[1][1:]
 
 
 def closed_form_u2(x: int) -> int:
     """u(x, 2) = x/2 - 1/4 + (-1)^x/4, evaluated exactly."""
     if x < 2:
-        raise ValueError("closed form defined for x >= 2")
+        raise DomainError("closed form defined for x >= 2")
     value = Fraction(x, 2) - Fraction(1, 4) + Fraction((-1) ** x, 4)
     assert value.denominator == 1
     return int(value)
@@ -472,7 +479,7 @@ _U3_PERIODIC = (0, -6, -24, 18, -24, -6)
 def closed_form_u3(x: int) -> int:
     """u(x, 3) = (6x^2 + c(x mod 6))/72 with the exact residue table."""
     if x < 3:
-        raise ValueError("closed form defined for x >= 3")
+        raise DomainError("closed form defined for x >= 3")
     value = Fraction(6 * x * x + _U3_PERIODIC[x % 6], 72)
     assert value.denominator == 1
     return int(value)
@@ -542,9 +549,9 @@ def warburton_count(n: int, p: int, h: int) -> int:
     exceed EXACT_PARTS_CELL_CAP cells.
     """
     if n < 0 or p < 0 or h < 1:
-        raise ValueError("need n >= 0, p >= 0, h >= 1")
+        raise DomainError("need n >= 0, p >= 0, h >= 1")
     if n * p > EXACT_PARTS_CELL_CAP:
-        raise ValueError(
+        raise DomainError(
             f"n * parts = {n * p} exceeds the exact-parts table cap {EXACT_PARTS_CELL_CAP}"
         )
     table = _exact_parts(n, p, max(n - p * h, 0))
@@ -558,16 +565,24 @@ def warburton_count(n: int, p: int, h: int) -> int:
 def prime_circulator(a: int, q: int) -> int:
     """pcr a_q: 1 when a divides q, else 0."""
     if a < 1:
-        raise ValueError("modulus must be positive")
+        raise DomainError("modulus must be positive")
     return 1 if q % a == 0 else 0
+
+
+# cells (q + 1) * (distinct elements) of cayley_denumerant's table, one
+# addition each (about 0.5 s at the cap with Python 3.11 on a 2-vCPU VM)
+DENUMERANT_CELL_CAP = 2**22
 
 
 def cayley_denumerant(elements: Sequence[int], q: int) -> int:
     """P(a, b, c, ...)q: multisets from the elements summing to q."""
     if not elements or any(e < 1 for e in elements):
-        raise ValueError("elements must be positive integers")
+        raise DomainError("elements must be positive integers")
     if q < 0:
-        raise ValueError("q must be non-negative")
+        raise DomainError("q must be non-negative")
+    cells = (q + 1) * len(set(elements))
+    if cells > DENUMERANT_CELL_CAP:
+        raise DomainError(f"{cells} table cells exceed the cap {DENUMERANT_CELL_CAP}")
     table = [1] + [0] * q
     for e in set(elements):
         q_factor(table, e, -1)
@@ -597,7 +612,7 @@ def conjugate(partition: Sequence[int]) -> Partition:
     if not parts:
         return ()
     if parts[0] > CONJUGATE_PARTS_CAP:
-        raise ValueError(
+        raise DomainError(
             f"the conjugate has {parts[0]} parts, past the cap of {CONJUGATE_PARTS_CAP}"
         )
     cols: List[int] = []
@@ -614,11 +629,11 @@ def modular_partition(partition: Sequence[int], m: int) -> List[Tuple[int, ...]]
     pass CONJUGATE_PARTS_CAP.
     """
     if m < 1:
-        raise ValueError("modulus must be at least 1")
+        raise DomainError("modulus must be at least 1")
     parts = check_partition(partition)
     size = sum(-(-q // m) for q in parts)
     if size > CONJUGATE_PARTS_CAP:
-        raise ValueError(f"the rows have {size} parts, past the cap of {CONJUGATE_PARTS_CAP}")
+        raise DomainError(f"the rows have {size} parts, past the cap of {CONJUGATE_PARTS_CAP}")
     rows = []
     for q in parts:
         full, rest = divmod(q, m)
@@ -632,7 +647,7 @@ def modular_partition(partition: Sequence[int], m: int) -> List[Tuple[int, ...]]
 def parity_p(n: int) -> str:
     """'odd' or 'even' for p(n)."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise DomainError("n must be at least 1")
     return "odd" if count_partitions(n) % 2 else "even"
 
 
@@ -642,7 +657,8 @@ def macmahon_digits(k: int) -> str:
     Digit j is 1 exactly when p(j) is odd.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise DomainError("k must be at least 1")
+    count_partitions(k)  # fills the table to k, or refuses past its cap
     return "".join("1" if count_partitions(j) % 2 else "0" for j in range(1, k + 1))
 
 
@@ -699,7 +715,7 @@ def is_subperfect(partition: Sequence[int]) -> bool:
 def ordered_factorizations(m: int) -> List[Tuple[int, ...]]:
     """All ordered factorizations of m into factors >= 2 (m = 1 gives ())."""
     if m < 1:
-        raise ValueError("m must be positive")
+        raise DomainError("m must be positive")
     from .divisors import divisors  # a local import: divisors imports this module
 
     factors = divisors(m)[1:]  # every factor of a cofactor divides m too
@@ -725,7 +741,7 @@ def perfect_partition(factors: Sequence[int]) -> Partition:
     f1*...*f_{i-1}, descending.  Refused past PERFECT_PARTS_CAP parts."""
     size = sum(f - 1 for f in factors)
     if size > PERFECT_PARTS_CAP:
-        raise ValueError(f"the perfect partition has {size} parts, past the cap of {PERFECT_PARTS_CAP}")
+        raise DomainError(f"the perfect partition has {size} parts, past the cap of {PERFECT_PARTS_CAP}")
     parts: List[int] = []
     place = 1
     for f in factors:
@@ -744,12 +760,12 @@ def enumerate_perfect(n: int) -> List[Partition]:
     any is made when their parts together pass PERFECT_PARTS_CAP.
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise DomainError("n must be at least 1")
     from .divisors import divisors, ordered_factorization_totals  # a local import: divisors imports this module
 
     total = ordered_factorization_totals(n + 1)[1]
     if total > PERFECT_PARTS_CAP:
-        raise ValueError(
+        raise DomainError(
             f"the perfect partitions of {n} have {total} parts, past the cap of {PERFECT_PARTS_CAP}"
         )
     # the partitions of m - 1 for each divisor m of n + 1, ascending: a
@@ -776,6 +792,11 @@ class NumerationScale:
     limit: int
 
     def partition(self) -> Partition:
+        """The place values, each alpha_i times; refused past
+        CONJUGATE_PARTS_CAP parts."""
+        size = sum(self.alphas)
+        if size > CONJUGATE_PARTS_CAP:
+            raise DomainError(f"the partition has {size} parts, past the cap of {CONJUGATE_PARTS_CAP}")
         parts: List[int] = []
         for alpha, place in zip(self.alphas, self.place_values):
             parts.extend([place] * alpha)
@@ -784,7 +805,7 @@ class NumerationScale:
     def digits(self, value: int) -> Tuple[int, ...]:
         """Digits of value, least-significant place first; digit i <= alpha_i."""
         if not 0 <= value <= self.limit:
-            raise ValueError("value out of range for this scale")
+            raise DomainError("value out of range for this scale")
         digits = []
         for alpha in self.alphas:
             value, d = divmod(value, alpha + 1)
@@ -796,7 +817,7 @@ def scale_of_numeration(alphas: Sequence[int]) -> NumerationScale:
     """Scale with place values 1, (1+a1), (1+a1)(1+a2), ..."""
     alphas = tuple(alphas)
     if not alphas or any(a < 1 for a in alphas):
-        raise ValueError("alphas must be positive integers")
+        raise DomainError("alphas must be positive integers")
     places = [1]
     for a in alphas[:-1]:
         places.append(places[-1] * (1 + a))
@@ -836,6 +857,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# n * n: up to n allowed parts, each a pass over the n + 1 terms of both
+# series (about 0.7 s at the cap with Python 3.11 on a 2-vCPU VM)
+EULER_CELL_CAP = 10**7
+
+
 def generalized_euler_counts(primes: Iterable[int], n: int) -> Tuple[int, int]:
     """Counts (distinct parts, odd parts) over integers coprime to `primes`.
 
@@ -844,11 +870,13 @@ def generalized_euler_counts(primes: Iterable[int], n: int) -> Tuple[int, int]:
     allowed.  The generalized theorem asserts the two are equal.
     """
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise DomainError("n must be non-negative")
+    if n * n > EULER_CELL_CAP:
+        raise DomainError(f"n * n = {n * n} exceeds the cap {EULER_CELL_CAP}")
     ps = sorted(set(primes))
     for p in ps:
         if not _is_prime(p):
-            raise ValueError(f"the excluded values must be primes, not {p}")
+            raise DomainError(f"the excluded values must be primes, not {p}")
     allowed = [
         v for v in range(1, n + 1) if all(v % p for p in ps)
     ]
@@ -878,6 +906,11 @@ RELATIONS: Dict[str, Tuple[Optional[int], Optional[int]]] = {
 }
 
 
+# parts * n^2: the prefix-sum cells of relation_pattern_count (about
+# 0.7 s at the cap with Python 3.11 on a 2-vCPU VM)
+RELATION_PATTERN_CAP = 2**23
+
+
 def relation_pattern_count(n: int, pattern: Sequence[str]) -> int:
     """Sequences of positive integers summing to n whose adjacent pairs
     satisfy the given relations (pattern length = parts - 1).
@@ -885,14 +918,17 @@ def relation_pattern_count(n: int, pattern: Sequence[str]) -> int:
     Filled slot by slot from the last: below[r][x] counts the fillings of
     the current slot and those after it that sum to r and start with a
     part at most x.  Each relation allows a range of next parts, so one slot
-    costs O(n^2) prefix-sum differences.
+    costs O(n^2) prefix-sum differences; refused when parts * n^2 passes
+    RELATION_PATTERN_CAP.
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise DomainError("n must be at least 1")
     for rel in pattern:
         if rel not in RELATIONS:
-            raise ValueError(f"unknown relation {rel!r}")
+            raise DomainError(f"unknown relation {rel!r}")
     s = len(pattern) + 1
+    if s * n * n > RELATION_PATTERN_CAP:
+        raise DomainError(f"parts * n^2 = {s * n * n} exceeds the cap {RELATION_PATTERN_CAP}")
     # the last slot alone: part r is the one filling of sum r
     below = [[0] * r + [1] for r in range(n + 1)]
     below[0] = [0]
@@ -925,14 +961,14 @@ def check_plane_partition(rows: Sequence[Sequence[int]]) -> PlanePartition:
     canon = tuple(tuple(r) for r in rows if any(r))
     for row in canon:
         if any(v <= 0 for v in row):
-            raise ValueError("canonical plane partitions store positive entries only")
+            raise DomainError("canonical plane partitions store positive entries only")
         if any(row[i] < row[i + 1] for i in range(len(row) - 1)):
-            raise ValueError("rows must be non-increasing")
+            raise DomainError("rows must be non-increasing")
     for upper, lower in zip(canon, canon[1:]):
         if len(lower) > len(upper):
-            raise ValueError("row lengths must be non-increasing")
+            raise DomainError("row lengths must be non-increasing")
         if any(lower[i] > upper[i] for i in range(len(lower))):
-            raise ValueError("columns must be non-increasing")
+            raise DomainError("columns must be non-increasing")
     return canon
 
 
@@ -972,32 +1008,42 @@ def enumerate_plane_partitions(n: int) -> List[PlanePartition]:
     memoised completions under it.  Refused past PARTITION_ENUM_CAP
     plane partitions."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise DomainError("n must be non-negative")
     if past_cap(count_plane_partitions, n, PARTITION_ENUM_CAP):
-        raise ValueError(f"n = {n} has more than {PARTITION_ENUM_CAP} plane partitions, the output cap")
+        raise DomainError(f"n = {n} has more than {PARTITION_ENUM_CAP} plane partitions, the output cap")
     return _plane_completions((n,) * n, n, {})
-
-
-def plane_partition_gf(bound: int) -> List[int]:
-    """Coefficients of x^0..x^bound in MacMahon's plane-partition
-    generating function prod (1-x^k)^-k: the box formula with no bounds,
-    whose k cells (i, j) with i + j - 1 = k each divide by (1 - x^k)."""
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    return boxed_plane_partition_gf(bound, None, bound, bound)
-
-
-def count_plane_partitions(n: int) -> int:
-    """Number of plane partitions of n via the generating function."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return plane_partition_gf(n)[n]
 
 
 # Largest box-formula size min(m, n) * min(cmax, n) * (n + 1): factors
 # times series length, which bounds the additions (0.1-0.15 s at the cap
 # with Python 3.11 on a 2-vCPU VM).
 BOX_CELL_CAP = 10**6
+
+
+def _check_box_cells(n: int, m: int, cmax: int) -> None:
+    cells = min(m, n) * min(cmax, n) * (n + 1)
+    if cells > BOX_CELL_CAP:
+        raise DomainError(
+            f"box formula of {cells} cells exceeds the cap of {BOX_CELL_CAP}"
+        )
+
+
+def plane_partition_gf(bound: int) -> List[int]:
+    """Coefficients of x^0..x^bound in MacMahon's plane-partition
+    generating function prod (1-x^k)^-k: the box formula with no bounds,
+    whose k cells (i, j) with i + j - 1 = k each divide by (1 - x^k).
+    Priced like count_boxed_plane_partitions."""
+    if bound < 0:
+        raise DomainError("bound must be non-negative")
+    _check_box_cells(bound, bound, bound)
+    return boxed_plane_partition_gf(bound, None, bound, bound)
+
+
+def count_plane_partitions(n: int) -> int:
+    """Number of plane partitions of n via the generating function."""
+    if n < 0:
+        raise DomainError("n must be non-negative")
+    return plane_partition_gf(n)[n]
 
 
 def count_boxed_plane_partitions(n: int, l: Optional[int], m: int, cmax: int) -> int:
@@ -1008,12 +1054,8 @@ def count_boxed_plane_partitions(n: int, l: Optional[int], m: int, cmax: int) ->
     BOX_CELL_CAP's unit, exceeds the cap.
     """
     if n < 0 or m < 0 or cmax < 0 or (l is not None and l < 0):
-        raise ValueError("bounds must be non-negative")
-    cells = min(m, n) * min(cmax, n) * (n + 1)
-    if cells > BOX_CELL_CAP:
-        raise ValueError(
-            f"box formula of {cells} cells exceeds the cap of {BOX_CELL_CAP}"
-        )
+        raise DomainError("bounds must be non-negative")
+    _check_box_cells(n, m, cmax)
     return boxed_plane_partition_gf(n, l, m, cmax)[n]
 
 
@@ -1043,9 +1085,9 @@ def xy_symmetric_two_layer_poly(i: int) -> Dict[int, int]:
     most i - j.  Refused past XY_DP_CAP.
     """
     if i < 1:
-        raise ValueError("i must be at least 1")
+        raise DomainError("i must be at least 1")
     if i**4 > XY_DP_CAP:
-        raise ValueError(f"i = {i} needs a DP of size i^4 = {i**4}, past the cap of {XY_DP_CAP}")
+        raise DomainError(f"i = {i} needs a DP of size i^4 = {i**4}, past the cap of {XY_DP_CAP}")
     size = 2 * i * i + 1
     polys = [[0] * size for _ in range(i + 1)]
     hook = 2 * i - 1
@@ -1075,7 +1117,7 @@ def xy_symmetric_cell_enumeration(i: int) -> Dict[int, int]:
     total number of cells.
     """
     if i < 1:
-        raise ValueError("i must be at least 1")
+        raise DomainError("i must be at least 1")
     box = PartitionConstraint(max_part=i, max_parts=i)
     diagrams = [d for n in range(i * i + 1) for d in enumerate_partitions(n, box)]
     selfconj = [d for d in diagrams if conjugate(d) == d]

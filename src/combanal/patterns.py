@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from . import DomainError
+
 Point = Tuple[Fraction, Fraction]
 
 
@@ -35,12 +37,12 @@ class EdgeProfile:
     def from_coords(cls, coords: Sequence[Sequence]) -> "EdgeProfile":
         pts = tuple(_pt(p) for p in coords)
         if len(pts) < 2 or pts[0] != (0, 0) or pts[-1] != (1, 0):
-            raise ValueError("profile must run from (0,0) to (1,0)")
+            raise DomainError("profile must run from (0,0) to (1,0)")
         if any(pts[i] == pts[i + 1] for i in range(len(pts) - 1)):
-            raise ValueError("repeated consecutive vertices")
+            raise DomainError("repeated consecutive vertices")
         profile = cls(pts)
         if profile._self_intersects():
-            raise ValueError("profile must be a simple polyline")
+            raise DomainError("profile must be a simple polyline")
         return profile
 
     def _self_intersects(self) -> bool:
@@ -173,10 +175,6 @@ class RepeatTile:
         return out
 
 
-class ContactError(ValueError):
-    """A profile assignment violates the contact system."""
-
-
 def build_repeat_tile(
     base: str, contact: Sequence[int], profiles: Sequence[EdgeProfile]
 ) -> RepeatTile:
@@ -194,28 +192,28 @@ def build_repeat_tile(
     if sorted(set(contact)) != list(range(n)) or any(
         contact[contact[i]] != i for i in range(n)
     ):
-        raise ContactError("contact system must be an involution on the edges")
+        raise DomainError("contact system must be an involution on the edges")
     profiles = tuple(profiles)
     if len(profiles) != n:
-        raise ValueError(f"need {n} profiles")
+        raise DomainError(f"need {n} profiles")
     for i in range(n):
         j = contact[i]
         if i == j:
             if classify_edge(profiles[i]) not in ("U", "SU"):
-                raise ContactError(
+                raise DomainError(
                     f"edge {i} is self-paired and needs a point-symmetric profile"
                 )
         elif j > i:
             expected = point_profile(profiles[i])
             mirrored = mirror_profile(profiles[i])
             if profiles[j] not in (expected, mirrored):
-                raise ContactError(
+                raise DomainError(
                     f"edges {i}-{j}: partner profile must be the half-turn "
                     f"(or mirror) image"
                 )
     tile = RepeatTile(base, contact, profiles)
     if tile.area_offset() != 0:
-        raise ContactError("profiles do not preserve the base area")
+        raise DomainError("profiles do not preserve the base area")
     return tile
 
 
@@ -326,8 +324,10 @@ class TilingResult:
         return json.dumps(data)
 
 
-class TilingError(ValueError):
-    pass
+# Largest extent of generate_tiling: the copies grow as extent^2 (4225
+# Cairo copies at the cap; 0.2-0.7 s in process by base, with Python 3.11
+# on a 2-vCPU VM)
+TILING_EXTENT_CAP = 32
 
 
 def generate_tiling(tile: RepeatTile, extent: int) -> TilingResult:
@@ -344,12 +344,14 @@ def generate_tiling(tile: RepeatTile, extent: int) -> TilingResult:
     SVG and placement JSON do not print the verdict and skip the check.
     """
     if extent < 1:
-        raise ValueError("extent must be at least 1")
+        raise DomainError("extent must be at least 1")
+    if extent > TILING_EXTENT_CAP:
+        raise DomainError(f"extent {extent} is past the cap of {TILING_EXTENT_CAP}")
     n = tile.edge_count()
     for i in range(n):
         j = tile.contact[i]
         if j != i and tile.profiles[j] != point_profile(tile.profiles[i]):
-            raise TilingError(
+            raise DomainError(
                 f"edges {i}-{j} mate by reflection; only half-turn contacts "
                 f"are supported by the direct-isometry tiler"
             )
@@ -528,9 +530,9 @@ def angle_distribution_check(angles: Sequence[Fraction]) -> bool:
     into groups of two, three or four summing each to pi or 2*pi."""
     angles = [Fraction(a) for a in angles]
     if len(angles) < 3:
-        raise ValueError("need a polygon")
+        raise DomainError("need a polygon")
     if sum(angles) != len(angles) - 2:
-        raise ValueError("angles of a simple polygon must sum to (n-2)*pi")
+        raise DomainError("angles of a simple polygon must sum to (n-2)*pi")
     indices = list(range(len(angles)))
 
     def solvable(remaining: Tuple[int, ...]) -> bool:

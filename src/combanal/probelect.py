@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
+from . import DomainError
+
 
 @dataclass(frozen=True)
 class VoteTally:
@@ -24,9 +26,9 @@ class VoteTally:
     def __post_init__(self):
         counts = tuple(self.counts)
         if len(counts) < 1 or any(c < 1 for c in counts):
-            raise ValueError("tallies must be positive")
+            raise DomainError("tallies must be positive")
         if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
-            raise ValueError("tallies must be non-increasing")
+            raise DomainError("tallies must be non-increasing")
         object.__setattr__(self, "counts", counts)
 
 
@@ -40,13 +42,13 @@ class ElectorateModel:
 
     def __post_init__(self):
         if self.b < 0 or self.c < 0 or self.b + self.c != self.population:
-            raise ValueError("need b + c = population with b, c >= 0")
+            raise DomainError("need b + c = population with b, c >= 0")
 
 
 def ballot_strictly_ahead(m: int, n: int) -> Fraction:
     """Probability the winner stays strictly ahead throughout: (m-n)/(m+n)."""
     if n < 0 or m < n:
-        raise ValueError("need m >= n >= 0")
+        raise DomainError("need m >= n >= 0")
     if m == n:
         return Fraction(0)
     return Fraction(m - n, m + n)
@@ -55,7 +57,7 @@ def ballot_strictly_ahead(m: int, n: int) -> Fraction:
 def ballot_never_behind(a: int, b: int) -> Fraction:
     """Probability the winner is never behind at any prefix: 1 - b/(a+1)."""
     if b < 0 or a < b:
-        raise ValueError("need a >= b >= 0")
+        raise DomainError("need a >= b >= 0")
     return 1 - Fraction(b, a + 1)
 
 
@@ -65,7 +67,7 @@ def macmahon_order_probability(tally: VoteTally) -> Fraction:
     counts = tally.counts
     n = len(counts)
     if n < 2:
-        raise ValueError("need at least two candidates")
+        raise DomainError("need at least two candidates")
     out = Fraction(1)
     for t in range(1, n):
         for s in range(t + 1, n + 1):
@@ -76,20 +78,27 @@ def macmahon_order_probability(tally: VoteTally) -> Fraction:
 # -- sampling model --------------------------------------------------------
 
 
+# k * bits(N) for a sample of k = min(p + q, N - p - q) from N voters: it
+# bounds the bits of each binomial in sample_prob_exact, whose product and
+# reduction cost quadratic time in them (0.3-0.8 s at the cap with Python
+# 3.11 on a 2-vCPU VM)
+SAMPLE_BIT_CAP = 2**19
+
+
 def sample_prob_exact(model: ElectorateModel, p: int, q: int) -> Fraction:
     """Hypergeometric chance of drawing p of one party and q of the other."""
     if p < 0 or q < 0 or p + q > model.population:
-        raise ValueError("infeasible sample size")
+        raise DomainError("infeasible sample size")
+    n = model.population
+    bits = min(p + q, n - p - q) * n.bit_length()
+    if bits > SAMPLE_BIT_CAP:
+        raise DomainError(f"the binomials have up to {bits} bits, past the cap of {SAMPLE_BIT_CAP}")
     if p > model.b or q > model.c:
         return Fraction(0)
     return Fraction(
         math.comb(model.b, p) * math.comb(model.c, q),
         math.comb(model.population, p + q),
     )
-
-
-class ApproximationGuardError(ValueError):
-    """Raised outside the large-parameter validity regime."""
 
 
 def sample_prob_approx(model: ElectorateModel, p: int, r: int) -> Tuple[float, float]:
@@ -108,11 +117,11 @@ def sample_prob_approx(model: ElectorateModel, p: int, r: int) -> Tuple[float, f
     """
     b, c = model.b, model.c
     if b == 0 or p <= 0 or p >= b:
-        raise ApproximationGuardError("need 0 < p < b")
+        raise DomainError("need 0 < p < b")
     lam = c / b
     d = b - p
     if p < 100 or d < 100 or lam * p < 100:
-        raise ApproximationGuardError(
+        raise DomainError(
             "parameters too small for the approximation; use sample_prob_exact"
         )
     c0 = math.sqrt((1 + lam) * b / (2 * math.pi * lam * p * d))
@@ -144,19 +153,22 @@ def cube_law_seats(
     first party).
     """
     if votes_a <= 0 or votes_b <= 0 or seats < 1:
-        raise ValueError("need positive votes and at least one seat")
+        raise DomainError("need positive votes and at least one seat")
+    if any(isinstance(v, float) and not math.isfinite(v) for v in (votes_a, votes_b, exponent)):
+        raise DomainError("votes and exponent must be finite")
     if exponent == int(exponent) and isinstance(votes_a, int) and isinstance(votes_b, int):
-        wa: object = Fraction(votes_a) ** int(exponent)
-        wb: object = Fraction(votes_b) ** int(exponent)
+        wa = Fraction(votes_a) ** int(exponent)
+        wb = Fraction(votes_b) ** int(exponent)
         share = Fraction(wa, wa + wb) * seats
-        base = int(share)
-        remainder = share - base
-        half = Fraction(1, 2)
     else:
-        share = seats * (votes_a**exponent) / (votes_a**exponent + votes_b**exponent)
-        base = int(share)
-        remainder = share - base
-        half = 0.5
+        # both votes over the larger (the smaller for a negative exponent):
+        # one power is 1 and the other at most 1, so neither overflows
+        top = max(votes_a, votes_b) if exponent >= 0 else min(votes_a, votes_b)
+        wa, wb = (votes_a / top) ** exponent, (votes_b / top) ** exponent
+        share = Fraction(wa / (wa + wb)) * seats
+    base = int(share)
+    remainder = share - base
+    half = Fraction(1, 2)
     if remainder > half or (remainder == half and votes_a > votes_b):
         base += 1
     return base, seats - base
@@ -165,7 +177,7 @@ def cube_law_seats(
 def taagepera_exponent(total_votes: int, total_seats: int) -> float:
     """n = ln V / ln S."""
     if total_seats < 2 or total_votes <= total_seats:
-        raise ValueError("need V > S >= 2")
+        raise DomainError("need V > S >= 2")
     return math.log(total_votes) / math.log(total_seats)
 
 
@@ -176,7 +188,7 @@ def cube_root_seat_rule(total_votes: int) -> int:
     is confirmed against both neighbours with exact arithmetic.
     """
     if total_votes < 1:
-        raise ValueError("need at least one voter")
+        raise DomainError("need at least one voter")
 
     def load(s: int) -> Fraction:
         return Fraction(2 * total_votes, s) + Fraction(s * s, 2)
@@ -203,7 +215,7 @@ DRAW_BLOCK = 2**16
 
 def check_voter_count(voters: int) -> None:
     if voters > ELECTION_VOTER_CAP:
-        raise ValueError(f"{voters} voters exceed the election cap {ELECTION_VOTER_CAP}")
+        raise DomainError(f"{voters} voters exceed the election cap {ELECTION_VOTER_CAP}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -272,17 +284,24 @@ class ElectionReport:
 
 
 def read_constituency_sizes(path: str) -> List[int]:
-    """Plain-text constituency file: one positive integer per line."""
-    sizes = []
+    """Plain-text constituency file: one positive integer per line, blank
+    lines skipped.  A file that cannot be opened raises OSError."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            sizes.append(int(line))
+        try:
+            sizes = [int(line) for line in fh if line.strip()]
+        except ValueError:  # a line that is no integer, or bytes that are no UTF-8
+            sizes = []
     if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("constituency sizes must be positive integers")
+        raise DomainError("constituency sizes must be positive integers")
     return sizes
+
+
+def check_shares(share: float, mixing: float) -> None:
+    """The national share and the mixing that simulate_election takes."""
+    if not 0 < share < 1:
+        raise DomainError("share must be strictly between 0 and 1")
+    if not 0 <= mixing <= 1:
+        raise DomainError("mixing must lie in [0, 1]")
 
 
 def simulate_election(
@@ -297,12 +316,9 @@ def simulate_election(
     one rng.random() draw, made in bulk by _votes_below.  At most
     ELECTION_VOTER_CAP voters in all.
     """
-    if not 0 < share < 1:
-        raise ValueError("share must be strictly between 0 and 1")
-    if not 0 <= mixing <= 1:
-        raise ValueError("mixing must lie in [0, 1]")
+    check_shares(share, mixing)
     if not sizes or any(s < 1 for s in sizes):
-        raise ValueError("constituency sizes must be positive")
+        raise DomainError("constituency sizes must be positive")
     check_voter_count(sum(sizes))
     rng = random.Random(seed)
     seats_a = 0

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from . import DomainError
 from .partitions import past_cap, perfect_partition
 
 # -- cubes -------------------------------------------------------------------
@@ -63,7 +64,7 @@ def orientations(cube: Sequence[int]) -> List[Cube]:
 def canonical_cube(cube: Sequence[int]) -> Cube:
     """Lexicographic minimum over the 24 rotations."""
     if len(cube) != 6:
-        raise ValueError("a cube has six faces")
+        raise DomainError("a cube has six faces")
     return min(orientations(tuple(cube)))
 
 
@@ -79,12 +80,12 @@ def generate_cubes(k: int, mode: str = "all-distinct-faces") -> List[Cube]:
     the classic thirty); `any-coloring` allows repeats.
     """
     if k < 1:
-        raise ValueError("need at least one color")
+        raise DomainError("need at least one color")
     if mode == "any-coloring" and k**6 > CUBE_CANDIDATE_CAP:
-        raise ValueError(f"k^6 = {k**6} candidate cubes is past the cap of {CUBE_CANDIDATE_CAP}")
+        raise DomainError(f"k^6 = {k**6} candidate cubes is past the cap of {CUBE_CANDIDATE_CAP}")
     if mode == "all-distinct-faces":
         if k != 6:
-            raise ValueError("all-distinct-faces mode needs exactly six colors")
+            raise DomainError("all-distinct-faces mode needs exactly six colors")
         candidates = itertools.permutations(range(k))
     elif mode == "any-coloring":
         candidates = itertools.product(range(k), repeat=6)
@@ -105,7 +106,7 @@ def generate_cubes(k: int, mode: str = "all-distinct-faces") -> List[Cube]:
 def cube_orbit_count(k: int) -> int:
     """(k^6 + 3k^4 + 12k^3 + 8k^2) / 24: rotation classes of colorings."""
     if k < 1:
-        raise ValueError("need at least one color")
+        raise DomainError("need at least one color")
     return (k**6 + 3 * k**4 + 12 * k**3 + 8 * k**2) // 24
 
 
@@ -113,7 +114,7 @@ def associated_cube(cube: Sequence[int]) -> Cube:
     """The mirror partner: exchange one pair of opposite face colors."""
     cube = tuple(cube)
     if len(set(cube)) != 6:
-        raise ValueError("associated cubes are defined for all-distinct colorings")
+        raise DomainError("associated cubes are defined for all-distinct colorings")
     swapped = (cube[D], cube[U]) + cube[2:]
     return canonical_cube(swapped)
 
@@ -274,7 +275,7 @@ TILE_CANDIDATE_CAP = 2**18
 
 def _check_tile(sides: int, k: int) -> None:
     if sides < 3 or k < 1:
-        raise ValueError("need at least 3 sides and 1 color")
+        raise DomainError("need at least 3 sides and 1 color")
 
 
 def generate_tiles(sides: int, k: int) -> List[Tile]:
@@ -283,7 +284,7 @@ def generate_tiles(sides: int, k: int) -> List[Tile]:
     of its rotations.  Refused past TILE_CANDIDATE_CAP candidates."""
     _check_tile(sides, k)
     if k**sides > TILE_CANDIDATE_CAP:
-        raise ValueError(f"k^{sides} = {k**sides} candidate tiles is past the cap of {TILE_CANDIDATE_CAP}")
+        raise DomainError(f"k^{sides} = {k**sides} candidate tiles is past the cap of {TILE_CANDIDATE_CAP}")
     return [
         t
         for t in itertools.product(range(k), repeat=sides)
@@ -418,7 +419,7 @@ def hexagon_solve(tiles: Sequence[Tile], border_color: int) -> HexagonSolution:
     Expects the full set of 24 triangles.  The backtracker randomizes its
     value order per restart (seeds 0..HEXAGON_RESTARTS-1 with
     HEXAGON_NODES nodes each), which is deterministic across runs while
-    escaping pathological orderings.  A ValueError tells the two failures
+    escaping pathological orderings.  A DomainError tells the two failures
     apart: a search that ran to its end proves that no arrangement
     exists, while restarts that all ran out of nodes prove nothing.
     """
@@ -426,7 +427,7 @@ def hexagon_solve(tiles: Sequence[Tile], border_color: int) -> HexagonSolution:
 
     cells, edge_map, perimeter = hexagon_board(2)
     if len(tiles) != len(cells):
-        raise ValueError("no hexagon arrangement exists")
+        raise DomainError("no hexagon arrangement exists")
     perimeter_set = set(perimeter)
     tiles = [canonical_tile(t) for t in tiles]
     cell_edges = {cell: _cell_edges(cell) for cell in cells}
@@ -508,8 +509,8 @@ def hexagon_solve(tiles: Sequence[Tile], border_color: int) -> HexagonSolution:
                 border_color,
             )
         if result == {}:
-            raise ValueError("no hexagon arrangement exists")
-    raise ValueError(f"none found within {HEXAGON_RESTARTS} restarts of {HEXAGON_NODES} nodes")
+            raise DomainError("no hexagon arrangement exists")
+    raise DomainError(f"none found within {HEXAGON_RESTARTS} restarts of {HEXAGON_NODES} nodes")
 
 
 # -- stamp foldings ------------------------------------------------------------
@@ -539,9 +540,9 @@ def stamp_foldings(n: int) -> int:
     searched and their count doubled.
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise DomainError("n must be at least 1")
     if n > STAMP_CAP:
-        raise ValueError(f"n = {n} exceeds the enumeration cap {STAMP_CAP}")
+        raise DomainError(f"n = {n} exceeds the enumeration cap {STAMP_CAP}")
     if n <= 2:
         return n
     count = 0
@@ -583,10 +584,18 @@ def stamp_foldings(n: int) -> int:
 # -- contact systems (involutions) ---------------------------------------------
 
 
+# letters n of contact_system_count: the recurrence on growing integers
+# costs about n^2 digit steps (0.4 s at the cap with Python 3.11 on a
+# 2-vCPU VM)
+CONTACT_COUNT_CAP = 2**15
+
+
 def contact_system_count(n: int) -> int:
     """Self-inverse permutations of n letters: 1, 2, 4, 10, 26, 76, ..."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise DomainError("n must be non-negative")
+    if n > CONTACT_COUNT_CAP:
+        raise DomainError(f"n = {n} is past the cap of {CONTACT_COUNT_CAP} letters")
     a, b = 1, 1  # I(0), I(1)
     if n == 0:
         return 1
@@ -605,9 +614,9 @@ def enumerate_contact_systems(n: int) -> List[Tuple[int, ...]]:
     lexicographic order: the lowest open position takes itself, then each
     open partner in ascending order.  Refused past CONTACT_LIST_CAP."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise DomainError("n must be at least 1")
     if past_cap(contact_system_count, n, CONTACT_LIST_CAP):
-        raise ValueError(f"n = {n} has more than {CONTACT_LIST_CAP} contact systems, the output cap")
+        raise DomainError(f"n = {n} has more than {CONTACT_LIST_CAP} contact systems, the output cap")
     out: List[Tuple[int, ...]] = []
     image = [-1] * n
 
@@ -637,14 +646,14 @@ LATIN_TOTAL_CAP = 4
 def latin_reduced_count(n: int) -> int:
     """Reduced n x n Latin squares (first row and column in order)."""
     if not 1 <= n <= LATIN_ORDER_CAP:
-        raise ValueError(f"order must be between 1 and {LATIN_ORDER_CAP}")
+        raise DomainError(f"order must be between 1 and {LATIN_ORDER_CAP}")
     return _latin_count(n, reduced=True)
 
 
 def latin_total_count(n: int) -> int:
     """All n x n Latin squares (small n)."""
     if not 1 <= n <= LATIN_TOTAL_CAP:
-        raise ValueError(f"total counting is desk-scale only (n <= {LATIN_TOTAL_CAP})")
+        raise DomainError(f"total counting is desk-scale only (n <= {LATIN_TOTAL_CAP})")
     return _latin_count(n, reduced=False)
 
 
@@ -716,9 +725,9 @@ def measuring_rod(k: int) -> Tuple[int, ...]:
     Refused past ROD_MARK_CAP marks.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise DomainError("k must be at least 1")
     if k > ROD_MARK_CAP:
-        raise ValueError(f"k = {k} marks is past the cap of {ROD_MARK_CAP}")
+        raise DomainError(f"k = {k} marks is past the cap of {ROD_MARK_CAP}")
     marks = [0]
     diffs: Set[int] = set()
     candidate = 1
@@ -761,7 +770,7 @@ def weighing_set(u: int, pans: str = "one") -> Tuple[int, ...]:
     and 2u + 1 = 3^k.  Any other u has no subperfect partition.
     """
     if u < 1:
-        raise ValueError("u must be at least 1")
+        raise DomainError("u must be at least 1")
     if pans == "one":
         from .divisors import prime_factorization
 
@@ -775,11 +784,17 @@ def weighing_set(u: int, pans: str = "one") -> Tuple[int, ...]:
     while 3**k < 2 * u + 1:
         k += 1
     if 3**k != 2 * u + 1:
-        raise ValueError(f"no subperfect partition of {u} exists")
+        raise DomainError(f"no subperfect partition of {u} exists")
     return tuple(3**i for i in range(k - 1, -1, -1))
 
 
 # -- rook placements by differentiation ----------------------------------------------
+
+
+# bits of n (n-1) ... (n-k+1), counted as k * bits(n): printing it in
+# decimal costs quadratic time in them (about 0.4 s at the cap with Python
+# 3.11 on a 2-vCPU VM)
+ROOK_BIT_CAP = 2**19
 
 
 def rook_row_counts(n: int, k: int) -> int:
@@ -789,5 +804,8 @@ def rook_row_counts(n: int, k: int) -> int:
     falling factorial n (n-1) ... (n-k+1).
     """
     if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+        raise DomainError("need 0 <= k <= n")
+    bits = k * n.bit_length()
+    if bits > ROOK_BIT_CAP:
+        raise DomainError(f"the count has up to {bits} bits, past the cap of {ROOK_BIT_CAP}")
     return math.perm(n, k)

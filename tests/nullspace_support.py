@@ -4,7 +4,7 @@ updating finished rows."""
 
 import math
 
-from combanal.exactcore import DimensionError, _eliminate, _frac
+from combanal.exactcore import _eliminate, _frac
 
 
 def gauss_jordan_rref(a):
@@ -19,7 +19,7 @@ def gauss_jordan_rref(a):
     """
     cols = len(a[0]) if a else 0
     if any(len(row) != cols for row in a):
-        raise DimensionError("ragged matrix")
+        raise ValueError("ragged matrix")
     pending = []  # rows that hold no pivot yet
     for row in a:
         entries = [_frac(v) for v in row]

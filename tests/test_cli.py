@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -280,6 +281,134 @@ def test_polynomial_arguments_exit_0_1_or_2(action, polys, p, k):
     assert "Traceback" not in err
 
 
+# Every command, with typed argv drawn from its own entry in cli.COMMANDS:
+# ints at the edges, small, at every *_CAP value +- 1 and 10^20; floats
+# with the overflow edge and the non-finite values; the choices; flags on
+# and off; comma lists of the ints (the empty list too); polynomials as
+# above for the polynomial arguments, and a few shaped strings where an
+# argument has a syntax of its own.  Any exception other than a refusal
+# propagates out of dispatch, so a bug fails the test, and so does an
+# argv that has not answered within 10 s, ten times the slowest draw here.
+CAP_VALUES = sorted({
+    value
+    for module in combanal.__all__
+    for name, value in vars(importlib.import_module(f"combanal.{module}")).items()
+    if name.endswith("_CAP")
+})
+INTS = tuple(str(v) for v in (-1, 0, 1, 2, 3, 4, 5, 7, 10, 10**20)) + tuple(
+    str(v) for cap in CAP_VALUES for v in (cap - 1, cap + 1)
+)
+FLOATS = ("0.5", "0.53", "1", "0", "-1", "47", "1e-308", "1e308", "nan", "inf", "-inf")
+int_list = st.lists(st.sampled_from(INTS), max_size=4).map(",".join)
+fraction_list = st.lists(st.sampled_from(("1/3", "3/5", "-1/2", "1/0", "2") + INTS[:5]), max_size=5).map(",".join)
+SHAPED = {
+    "poly": poly_text,
+    "seed": poly_text,
+    "--sources": st.lists(poly_text, min_size=1, max_size=3).map("|".join),
+    "--pattern": st.lists(st.sampled_from((">", ">=", "=", "<", "<=", "*", "?")), max_size=4).map(",".join),
+    "--matrix": st.lists(int_list, min_size=1, max_size=4).map(";".join),
+    "--boxed": st.lists(st.sampled_from(INTS + ("inf",)), min_size=2, max_size=4).map(",".join),
+    "--transform": fraction_list,
+    "angles": fraction_list,
+    "parts": st.one_of(int_list, st.lists(int_list, max_size=3).map(";".join)),
+    "profile": st.sampled_from(("0,0;1,0", "0,0;1/2,1/3;1,0", "0,0;1/2,-1/3;1,0", "0,0;1", "1,1;0,0", "")),
+    "--profiles": st.lists(
+        st.sampled_from(("0,0;1,0", "0,0;1/2,1/3;1,0", "0,0;1/4,1/4;3/4,-1/4;1,0", "x")), max_size=6
+    ).map("|".join),
+    "--contact": st.lists(st.sampled_from(("0-1", "0-2", "1-3", "2-5", "0-9", "a-b", "1")), max_size=3).map(",".join),
+}
+
+
+@pytest.fixture(scope="module")
+def sizes_files(tmp_path_factory):
+    """--sizes-file values: good, bad and negative contents, an empty file,
+    a directory and a missing path."""
+    root = tmp_path_factory.mktemp("sizes")
+    paths = [str(root), str(root / "missing")]
+    for name, text in (("good", "100\n\n200\n"), ("word", "10\nten\n"), ("negative", "-5\n"), ("empty", "")):
+        (root / name).write_text(text)
+        paths.append(str(root / name))
+    return paths
+
+
+def command_argv(key, sizes_files):
+    """Argv for one command: options as --name=value (a value may start
+    with '-'), then '--' and the positionals."""
+    parts = []
+    for names, options in cli.COMMANDS[key].arguments:
+        name = names[0]
+        if options.get("action") == "store_true":
+            value = st.just(None)
+        elif "choices" in options:
+            value = st.sampled_from(options["choices"])
+        elif name == "--sizes-file":
+            value = st.sampled_from(sizes_files)
+        elif key == ("puzzle", "hexagon"):
+            # a border of 0..3 spends the whole restart budget, 5-20 s:
+            # only the borders that refuse at once are drawn
+            value = st.sampled_from([v for v in INTS if v not in ("0", "1", "2", "3")])
+        elif key == ("partition", "enum") and name in ("--min-part", "--parts"):
+            # a listing past the cap is counted by walking it, and a least
+            # part above 2 or many parts leave dead ends at most steps of
+            # the walk: `partition enum 200 --min-part 12` takes 2.6 s to
+            # refuse and `partition enum 8388607 --parts 513` more than
+            # 300 s (ROADMAP item 5), so these take only the small ints
+            value = st.sampled_from(INTS[:4] if name == "--min-part" else INTS[:9])
+        elif options.get("type") in (int, cli._order):
+            value = st.sampled_from(INTS)
+        elif options.get("type") is float:
+            value = st.sampled_from(FLOATS)
+        else:
+            value = SHAPED.get(name, int_list)
+        required = (
+            options.get("required")
+            or (not name.startswith("-") and options.get("nargs") != "?")
+            or key == ("puzzle", "hexagon")  # the default border is 0
+        )
+        present = st.just(True) if required else st.booleans()
+        parts.append(st.tuples(st.just(name), value, present))
+    parts.append(st.tuples(st.just("--format"), st.sampled_from(cli.FORMATS), st.booleans()))
+
+    def assemble(drawn):
+        argv, positionals = list(key), []
+        for name, value, present in drawn:
+            if not present:
+                continue
+            if not name.startswith("-"):
+                positionals.append(value)
+            else:
+                argv.append(name if value is None else f"{name}={value}")
+        return argv + (["--"] + positionals if positionals else [])
+
+    return st.tuples(*parts).map(assemble)
+
+
+class Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise Timeout("no answer within the time bound")
+
+
+@pytest.mark.parametrize("key", list(cli.COMMANDS), ids=" ".join)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_command_exits_0_1_or_2(key, sizes_files, data):
+    argv = data.draw(command_argv(key, sizes_files), label="argv")
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        code, out, err = run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def derangement_matrix(n):
     """The --matrix literal with zeros on the diagonal and ones elsewhere."""
     return ";".join(",".join("0" if i == j else "1" for j in range(n)) for i in range(n))
@@ -361,6 +490,37 @@ CAP_EDGES = [
     ("partition table 10000", "partition table 10001"),  # 10^4 rows
     ("partition plane --xy 32", "partition plane --xy 33"),  # DP size 2^20 and 1185921
     ("puzzle rod 100", "puzzle rod 101"),  # 100 marks
+    ("partition count 10000", "partition count 10001"),  # 10^4 rows of p(0..N)
+    ("partition parity 10000", "partition parity 10001"),  # as above
+    ("partition parity --digits 10000", "partition parity --digits 10001"),  # as above
+    ("partition plane 99", "partition plane 100"),  # 99^2 * 100 = 980100 and 1010000 box cells, cap 10^6
+    ("divisor sigma2 99", "divisor sigma2 100"),  # as above
+    ("master derange 200", "master derange 201"),  # 200 letters
+    ("compose conj 1000000", "compose conj 1000001"),  # 10^6 parts printed
+    ("compose zigzag 1000000", "compose zigzag 1000001"),  # as above
+    ("partition scale 1000000", "partition scale 1000001"),  # as above
+    ("puzzle contacts 32768", "puzzle contacts 32769"),  # 2^15 letters
+    (
+        "partition count 1672 --pattern >,>",
+        "partition count 1673 --pattern >,>",
+    ),  # 3 * 1672^2 = 8386752 and 8396787 cells, cap 2^23
+    (
+        "partition count 3162 --euler-primes 3",
+        "partition count 3163 --euler-primes 3",
+    ),  # 3162^2 = 9998244 and 10004569, cap 10^7
+    (
+        "partition count 2097151 --elements 1,2",
+        "partition count 2097152 --elements 1,2",
+    ),  # 2^22 and 4194306 table cells
+    ("compose count 524289 --order-k 2", "compose count 524290 --order-k 2"),  # 2^19 bits
+    ("invariant omega a0 --p 512", "invariant omega a0 --p 513"),  # order 2^9
+    ("invariant roots --p 90 --trials 16", "invariant roots --p 90 --trials 17"),  # 129856 and 137972, cap 2^17
+    ("pattern tiling --extent 32", "pattern tiling --extent 33"),  # extent 32
+    ("puzzle rooks 65535 32768", "puzzle rooks 65535 32769"),  # 32768 * 16 = 2^19 bits
+    (
+        "election prob 32768 32768 15420 15420",
+        "election prob 32768 32768 15421 15420",
+    ),  # 30840 * 17 = 524280 and 524297 bits, cap 2^19
 ]
 
 
@@ -398,6 +558,31 @@ UNGUARDED_BEFORE = [
     "partition modular 300000000 --mod 1",  # a MemoryError traceback
     "puzzle rod 300",  # 13 s
     "partition table 200000",  # past 20 s
+    "invariant syzygant --p 3000 --k 2",  # a RecursionError traceback
+    "partition plane 100000000000000000000",  # an OverflowError traceback
+    "divisor sigma2 100000000000000000000",  # as above
+    "partition count 100000000000000000000 --elements 1,2",  # as above
+    "partition scale 100000000000000000000",  # as above
+    "compose zigzag 100000000000000000000",  # as above
+    "partition count 100000",  # 10.3 s
+    "partition parity 100000",
+    "partition parity --digits 100000",
+    "partition plane 1000",  # 17.5 s
+    "divisor sigma2 1000",
+    "master derange 2000",  # past 20 s
+    "compose conj 3000000000",  # past 20 s
+    "puzzle contacts 100000",  # 4.8 s
+    "partition count 100000000000000000000 --pattern >,>",  # past 10 s
+    "partition count 100000000 --euler-primes 3",  # past 20 s
+    "partition count 10000000 --elements 1,2",  # 1.7 s
+    "compose count 1000000 --order-k 3",  # 4.3 s
+    "invariant omega a0 --p 100000000",  # past 20 s
+    "invariant roots --p 400 --trials 20",  # 13 s
+    "invariant roots --trials 10000000",  # past 20 s
+    "pattern tiling --extent 200",  # past 20 s
+    "puzzle rooks 1000000 1000000",  # a 10^6-digit factorial
+    "election prob 0 10000000 0 5000000",  # binomials of 10^7 bits
+    "invariant basis 10 --protomorphs 10",  # an AssertionError traceback at weight 9
 ]
 
 
@@ -414,6 +599,16 @@ UNGUARDED_BEFORE = [
         "puzzle triangles 200 --list", "puzzle triangles 200 --squares json",
         "puzzle cubes any-coloring 50 json", "partition table --demorgan 3000",
         "partition modular 3*10^8 --mod 1", "puzzle rod 300", "partition table 200000",
+        "invariant syzygant --p 3000", "partition plane 10^20", "divisor sigma2 10^20",
+        "partition count 10^20 --elements 1,2", "partition scale 10^20", "compose zigzag 10^20",
+        "partition count 10^5", "partition parity 10^5", "partition parity --digits 10^5",
+        "partition plane 1000", "divisor sigma2 1000", "master derange 2000",
+        "compose conj 3*10^9", "puzzle contacts 10^5", "partition count 10^20 --pattern >,>",
+        "partition count 10^8 --euler-primes 3", "partition count 10^7 --elements 1,2",
+        "compose count 10^6 --order-k 3", "invariant omega a0 --p 10^8",
+        "invariant roots --p 400 --trials 20", "invariant roots --trials 10^7",
+        "pattern tiling --extent 200", "puzzle rooks 10^6 10^6", "election prob 0 10^7 0 5*10^6",
+        "invariant basis 10 --protomorphs 10",
     ],
 )
 def test_formerly_unguarded_argv_refuse_at_once(argv):
@@ -424,6 +619,77 @@ def test_formerly_unguarded_argv_refuse_at_once(argv):
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+# argv that ended in a traceback or in a usage message only argparse's
+# own file arguments had: each is now one usage line, exit 2
+FORMERLY_TRACEBACK_USAGE = [
+    ("invariant basis 3", "invariant basis needs j and w (or --protomorphs)"),  # a TypeError
+    (
+        "election simulate --share 0.5 --sizes-file /nonexistent",
+        "argument --sizes-file: can't open '/nonexistent': No such file or directory",
+    ),  # a FileNotFoundError
+]
+
+
+@pytest.mark.parametrize("argv,message", FORMERLY_TRACEBACK_USAGE, ids=[u[0] for u in FORMERLY_TRACEBACK_USAGE])
+def test_formerly_traceback_argv_are_usage_errors(argv, message):
+    assert run(argv) == (2, "", f"usage error: {message}\n")
+
+
+def test_sizes_file_that_is_a_directory_is_a_usage_error(tmp_path):
+    # an IsADirectoryError
+    assert run(["election", "simulate", "--share", "0.5", "--sizes-file", str(tmp_path)]) == (
+        2, "", f"usage error: argument --sizes-file: can't open {str(tmp_path)!r}: Is a directory\n"
+    )
+
+
+def test_share_is_checked_before_the_sizes_file_is_read():
+    assert run("election simulate --share 2 --sizes-file /nonexistent") == (
+        1, "", "error: share must be strictly between 0 and 1\n"
+    )
+
+
+def test_sizes_file_line_that_is_no_integer_is_refused(tmp_path):
+    path = tmp_path / "sizes.txt"
+    path.write_text("100\nten\n")
+    assert run(["election", "simulate", "--share", "0.5", "--sizes-file", str(path)]) == (
+        1, "", "error: constituency sizes must be positive integers\n"
+    )
+
+
+def test_out_into_a_missing_directory_is_refused_before_the_handler_runs(monkeypatch):
+    calls = []
+    monkeypatch.setitem(cli.RUN, ("puzzle", "rod"), lambda args: calls.append(args))
+    assert run("puzzle rod 8 --out /nonexistent/rod.txt") == (
+        2, "", "usage error: argument --out: can't open '/nonexistent/rod.txt': no such directory\n"
+    )
+    assert calls == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("election cubelaw nan 1 5", "votes and exponent must be finite"),  # leaked "cannot convert float NaN"
+    ("election cubelaw inf 1 5", "votes and exponent must be finite"),
+    ("election cubelaw 1 1 5 --exponent nan", "votes and exponent must be finite"),
+    ("invariant syzygant --k -1", "k must be non-negative"),  # leaked "negative power of a polynomial"
+])
+def test_formerly_leaked_builtin_messages_are_refusals(argv, message):
+    assert run(argv) == (1, "", f"error: {message}\n")
+
+
+def test_cube_law_past_the_float_range_answers():
+    # an OverflowError traceback from 1e308 ** 3; equal votes split 2.5 seats down
+    assert run("election cubelaw 1e308 1e308 5") == (0, "2 3\n", "")
+
+
+def test_dispatch_lets_a_bug_through(monkeypatch):
+    # only a DomainError is a refusal: any other exception is not caught
+    def bug(args):
+        return [][0]
+
+    monkeypatch.setitem(cli.RUN, ("puzzle", "rod"), bug)
+    with pytest.raises(IndexError):
+        run("puzzle rod 8")
 
 
 def test_readme_cap_table_cites_every_cap_with_its_value():

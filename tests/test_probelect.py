@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from combanal import DomainError
 from combanal import probelect as pe
 
 
@@ -196,7 +197,7 @@ class TestSampling:
             assert abs(s_r - exact) / exact < 0.02, r
 
     def test_guard(self):
-        with pytest.raises(pe.ApproximationGuardError):
+        with pytest.raises(DomainError, match="parameters too small for the approximation"):
             pe.sample_prob_approx(pe.ElectorateModel(60, 30, 30), 15, 0)
 
 
