@@ -209,7 +209,7 @@ def parse_coeff_poly(expr: str, p: int) -> MultiPoly:
 
     names = iv.avar_names(p, with_xy="x" in expr or "y" in expr)
     cleaned = expr.replace(" ", "").replace("-", "+-")
-    out = MultiPoly.zero(names)
+    terms = {}
     for term in cleaned.split("+"):
         if not term:
             continue
@@ -241,8 +241,9 @@ def parse_coeff_poly(expr: str, p: int) -> MultiPoly:
         # stays within MultiPoly's range when the degree does.
         if sum(exp) > MAX_EXPONENT:
             raise UsageError(f"term of degree above {MAX_EXPONENT} in {expr!r}")
-        out = out + MultiPoly.monomial(names, tuple(exp), coeff)
-    return out
+        exp = tuple(exp)
+        terms[exp] = terms.get(exp, 0) + coeff
+    return MultiPoly(names, terms)
 
 
 # ---------------------------------------------------------------------------

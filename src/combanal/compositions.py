@@ -355,12 +355,20 @@ def combinations_order_k_count(p: int, k: int) -> int:
 # -- Simon Newcomb's problem ----------------------------------------------
 
 
-def _distinct_arrangements(values: Sequence[int]) -> Iterable[Tuple[int, ...]]:
-    seen = set()
-    for arr in itertools.permutations(values):
-        if arr not in seen:
-            seen.add(arr)
-            yield arr
+def distinct_arrangements(values: Sequence[int]) -> Iterator[Tuple[int, ...]]:
+    """Each distinct arrangement of the multiset `values` once, in
+    lexicographic order: from the sorted values, each next one swaps the
+    last ascent's smaller value with the least larger value after it, then
+    reverses the tail."""
+    arr = sorted(values)
+    while True:
+        yield tuple(arr)
+        i = next((i for i in range(len(arr) - 2, -1, -1) if arr[i] < arr[i + 1]), None)
+        if i is None:
+            return
+        j = max(j for j in range(i + 1, len(arr)) if arr[j] > arr[i])
+        arr[i], arr[j] = arr[j], arr[i]
+        arr[i + 1 :] = arr[:i:-1]
 
 
 @dataclass
@@ -408,7 +416,7 @@ def newcomb_distribution(counts: Sequence[int], ascending: bool = False) -> Newc
     for value, count in enumerate(counts, start=1):
         deck.extend([value] * count)
     dist = NewcombDistribution()
-    for arrangement in _distinct_arrangements(deck):
+    for arrangement in distinct_arrangements(deck):
         packs = deal_packs(arrangement, ascending=ascending)
         dist.by_composition[packs] = dist.by_composition.get(packs, 0) + 1
         m = len(packs)

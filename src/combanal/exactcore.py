@@ -202,14 +202,15 @@ class MultiPoly:
         for img in images.values():
             if img.names != target:
                 raise ValueError("substitution images use mixed variable tuples")
-        result = MultiPoly.zero(target)
+        out: Dict[Exponent, Scalar] = {}
         for exp, c in self.terms.items():
             term = MultiPoly.const(target, c)
             for name, e in zip(self.names, exp):
                 if e:
                     term = term * images[name] ** e
-            result = result + term
-        return result
+            for texp, tc in term.terms.items():
+                out[texp] = out.get(texp, 0) + tc
+        return MultiPoly(target, out)
 
     def truncate(self, box: Sequence[int]) -> "MultiPoly":
         """The terms whose exponent lies componentwise within `box`."""

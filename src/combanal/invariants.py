@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import DomainError
-from .exactcore import MultiPoly, nullspace_integer
+from .exactcore import Exponent, MultiPoly, Scalar, nullspace_integer
 
 
 # Largest order p of a binary form.  _isobaric_monomials recurses once per
@@ -36,31 +36,6 @@ def avar_names(p: int, with_xy: bool = False) -> Tuple[str, ...]:
         raise DomainError(f"order {p} is past the cap of {INVARIANT_ORDER_CAP}")
     names = tuple(f"a{k}" for k in range(p + 1))
     return names + ("x", "y") if with_xy else names
-
-
-@dataclass(frozen=True)
-class BinaryQuantic:
-    """Binary form of order p with symbolic coefficients a0..ap."""
-
-    order: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise DomainError("order must be at least 1")
-
-    def polynomial(self) -> MultiPoly:
-        """The quantic sum C(p,k) a_k x^(p-k) y^k as a polynomial in
-        a0..ap, x, y."""
-        p = self.order
-        names = avar_names(p, with_xy=True)
-        out = MultiPoly.zero(names)
-        for k in range(p + 1):
-            exp = [0] * len(names)
-            exp[k] = 1
-            exp[-2] = p - k
-            exp[-1] = k
-            out = out + MultiPoly.monomial(names, tuple(exp), math.comb(p, k))
-        return out
 
 
 def convert_coefficients(
@@ -88,22 +63,34 @@ def _a_index(name: str) -> Optional[int]:
 
 def omega(f: MultiPoly, p: int) -> MultiPoly:
     """The annihilator a0 d/da1 + 2 a1 d/da2 + ... + p a_{p-1} d/da_p."""
-    out = MultiPoly.zero(f.names)
-    for k in range(1, p + 1):
-        src, dst = f"a{k}", f"a{k - 1}"
-        if src in f.names:
-            out = out + f.diff(src) * MultiPoly.variable(f.names, dst) * k
-    return out
+    return _shift(f, p, -1)
 
 
 def oop(f: MultiPoly, p: int) -> MultiPoly:
     """The companion operator p a1 d/da0 + (p-1) a2 d/da1 + ... + a_p d/da_{p-1}."""
-    out = MultiPoly.zero(f.names)
-    for k in range(0, p):
-        src, dst = f"a{k}", f"a{k + 1}"
-        if src in f.names:
-            out = out + f.diff(src) * MultiPoly.variable(f.names, dst) * (p - k)
-    return out
+    return _shift(f, p, 1)
+
+
+def _shift(f: MultiPoly, p: int, step: int) -> MultiPoly:
+    """Sum over k of c_k a_{k+step} d/da_k applied to f, with c_k = k for
+    Omega (step -1) and p - k for O (step 1): each factor a_k of a term
+    moves to a_{k+step} in turn, its exponent times c_k scaling it."""
+    at = {name: i for i, name in enumerate(f.names)}
+    moves = [
+        (at[f"a{k}"], at[f"a{k + step}"], k if step < 0 else p - k)
+        for k in range(p + 1)
+        if 0 <= k + step <= p and f"a{k}" in at
+    ]
+    out: Dict[Exponent, Scalar] = {}
+    for exp, c in f.terms.items():
+        for src, dst, weight in moves:
+            if exp[src]:
+                image = list(exp)
+                image[src] -= 1
+                image[dst] += 1
+                image = tuple(image)
+                out[image] = out.get(image, 0) + c * weight * exp[src]
+    return MultiPoly(f.names, out)
 
 
 def degree_and_weight(f: MultiPoly) -> Tuple[int, int]:
@@ -132,10 +119,11 @@ def degree_and_weight(f: MultiPoly) -> Tuple[int, int]:
 
 
 # The O-chain of a covariant builds order + 1 polynomials, each within the
-# comb(p + j, j) monomials of degree j, and re-adds them into the answer
-# term by term; each term holds p + 1 exponent entries.  Their product is
-# capped.  Measured: a0 --p 160 (4147360) takes 0.8 s in process.
-COVARIANT_WORK_CAP = 2**22
+# comb(p + j, j) monomials of degree j, each term holding p + 1 exponent
+# entries; the answer takes every term once.  Their product is capped.
+# Measured in process (Python 3.11, 2-vCPU VM): a0^13 --p 6 (14814072)
+# takes 0.28-0.46 s, a0^9 --p 8 (15752880) 0.23-0.43 s.
+COVARIANT_WORK_CAP = 2**24
 
 
 def covariant_from_seed(seed: MultiPoly, p: int) -> MultiPoly:
@@ -159,20 +147,16 @@ def covariant_from_seed(seed: MultiPoly, p: int) -> MultiPoly:
             f"covariant of order {order} from degree {j} over a0..a{p}: "
             f"{work} term entries exceed the cap {COVARIANT_WORK_CAP}"
         )
-    names = avar_names(p, with_xy=True)
-    lifted = MultiPoly(names, {exp + (0, 0): c for exp, c in seed.terms.items()})
-    out = MultiPoly.zero(names)
-    current = lifted
+    terms: Dict[Exponent, Scalar] = {}
+    current = seed
     for k in range(order + 1):
-        coeff_k = current * Fraction(1, math.factorial(k))
-        x_exp = [0] * len(names)
-        x_exp[-2] = order - k
-        x_exp[-1] = k
-        out = out + coeff_k * MultiPoly.monomial(names, tuple(x_exp), 1)
+        scale = math.factorial(k)
+        for exp, c in current.terms.items():
+            terms[exp + (order - k, k)] = Fraction(c, scale)
         current = oop(current, p)
     if not current.is_zero():
         raise AssertionError("operator chain failed to terminate at the covariant order")
-    return out
+    return MultiPoly(avar_names(p, with_xy=True), terms)
 
 
 # -- seminvariant kernels -------------------------------------------------
@@ -291,87 +275,99 @@ class LinearTransform2:
         return self.l * self.mp - self.lp * self.m
 
 
-def transformed_coefficients(p: int, t: LinearTransform2) -> List[MultiPoly]:
-    """A_k of the substituted quantic, as linear polynomials in a0..ap.
+def _integer_forms(t: LinearTransform2) -> Tuple[Tuple[int, int, int, int], int]:
+    """(l, m, lp, mp) times their common denominator d, and d."""
+    d = math.lcm(*(v.denominator for v in (t.l, t.m, t.lp, t.mp)))
+    return tuple(int(v * d) for v in (t.l, t.m, t.lp, t.mp)), d
 
-    Binomial convention: both quantics carry C(p,k) weights.
-    """
-    names = avar_names(p, with_xy=True)
-    quantic = BinaryQuantic(p).polynomial()
-    x = MultiPoly.variable(names, "x")
-    y = MultiPoly.variable(names, "y")
-    images = {n: MultiPoly.variable(names, n) for n in names}
-    images["x"] = x * t.l + y * t.m
-    images["y"] = x * t.lp + y * t.mp
-    substituted = quantic.substitute(images)
-    out = []
-    xi, yi = names.index("x"), names.index("y")
-    for k in range(p + 1):
-        collected: Dict[Tuple[int, ...], Fraction] = {}
-        for exp, c in substituted.terms.items():
-            if exp[xi] == p - k and exp[yi] == k:
-                reduced = exp[:xi] + (0,) + exp[xi + 1 : yi] + (0,)
-                collected[reduced] = collected.get(reduced, Fraction(0)) + c
-        a_k = MultiPoly(names, collected) * Fraction(1, math.comb(p, k))
-        out.append(a_k)
+
+def _binomial_product(u: int, w: int, forms: Tuple[int, int, int, int]) -> List[int]:
+    """[X^(u+w-k) Y^k] (l X + m Y)^u (lp X + mp Y)^w for k = 0..u+w, from
+    the integers forms = (l, m, lp, mp): a convolution of two binomial
+    rows, (u + 1)(w + 1) products."""
+    l, m, lp, mp = forms
+    first = [math.comb(u, i) * l ** (u - i) * m**i for i in range(u + 1)]
+    second = [math.comb(w, i) * lp ** (w - i) * mp**i for i in range(w + 1)]
+    out = [0] * (u + w + 1)
+    for i, c in enumerate(first):
+        if c:
+            for k, c2 in enumerate(second, i):
+                out[k] += c * c2
     return out
+
+
+def transformed_coefficients(p: int, t: LinearTransform2) -> List[MultiPoly]:
+    """A_k of the substituted quantic, as linear polynomials in a0..ap
+    (over a0..ap, x, y).
+
+    Binomial convention: both quantics carry C(p,k) weights, so
+    C(p,k) A_k = sum_i C(p,i) a_i [X^(p-k) Y^k] (l X + m Y)^(p-i) (lp X + mp Y)^i.
+    """
+    forms, d = _integer_forms(t)
+    scale = d**p
+    terms: List[Dict[Exponent, Scalar]] = [{} for _ in range(p + 1)]
+    for i in range(p + 1):
+        a_i = (0,) * i + (1,) + (0,) * (p - i + 2)
+        for k, c in enumerate(_binomial_product(p - i, i, forms)):
+            terms[k][a_i] = Fraction(math.comb(p, i) * c, math.comb(p, k) * scale)
+    names = avar_names(p, with_xy=True)
+    return [MultiPoly(names, a_k) for a_k in terms]
 
 
 # the largest exponent s of the modulus that invariance_check tries
 INVARIANCE_EXPONENTS = 64
 
-# invariance_check builds the images A_k by expanding the p + 1 terms of
-# the quantic, about (p + 1)^3 term pairs, then substitutes them into
-# every term of f: for a term of degree j in a0..ap the largest product
-# pairs at most C(p + h, h)^2 terms, h = ceil(j / 2).  Each pair builds
-# p + 3 exponent entries and multiplies coefficients that grow with j, so
-# the work is (term pairs) * (p + 3 + j), capped.  Measured in process
-# with --transform 1,2,3,5 (Python 3.11, 2-vCPU VM): a0^4 --p 24
-# (3758750) takes 0.74 s, a0^2 --p 43 (4181760) 0.49 s, a0^44 --p 2
-# (3733947) 0.12 s.
-INVARIANCE_WORK_CAP = 2**22
+# invariance_check builds the images A_k from p + 1 binomial products,
+# C(p + 3, 3) integer products in all, and substitutes them into every
+# term of f: for a term of degree j in a0..ap the largest product pairs
+# at most C(p + h, h)^2 terms, h = ceil(j / 2).  The x, y image of a term
+# x^u y^w is one binomial product, (u + 1)(w + 1) integer products.  Each
+# pair builds p + 3 exponent entries and multiplies coefficients that
+# grow with j and with the x, y degree e, so the work is (C(p + 3, 3) +
+# sum over terms of (C(p + h, h)^2 + (u + 1)(w + 1))) * (p + 3 + j + e),
+# capped.  Measured in process with --transform 1,2,3,5 (Python 3.11,
+# 2-vCPU VM): a0^4 --p 21 (1848952) takes 0.28-0.5 s, a0^8 --p 7
+# (1962378) 0.19 s, x^1439 --p 2 (2095244) 0.06-0.09 s.
+INVARIANCE_WORK_CAP = 2**21
 
 
 def invariance_check(f: MultiPoly, p: int, t: LinearTransform2) -> Tuple[bool, Optional[int]]:
-    """Test f(A) = M^s f(a) (or the covariant version) exactly.
+    """Test f(A; X, Y) = M^s f(a; l X + m Y, lp X + mp Y) exactly.
 
     Returns (True, s) for the smallest working s <= INVARIANCE_EXPONENTS,
     else (False, None).  Refused (DomainError) before any substitution
     when the work priced above INVARIANCE_WORK_CAP passes the cap.
     """
     names = avar_names(p, with_xy=True)
-    if f.names == avar_names(p):
-        lifted = MultiPoly(names, {exp + (0, 0): c for exp, c in f.terms.items()})
-    elif f.names == names:
-        lifted = f
-    else:
+    if f.names not in (avar_names(p), names):
         raise DomainError("polynomial must live over a0..ap (optionally with x, y)")
+    xy = [exp[p + 1 :] or (0, 0) for exp in f.terms]
     j = max((sum(exp[: p + 1]) for exp in f.terms), default=0)
+    e = max((u + w for u, w in xy), default=0)
     h = (j + 1) // 2
-    work = ((p + 1) ** 3 + len(f.terms) * math.comb(p + h, h) ** 2) * (p + 3 + j)
+    pairs = sum(math.comb(p + h, h) ** 2 + (u + 1) * (w + 1) for u, w in xy)
+    work = (math.comb(p + 3, 3) + pairs) * (p + 3 + j + e)
     if work > INVARIANCE_WORK_CAP:
         raise DomainError(
-            f"invariance check of a degree-{j} polynomial over a0..a{p}: "
+            f"invariance check of a degree-{j} polynomial over a0..a{p} of degree {e} in x, y: "
             f"{work} units of work exceed the cap {INVARIANCE_WORK_CAP}"
         )
-    a_images = {f"a{k}": img for k, img in enumerate(transformed_coefficients(p, t))}
-    x = MultiPoly.variable(names, "x")
-    y = MultiPoly.variable(names, "y")
-    lhs = lifted.substitute({**a_images, "x": x, "y": y})
-    rhs_base = lifted.substitute(
-        {
-            **{n: MultiPoly.variable(names, n) for n in avar_names(p)},
-            "x": x * t.l + y * t.m,
-            "y": x * t.lp + y * t.mp,
-        }
-    )
-    modulus = t.modulus()
-    power = Fraction(1)
-    for s in range(INVARIANCE_EXPONENTS + 1):
-        if lhs == rhs_base * power:
-            return True, s
-        power *= modulus
-    return False, None
+    images = {f"a{k}": a_k for k, a_k in enumerate(transformed_coefficients(p, t))}
+    images.update(x=MultiPoly.variable(names, "x"), y=MultiPoly.variable(names, "y"))
+    lhs = f.substitute(images)
+    forms, d = _integer_forms(t)
+    rhs_terms: Dict[Exponent, Scalar] = {}
+    for (exp, c), (u, w) in zip(f.terms.items(), xy):
+        scale = d ** (u + w)
+        for k, b in enumerate(_binomial_product(u, w, forms)):
+            image = exp[: p + 1] + (u + w - k, k)
+            rhs_terms[image] = rhs_terms.get(image, 0) + Fraction(c * b, scale)
+    rhs = MultiPoly(names, rhs_terms)
+    # lhs = M^s rhs makes M^s the ratio at any one term of rhs
+    first = next(iter(rhs.terms), None)
+    ratio = Fraction(1) if first is None else Fraction(lhs.terms.get(first, 0)) / rhs.terms[first]
+    s = next((s for s in range(INVARIANCE_EXPONENTS + 1) if t.modulus() ** s == ratio), None)
+    return (True, s) if s is not None and lhs == rhs * ratio else (False, None)
 
 
 def invariant_weight(i: int, p: int) -> Optional[int]:
@@ -391,14 +387,14 @@ def quadrinvariant(p: int, weight: int) -> MultiPoly:
         raise DomainError("quadrinvariants have even weight >= 2")
     if weight > p:
         raise DomainError(f"weight {weight} needs order at least {weight}")
-    names = avar_names(p)
-    out = MultiPoly.zero(names)
+    terms: Dict[Exponent, Scalar] = {}
     for k in range(weight + 1):
         exp = [0] * (p + 1)
         exp[k] += 1
         exp[weight - k] += 1
-        out = out + MultiPoly.monomial(names, tuple(exp), Fraction(math.comb(weight, k), 2) * (-1) ** k)
-    return out
+        exp = tuple(exp)
+        terms[exp] = terms.get(exp, 0) + Fraction(math.comb(weight, k), 2) * (-1) ** k
+    return MultiPoly(avar_names(p), terms)
 
 
 def odd_source(p: int, weight: int) -> MultiPoly:
@@ -477,9 +473,11 @@ def syzygant_search(sources: Sequence[MultiPoly], k: int) -> List[SyzygantSoluti
                  for t in range(len(sources))]
     out = []
     for vec in basis:
-        combo = MultiPoly.zero(names)
+        terms: Dict[Exponent, Scalar] = {}
         for alpha, s in zip(vec, sources):
-            combo = combo + s * alpha
+            for exp, c in s.terms.items():
+                terms[exp] = terms.get(exp, 0) + alpha * c
+        combo = MultiPoly(names, terms)
         # every term of a nonzero combo has a0 exponent >= k, so a0^k is in range
         quotient = combo.exact_div(MultiPoly.variable(names, "a0") ** k) if combo else combo
         if not omega(quotient, p).is_zero():

@@ -171,14 +171,6 @@ def brute_force_derangements(n: int) -> int:
     )
 
 
-def _distinct_words(reference: Tuple[int, ...]):
-    seen = set()
-    for word in itertools.permutations(reference):
-        if word not in seen:
-            seen.add(word)
-            yield word
-
-
 def _check_rencontres(m: int, multidegree: Multidegree) -> Multidegree:
     multidegree = tuple(multidegree)
     if any(e < 0 for e in multidegree) or not any(multidegree):
@@ -191,16 +183,15 @@ def _check_rencontres(m: int, multidegree: Multidegree) -> Multidegree:
 def brute_force_rencontres(m: int, multidegree: Multidegree) -> int:
     """{m; e1 ... en} by enumerating the distinct words of the multiset;
     the independent oracle for generalized_rencontres."""
+    from .compositions import distinct_arrangements
+
     multidegree = _check_rencontres(m, multidegree)
     reference: Tuple[int, ...] = ()
     for symbol, e in enumerate(multidegree, start=1):
         reference += (symbol,) * e
-    count = 0
-    for word in _distinct_words(reference):
-        fixed = sum(1 for a, b in zip(word, reference) if a == b)
-        if fixed == m:
-            count += 1
-    return count
+    return sum(
+        sum(a == b for a, b in zip(word, reference)) == m for word in distinct_arrangements(reference)
+    )
 
 
 def generalized_rencontres(m: int, multidegree: Multidegree) -> int:

@@ -40,15 +40,12 @@ def check_partition(parts: Sequence[int]) -> Partition:
 class PartitionConstraint:
     """Restrictions on the partitions to enumerate.
 
-    All fields are optional; `num_parts` fixes the count exactly while
-    `min_parts`/`max_parts` bound it.  `allowed_parts` restricts the part
-    values to a finite set.
+    All fields are optional; `num_parts` fixes the count of parts.
+    `allowed_parts` restricts the part values to a finite set.
     """
 
     max_part: Optional[int] = None
     num_parts: Optional[int] = None
-    min_parts: Optional[int] = None
-    max_parts: Optional[int] = None
     min_part: int = 1
     distinct: bool = False
     allowed_parts: Optional[FrozenSet[int]] = None
@@ -58,9 +55,8 @@ class PartitionConstraint:
             raise DomainError("min_part must be at least 1")
         if self.max_part is not None and self.max_part < self.min_part:
             raise DomainError("max_part below min_part")
-        for f in (self.num_parts, self.min_parts, self.max_parts):
-            if f is not None and f < 0:
-                raise DomainError("part counts cannot be negative")
+        if self.num_parts is not None and self.num_parts < 0:
+            raise DomainError("part counts cannot be negative")
         if self.allowed_parts is not None:
             object.__setattr__(self, "allowed_parts", frozenset(self.allowed_parts))
             if any(v < 1 for v in self.allowed_parts):
@@ -124,8 +120,8 @@ class _PartitionWalk:
             self.valset = frozenset(self.vals)
         # len() of a range past sys.maxsize values is an OverflowError
         nv = self.nv = max(top - c.min_part + 1, 0) if self.plain else len(self.vals)
-        self.lo = max((k for k in (c.num_parts, c.min_parts) if k is not None), default=0)
-        self.hi = min((k for k in (c.num_parts, c.max_parts) if k is not None), default=n)
+        self.lo = c.num_parts or 0
+        self.hi = n if c.num_parts is None else c.num_parts
         self.counted = self.lo > 0 or self.hi < n  # parts used matter only under a count bound
         self.max_mult = 1 if c.distinct else n
         # reach(k) = sum(vals[k:]): at most `left` distinct values from index
@@ -289,7 +285,7 @@ def _check_listing(n: int, c: PartitionConstraint) -> None:
     elif c == PartitionConstraint():
         raise DomainError(f"n = {n} has more than {PARTITION_ENUM_CAP} partitions, the output cap")
     else:
-        bounds = [c.max_part, c.num_parts, c.max_parts]
+        bounds = [c.max_part, c.num_parts]
         if c.allowed_parts is not None:
             bounds.append(max(c.allowed_parts, default=0))
         lines = _few_parts_bound(n, min((k for k in bounds if k is not None), default=n))
@@ -303,7 +299,7 @@ def _check_listing(n: int, c: PartitionConstraint) -> None:
                         " constraints, the output cap"
                     )
     sizes = [v for v in c.allowed_parts or () if v >= c.min_part] or [c.min_part]
-    longest = min(k for k in (n // min(sizes), c.num_parts, c.max_parts) if k is not None)
+    longest = min(k for k in (n // min(sizes), c.num_parts) if k is not None)
     if lines * longest > PARTITION_PARTS_CAP:
         raise DomainError(
             f"n = {n} lists up to {lines} partitions of up to {longest} parts,"
@@ -1118,8 +1114,8 @@ def xy_symmetric_cell_enumeration(i: int) -> Dict[int, int]:
     """
     if i < 1:
         raise DomainError("i must be at least 1")
-    box = PartitionConstraint(max_part=i, max_parts=i)
-    diagrams = [d for n in range(i * i + 1) for d in enumerate_partitions(n, box)]
+    box = PartitionConstraint(max_part=i)
+    diagrams = [d for n in range(i * i + 1) for d in enumerate_partitions(n, box) if len(d) <= i]
     selfconj = [d for d in diagrams if conjugate(d) == d]
     out: Dict[int, int] = {}
     for lower in selfconj:

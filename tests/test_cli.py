@@ -3,6 +3,7 @@ import contextlib
 import importlib
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -238,14 +239,33 @@ class TestExitCodes:
         assert "Traceback" not in err
 
 
+class Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise Timeout("no answer within the time bound")
+
+
+def run_within(argv, seconds=10):
+    """run(argv), raising Timeout if it has not answered within `seconds`."""
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # Polynomial arguments from the parser's alphabet and just past it: names
 # a0..a5, x, y and junk; powers small, negative, empty and above 2^31;
 # coefficients including 1/0.  Valid tokens are listed several times, so
 # that junk is drawn about one time in eight and many strings parse;
 # isobaric polynomials, Omega-killed and not, are mixed in so that
-# syzygant reaches its source check and its kernel.
-# `covariant` and `check` are left out: a covariant within its cap may
-# take a second, and a large power in `check` runs without a time bound.
+# syzygant and covariant reach their source checks and their kernels.
+# Long polynomials of hundreds to thousands of random terms over a0..a2,
+# x and y parse at every order drawn but 0.
 POLY_NAMES = ("a0", "a1", "a2", "a3", "a4", "a5", "x", "y") * 5 + ("a", "a9", "b", "-", "/", "")
 POLY_POWERS = ("", "^0", "^1", "^2", "^3", "^2147483647", "^2147483648") * 3 + ("^", "^-1", "^3000000000")
 POLY_COEFFS = ("", "0*", "2*", "1/2*", "-3*", "7") * 2 + ("1/0*", "1/*")
@@ -255,30 +275,68 @@ poly_term = st.builds(
     lambda coeff, factors: coeff + "*".join(factors),
     st.sampled_from(POLY_COEFFS), st.lists(poly_factor, min_size=1, max_size=3),
 )
+
+
+def long_poly(count, seed):
+    """`count` random terms of up to three factors over a0..a2, x and y,
+    powers at most 3, coefficients 1..9 of either sign."""
+    rng = random.Random(seed)
+    return "".join(
+        rng.choice("+-") + str(rng.randint(1, 9)) + "".join(
+            f"*{rng.choice(('a0', 'a1', 'a2', 'x', 'y'))}^{rng.randint(0, 3)}" for _ in range(rng.randint(1, 3))
+        )
+        for _ in range(count)
+    )
+
+
 poly_text = st.one_of(
     st.lists(
         st.builds(str.__add__, st.sampled_from(("+", "-", "")), poly_term), min_size=1, max_size=3
     ).map("".join),
     st.sampled_from(ISOBARIC),
+    st.builds(long_poly, st.integers(100, 3000), st.integers(0, 2**32)),
 )
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(
-    action=st.sampled_from(("omega", "oop", "syzygant")),
+    action=st.sampled_from(("omega", "oop", "syzygant", "check", "covariant")),
     polys=st.lists(poly_text, min_size=1, max_size=3),
     p=st.sampled_from((0, 2, 5, 6)),
     k=st.sampled_from((0, 1, 2, 3, 2**31, 3 * 10**9)),
+    transform=st.sampled_from(("1,2,3,5", "1/2,2/3,3,5", "2,1,0,3", "1,0,0,1", "0,1,-1,0", "1,2,2,4")),
 )
-def test_polynomial_arguments_exit_0_1_or_2(action, polys, p, k):
+def test_polynomial_arguments_exit_0_1_or_2(action, polys, p, k, transform):
     # the '=' and '--' forms let a polynomial that starts with '-' through argparse
     if action == "syzygant":
         argv = ["invariant", "syzygant", "--p", str(p), "--k", str(k), "--sources=" + "|".join(polys)]
+    elif action == "check":
+        argv = ["invariant", "check", "--p", str(p), "--transform=" + transform, "--", polys[0]]
     else:
         argv = ["invariant", action, "--p", str(p), "--", polys[0]]
-    code, out, err = run(argv)
+    code, out, err = run_within(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+def test_parse_builds_one_polynomial_whatever_the_term_count(monkeypatch):
+    from combanal.exactcore import MultiPoly
+
+    built = []
+    init = MultiPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MultiPoly, "__init__", counting_init)
+    counts = []
+    for terms in (5, 5000):
+        built.clear()
+        poly = cli.parse_coeff_poly("+".join(f"{c}*a0^{c}*a1" for c in range(1, terms + 1)), 2)
+        assert len(poly.terms) == terms
+        counts.append(len(built))
+    assert counts == [1, 1]
 
 
 # Every command, with typed argv drawn from its own entry in cli.COMMANDS:
@@ -383,26 +441,12 @@ def command_argv(key, sizes_files):
     return st.tuples(*parts).map(assemble)
 
 
-class Timeout(Exception):
-    pass
-
-
-def _alarm(signum, frame):
-    raise Timeout("no answer within the time bound")
-
-
 @pytest.mark.parametrize("key", list(cli.COMMANDS), ids=" ".join)
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_every_command_exits_0_1_or_2(key, sizes_files, data):
     argv = data.draw(command_argv(key, sizes_files), label="argv")
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
-        code, out, err = run(argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    code, out, err = run_within(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 1:
@@ -431,9 +475,13 @@ CAP_EDGES = [
     ("compose newcomb 9", "compose newcomb 10"),  # deck of 9 cards
     ("compose count 999 99 --essential", "compose count 999 100 --essential"),  # 10^5 cells, as above
     (
-        "invariant check a0^44 --p 2 --transform 1,2,3,5",
-        "invariant check a0^45 --p 2 --transform 1,2,3,5",
-    ),  # (3^3 + 276^2) * 49 = 3733947 and (3^3 + 300^2) * 50 = 4501350 units, cap 2^22
+        "invariant check a0^38 --p 2 --transform 1,2,3,5",
+        "invariant check a0^39 --p 2 --transform 1,2,3,5",
+    ),  # (C(5,3) + 210^2 + 1) * 43 = 1896773 and (C(5,3) + 231^2 + 1) * 44 = 2348368 units, cap 2^21
+    (
+        "invariant check x^1439 --p 2 --transform 1,2,3,5",
+        "invariant check x^1440 --p 2 --transform 1,2,3,5",
+    ),  # (C(5,3) + 1 + 1440) * 1444 = 2095244 and (C(5,3) + 1 + 1441) * 1445 = 2098140 units
     ("puzzle stamps 12", "puzzle stamps 13"),  # 12 stamps
     ("puzzle latin --reduced 6", "puzzle latin --reduced 7"),  # order 6
     ("partition count 20000 --parts 50", "partition count 20001 --parts 50"),  # n * p = 10^6
@@ -455,9 +503,9 @@ CAP_EDGES = [
         "master rencontres 0 20,20,20,20,20,20,20,20,20,21",
     ),  # 200 letters
     (
-        "invariant covariant a0^2*a2-a0*a1^2 --p 23",
-        "invariant covariant a0^3 --p 23",
-    ),  # 65 * C(26,3) * 24 = 4056000 and 69 * C(26,3) * 24 = 4305600 term entries, cap 2^22
+        "invariant covariant a0^2*a2-a0*a1^2 --p 30",
+        "invariant covariant a0^2*a2-a0*a1^2 --p 31",
+    ),  # 86 * C(33,3) * 31 = 14545696 and 89 * C(34,3) * 32 = 17042432 term entries, cap 2^24
     (
         "partition enum 8191 --max-part 2",
         "partition enum 8192 --max-part 2",
@@ -547,6 +595,7 @@ UNGUARDED_BEFORE = [
     "divisor potency --count 1000000000000",  # a MemoryError from the sieve
     "puzzle weights 100 --pans two",  # a walk of all p(100) partitions
     "invariant check a0^100 --p 4 --transform 1,2,3,5",  # an expansion of A_0^100, past 60 s
+    "invariant check x^2147483647 --p 2 --transform 1,2,3,5",  # past 20 s: x, y degree unpriced
     "election simulate --share 0.5 --constituencies 1000000 --size 1000000",  # 10^12 draws
     "election simulate --share 0.5 --constituencies 1000000000000 --size -1",  # a MemoryError
     "partition plane 100000 --enum",  # N = 20 printed 1.2 MB in 1.2 s, and N had no bound
@@ -594,7 +643,7 @@ UNGUARDED_BEFORE = [
         "partition enum 90", "partition conj 10^20,1", "partition enum 10^12 --max-part 1",
         "partition perfect 720719", "divisor potency 10^18+3", "divisor factorize 10^18+3",
         "divisor potency --count 10^12", "puzzle weights 100 --pans two",
-        "invariant check a0^100 --p 4", "election simulate 10^6 x 10^6",
+        "invariant check a0^100 --p 4", "invariant check x^(2^31 - 1) --p 2", "election simulate 10^6 x 10^6",
         "election simulate 10^12 x -1", "partition plane 10^5 --enum", "puzzle contacts 14 --list",
         "puzzle triangles 200 --list", "puzzle triangles 200 --squares json",
         "puzzle cubes any-coloring 50 json", "partition table --demorgan 3000",

@@ -16,7 +16,7 @@ from combanal.exactcore import (
     nullspace_integer,
     poly_ring,
 )
-from combanal.invariants import BinaryQuantic, avar_names, covariant_from_seed
+from combanal.invariants import avar_names, covariant_from_seed
 from nullspace_support import gauss_jordan_nullspace, gauss_jordan_rref
 from series_support import SingularSeriesError, series_inverse
 
@@ -455,7 +455,8 @@ class TestCoefficientNormalForm:
         for p in (2, 3, 4):
             seed = MultiPoly.variable(avar_names(p), "a0")
             cov = covariant_from_seed(seed, p)
-            assert cov == BinaryQuantic(p).polynomial()
+            quantic = {(0,) * k + (1,) + (0,) * (p - k) + (p - k, k): math.comb(p, k) for k in range(p + 1)}
+            assert cov == MultiPoly(avar_names(p, with_xy=True), quantic)
             assert all(type(c) is int for c in cov.terms.values())
 
     @settings(max_examples=100)

@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from combanal import invariants as iv
@@ -260,6 +261,79 @@ class TestInvarianceCheck:
             t = iv.LinearTransform2(1, b_, c_, 1 + b_ * c_)
             ok, s = iv.invariance_check(iv.quartic_invariant_i(), 4, t)
             assert ok and t.modulus() ** s == 1
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def substituted_quantic(p, l, m, lp, mp):
+    """The binomial quantic sum C(p,k) a_k x^(p-k) y^k with x = l x + m y
+    and y = lp x + mp y substituted, over a0..ap, x, y."""
+    names = iv.avar_names(p, with_xy=True)
+    quantic = MultiPoly(
+        names, {(0,) * k + (1,) + (0,) * (p - k) + (p - k, k): math.comb(p, k) for k in range(p + 1)}
+    )
+    x, y = MultiPoly.variable(names, "x"), MultiPoly.variable(names, "y")
+    images = {n: MultiPoly.variable(names, n) for n in names}
+    images.update(x=x * l + y * m, y=x * lp + y * mp)
+    return quantic.substitute(images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 12), transform=st.tuples(rationals, rationals, rationals, rationals))
+def test_closed_form_images_match_the_substituted_quantic(p, transform):
+    l, m, lp, mp = transform
+    assume(l * mp - lp * m != 0)
+    substituted = substituted_quantic(p, l, m, lp, mp)
+    names = iv.avar_names(p, with_xy=True)
+    for k, a_k in enumerate(iv.transformed_coefficients(p, iv.LinearTransform2(l, m, lp, mp))):
+        expected = {
+            exp[: p + 1] + (0, 0): Fraction(c, math.comb(p, k))
+            for exp, c in substituted.terms.items()
+            if exp[p + 1 :] == (p - k, k)
+        }
+        assert a_k == MultiPoly(names, expected)
+
+
+def invariance_by_substitution(f, p, t):
+    """invariance_check's answer with both sides substituted whole and
+    every exponent s tried in turn."""
+    names = iv.avar_names(p, with_xy=True)
+    if f.names != names:
+        f = MultiPoly(names, {exp + (0, 0): c for exp, c in f.terms.items()})
+    x, y = MultiPoly.variable(names, "x"), MultiPoly.variable(names, "y")
+    images = {f"a{k}": a_k for k, a_k in enumerate(iv.transformed_coefficients(p, t))}
+    lhs = f.substitute({**images, "x": x, "y": y})
+    plain = {n: MultiPoly.variable(names, n) for n in iv.avar_names(p)}
+    rhs = f.substitute({**plain, "x": x * t.l + y * t.m, "y": x * t.lp + y * t.mp})
+    for s in range(iv.INVARIANCE_EXPONENTS + 1):
+        if lhs == rhs * t.modulus() ** s:
+            return True, s
+    return False, None
+
+
+@st.composite
+def checked_polynomials(draw):
+    """(f, p): a covariant of a random seminvariant, or random terms over
+    a0..ap and maybe x, y."""
+    p = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        basis = iv.seminvariant_basis(p, 2, draw(st.integers(0, p)))
+        assume(basis)
+        return iv.covariant_from_seed(draw(st.sampled_from(basis)), p), p
+    names = iv.avar_names(p, with_xy=draw(st.booleans()))
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    return MultiPoly(names, draw(st.dictionaries(exps, st.integers(-3, 3), max_size=4))), p
+
+
+@settings(max_examples=60, deadline=None)
+@given(fp=checked_polynomials(), transform=st.tuples(rationals, rationals, rationals, rationals))
+def test_invariance_check_matches_whole_substitution(fp, transform):
+    f, p = fp
+    l, m, lp, mp = transform
+    assume(l * mp - lp * m != 0)
+    t = iv.LinearTransform2(l, m, lp, mp)
+    assert iv.invariance_check(f, p, t) == invariance_by_substitution(f, p, t)
 
 
 class TestInvariantWeight:

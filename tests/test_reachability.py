@@ -37,7 +37,9 @@ NOT_REACHED = {
     "divisors.sigma": "bench",
     "exactcore.MultiPoly.coeff": "oracle",
     "exactcore.MultiPoly.constant_term": "oracle",
+    "exactcore.MultiPoly.diff": "oracle",
     "exactcore.MultiPoly.truncate": "bench",
+    "exactcore.MultiPoly.zero": "bench",
     "exactcore.poly_det_cofactor": "bench",
     "exactcore.poly_ring": "bench",
     "invariants.cubic_discriminant": "paper fact",
