@@ -1032,11 +1032,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group_parsers = parser.add_subparsers(dest="command", required=True)
     actions = {}
-    for (group, action), cmd in COMMANDS.items():
+    # Each table entry's own parser, by (group, action); see `_parse`.
+    parser.entries = {}
+    for key, cmd in COMMANDS.items():
+        group, action = key
         if group not in actions:
             group_parser = group_parsers.add_parser(group)
             actions[group] = group_parser.add_subparsers(dest="action", required=True)
-        q = actions[group].add_parser(action)
+        q = parser.entries[key] = actions[group].add_parser(action)
         for names, options in cmd.arguments:
             q.add_argument(*names, **options)
         q.add_argument("--format", choices=FORMATS, default="text")
@@ -1044,9 +1047,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The parser is built on the first dispatch and reused: parsing leaves it
-# unchanged, and building it costs far more than one parse.
+# The whole-table parser is built on the first dispatch and reused: parsing
+# leaves it unchanged, and building it costs far more than one parse.  A
+# request that names a table entry is parsed by that entry's own parser,
+# inside the one whole-table parser.
 _PARSER: Optional[argparse.ArgumentParser] = None
+
+
+def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
+    """The namespace `parser.parse_args(argv)` gives, without its two outer
+    levels when argv names a table entry.  The entry's parser is then called
+    as argparse's subparser action calls it, on the same strings, so help,
+    usage lines and argument errors keep their bytes.  Extra arguments are
+    reported by the whole tree, whose usage line they print."""
+    key = tuple(argv[:2])
+    entry = parser.entries.get(key)
+    if entry is not None:
+        args, extras = entry.parse_known_args(argv[2:])
+        if not extras:
+            args.command, args.action = key
+            return args
+    return parser.parse_args(argv)
 
 
 def dispatch(argv: Sequence[str]) -> int:
@@ -1054,7 +1075,7 @@ def dispatch(argv: Sequence[str]) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(_PARSER, argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     key = (args.command, args.action)

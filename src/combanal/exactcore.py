@@ -10,6 +10,7 @@ Values are immutable once built and safe to share between threads.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
@@ -130,7 +131,7 @@ class MultiPoly:
         out: Dict[Exponent, Scalar] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
+                exp = tuple(map(operator.add, ea, eb))
                 out[exp] = out.get(exp, 0) + ca * cb
         return MultiPoly(self.names, out)
 

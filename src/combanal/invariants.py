@@ -323,11 +323,17 @@ INVARIANCE_EXPONENTS = 64
 # at most C(p + h, h)^2 terms, h = ceil(j / 2).  The x, y image of a term
 # x^u y^w is one binomial product, (u + 1)(w + 1) integer products.  Each
 # pair builds p + 3 exponent entries and multiplies coefficients that
-# grow with j and with the x, y degree e, so the work is (C(p + 3, 3) +
-# sum over terms of (C(p + h, h)^2 + (u + 1)(w + 1))) * (p + 3 + j + e),
-# capped.  Measured in process with --transform 1,2,3,5 (Python 3.11,
-# 2-vCPU VM): a0^4 --p 21 (1848952) takes 0.28-0.5 s, a0^8 --p 7
-# (1962378) 0.19 s, x^1439 --p 2 (2095244) 0.06-0.09 s.
+# grow with j and with the x, y degree e.  With a transform whose integer
+# forms and common denominator have up to `bits` bits, a coefficient has
+# up to B = bits * (p * max(j, 1) + e) bits, and once B is large the
+# Fraction gcds cost (B / 512)^2 units, more than j + e.  So the work is
+# (C(p + 3, 3) + sum over terms of (C(p + h, h)^2 + (u + 1)(w + 1))) *
+# (p + 3 + max(j + e, (B // 512)^2)), capped.  Measured in process
+# (Python 3.11, 2-vCPU VM): with --transform 1,2,3,5 a0^4 --p 21 (1848952)
+# takes 0.28-0.5 s, a0^8 --p 7 (1962378) 0.19 s, x^1439 --p 2 (2095244)
+# 0.06-0.09 s; with the 793-bit --transform 1e-238,2,3,5 a0 --p 20
+# (2042599) takes 0.23 s, and with 1e-206,2,3,5 x^100 --p 2 (2072112)
+# 0.34-0.38 s.
 INVARIANCE_WORK_CAP = 2**21
 
 
@@ -346,16 +352,18 @@ def invariance_check(f: MultiPoly, p: int, t: LinearTransform2) -> Tuple[bool, O
     e = max((u + w for u, w in xy), default=0)
     h = (j + 1) // 2
     pairs = sum(math.comb(p + h, h) ** 2 + (u + 1) * (w + 1) for u, w in xy)
-    work = (math.comb(p + 3, 3) + pairs) * (p + 3 + j + e)
+    forms, d = _integer_forms(t)
+    bits = max(abs(v).bit_length() for v in (*forms, d))
+    growth = max(j + e, (bits * (p * max(j, 1) + e) // 512) ** 2)
+    work = (math.comb(p + 3, 3) + pairs) * (p + 3 + growth)
     if work > INVARIANCE_WORK_CAP:
         raise DomainError(
-            f"invariance check of a degree-{j} polynomial over a0..a{p} of degree {e} in x, y: "
-            f"{work} units of work exceed the cap {INVARIANCE_WORK_CAP}"
+            f"invariance check of a degree-{j} polynomial over a0..a{p} of degree {e} in x, y "
+            f"under a {bits}-bit transform: {work} units of work exceed the cap {INVARIANCE_WORK_CAP}"
         )
     images = {f"a{k}": a_k for k, a_k in enumerate(transformed_coefficients(p, t))}
     images.update(x=MultiPoly.variable(names, "x"), y=MultiPoly.variable(names, "y"))
     lhs = f.substitute(images)
-    forms, d = _integer_forms(t)
     rhs_terms: Dict[Exponent, Scalar] = {}
     for (exp, c), (u, w) in zip(f.terms.items(), xy):
         scale = d ** (u + w)
@@ -366,8 +374,24 @@ def invariance_check(f: MultiPoly, p: int, t: LinearTransform2) -> Tuple[bool, O
     # lhs = M^s rhs makes M^s the ratio at any one term of rhs
     first = next(iter(rhs.terms), None)
     ratio = Fraction(1) if first is None else Fraction(lhs.terms.get(first, 0)) / rhs.terms[first]
-    s = next((s for s in range(INVARIANCE_EXPONENTS + 1) if t.modulus() ** s == ratio), None)
+    s = _power_exponent(t.modulus(), ratio)
     return (True, s) if s is not None and lhs == rhs * ratio else (False, None)
+
+
+def _power_exponent(m: Fraction, ratio: Fraction) -> Optional[int]:
+    """The smallest s <= INVARIANCE_EXPONENTS with m^s == ratio, else None.
+
+    m^s is n^s / d^s in lowest terms, so once |n^s| or d^s passes the
+    ratio's numerator or denominator no larger s can match: the powers
+    are built one factor at a time and never past the ratio's size."""
+    num, den = 1, 1
+    for s in range(INVARIANCE_EXPONENTS + 1):
+        if (num, den) == (ratio.numerator, ratio.denominator):
+            return s
+        if abs(num) > abs(ratio.numerator) or den > ratio.denominator:
+            return None
+        num, den = num * m.numerator, den * m.denominator
+    return None
 
 
 def invariant_weight(i: int, p: int) -> Optional[int]:

@@ -1,6 +1,7 @@
 import io
 import contextlib
 import importlib
+import importlib.util
 import json
 import os
 import random
@@ -482,6 +483,10 @@ CAP_EDGES = [
         "invariant check x^1439 --p 2 --transform 1,2,3,5",
         "invariant check x^1440 --p 2 --transform 1,2,3,5",
     ),  # (C(5,3) + 1 + 1440) * 1444 = 2095244 and (C(5,3) + 1 + 1441) * 1445 = 2098140 units
+    (
+        "invariant check a0 --p 20 --transform 1e-238,2,3,5",
+        "invariant check a0 --p 20 --transform 1e-239,2,3,5",
+    ),  # a 793- and a 797-bit transform: (C(23,3) + 21^2 + 1) * (23 + 900 or 961) = 2042599 and 2177592 units
     ("puzzle stamps 12", "puzzle stamps 13"),  # 12 stamps
     ("puzzle latin --reduced 6", "puzzle latin --reduced 7"),  # order 6
     ("partition count 20000 --parts 50", "partition count 20001 --parts 50"),  # n * p = 10^6
@@ -632,6 +637,7 @@ UNGUARDED_BEFORE = [
     "puzzle rooks 1000000 1000000",  # a 10^6-digit factorial
     "election prob 0 10000000 0 5000000",  # binomials of 10^7 bits
     "invariant basis 10 --protomorphs 10",  # an AssertionError traceback at weight 9
+    f"invariant check a0 --p 20 --transform 1/{'7' * 4000},2,3,5",  # 38.7 s: the transform's bits unpriced
 ]
 
 
@@ -657,7 +663,7 @@ UNGUARDED_BEFORE = [
         "compose count 10^6 --order-k 3", "invariant omega a0 --p 10^8",
         "invariant roots --p 400 --trials 20", "invariant roots --trials 10^7",
         "pattern tiling --extent 200", "puzzle rooks 10^6 10^6", "election prob 0 10^7 0 5*10^6",
-        "invariant basis 10 --protomorphs 10",
+        "invariant basis 10 --protomorphs 10", "invariant check a0 --p 20 with 1/<4000 sevens>",
     ],
 )
 def test_formerly_unguarded_argv_refuse_at_once(argv):
@@ -1097,6 +1103,82 @@ class TestParserReuse:
 
     def test_not_built_at_import(self):
         assert fresh_interpreter("import combanal.cli as c; print(c._PARSER)") == "None\n"
+
+
+def _corpus():
+    """Every argv of the golden corpus, the help snapshot, the benchmark's
+    four pools and EDGE, each once."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", os.path.join(tests, os.pardir, "bench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    with open(os.path.join(tests, "cli_help_snapshot.json"), encoding="utf-8") as fh:
+        snapshot = json.load(fh)["surface"]
+    pools = [argv for pool in workloads.POOLS.values() for argv in pool]
+    return list(dict.fromkeys([g[0] for g in GOLDEN] + sorted(snapshot) + pools + TestEntryParser.EDGE))
+
+
+class TestEntryParser:
+    # how argparse's two outer levels hand strings on to an entry's parser
+    EDGE = [
+        "partition enum 10 --par 3",
+        "partition enum 10 --parts=5",
+        "partition enum -- 10",
+        "partition count 5 --",
+        "partition count -- 5",
+        "partition -- count 5",
+        "-- partition count 5",
+        "partition count 5 -h",
+        "partition count 5 --he",
+        "partition count 5 extra",
+        "partition count 5 --bogus",
+        "partition enum 10 --parts",
+        "partition",
+        "partition count",
+        "",
+    ]
+
+    def test_matches_the_whole_tree_and_never_parses_it_for_a_valid_request(self, monkeypatch):
+        # help wraps at the width the snapshot was written at
+        monkeypatch.setenv("COLUMNS", "80")
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        monkeypatch.setattr(cli, "_PARSER", None)
+        run("partition count 1")
+        whole_tree_parses = []
+        parse_args = cli._PARSER.parse_args
+        monkeypatch.setattr(cli._PARSER, "parse_args",
+                            lambda argv: whole_tree_parses.append(argv) or parse_args(argv))
+        reference, valid = build(), []
+
+        def whole_tree(parser, argv):
+            args = reference.parse_args(argv)
+            valid.append(argv)
+            return args
+
+        mismatched, parsed_whole = [], []
+        for argv in _corpus():
+            got = run(argv)
+            if whole_tree_parses:
+                parsed_whole.append(argv)
+                whole_tree_parses.clear()
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_parse", whole_tree)
+                if run(argv) != got:
+                    mismatched.append(argv)
+        assert mismatched == []
+        assert len(builds) == 1
+        requests = [" ".join(argv) for argv in valid if tuple(argv[:2]) in cli.COMMANDS]
+        assert len(requests) > 200
+        assert set(parsed_whole).isdisjoint(requests)
+
+    def test_extra_arguments_print_the_top_level_usage(self):
+        code, out, err = run("partition count 5 --bogus")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: combanal [-h]\n                {partition,compose,")
+        assert err.endswith("combanal: error: unrecognized arguments: --bogus\n")
 
 
 def fresh_interpreter(code: str, *argv: str) -> str:

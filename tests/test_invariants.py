@@ -336,6 +336,14 @@ def test_invariance_check_matches_whole_substitution(fp, transform):
     assert iv.invariance_check(f, p, t) == invariance_by_substitution(f, p, t)
 
 
+@settings(max_examples=200, deadline=None)
+@given(m=rationals.filter(bool), s=st.integers(0, iv.INVARIANCE_EXPONENTS + 2), other=rationals)
+def test_power_exponent_is_the_smallest_matching_power(m, s, other):
+    for ratio in (m**s, other, -(m**s)):
+        expected = next((k for k in range(iv.INVARIANCE_EXPONENTS + 1) if m**k == ratio), None)
+        assert iv._power_exponent(m, ratio) == expected
+
+
 class TestInvariantWeight:
     def test_j_case(self):
         assert iv.invariant_weight(3, 4) == 6
