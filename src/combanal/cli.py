@@ -13,11 +13,13 @@ on its handler.  The parser and dispatch are derived from that table.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import re
 import sys
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from types import GeneratorType
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import DomainError
 
@@ -26,59 +28,35 @@ from . import DomainError
 # attributes (pt.f), never copied into this namespace.
 
 
-class Stream:
-    """A format's output too long to hold whole: `chunks()` makes its bytes
-    as an iterable of str pieces, and dispatch writes each as it comes.
-    Every domain check runs when chunks() is called, before the first
-    piece is made."""
+class CommandResult(NamedTuple):
+    """One handler's answer in every format it supports.  Each format is a
+    finished value (`text` and `svg` a str, `json_obj` a JSON value,
+    `csv_rows` rows of cells) or a zero-argument callable that render()
+    calls only when its format is asked for.  A callable may return a
+    generator of str chunks, a streamed listing: every domain check runs
+    when the callable is called, before the first chunk is made."""
 
-    def __init__(self, chunks: Callable[[], Iterable[str]]) -> None:
-        self.chunks = chunks
+    text: object
+    json_obj: object = None
+    csv_rows: object = None
+    svg: object = None
 
-
-class CommandResult:
-    """One handler's answer in every format it supports.  `text`,
-    `json_obj` and `svg` may each be a zero-argument callable and
-    `csv_rows` a one-shot iterable: each is built only when render() asks
-    for its format.  `text`, `json_obj` and `csv_rows` may also be a
-    Stream, which render() hands back as its iterable of chunks."""
-
-    def __init__(
-        self,
-        text: Union[str, Callable[[], str], Stream],
-        json_obj: object = None,
-        csv_rows: Union[None, Iterable[Sequence], Stream] = None,
-        svg: Union[None, str, Callable[[], str]] = None,
-    ) -> None:
-        self.text = text
-        self.json_obj = json_obj
-        self.csv_rows = csv_rows
-        self.svg = svg
-
-    def render(self, fmt: str) -> Union[str, Iterable[str]]:
+    def render(self, fmt: str) -> Iterable[str]:
+        """The asked format as an iterable of str chunks."""
+        value = self[FORMATS.index(fmt)]  # the fields are in FORMATS order
+        if value is None:
+            raise UsageError(f"this subcommand has no {fmt} output")
+        if callable(value):
+            value = value()
+            if type(value) is GeneratorType:
+                return value
         if fmt == "text":
-            if isinstance(self.text, Stream):
-                return self.text.chunks()
-            text = self.text() if callable(self.text) else self.text
-            return text if text.endswith("\n") else text + "\n"
+            return (value if value.endswith("\n") else value + "\n",)
         if fmt == "json":
-            if self.json_obj is None:
-                raise UsageError("this subcommand has no json output")
-            if isinstance(self.json_obj, Stream):
-                return self.json_obj.chunks()
-            obj = self.json_obj() if callable(self.json_obj) else self.json_obj
-            return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+            return (json.dumps(value, sort_keys=True, separators=(",", ":")) + "\n",)
         if fmt == "csv":
-            if self.csv_rows is None:
-                raise UsageError("this subcommand has no csv output")
-            if isinstance(self.csv_rows, Stream):
-                return self.csv_rows.chunks()
-            return "\n".join(",".join(str(v) for v in row) for row in self.csv_rows) + "\n"
-        if fmt == "svg":
-            if self.svg is None:
-                raise UsageError("this subcommand has no svg output")
-            return self.svg() if callable(self.svg) else self.svg
-        raise UsageError(f"unknown format {fmt}")
+            return ("\n".join(",".join(str(v) for v in row) for row in value) + "\n",)
+        return (value,)
 
 
 class UsageError(Exception):
@@ -90,23 +68,21 @@ def _scalar(value) -> CommandResult:
     return CommandResult(str(value), value)
 
 
-def _text_lines(batches: Iterable[List[str]], none: str) -> Iterator[str]:
-    """A listing as text, one chunk per batch of lines, or `none` when it
-    is empty.  The one empty line a listing can hold, the partition of 0,
-    prints as ()."""
+def _text_lines(batches: Iterable[list], spell=None, none: str = "", blank: str = "") -> Iterator[str]:
+    """A listing as text, one chunk per batch, each item on its line as
+    `spell` spells it (items without `spell` are lines already).  A
+    listing of one empty line prints `blank`, an empty listing `none`."""
     empty = True
     for batch in batches:
         empty = False
-        yield ("\n".join(batch) or "()") + "\n"
+        yield ("\n".join(batch if spell is None else map(spell, batch)) or blank) + "\n"
     if empty:
         yield none + "\n"
 
 
-def _csv_lines(header: str, batches: Iterable[List[str]]) -> Iterator[str]:
-    """A listing as csv: the header row, then one chunk per batch of rows."""
-    yield header + "\n"
-    for batch in batches:
-        yield "\n".join(batch) + "\n"
+def _digits(item: Sequence[int]) -> str:
+    """A cube, tile or row of numbers spelled as its digits run together."""
+    return "".join(map(str, item))
 
 
 def _json_list(batches: Iterable[list]) -> Iterator[str]:
@@ -145,11 +121,16 @@ def _vector_parts(text: str) -> List[tuple]:
 
 
 def _fractions(text: str, what: str) -> List[Fraction]:
-    """Comma-separated rationals such as '1/2,3' for the argument `what`."""
+    """Comma-separated rationals such as '1/2,3' for the argument `what`.
+    Fraction builds 10^K for '1eK', so K past the digit limit is refused."""
     from fractions import Fraction
 
+    values = text.split(",")
+    limit = _ARGV_DIGITS
     try:
-        return [Fraction(v) for v in text.split(",")]
+        if limit and any(abs(int(v.lower().partition("e")[2] or 0)) > limit for v in values):
+            raise UsageError(f"a number in the arguments has more than {limit} digits")
+        return [Fraction(v) for v in values]
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"{what} takes comma-separated fractions, not {text!r}") from None
 
@@ -339,12 +320,11 @@ def cmd_partition_enum(args) -> CommandResult:
         distinct=args.distinct,
         allowed_parts=frozenset(_ints(args.allowed)) if args.allowed else None,
     )
-    n = args.n
     return CommandResult(
-        Stream(lambda: _text_lines(pt.partition_batches(n, constraint, sep=" "), "(none)")),
-        Stream(lambda: _json_list(pt.partition_batches(n, constraint))),
-        csv_rows=Stream(
-            lambda: _csv_lines("partition", pt.partition_batches(n, constraint, sep="+"))
+        lambda: _text_lines(pt.partition_batches(args.n, constraint, sep=" "), none="(none)", blank="()"),
+        lambda: _json_list(pt.partition_batches(args.n, constraint)),
+        csv_rows=lambda: _text_lines(  # the header row, then the rows
+            itertools.chain([["partition"]], pt.partition_batches(args.n, constraint, sep="+"))
         ),
     )
 
@@ -379,8 +359,7 @@ def cmd_partition_conj(args) -> CommandResult:
 def cmd_partition_modular(args) -> CommandResult:
     from . import partitions as pt
     rows = pt.modular_partition(tuple(_ints(args.parts)), args.mod)
-    lines = ["".join(str(v) for v in row) for row in rows]
-    return CommandResult("\n".join(lines), [list(r) for r in rows])
+    return CommandResult("\n".join(map(_digits, rows)), [list(r) for r in rows])
 
 
 @command("partition", "parity", arg("n", type=int, nargs="?", default=1),
@@ -395,8 +374,8 @@ def cmd_partition_perfect(args) -> CommandResult:
     from . import partitions as pt
     items = pt.enumerate_perfect(args.n)
     return CommandResult(
-        lambda: "\n".join(" ".join(map(str, p)) for p in items),
-        lambda: [list(p) for p in items],
+        lambda: _text_lines(pt.batched(items), lambda p: " ".join(map(str, p))),
+        lambda: _json_list(pt.batched(items)),
     )
 
 
@@ -416,12 +395,11 @@ def cmd_partition_plane(args) -> CommandResult:
     if args.enum:
         from functools import lru_cache
 
-        items = pt.enumerate_plane_partitions(args.n)
         # a row recurs across the listing, so each is spelled once
-        spell = lru_cache(maxsize=None)(lambda row: "".join(map(str, row)))
+        spell = lru_cache(maxsize=None)(_digits)
         return CommandResult(
-            lambda: "\n".join("/".join(map(spell, pp)) for pp in items),
-            lambda: [[list(r) for r in pp] for pp in items],
+            lambda: _text_lines(pt.plane_partition_batches(args.n), lambda pp: "/".join(map(spell, pp))),
+            lambda: _json_list(pt.plane_partition_batches(args.n)),
         )
     return _scalar(pt.count_plane_partitions(args.n))
 
@@ -448,10 +426,9 @@ def cmd_partition_scale(args) -> CommandResult:
 @command("compose", "enum", arg("n", type=int))
 def cmd_compose_enum(args) -> CommandResult:
     from . import compositions as cp
-    n = args.n
     return CommandResult(
-        Stream(lambda: _text_lines(cp.composition_batches(n, sep=" "), "")),
-        Stream(lambda: _json_list(cp.composition_batches(n))),
+        lambda: _text_lines(cp.composition_batches(args.n, sep=" ")),
+        lambda: _json_list(cp.composition_batches(args.n)),
     )
 
 
@@ -711,8 +688,8 @@ def cmd_election_simulate(args) -> CommandResult:
     else:
         pe.check_voter_count(args.constituencies * args.size)  # before the list is built
         sizes = [args.size] * args.constituencies
-    report = pe.simulate_election(args.share, sizes, args.seed, mixing=args.mixing)
-    return CommandResult(report.to_json(), json.loads(report.to_json()))
+    obj = pe.simulate_election(args.share, sizes, args.seed, mixing=args.mixing).to_json()
+    return CommandResult(json.dumps(obj, sort_keys=True), obj)
 
 
 # puzzle
@@ -723,13 +700,13 @@ def cmd_election_simulate(args) -> CommandResult:
          arg("--list", action="store_true"),
          arg("--associated", type=int, help="print the mirror partner of this index"))
 def cmd_puzzle_cubes(args) -> CommandResult:
-    from . import recreations as rc
+    from . import partitions as pt, recreations as rc
     k, mode = args.colors, args.mode
     if args.associated is not None:
         cube = _item(rc.generate_cubes(k, mode), args.associated, "--associated")
         mate = rc.associated_cube(cube)
         return CommandResult(
-            f"{''.join(map(str, cube))} -> {''.join(map(str, mate))}",
+            f"{_digits(cube)} -> {_digits(mate)}",
             {"cube": list(cube), "associated": list(mate)},
         )
     if mode == "any-coloring":
@@ -739,8 +716,8 @@ def cmd_puzzle_cubes(args) -> CommandResult:
         built = rc.generate_cubes(k, mode)
         count, cubes = len(built), lambda: built
     return CommandResult(
-        (lambda: "\n".join("".join(map(str, c)) for c in cubes())) if args.list else str(count),
-        lambda: [list(c) for c in cubes()],
+        (lambda: _text_lines(pt.batched(cubes()), _digits)) if args.list else str(count),
+        lambda: _json_list(pt.batched(cubes())),
     )
 
 
@@ -769,7 +746,7 @@ def cmd_puzzle_mayblox(args) -> CommandResult:
         ],
     }
     lines = [
-        f"{pos}: cube {''.join(map(str, cube))} rotation {rot}"
+        f"{pos}: cube {_digits(cube)} rotation {rot}"
         for pos, cube, rot in solution.placements
     ]
     return CommandResult("\n".join(lines + [f"verified {ok}"]), obj)
@@ -779,15 +756,15 @@ def cmd_puzzle_mayblox(args) -> CommandResult:
          arg("--squares", action="store_true", help="four compartments instead of three"),
          arg("--list", action="store_true"))
 def cmd_puzzle_triangles(args) -> CommandResult:
-    from . import recreations as rc
+    from . import partitions as pt, recreations as rc
     k = args.k
     if args.squares:
         count, tiles = rc.square_count_formula(k), lambda: rc.generate_squares(k)
     else:
         count, tiles = rc.triangle_count_formula(k), lambda: rc.generate_triangles(k)
     return CommandResult(
-        (lambda: "\n".join("".join(map(str, t)) for t in tiles())) if args.list else str(count),
-        lambda: [list(t) for t in tiles()],
+        (lambda: _text_lines(pt.batched(tiles()), _digits)) if args.list else str(count),
+        lambda: _json_list(pt.batched(tiles())),
     )
 
 
@@ -806,7 +783,7 @@ def cmd_puzzle_hexagon(args) -> CommandResult:
         ],
     }
     lines = [
-        f"{cell}: tile {''.join(map(str, tile))} rotation {rot}"
+        f"{cell}: tile {_digits(tile)} rotation {rot}"
         for cell, tile, rot in solution.placements
     ]
     return CommandResult("\n".join(lines + [f"verified {ok}"]), obj)
@@ -822,10 +799,9 @@ def cmd_puzzle_stamps(args) -> CommandResult:
 def cmd_puzzle_contacts(args) -> CommandResult:
     from . import recreations as rc
     if args.list:
-        systems = rc.enumerate_contact_systems(args.n)
         return CommandResult(
-            lambda: "\n".join(",".join(map(str, s)) for s in systems),
-            lambda: [list(s) for s in systems],
+            lambda: _text_lines(rc.contact_system_batches(args.n), lambda s: ",".join(map(str, s))),
+            lambda: _json_list(rc.contact_system_batches(args.n)),
         )
     return _scalar(rc.contact_system_count(args.n))
 
@@ -923,7 +899,7 @@ def cmd_pattern_tiling(args) -> CommandResult:
     result = pa.generate_tiling(_named_tile(args), args.extent)
     return CommandResult(
         lambda: f"copies {len(result.placements)}; verified {result.verified}",
-        lambda: json.loads(result.to_placement_json()),
+        result.to_placement_json,
         svg=result.to_svg,
     )
 
@@ -1052,6 +1028,9 @@ def build_parser() -> argparse.ArgumentParser:
 # request that names a table entry is parsed by that entry's own parser,
 # inside the one whole-table parser.
 _PARSER: Optional[argparse.ArgumentParser] = None
+# Python's int-string digit limit as dispatch found it, before lifting it
+# for the handler: the most digits a number read from argv may have.
+_ARGV_DIGITS = sys.get_int_max_str_digits()
 
 
 def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
@@ -1071,7 +1050,7 @@ def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Nam
 
 
 def dispatch(argv: Sequence[str]) -> int:
-    global _PARSER
+    global _PARSER, _ARGV_DIGITS
     if _PARSER is None:
         _PARSER = build_parser()
     try:
@@ -1083,7 +1062,7 @@ def dispatch(argv: Sequence[str]) -> int:
     # from argv, and only a token longer than the limit can hold a longer
     # number.  Past that check the limit is lifted, so that an exact answer
     # prints in full however many digits it has.
-    limit = sys.get_int_max_str_digits()
+    limit = _ARGV_DIGITS = sys.get_int_max_str_digits()
     try:
         if args.format not in COMMANDS[key].formats:
             raise UsageError(f"this subcommand has no {args.format} output")
@@ -1110,17 +1089,10 @@ def dispatch(argv: Sequence[str]) -> int:
             print(f"usage error: {_cannot_open('--out', args.out, exc)}", file=sys.stderr)
             return 2
         with fh:
-            _write(fh, rendered)
+            fh.writelines(rendered)
     else:
-        _write(sys.stdout, rendered)
+        sys.stdout.writelines(rendered)
     return 0
-
-
-def _write(fh, rendered: Union[str, Iterable[str]]) -> None:
-    if isinstance(rendered, str):
-        fh.write(rendered)
-    else:
-        fh.writelines(rendered)
 
 
 def main() -> None:

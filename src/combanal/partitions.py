@@ -64,7 +64,7 @@ class PartitionConstraint:
 
 
 # partitions that partition_batches and enumerate_partitions may list, and
-# plane partitions that enumerate_plane_partitions may: 2^19, as for
+# plane partitions that plane_partition_batches may: 2^19, as for
 # compose enum (p(55) = 451276 and PL(24) = 451194 are the largest within it)
 PARTITION_ENUM_CAP = 2**19
 # parts that a listing may hold, bounded as lines * longest line: 2^25,
@@ -243,6 +243,13 @@ class _PartitionWalk:
             q, extra = divmod(r - m * a, b)
             if not extra and q <= max_mult and lo <= used + m + q <= hi:
                 self.buf.append((prefix + ua * m + ub * q)[cut:])
+
+
+def batched(items: Iterable) -> Iterator[list]:
+    """items in lists of _BATCH, the last one shorter and none empty."""
+    items = iter(items)
+    while batch := list(itertools.islice(items, _BATCH)):
+        yield batch
 
 
 def past_cap(count: Callable[[int], int], n: int, cap: int) -> bool:
@@ -998,16 +1005,25 @@ def _plane_completions(
     return memo[key]
 
 
-def enumerate_plane_partitions(n: int) -> List[PlanePartition]:
-    """All plane partitions of n in canonical ragged form, in lexicographic
-    order: first rows in lexicographic order, each followed by the
-    memoised completions under it.  Refused past PARTITION_ENUM_CAP
-    plane partitions."""
+def plane_partition_batches(n: int) -> Iterator[List[PlanePartition]]:
+    """The plane partitions of n in canonical ragged form, in lexicographic
+    order, in batches of 4096: first rows in lexicographic order, each
+    followed by the memoised completions under it.  Refused (DomainError)
+    past PARTITION_ENUM_CAP plane partitions before the first batch."""
     if n < 0:
         raise DomainError("n must be non-negative")
     if past_cap(count_plane_partitions, n, PARTITION_ENUM_CAP):
         raise DomainError(f"n = {n} has more than {PARTITION_ENUM_CAP} plane partitions, the output cap")
-    return _plane_completions((n,) * n, n, {})
+    if n == 0:
+        return batched([()])
+    memo: Dict[Tuple[Tuple[int, ...], int], List[PlanePartition]] = {}
+    rows = _rows_under((n,) * n, n)
+    return batched((row,) + rest for row, left in rows for rest in _plane_completions(row, left, memo))
+
+
+def enumerate_plane_partitions(n: int) -> List[PlanePartition]:
+    """All plane partitions of n: plane_partition_batches joined."""
+    return [pp for batch in plane_partition_batches(n) for pp in batch]
 
 
 # Largest box-formula size min(m, n) * min(cmax, n) * (n + 1): factors

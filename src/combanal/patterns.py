@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -312,8 +311,9 @@ class TilingResult:
             f"{body}\n</svg>\n"
         )
 
-    def to_placement_json(self) -> str:
-        data = [
+    def to_placement_json(self) -> List[dict]:
+        """The placements as a JSON value: each copy's transform and outline."""
+        return [
             {
                 "tile": 0,
                 "transform": [round(v, 9) for v in p.transform],
@@ -321,7 +321,6 @@ class TilingResult:
             }
             for p in self.placements
         ]
-        return json.dumps(data)
 
 
 # Largest extent of generate_tiling: the copies grow as extent^2 (4225

@@ -7,12 +7,11 @@ electorate formulas, which use double precision and the C-library erf.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import DomainError
 
@@ -267,20 +266,18 @@ class ElectionReport:
     cube_law_seat_share: float
     seed: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "share": self.share,
-                "mixing": self.mixing,
-                "seats_a": self.seats_a,
-                "seats_b": self.seats_b,
-                "seat_share_a": self.seat_share_a,
-                "vote_share_a": self.vote_share_a,
-                "cube_law_seat_share": self.cube_law_seat_share,
-                "seed": self.seed,
-            },
-            sort_keys=True,
-        )
+    def to_json(self) -> Dict[str, float]:
+        """The report as a JSON value."""
+        return {
+            "share": self.share,
+            "mixing": self.mixing,
+            "seats_a": self.seats_a,
+            "seats_b": self.seats_b,
+            "seat_share_a": self.seat_share_a,
+            "vote_share_a": self.vote_share_a,
+            "cube_law_seat_share": self.cube_law_seat_share,
+            "seed": self.seed,
+        }
 
 
 def read_constituency_sizes(path: str) -> List[int]:

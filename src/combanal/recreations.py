@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from . import DomainError
 from .partitions import past_cap, perfect_partition
@@ -318,12 +318,6 @@ def square_count_formula(k: int) -> int:
 # adjacency falls out of shared keys.
 
 
-def _triangle_cells(side: int):
-    for i in range(side):
-        for pos in range(2 * i + 1):
-            yield (i, pos)
-
-
 def _cell_vertices(cell) -> Tuple[Tuple[int, int], ...]:
     i, pos = cell
     j = pos // 2
@@ -350,22 +344,12 @@ def _cell_edges(cell) -> List[FrozenSet[Tuple[int, int]]]:
     return [frozenset((tl, bottom)), frozenset((bottom, tr)), frozenset((tr, tl))]
 
 
-def hexagon_board(side: int = 2) -> Tuple[List, Dict, List]:
-    """(cells, edge->cells index, perimeter edge keys) for the hexagon."""
-    big = 3 * side
-    corner = side
-    removed = set()
-    # top corner: rows 0..corner-1 entirely
-    for i in range(corner):
-        for pos in range(2 * i + 1):
-            removed.add((i, pos))
-    # bottom-left and bottom-right corners
-    for i in range(big - corner, big):
-        depth = i - (big - corner)
-        for pos in range(2 * depth + 1):
-            removed.add((i, pos))
-            removed.add((i, 2 * i - pos))
-    cells = [c for c in _triangle_cells(big) if c not in removed]
+def hexagon_board() -> Tuple[List, Dict, List]:
+    """(cells, edge->cells index, perimeter edge keys) for the side-2 hexagon."""
+    # row i of the side-6 triangle holds cells 0..2i; the top corner is
+    # rows 0 and 1, and the bottom corners of rows 4 and 5 are their
+    # first and last 2(i - 4) + 1 cells
+    cells = [(i, pos) for i in range(2, 6) for pos in range(2 * i + 1) if 2 * (i - 4) < pos < 8]
     edge_map: Dict[FrozenSet, List] = {}
     for cell in cells:
         for edge in _cell_edges(cell):
@@ -387,7 +371,7 @@ def _placed_edge_colors(cell, tile: Tile, rotation: int):
 
 def verify_hexagon(solution: HexagonSolution, tiles: Sequence[Tile]) -> bool:
     """Independent re-check: tile set, edge matches, and border color."""
-    cells, edge_map, perimeter = hexagon_board(2)
+    cells, edge_map, perimeter = hexagon_board()
     placed = {cell: (tile, rot) for cell, tile, rot in solution.placements}
     if sorted(placed) != sorted(cells):
         return False
@@ -425,7 +409,7 @@ def hexagon_solve(tiles: Sequence[Tile], border_color: int) -> HexagonSolution:
     """
     import random as _random
 
-    cells, edge_map, perimeter = hexagon_board(2)
+    cells, edge_map, perimeter = hexagon_board()
     if len(tiles) != len(cells):
         raise DomainError("no hexagon arrangement exists")
     perimeter_set = set(perimeter)
@@ -604,36 +588,68 @@ def contact_system_count(n: int) -> int:
     return b
 
 
-# contact systems that enumerate_contact_systems may list: 2^19, as for
+# contact systems that contact_system_batches may list: 2^19, as for
 # partition enum (I(12) = 140152 is the largest count within it)
 CONTACT_LIST_CAP = 2**19
+# contact systems per batch of a listing
+_BATCH = 4096
 
 
-def enumerate_contact_systems(n: int) -> List[Tuple[int, ...]]:
-    """All involutions of {0..n-1}, each as the tuple of images, in
-    lexicographic order: the lowest open position takes itself, then each
-    open partner in ascending order.  Refused past CONTACT_LIST_CAP."""
+def contact_system_batches(n: int) -> Iterator[List[Tuple[int, ...]]]:
+    """All involutions of {0..n-1} as tuples of images, in lexicographic
+    order, in batches of about 4096: the lowest open position takes
+    itself, then each open partner in turn.  Refused (DomainError) past
+    CONTACT_LIST_CAP before the first batch is made."""
     if n < 1:
         raise DomainError("n must be at least 1")
     if past_cap(contact_system_count, n, CONTACT_LIST_CAP):
         raise DomainError(f"n = {n} has more than {CONTACT_LIST_CAP} contact systems, the output cap")
-    out: List[Tuple[int, ...]] = []
-    image = [-1] * n
+    return _contact_walk(n)
 
-    def rec(first: int):
-        while first < n and image[first] >= 0:
-            first += 1
-        if first == n:
-            out.append(tuple(image))
+
+def _contact_walk(n: int) -> Iterator[List[Tuple[int, ...]]]:
+    """Each step pairs the lowest open position at or after `first`, of
+    `left` open, with itself or an open partner.  A subtree of at most six
+    open positions is filled by plain recursion, without yielding."""
+    image = [-1] * n
+    buf: List[Tuple[int, ...]] = []
+
+    def fill(first: int, left: int) -> None:
+        if not left:
+            buf.append(tuple(image))
             return
+        while image[first] >= 0:
+            first += 1
         for partner in range(first, n):
             if image[partner] < 0:
                 image[first], image[partner] = partner, first
-                rec(first + 1)
+                fill(first + 1, left - 2 + (partner == first))
                 image[first] = image[partner] = -1
 
-    rec(0)
-    return out
+    def walk(first: int, left: int) -> Iterator[List[Tuple[int, ...]]]:
+        while image[first] >= 0:
+            first += 1
+        for partner in range(first, n):
+            if image[partner] < 0:
+                image[first], image[partner] = partner, first
+                rest = left - 2 + (partner == first)
+                if rest > 6:
+                    yield from walk(first + 1, rest)
+                else:
+                    fill(first + 1, rest)
+                image[first] = image[partner] = -1
+                if len(buf) >= _BATCH:
+                    yield buf[:]
+                    buf.clear()
+
+    yield from walk(0, n)
+    if buf:
+        yield buf
+
+
+def enumerate_contact_systems(n: int) -> List[Tuple[int, ...]]:
+    """All involutions of {0..n-1}: contact_system_batches joined."""
+    return [s for batch in contact_system_batches(n) for s in batch]
 
 
 # -- Latin squares ---------------------------------------------------------------

@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 import combanal
 from combanal import cli
 from combanal import partitions as pt
-from enumeration_support import enumerate_compositions_oracle, enumerate_partitions_oracle
+from enumeration_support import (
+    contact_systems_oracle,
+    enumerate_compositions_oracle,
+    enumerate_partitions_oracle,
+    plane_partitions_oracle,
+)
 
 # Golden corpus: argv -> exact expected stdout.  Values anchored in the
 # module test suites; byte stability across runs is asserted below.
@@ -233,6 +238,9 @@ class TestExitCodes:
         "partition count " + "9" * 5000,
         "partition conj 1," + "9" * 5000,
         "invariant oop " + "7" * 5000 + "*a0 --p 2",
+        # an exponent past the limit: Fraction would build 10^K
+        "invariant check a0 --p 2 --transform 1e999999999,2,3,5",
+        "pattern classify 0,0;1e3000000,1;1,0",
     ])
     def test_argv_number_past_the_int_string_limit_is_usage_error(self, argv):
         code, out, err = run(argv)
@@ -950,6 +958,14 @@ def enum_flags(draw):
     return flags, c
 
 
+def eager_listing(items, spell):
+    """The text and json bytes of a listing joined whole into one string."""
+    return {
+        "text": "\n".join(map(spell, items)) + "\n",
+        "json": json.dumps(items, separators=(",", ":")) + "\n",
+    }
+
+
 def eager_partition_listing(items):
     """The bytes each format printed when a listing was built whole."""
     return {
@@ -976,6 +992,19 @@ LISTING_REFUSALS = [
     ("compose enum 21", 1),
     ("compose enum 21 --format json", 1),
     ("compose enum 3 --format csv", 2),
+    ("partition plane 25 --enum", 1),
+    ("partition plane 25 --enum --format json", 1),
+    ("puzzle contacts 13 --list", 1),
+    ("puzzle contacts 13 --list --format json", 1),
+]
+
+
+# Listings and the bound on their traced peak in MiB, set from measurement
+LISTING_PEAKS = [
+    ("partition enum 45", 3),
+    ("compose enum 18", 3),
+    ("partition plane 20 --enum", 12),
+    ("puzzle contacts 11 --list", 3),
 ]
 
 
@@ -1008,6 +1037,20 @@ class TestStreamedListings:
         json_text = json.dumps(items, separators=(",", ":")) + "\n"
         assert run(f"compose enum {n} --format json") == (0, json_text, "")
 
+    @pytest.mark.parametrize("n", range(13))
+    def test_plane_partition_formats_join_the_oracle(self, n):
+        # n = 0 lists one empty plane partition: "\n" and "[[]]\n"
+        items = plane_partitions_oracle(n)
+        expected = eager_listing(items, lambda pp: "/".join("".join(map(str, row)) for row in pp))
+        for fmt in ("text", "json"):
+            assert run(f"partition plane {n} --enum --format {fmt}") == (0, expected[fmt], "")
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_contact_system_formats_join_the_oracle(self, n):
+        expected = eager_listing(contact_systems_oracle(n), lambda s: ",".join(map(str, s)))
+        for fmt in ("text", "json"):
+            assert run(f"puzzle contacts {n} --list --format {fmt}") == (0, expected[fmt], "")
+
     @pytest.mark.parametrize("argv", [
         "partition enum 30", "partition enum 30 --format csv",
         "partition enum 24 --distinct --format json", "partition enum 5 --allowed 4",
@@ -1032,11 +1075,13 @@ class TestStreamedListings:
         with pytest.raises((ValueError, cli.UsageError)):
             cli.RUN[args.command, args.action](args).render(args.format)
 
-    @pytest.mark.parametrize("argv", ["partition enum 45", "compose enum 18"])
-    def test_listing_memory_is_one_batch(self, argv):
-        # 89134 lines (1.9 MB) and 131072 lines (2.4 MB); built whole, the
-        # listing and its text took tens of MiB
-        run(argv.split()[0] + " enum 3")  # the parser and the module, outside the trace
+    @pytest.mark.parametrize("argv,mib", LISTING_PEAKS, ids=[p[0] for p in LISTING_PEAKS])
+    def test_listing_memory_is_one_batch(self, argv, mib):
+        # 89134 lines (1.9 MB), 131072 lines (2.4 MB), 75278 plane
+        # partitions and 35696 contact systems.  Built whole, the listing
+        # and its text took tens of MiB; streamed, the peaks were 1.4, 0.9,
+        # 8.2 (the plane partitions' completion memo) and 1.3 MiB.
+        run(re.sub(r"\d+", "3", argv))  # the parser and the module, outside the trace
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(_Discard()):
@@ -1044,7 +1089,7 @@ class TestStreamedListings:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and peak < 3 * 2**20
+        assert code == 0 and peak < mib * 2**20
 
 
 # Runs ARGV with stdout to /dev/null and prints its exit code and peak RSS
@@ -1058,17 +1103,33 @@ PEAK_RSS = (
 )
 
 
-@pytest.mark.parametrize("argv", ["partition enum 55", "compose enum 20"])
-def test_largest_listings_peak_below_40_mib(argv):
-    # the largest listings within their caps, 13.8 MB and 10 MB of text;
-    # built whole they peaked at 216 and 158 MiB
+def peak_rss_kib(argv):
+    """(exit code, peak RSS in KiB) of `combanal ARGV` run as a command."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run(
         [sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "combanal.cli", *argv.split()],
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
     )
     code, peak_kib = map(int, proc.stdout.split())
+    return code, peak_kib
+
+
+@pytest.mark.parametrize("argv", ["partition enum 55", "compose enum 20"])
+def test_largest_listings_peak_below_40_mib(argv):
+    # the largest listings within their caps, 13.8 MB and 10 MB of text;
+    # built whole they peaked at 216 and 158 MiB
+    code, peak_kib = peak_rss_kib(argv)
     assert code == 0 and peak_kib < 40 * 1024
+
+
+@pytest.mark.parametrize("argv,mib", [("partition plane 24 --enum", 75), ("puzzle contacts 12 --list", 30)])
+def test_largest_plane_and_contact_listings_peak_below_their_bounds(argv, mib):
+    # the largest within their caps, 451194 plane partitions and 140152
+    # contact systems: built whole they peaked at 123.5 and 54.2 MiB,
+    # streamed at 62 and 20 MiB (the plane partitions keep their
+    # completion memo)
+    code, peak_kib = peak_rss_kib(argv)
+    assert code == 0 and peak_kib < mib * 1024
 
 
 class TestParserReuse:

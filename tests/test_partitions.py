@@ -622,6 +622,14 @@ class TestPlanePartitions:
         for n in range(16):
             assert pt.count_plane_partitions(n) == len(pt.enumerate_plane_partitions(n))
 
+    def test_batches_hold_4096_and_refuse_before_the_first(self):
+        sizes = [len(batch) for batch in pt.plane_partition_batches(20)]
+        assert sum(sizes) == pt.count_plane_partitions(20)
+        assert len(sizes) > 1 and min(sizes) > 0 and max(sizes) == 4096
+        assert [len(batch) for batch in pt.plane_partition_batches(0)] == [1]
+        with pytest.raises(ValueError, match="output cap"):
+            pt.plane_partition_batches(25)  # the call refuses; no batch is asked for
+
     def test_boxed_reduction_to_row_partitions(self):
         for n in range(7):
             for l in range(1, 5):

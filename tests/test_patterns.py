@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -206,6 +207,7 @@ class TestTilings:
         res2 = pa.generate_tiling(pa.cairo_tile(), 2)
         assert res1.to_svg() == res2.to_svg()
         assert res1.to_placement_json() == res2.to_placement_json()
+        assert json.loads(json.dumps(res1.to_placement_json())) == res1.to_placement_json()
         assert res1.to_svg().startswith('<?xml version="1.0"')
         assert res1.to_svg().count("<path") == len(res1.placements)
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -320,8 +321,9 @@ class TestSimulation:
         assert abs(rate - p_major) < 0.03
 
     def test_json_report_stable(self):
-        report = pe.simulate_election(0.53, [100] * 10, seed=1)
-        assert pe.simulate_election(0.53, [100] * 10, seed=1).to_json() == report.to_json()
+        report = pe.simulate_election(0.53, [100] * 10, seed=1).to_json()
+        assert pe.simulate_election(0.53, [100] * 10, seed=1).to_json() == report
+        assert json.loads(json.dumps(report)) == report  # a JSON value, which the CLI serialises
 
     def test_constituency_file(self, tmp_path):
         path = tmp_path / "sizes.txt"

@@ -60,6 +60,7 @@ NOT_REACHED = {
     "partitions.count_exact_parts": "oracle",
     "partitions.demorgan_u": "oracle",
     "partitions.enumerate_partitions": "oracle",
+    "partitions.enumerate_plane_partitions": "bench",
     "partitions.is_perfect": "oracle",
     "partitions.is_subperfect": "oracle",
     "partitions.ordered_factorizations": "oracle",
@@ -71,6 +72,7 @@ NOT_REACHED = {
     "probelect.cube_root_seat_rule": "paper fact",
     "probelect.sample_cumulative_exact": "oracle",
     "probelect.taagepera_exponent": "paper fact",
+    "recreations.enumerate_contact_systems": "oracle",
 }
 REASONS = {"oracle", "paper fact", "bench"}
 ROOTS = ("cli.main", "cli.dispatch", "cli.build_parser")

@@ -252,7 +252,7 @@ class TestTiles:
 
 class TestHexagon:
     def test_board_shape(self):
-        cells, edge_map, perimeter = rc.hexagon_board(2)
+        cells, edge_map, perimeter = rc.hexagon_board()
         assert len(cells) == 24
         assert len(perimeter) == 12
         owners = sorted(len(v) for v in edge_map.values())
@@ -348,6 +348,14 @@ class TestContacts:
         with pytest.raises(ValueError, match="more than 524288 contact systems"):
             rc.enumerate_contact_systems(10**9)
         assert max(counted) == 13
+
+    def test_batches_hold_about_4096_and_refuse_before_the_first(self):
+        sizes = [len(batch) for batch in rc.contact_system_batches(11)]
+        assert sum(sizes) == rc.contact_system_count(11)
+        # a batch passes 4096 by less than one filled subtree, I(6) = 76
+        assert len(sizes) > 1 and min(sizes) > 0 and max(sizes) < 4096 + 76
+        with pytest.raises(ValueError, match="output cap"):
+            rc.contact_system_batches(13)  # the call refuses; no batch is asked for
 
     def test_enumeration_yields_involutions(self):
         for n in range(1, 9):
