@@ -28,23 +28,28 @@ from . import DomainError
 # attributes (pt.f), never copied into this namespace.
 
 
+# a format that a result does not carry (None is the JSON value null)
+ABSENT = object()
+
+
 class CommandResult(NamedTuple):
     """One handler's answer in every format it supports.  Each format is a
     finished value (`text` and `svg` a str, `json_obj` a JSON value,
-    `csv_rows` rows of cells) or a zero-argument callable that render()
-    calls only when its format is asked for.  A callable may return a
-    generator of str chunks, a streamed listing: every domain check runs
-    when the callable is called, before the first chunk is made."""
+    `csv_rows` rows of cells), a zero-argument callable that render()
+    calls only when its format is asked for, or ABSENT.  A callable may
+    return a generator of str chunks, a streamed listing: every domain
+    check runs when the callable is called, before the first chunk is
+    made."""
 
     text: object
-    json_obj: object = None
-    csv_rows: object = None
-    svg: object = None
+    json_obj: object = ABSENT
+    csv_rows: object = ABSENT
+    svg: object = ABSENT
 
     def render(self, fmt: str) -> Iterable[str]:
         """The asked format as an iterable of str chunks."""
         value = self[FORMATS.index(fmt)]  # the fields are in FORMATS order
-        if value is None:
+        if value is ABSENT:
             raise UsageError(f"this subcommand has no {fmt} output")
         if callable(value):
             value = value()
@@ -709,12 +714,9 @@ def cmd_puzzle_cubes(args) -> CommandResult:
             f"{_digits(cube)} -> {_digits(mate)}",
             {"cube": list(cube), "associated": list(mate)},
         )
-    if mode == "any-coloring":
-        # the orbit count answers a count; the cubes are built only to be listed
-        count, cubes = rc.cube_orbit_count(k), lambda: rc.generate_cubes(k, mode)
-    else:
-        built = rc.generate_cubes(k, mode)
-        count, cubes = len(built), lambda: built
+    # the orbit count answers a count; the cubes are built only to be listed
+    counter = rc.cube_orbit_count if mode == "any-coloring" else rc.distinct_cube_count
+    count, cubes = counter(k), lambda: rc.generate_cubes(k, mode)
     return CommandResult(
         (lambda: _text_lines(pt.batched(cubes()), _digits)) if args.list else str(count),
         lambda: _json_list(pt.batched(cubes())),

@@ -110,6 +110,16 @@ def cube_orbit_count(k: int) -> int:
     return (k**6 + 3 * k**4 + 12 * k**3 + 8 * k**2) // 24
 
 
+def distinct_cube_count(k: int) -> int:
+    """6!/24 = 30: rotation classes of the colorings with six distinct
+    colors, since no rotation but the identity fixes one of them."""
+    if k < 1:
+        raise DomainError("need at least one color")
+    if k != 6:
+        raise DomainError("all-distinct-faces mode needs exactly six colors")
+    return math.factorial(6) // len(ROTATIONS)
+
+
 def associated_cube(cube: Sequence[int]) -> Cube:
     """The mirror partner: exchange one pair of opposite face colors."""
     cube = tuple(cube)
@@ -499,29 +509,43 @@ def hexagon_solve(tiles: Sequence[Tile], border_color: int) -> HexagonSolution:
 
 # -- stamp foldings ------------------------------------------------------------
 
+# strip length n of stamp_foldings: about 15 ms at the cap with Python 3.11
+# on a 2-vCPU VM (n = 13 would take about 50 ms).  The cap stays at 12
+# because `puzzle stamps 13` is a pinned refusal of the benchmark's
+# cli-mix corpus (bench/expected.json) and of the CLI cap-edge tests.
 STAMP_CAP = 12
 
 
 def stamp_foldings(n: int) -> int:
-    """Labeled foldings of a strip of n stamps.
+    """Labeled foldings of a strip of n stamps (OEIS A000136).
 
     A folding is a stack order of the stamps such that, for each parity
-    class of joints, the joining arcs are non-crossing.  Counted by
-    inserting stamps one at a time into every stack slot that keeps the
-    arcs planar.
+    class of joints, the arcs (pos[s], pos[s+1]) are non-crossing.
 
-    An insertion keeps the relative order of the stamps already stacked,
-    so their arcs stay pairwise non-crossing and only the new arc from
-    stamp nxt-1 to the slot needs checking, against the stacked arcs of
-    its parity.  An arc (a, b), a < b in stack positions, that does not
-    enclose stamp nxt-1 is crossed exactly from the slots a+1..b; one
-    that encloses it is crossed from every slot outside a+1..b.  One
-    pass over the arcs and one over the slots find every legal slot:
-    O(h) for a stack of height h.
+    Only one symmetry class is searched.  Moving the bottom stamp to the
+    top keeps a folding a folding: the arcs that do not touch the bottom
+    stamp shift down together, and the bottom stamp has at most one arc
+    per parity, (0, x), which becomes (x-1, h-1); a same-parity arc that
+    was inside (0, x) or outside it stays disjoint from the new arc or
+    nested in it.  So rotation permutes the foldings in orbits of exactly
+    n, each with one member that has stamp 1 at the bottom.  Reversing a
+    stack and then rotating it maps [1, x2, ..., xn] to [1, xn, ..., x2];
+    for n >= 3 this is an involution without fixed points that swaps
+    "2 below 3" with "3 below 2".  Hence F(n) = 2n times the number of
+    foldings with 1 at the bottom and 2 below 3, the classical
+    F(n) = n S(n) with semi-meanders (Lunnon, Math. Comp. 22, 1968).
 
-    Reversing a stack maps foldings to foldings and swaps "1 below 2"
-    with "2 below 1", so only the stacks extended from [1, 2] are
-    searched and their count doubled.
+    Those foldings are counted by inserting stamps 3, 4, ..., n one at a
+    time into [1, 2]: stamp 3 on top, every later stamp into any slot but
+    the bottom one that keeps the arcs planar.  An insertion keeps the
+    relative order of the stamps already stacked, so their arcs stay
+    pairwise non-crossing and only the new arc from stamp nxt-1 to the
+    slot needs checking, against the stacked arcs of its parity.  An arc
+    (a, b), a < b in stack positions, that does not enclose stamp nxt-1
+    is crossed exactly from the slots a+1..b; one that encloses it is
+    crossed from every slot outside a+1..b.  One pass over the arcs and
+    one over the slots find every legal slot: O(h) for a stack of height
+    h.  The last stamp's legal slots are counted, not visited.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
@@ -538,7 +562,7 @@ def stamp_foldings(n: int) -> int:
         for i, stamp in enumerate(stack):
             pos[stamp] = i
         anchor = pos[nxt - 1]
-        first, last = 0, height      # slots inside every enclosing arc
+        first, last = 1, height      # slots above stamp 1, inside every enclosing arc
         blocked = [0] * (height + 2)  # difference array of crossed slots
         for s in range(2 - (nxt - 1) % 2, nxt - 2, 2):
             a, b = pos[s], pos[s + 1]
@@ -549,20 +573,21 @@ def stamp_foldings(n: int) -> int:
             else:
                 blocked[a + 1] += 1
                 blocked[b + 1] -= 1
-        depth = 0
-        for slot in range(last + 1):
-            depth += blocked[slot]
-            if slot < first or depth:
-                continue
-            if nxt == n:
-                count += 1
-                continue
-            stack.insert(slot, nxt)
-            extend(stack, nxt + 1)
-            stack.pop(slot)
+        depths = list(itertools.accumulate(blocked[: last + 1]))
+        if nxt == n:
+            count += depths[first:].count(0)
+            return
+        for slot in range(first, last + 1):
+            if not depths[slot]:
+                stack.insert(slot, nxt)
+                extend(stack, nxt + 1)
+                stack.pop(slot)
 
-    extend([1, 2], 3)
-    return 2 * count
+    if n == 3:
+        count = 1  # [1, 2, 3]
+    else:
+        extend([1, 2, 3], 4)
+    return 2 * n * count
 
 
 # -- contact systems (involutions) ---------------------------------------------

@@ -1360,6 +1360,9 @@ class TestFormats:
         ("puzzle triangles 5 --squares --format json", ["generate_tiles"]),
         ("puzzle cubes --mode any-coloring --colors 3 --list", ["generate_cubes"]),
         ("puzzle cubes --mode any-coloring --colors 3 --format json", ["generate_cubes"]),
+        ("puzzle cubes", []),
+        ("puzzle cubes --list", ["generate_cubes"]),
+        ("puzzle cubes --format json", ["generate_cubes"]),
     ])
     def test_count_builds_no_tile_or_cube(self, monkeypatch, argv, built):
         # a text count reads its closed form; only a listing walks the colorings
@@ -1372,6 +1375,22 @@ class TestFormats:
         code, out, err = run(argv)
         assert (code, err) == (0, "") and out
         assert calls == built
+
+    @pytest.mark.parametrize("argv,message", [
+        ("puzzle cubes --colors 5", "all-distinct-faces mode needs exactly six colors"),
+        ("puzzle cubes --colors 0 --format json", "need at least one color"),
+    ])
+    def test_cube_count_refuses_a_palette_that_is_not_six(self, argv, message):
+        assert run(argv) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv,out", [
+        ("invariant weight 3 4", "6\n"),
+        ("invariant weight 3 4 --format json", "6\n"),
+        ("invariant weight 3 5", "infeasible\n"),
+        ("invariant weight 3 5 --format json", "null\n"),
+    ])
+    def test_infeasible_weight_is_json_null(self, argv, out):
+        assert run(argv) == (0, out, "")
 
     def test_out_file(self, tmp_path):
         path = tmp_path / "rod.json"

@@ -10,24 +10,25 @@ from combanal.partitions import enumerate_partitions, is_perfect, is_subperfect
 from enumeration_support import contact_systems_oracle, tiles_oracle
 
 
+def is_stamp_folding(stack) -> bool:
+    """No two same-parity arcs (pos[s], pos[s+1]) of the stack cross."""
+    pos = {stamp: i for i, stamp in enumerate(stack)}
+    arcs = [
+        (min(pos[s], pos[s + 1]), max(pos[s], pos[s + 1]), s % 2)
+        for s in range(1, len(stack))
+    ]
+    return not any(
+        p1 == p2 and (a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1)
+        for (a1, b1, p1), (a2, b2, p2) in itertools.combinations(arcs, 2)
+    )
+
+
 def stamp_foldings_oracle(n: int) -> int:
     """The earlier stamp-folding search: after every insertion, rebuild
     all arcs and test every same-parity pair for a crossing."""
     if n == 1:
         return 1
     count = 0
-
-    def crossings_ok(stack):
-        pos = {stamp: i for i, stamp in enumerate(stack)}
-        arcs = []
-        for s in range(1, max(stack)):
-            if s in pos and s + 1 in pos:
-                a, b = sorted((pos[s], pos[s + 1]))
-                arcs.append((a, b, s % 2))
-        for (a1, b1, p1), (a2, b2, p2) in itertools.combinations(arcs, 2):
-            if p1 == p2 and (a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1):
-                return False
-        return True
 
     def extend(stack, nxt):
         nonlocal count
@@ -36,12 +37,57 @@ def stamp_foldings_oracle(n: int) -> int:
             return
         for slot in range(len(stack) + 1):
             stack.insert(slot, nxt)
-            if crossings_ok(stack):
+            if is_stamp_folding(stack):
                 extend(stack, nxt + 1)
             stack.pop(slot)
 
     extend([1], 2)
     return count
+
+
+def stamp_foldings_mirrored(n: int) -> int:
+    """The earlier O(h)-per-node stamp-folding search: every stack
+    extended from [1, 2], its count doubled for the reversal symmetry."""
+    if n <= 2:
+        return n
+    count = 0
+
+    def extend(stack, nxt):
+        nonlocal count
+        height = len(stack)
+        pos = [0] * nxt
+        for i, stamp in enumerate(stack):
+            pos[stamp] = i
+        anchor = pos[nxt - 1]
+        first, last = 0, height
+        blocked = [0] * (height + 2)
+        for s in range(2 - (nxt - 1) % 2, nxt - 2, 2):
+            a, b = pos[s], pos[s + 1]
+            if a > b:
+                a, b = b, a
+            if a < anchor < b:
+                first, last = max(first, a + 1), min(last, b)
+            else:
+                blocked[a + 1] += 1
+                blocked[b + 1] -= 1
+        depth = 0
+        for slot in range(last + 1):
+            depth += blocked[slot]
+            if slot < first or depth:
+                continue
+            if nxt == n:
+                count += 1
+                continue
+            stack.insert(slot, nxt)
+            extend(stack, nxt + 1)
+            stack.pop(slot)
+
+    extend([1, 2], 3)
+    return 2 * count
+
+
+# OEIS A000136, n = 1..12
+STAMP_FOLDINGS = [1, 2, 6, 16, 50, 144, 462, 1392, 4536, 14060, 46310, 146376]
 
 
 def latin_count_oracle(n: int, reduced: bool) -> int:
@@ -130,7 +176,14 @@ class TestCubes:
         assert len(rc.ROTATIONS) == 24
 
     def test_thirty_cubes(self):
-        assert len(rc.generate_cubes(6)) == 30
+        assert len(rc.generate_cubes(6)) == 30 == rc.distinct_cube_count(6)
+
+    @pytest.mark.parametrize("k", [0, 5, 7])
+    def test_distinct_count_refuses_as_the_listing_does(self, k):
+        with pytest.raises(ValueError) as listing:
+            rc.generate_cubes(k)
+        with pytest.raises(ValueError, match=f"^{listing.value}$"):
+            rc.distinct_cube_count(k)
 
     def test_single_color(self):
         assert rc.generate_cubes(1, "any-coloring") == [(0, 0, 0, 0, 0, 0)]
@@ -288,23 +341,18 @@ class TestHexagon:
 
 class TestStamps:
     def test_known_values(self):
-        assert [rc.stamp_foldings(n) for n in range(1, 8)] == [1, 2, 6, 16, 50, 144, 462]
+        assert [rc.stamp_foldings(n) for n in range(1, rc.STAMP_CAP + 1)] == STAMP_FOLDINGS
 
-    def test_n4_versus_exhaustive_crossing_check(self):
-        # independent oracle: test all 4! stack orders directly
-        def valid(perm):
-            pos = {stamp: i for i, stamp in enumerate(perm)}
-            arcs = [
-                (min(pos[s], pos[s + 1]), max(pos[s], pos[s + 1]), s % 2)
-                for s in range(1, len(perm))
-            ]
-            for (a1, b1, p1), (a2, b2, p2) in itertools.combinations(arcs, 2):
-                if p1 == p2 and (a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1):
-                    return False
-            return True
-
-        oracle = sum(valid(p) for p in itertools.permutations(range(1, 5)))
-        assert oracle == 16 == rc.stamp_foldings(4)
+    def test_exhaustive_stacks_form_rotation_and_reversal_classes(self):
+        # independent oracle: test all n! stack orders directly
+        for n in range(1, 8):
+            valid = {p for p in itertools.permutations(range(1, n + 1)) if is_stamp_folding(p)}
+            assert {p[1:] + p[:1] for p in valid} == valid, n  # bottom stamp to the top
+            assert {p[::-1] for p in valid} == valid, n
+            assert len(valid) == rc.stamp_foldings(n), n
+            if n >= 3:
+                searched = [p for p in valid if p[0] == 1 and p.index(2) < p.index(3)]
+                assert len(valid) == 2 * n * len(searched), n
 
     def test_corrected_patent_number(self):
         start = time.time()
@@ -319,9 +367,9 @@ class TestStamps:
         for n in range(1, 10):
             assert rc.stamp_foldings(n) == stamp_foldings_oracle(n), n
 
-    def test_eleven_stamps(self):
-        # OEIS A000136: 14060, 46310, 146376 for n = 10, 11, 12
-        assert rc.stamp_foldings(11) == 46310
+    def test_matches_the_mirrored_search(self):
+        for n in range(1, rc.STAMP_CAP + 1):
+            assert rc.stamp_foldings(n) == stamp_foldings_mirrored(n), n
 
 
 class TestContacts:
