@@ -367,6 +367,10 @@ class TestStamps:
         for n in range(1, 10):
             assert rc.stamp_foldings(n) == stamp_foldings_oracle(n), n
 
+    def test_eleven_stamps(self):
+        # OEIS A000136: 14060, 46310, 146376 for n = 10, 11, 12
+        assert rc.stamp_foldings(11) == 46310
+
     def test_matches_the_mirrored_search(self):
         for n in range(1, rc.STAMP_CAP + 1):
             assert rc.stamp_foldings(n) == stamp_foldings_mirrored(n), n
