@@ -3,7 +3,7 @@ polynomial determinant and the integer nullspace.
 
 A coefficient is an `int` when it is integral, else a `fractions.Fraction`;
 nothing here rounds.  The nullspace comes from fraction-free elimination
-on integer rows and is returned as primitive integer vectors.
+on sparse integer rows and is returned as primitive integer vectors.
 Values are immutable once built and safe to share between threads.
 """
 
@@ -322,7 +322,7 @@ def _eliminate(row: Dict[int, int], prow: Dict[int, int], c: int) -> Dict[int, i
 
 
 def _integer_rows(a: Sequence[Sequence[Scalar]]) -> List[Dict[int, int]]:
-    """The nonzero rows of `a` as sparse {column: int} maps, each scaled to
+    """The rows of `a` as sparse {column: int} maps, each scaled to
     integers by the lcm of its denominators."""
     cols = len(a[0]) if a else 0
     if any(len(row) != cols for row in a):
@@ -331,9 +331,7 @@ def _integer_rows(a: Sequence[Sequence[Scalar]]) -> List[Dict[int, int]]:
     for row in a:
         entries = [_frac(v) for v in row]
         scale = math.lcm(*(v.denominator for v in entries))
-        ints = {j: v.numerator * (scale // v.denominator) for j, v in enumerate(entries) if v}
-        if ints:
-            rows.append(ints)
+        rows.append({j: v.numerator * (scale // v.denominator) for j, v in enumerate(entries) if v})
     return rows
 
 
@@ -352,7 +350,8 @@ def _markowitz_echelon(pending: List[Dict[int, int]]) -> List[Tuple[int, Dict[in
             held[j] = held.get(j, 0) + 1
     echelon = []
     while pending:
-        prow = pending.pop(min(range(len(pending)), key=lambda i: len(pending[i])))
+        sizes = [len(row) for row in pending]
+        prow = pending.pop(sizes.index(min(sizes)))
         for j in prow:
             held[j] -= 1
         c = min(prow, key=lambda j: (held[j], j))
@@ -383,7 +382,10 @@ def _back_substitute(echelon: List[Tuple[int, Dict[int, int]]], cols: int) -> Li
             continue
         vec = {fc: 1}
         for c, row in reversed(echelon):
-            s = sum(v * vec[j] for j, v in row.items() if j in vec)
+            s = 0
+            for j, v in row.items():
+                if j in vec:
+                    s += v * vec[j]
             if s:
                 g = math.gcd(s, row[c])
                 scale = row[c] // g
@@ -418,8 +420,15 @@ def _reverse_echelon(pending: List[Dict[int, int]]) -> Dict[int, Dict[int, int]]
 
 
 def nullspace_integer(a: Sequence[Sequence[Scalar]]) -> List[List[int]]:
-    """Basis of the rational nullspace of `a` as primitive integer vectors,
-    one per free column in ascending order.
+    """`nullspace_sparse` of a dense matrix of exact entries."""
+    return nullspace_sparse(_integer_rows(a), len(a[0]) if a else 0)
+
+
+def nullspace_sparse(rows: Sequence[Dict[int, int]], cols: int) -> List[List[int]]:
+    """Basis of the rational nullspace of the integer rows `rows`, each a
+    sparse {column: int} map over columns 0..cols-1 (an empty map is a
+    zero row), as primitive integer vectors, one per free column in
+    ascending order.
 
     Each vector is the RREF basis vector of its free column times a
     positive rational: its last nonzero entry is at the free column and
@@ -427,12 +436,11 @@ def nullspace_integer(a: Sequence[Sequence[Scalar]]) -> List[List[int]]:
     that entry gives back the RREF basis vector.  That basis is unique, so
     any kernel basis leads to it: back-substitution in a Markowitz echelon
     form gives one, and a reverse echelon normalises it.  The echelon pass
-    never updates a finished row of `a`, which is where Gauss-Jordan
-    elimination fills in; only the normalisation of the d kernel vectors
-    updates finished ones.
+    never updates a finished row, which is where Gauss-Jordan elimination
+    fills in; only the normalisation of the d kernel vectors updates
+    finished ones.
     """
-    cols = len(a[0]) if a else 0
-    kernel = _back_substitute(_markowitz_echelon(_integer_rows(a)), cols)
+    kernel = _back_substitute(_markowitz_echelon([row for row in rows if row]), cols)
     basis = []
     for fc, vec in sorted(_reverse_echelon(kernel).items()):
         g = math.gcd(*vec.values())

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import DomainError
-from .exactcore import Exponent, MultiPoly, Scalar, nullspace_integer
+from .exactcore import Exponent, MultiPoly, Scalar, nullspace_integer, nullspace_sparse
 
 
 # Largest order p of a binary form.  _isobaric_monomials recurses once per
@@ -197,7 +197,9 @@ def seminvariant_basis(p: int, j: int, w: int) -> List[MultiPoly]:
         return [MultiPoly.monomial(names, src[0], 1)]
     dst = _isobaric_monomials(p, j, w - 1)
     dst_index = {m: i for i, m in enumerate(dst)}
-    rows = [[0] * len(src) for _ in dst]
+    # Omega's rows as {column: int} maps: a_k -> a_{k-1} sends each source
+    # monomial to a different image, so each entry k * e_k is set once.
+    rows: List[Dict[int, int]] = [{} for _ in dst]
     for ci, mono in enumerate(src):
         for k in range(1, p + 1):
             e = mono[k]
@@ -205,15 +207,13 @@ def seminvariant_basis(p: int, j: int, w: int) -> List[MultiPoly]:
                 img = list(mono)
                 img[k] -= 1
                 img[k - 1] += 1
-                rows[dst_index[tuple(img)]][ci] += k * e
-    out = []
-    for ints in nullspace_integer(rows):
-        # sign: make the lexicographically greatest monomial positive
-        lead = max((m for m, c in zip(src, ints) if c), default=None)
-        if lead is not None and ints[src.index(lead)] < 0:
-            ints = [-v for v in ints]
-        out.append(MultiPoly(names, dict(zip(src, ints))))
-    return out
+                rows[dst_index[tuple(img)]][ci] = k * e
+    # src is in lexicographic order, so each vector's last nonzero entry,
+    # positive, is at its lexicographically greatest monomial.
+    return [
+        MultiPoly(names, {m: c for m, c in zip(src, ints) if c})
+        for ints in nullspace_sparse(rows, len(src))
+    ]
 
 
 def seminvariant_dimension(p: int, j: int, w: int) -> int:
@@ -544,6 +544,28 @@ def prior_product(a1: Fraction, a2: Fraction, a3: Fraction) -> Fraction:
     return first * second
 
 
+def _e1_e2(roots: Sequence):
+    """(e1, e2) of the roots: a1 = -e1 and a2 = e2 in the plain
+    coefficients of prod (x - r y), so 2 e2 - e1^2 = -sum r^2 is the q2
+    identity.  Uses only +, * on the roots, so it takes ints or MultiPolys."""
+    e1 = e2 = 0
+    for r in roots:
+        e2 = e2 + e1 * r
+        e1 = e1 + r
+    return e1, e2
+
+
+def _prior_factors(a1, a2, a3):
+    """(N1, D1, N2, D2) with prior_product's two factors N1 / D1 and N2 / D2,
+    over the denominators (a1 - a2)(a1 - a3)(a2 - a3) and a1 a2 a3; each
+    is homogeneous, so scaling a1, a2, a3 leaves both factors unchanged.
+    Uses only +, -, * on its arguments, so it takes ints or MultiPolys."""
+    b12, b13, b23 = a1 - a2, a1 - a3, a2 - a3
+    n1 = a1 * b12 * b13 - a2 * b12 * b23 + a3 * b13 * b23
+    n2 = a2 * a3 * b23 - a1 * a3 * b13 + a1 * a2 * b12
+    return n1, b12 * b13 * b23, n2, a1 * a2 * a3
+
+
 @dataclass(frozen=True)
 class RootsReport:
     trials: int
@@ -551,15 +573,22 @@ class RootsReport:
     prior_product_ok: bool
 
 
-# trials * (p^2 + 16): a trial builds the coefficients of p roots in about
-# p^2 Fraction steps, and its draws and three-root product cost about 16
-# more (0.5-0.9 s at the cap in process, Python 3.11 on a 2-vCPU VM)
+# trials * (p^2 + 16), the price of the Fraction check that once ran here:
+# p^2 steps for the coefficients of p roots, 16 for the draws and product.
+# The integer check takes about 2 ms at the cap (in process, Python 3.11
+# on a 2-vCPU VM), so the cap is now conservative; it is kept so that the
+# same requests are refused.
 ROOTS_WORK_CAP = 2**17
 
 
 def roots_correspondence_check(p: int, trials: int, seed: int = 0) -> RootsReport:
     """Random rational root sets: verify the q2 identity for order p and
-    the three-variable product identity (= 9) exactly."""
+    the three-variable product identity (= 9) exactly.
+
+    Each sample n/d, d in 1..4, is scaled by 12 = lcm(1..4) to the integer
+    n * (12 // d).  Both identities are homogeneous (q2 of degree 2, the
+    product of degree 0), so they hold for the scaled integers exactly
+    when they hold for the rationals."""
     if p < 2:  # the q2 identity reads the coefficient a2
         raise DomainError(f"p must be at least 2, not {p}")
     if trials < 1:
@@ -569,24 +598,23 @@ def roots_correspondence_check(p: int, trials: int, seed: int = 0) -> RootsRepor
         raise DomainError(f"trials * (p^2 + 16) = {work} exceeds the cap {ROOTS_WORK_CAP}")
     rng = random.Random(seed)
 
-    def draw() -> Fraction:
-        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    def draw() -> int:
+        n = rng.randint(-9, 9)
+        return n * (12 // rng.randint(1, 4))
 
     q2_ok = True
     for _ in range(trials):
         roots = [draw() for _ in range(p)]
-        lhs, rhs = sum_of_squares_identity(roots)
-        q2_ok = q2_ok and lhs == rhs
+        e1, e2 = _e1_e2(roots)
+        q2_ok = q2_ok and 2 * e2 - e1 * e1 == -sum(r * r for r in roots)
     prior_ok = True
     done = 0
     while done < trials:
         a1, a2 = draw(), draw()
-        a3 = -a1 - a2
-        try:
-            value = prior_product(a1, a2, a3)
-        except DomainError:
-            continue  # degenerate sample; redraw
-        prior_ok = prior_ok and value == 9
+        n1, d1, n2, d2 = _prior_factors(a1, a2, -a1 - a2)
+        if not (d1 and d2):
+            continue  # degenerate sample: a zero or a repeated value; redraw
+        prior_ok = prior_ok and n1 * n2 == 9 * d1 * d2
         done += 1
     return RootsReport(trials, q2_ok, prior_ok)
 

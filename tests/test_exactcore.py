@@ -14,6 +14,7 @@ from combanal.exactcore import (
     _markowitz_echelon,
     poly_det_cofactor,
     nullspace_integer,
+    nullspace_sparse,
     poly_ring,
 )
 from combanal.invariants import avar_names, covariant_from_seed
@@ -295,6 +296,22 @@ class TestLinSolve:
     def test_nullspace(self):
         basis = nullspace_integer([[1, 1, 0]])
         assert basis == [[-1, 1, 0], [0, 0, 1]]
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_sparse_rows_give_the_dense_basis(self, data):
+        # Integer rows as {column: int} maps, empty ones included, reach the
+        # same basis as the dense matrix they spell out; the rows are not
+        # consumed.
+        cols = data.draw(st.integers(1, 9), label="cols")
+        rows = data.draw(st.lists(
+            st.dictionaries(st.integers(0, cols - 1), st.integers(-5, 5).filter(bool), max_size=4),
+            max_size=7,
+        ), label="rows")
+        kept = [dict(row) for row in rows]
+        dense = [[row.get(j, 0) for j in range(cols)] for row in rows] or [[0] * cols]
+        assert nullspace_sparse(rows, cols) == nullspace_integer(dense) == gauss_jordan_nullspace(dense)
+        assert rows == kept
 
     def test_float_entry_rejected(self):
         with pytest.raises(TypeError):

@@ -177,9 +177,21 @@ class TestSeminvariantBasis:
 
     def test_basis_matches_the_gauss_jordan_route(self, monkeypatch):
         new = [iv.seminvariant_basis(*point) for point in self.OMEGA_POINTS]
-        monkeypatch.setattr(iv, "nullspace_integer", gauss_jordan_nullspace)
+        calls = []
+
+        def dense_gauss_jordan(rows, cols):
+            calls.append(cols)
+            return gauss_jordan_nullspace([[row.get(j, 0) for j in range(cols)] for row in rows])
+
+        monkeypatch.setattr(iv, "nullspace_sparse", dense_gauss_jordan)
         old = [iv.seminvariant_basis(*point) for point in self.OMEGA_POINTS]
+        assert len(calls) == len(self.OMEGA_POINTS)
         assert new == old
+
+    def test_lex_greatest_monomial_has_a_positive_coefficient(self):
+        for point in self.OMEGA_POINTS:
+            for s in iv.seminvariant_basis(*point):
+                assert s.terms[max(s.terms)] > 0, point
 
     def test_dimension_refuses_what_the_basis_refuses(self):
         for point in [(0, 1, 1), (1, 0, 1), (1, 1, -1)]:
@@ -438,3 +450,65 @@ class TestRoots:
             iv.prior_product(1, 1, -2)
         with pytest.raises(ValueError):
             iv.prior_product(1, 2, 3)
+
+
+class TestRootIdentityProofs:
+    """The integer formulas of roots_correspondence_check hold as
+    polynomial identities, and agree with the Fraction oracles."""
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_q2_identity_holds_over_the_polynomial_ring(self, p):
+        # e1, e2 are -a1 and a2 of prod (x - r_i y), and
+        # 2 e2 - e1^2 + sum r_i^2 = 0 in Q[r1..rp].
+        names = ("x", "y") + tuple(f"r{i}" for i in range(1, p + 1))
+        x, y, *roots = (MultiPoly.variable(names, n) for n in names)
+        e1, e2 = iv._e1_e2(roots)
+        quantic = MultiPoly.const(names, 1)
+        for r in roots:
+            quantic = quantic * (x - r * y)
+
+        def coefficient(k):  # of x^(p-k) y^k, over the roots
+            terms = {(0, 0) + exp[2:]: c for exp, c in quantic.terms.items() if exp[:2] == (p - k, k)}
+            return MultiPoly(names, terms)
+
+        assert coefficient(1) == -e1 and coefficient(2) == e2
+        assert (2 * e2 - e1 * e1 + sum(r * r for r in roots)).is_zero()
+
+    def test_prior_product_identity_holds_over_the_polynomial_ring(self):
+        # N1 N2 - 9 D1 D2 = 0 in Q[a1, a2] with a3 = -a1 - a2.
+        names = ("a1", "a2")
+        a1, a2 = (MultiPoly.variable(names, n) for n in names)
+        n1, d1, n2, d2 = iv._prior_factors(a1, a2, -a1 - a2)
+        assert (n1 * n2 - 9 * d1 * d2).is_zero()
+
+
+scaled_samples = st.tuples(st.integers(-9, 9), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(scaled_samples, min_size=2, max_size=8))
+def test_scaled_q2_sides_are_144_times_the_fraction_sides(samples):
+    roots = [n * (12 // d) for n, d in samples]
+    e1, e2 = iv._e1_e2(roots)
+    lhs, rhs = iv.sum_of_squares_identity([Fraction(n, d) for n, d in samples])
+    assert (2 * e2 - e1 * e1, -sum(r * r for r in roots)) == (144 * lhs, 144 * rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scaled_samples, scaled_samples)
+def test_scaled_prior_factors_are_the_fraction_factors(first, second):
+    (n, d), (m, e) = first, second
+    a1, a2 = Fraction(n, d), Fraction(m, e)
+    a3 = -a1 - a2
+    s1, s2 = n * (12 // d), m * (12 // e)
+    assert (s1, s2) == (12 * a1, 12 * a2)
+    n1, d1, n2, d2 = iv._prior_factors(s1, s2, -s1 - s2)
+    try:
+        product = iv.prior_product(a1, a2, a3)
+    except ValueError:
+        assert not (d1 and d2)  # the integer check redraws where the oracle refuses
+        return
+    assert d1 and d2
+    assert Fraction(n1, d1) == a1 / (a2 - a3) - a2 / (a1 - a3) + a3 / (a1 - a2)
+    assert Fraction(n2, d2) == (a2 - a3) / a1 - (a1 - a3) / a2 + (a1 - a2) / a3
+    assert Fraction(n1, d1) * Fraction(n2, d2) == product == 9

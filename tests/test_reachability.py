@@ -42,14 +42,17 @@ NOT_REACHED = {
     "exactcore.MultiPoly.zero": "bench",
     "exactcore.poly_det_cofactor": "bench",
     "exactcore.poly_ring": "bench",
+    "invariants.coefficients_from_roots": "oracle",
     "invariants.cubic_discriminant": "paper fact",
     "invariants.convert_coefficients": "paper fact",
     "invariants.hessian_seed": "paper fact",
     "invariants.new_seminvariant_dimension": "paper fact",
     "invariants.non_unitary_contains_count": "paper fact",
+    "invariants.prior_product": "oracle",
     "invariants.quartic_invariant_i": "paper fact",
     "invariants.quartic_invariant_j": "paper fact",
     "invariants.seminvariant_dimension": "bench",
+    "invariants.sum_of_squares_identity": "oracle",
     "masterthm.brute_force_derangements": "oracle",
     "masterthm.brute_force_rencontres": "oracle",
     "masterthm.derangement_matrix": "bench",
