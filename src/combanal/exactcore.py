@@ -2,8 +2,9 @@
 polynomial determinant and the integer nullspace.
 
 A coefficient is an `int` when it is integral, else a `fractions.Fraction`;
-nothing here rounds.  The nullspace comes from fraction-free elimination
-on sparse integer rows and is returned as primitive integer vectors.
+nothing here rounds.  The nullspace comes from one fraction-free echelon
+pass over sparse integer rows, taking the columns in order, then
+back-substitution; it is returned as primitive integer vectors.
 Values are immutable once built and safe to share between threads.
 """
 
@@ -90,10 +91,6 @@ class MultiPoly:
         exp = [0] * len(names)
         exp[idx] = 1
         return cls(names, {tuple(exp): 1})
-
-    @classmethod
-    def monomial(cls, names: Sequence[str], exp: Exponent, coeff: Scalar = 1) -> "MultiPoly":
-        return cls(names, {tuple(exp): _frac(coeff)})
 
     # -- ring operations ----------------------------------------------
 
@@ -335,34 +332,25 @@ def _integer_rows(a: Sequence[Sequence[Scalar]]) -> List[Dict[int, int]]:
     return rows
 
 
-def _markowitz_echelon(pending: List[Dict[int, int]]) -> List[Tuple[int, Dict[int, int]]]:
+def _echelon(pending: List[Dict[int, int]]) -> List[Tuple[int, Dict[int, int]]]:
     """A row echelon form of the integer rows `pending`, as (pivot column,
-    row) pairs in pivot order; `pending` is consumed.
+    row) pairs in column order; `pending` is consumed.
 
-    Each step takes the sparsest pending row (the first of equals) and, in
-    it, the column held by the fewest pending rows (the lower of equals),
-    then clears that column from the other pending rows.  Finished rows are
-    never updated, so the k-th row is zero on the pivot columns before it.
+    Columns are taken left to right.  At each column the sparsest pending
+    row that holds it (the first of equals) is the pivot, and the column is
+    cleared from the other pending rows.  Finished rows are never updated,
+    so the k-th row is zero on the pivot columns before it.
     """
-    held: Dict[int, int] = {}  # column -> pending rows holding it
-    for row in pending:
-        for j in row:
-            held[j] = held.get(j, 0) + 1
     echelon = []
-    while pending:
-        sizes = [len(row) for row in pending]
-        prow = pending.pop(sizes.index(min(sizes)))
-        for j in prow:
-            held[j] -= 1
-        c = min(prow, key=lambda j: (held[j], j))
+    for c in sorted({j for row in pending for j in row}):
+        hits = [i for i, row in enumerate(pending) if c in row]
+        if not hits:
+            continue
+        prow = pending.pop(min(hits, key=lambda i: len(pending[i])))
         kept = []
         for row in pending:
             if c in row:
-                for j in row:
-                    held[j] -= 1
                 row = _eliminate(row, prow, c)
-                for j in row:
-                    held[j] = held.get(j, 0) + 1
             if row:
                 kept.append(row)
         pending = kept
@@ -396,29 +384,6 @@ def _back_substitute(echelon: List[Tuple[int, Dict[int, int]]], cols: int) -> Li
     return vectors
 
 
-def _reverse_echelon(pending: List[Dict[int, int]]) -> Dict[int, Dict[int, int]]:
-    """The kernel basis `pending` in reduced reverse echelon form, keyed by
-    free column: each vector's last nonzero column is its free column, and
-    no other vector is nonzero there.  `pending` is consumed.
-
-    Columns are taken right to left.  A pending vector that is nonzero at
-    column c has no entry right of it, so c is its free column; the
-    sparsest such vector keeps it, and c is cleared from all the others.
-    """
-    reduced: Dict[int, Dict[int, int]] = {}
-    for c in sorted({j for vec in pending for j in vec}, reverse=True):
-        hits = [i for i, vec in enumerate(pending) if c in vec]
-        if not hits:
-            continue
-        pvec = pending.pop(min(hits, key=lambda i: len(pending[i])))
-        pending = [_eliminate(vec, pvec, c) if c in vec else vec for vec in pending]
-        for fc, vec in reduced.items():
-            if c in vec:
-                reduced[fc] = _eliminate(vec, pvec, c)
-        reduced[c] = pvec
-    return reduced
-
-
 def nullspace_integer(a: Sequence[Sequence[Scalar]]) -> List[List[int]]:
     """`nullspace_sparse` of a dense matrix of exact entries."""
     return nullspace_sparse(_integer_rows(a), len(a[0]) if a else 0)
@@ -433,21 +398,17 @@ def nullspace_sparse(rows: Sequence[Dict[int, int]], cols: int) -> List[List[int
     Each vector is the RREF basis vector of its free column times a
     positive rational: its last nonzero entry is at the free column and
     positive, and it is zero on every other free column, so dividing by
-    that entry gives back the RREF basis vector.  That basis is unique, so
-    any kernel basis leads to it: back-substitution in a Markowitz echelon
-    form gives one, and a reverse echelon normalises it.  The echelon pass
-    never updates a finished row, which is where Gauss-Jordan elimination
-    fills in; only the normalisation of the d kernel vectors updates
-    finished ones.
+    that entry gives back the RREF basis vector.  The echelon pass takes
+    the columns in order, so its non-pivot columns are exactly the RREF's
+    free columns.  Back-substitution gives, for each free column, a
+    multiple of the one kernel vector that is 1 there and 0 at the other
+    free columns, which is that column's RREF basis vector: nonzero only
+    at the free column and the pivot columns before it.  It is then made
+    primitive with a positive free entry.  The echelon pass never updates
+    a finished row, which is where Gauss-Jordan elimination fills in.
     """
-    kernel = _back_substitute(_markowitz_echelon([row for row in rows if row]), cols)
     basis = []
-    for fc, vec in sorted(_reverse_echelon(kernel).items()):
-        g = math.gcd(*vec.values())
-        if vec[fc] < 0:
-            g = -g
-        out = [0] * cols
-        for j, v in vec.items():
-            out[j] = v // g
-        basis.append(out)
+    for vec in _back_substitute(_echelon([row for row in rows if row]), cols):
+        g = math.gcd(*vec.values()) * (-1 if vec[max(vec)] < 0 else 1)
+        basis.append([vec.get(j, 0) // g for j in range(cols)])
     return basis

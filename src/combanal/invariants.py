@@ -185,21 +185,56 @@ def _isobaric_monomials(p: int, j: int, w: int) -> List[Tuple[int, ...]]:
     return out
 
 
+# Omega's price: box[w] columns of p + 1 exponents, walked to list them and
+# to build the basis (about two elimination cells each), and box[w - 1] rows
+# eliminated against them.  In process (Python 3.11, 2-vCPU VM) the 103
+# points priced from half the cap to the cap, p up to 512, took 0.07-0.61 s;
+# 511 3 120 (2854904) took 2.1 s and 10 10 40 (16675776) 33 s.
+BASIS_WORK_CAP = 2**19
+
+
+def _basis_price(p: int, j: int, w: int) -> int:
+    """rows * columns + 2 * columns * (p + 1) for Omega in degree j from
+    weight w to w - 1, or a lower bound on it past BASIS_WORK_CAP.
+
+    box[n], the partitions of n into at most j parts each at most p, is the
+    coefficient of q^n in [p+j choose j]_q: min(p, j) factors, one running
+    sum each.  It is symmetric about pj/2 and rises to it (the
+    Cayley-Sylvester law), so each count is read at its index nearer 0 and,
+    after any factor, each entry up to both indices bounds both from below.
+    With p, j >= 2, box[n] >= n // 2 + 1 there, so no index past
+    2 * isqrt(cap) is needed; with p or j = 1 every box[n] is 1.
+    """
+    short, long = sorted((p, j))
+    at = (min(w - 1, p * j - w + 1), min(w, p * j - w))  # rows, columns
+    top = min(max(at), 2 * math.isqrt(BASIS_WORK_CAP))
+    box = [1] + [0] * top
+    for i in range(1, min(short, top) + 1):
+        for n in range(top, long + i - 1, -1):
+            box[n] -= box[n - long - i]
+        for n in range(i, top + 1):
+            box[n] += box[n - i]
+        low = max(box[: min(at) + 1])
+        if low * (low + 2 * (p + 1)) > BASIS_WORK_CAP:
+            return low * (low + 2 * (p + 1))
+    rows, cols = (box[min(n, top)] if n >= 0 else 0 for n in at)
+    return rows * cols + 2 * cols * (p + 1)
+
+
 def seminvariant_basis(p: int, j: int, w: int) -> List[MultiPoly]:
-    """Integer basis of the Omega kernel on degree-j weight-w monomials."""
+    """Integer basis of the Omega kernel on degree-j weight-w monomials.
+    Refused before Omega is built when its price passes BASIS_WORK_CAP."""
     if p < 1 or j < 1 or w < 0:
         raise DomainError("need p, j >= 1 and w >= 0")
     names = avar_names(p)
+    price = _basis_price(p, j, w)
+    if price > BASIS_WORK_CAP:
+        raise DomainError(f"Omega on degree {j}, weight {w} prices at {price} or more, past the cap {BASIS_WORK_CAP}")
     src = _isobaric_monomials(p, j, w)
-    if not src:
-        return []
-    if w == 0:
-        return [MultiPoly.monomial(names, src[0], 1)]
-    dst = _isobaric_monomials(p, j, w - 1)
-    dst_index = {m: i for i, m in enumerate(dst)}
-    # Omega's rows as {column: int} maps: a_k -> a_{k-1} sends each source
-    # monomial to a different image, so each entry k * e_k is set once.
-    rows: List[Dict[int, int]] = [{} for _ in dst]
+    # Omega's rows as {column: int} maps keyed by their image, taken in lex
+    # order: a_k -> a_{k-1} sends each source monomial to a different image,
+    # so each entry k * e_k is set once.
+    rows: Dict[Tuple[int, ...], Dict[int, int]] = {}
     for ci, mono in enumerate(src):
         for k in range(1, p + 1):
             e = mono[k]
@@ -207,12 +242,12 @@ def seminvariant_basis(p: int, j: int, w: int) -> List[MultiPoly]:
                 img = list(mono)
                 img[k] -= 1
                 img[k - 1] += 1
-                rows[dst_index[tuple(img)]][ci] = k * e
+                rows.setdefault(tuple(img), {})[ci] = k * e
     # src is in lexicographic order, so each vector's last nonzero entry,
     # positive, is at its lexicographically greatest monomial.
     return [
         MultiPoly(names, {m: c for m, c in zip(src, ints) if c})
-        for ints in nullspace_sparse(rows, len(src))
+        for ints in nullspace_sparse([row for _, row in sorted(rows.items())], len(src))
     ]
 
 
@@ -484,17 +519,14 @@ def syzygant_search(sources: Sequence[MultiPoly], k: int) -> List[SyzygantSoluti
     constrained = sorted(
         {exp for s in sources for exp in s.terms if exp[a0_idx] < k}
     )
-    rows = [[s.terms.get(exp, 0) for s in sources] for exp in constrained]
-    if rows:
-        # Each vector's last nonzero entry is its free column's and positive,
-        # so dividing by it gives the RREF basis vector.
-        basis = []
-        for vec in nullspace_integer(rows):
-            last = next(v for v in reversed(vec) if v)
-            basis.append([Fraction(v, last) for v in vec])
-    else:
-        basis = [[Fraction(1 if i == t else 0) for i in range(len(sources))]
-                 for t in range(len(sources))]
+    # with nothing constrained, one zero row gives every unit vector
+    rows = [[s.terms.get(exp, 0) for s in sources] for exp in constrained] or [[0] * len(sources)]
+    # Each vector's last nonzero entry is its free column's and positive,
+    # so dividing by it gives the RREF basis vector.
+    basis = []
+    for vec in nullspace_integer(rows):
+        last = next(v for v in reversed(vec) if v)
+        basis.append([Fraction(v, last) for v in vec])
     out = []
     for vec in basis:
         terms: Dict[Exponent, Scalar] = {}

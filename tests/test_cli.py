@@ -575,6 +575,10 @@ CAP_EDGES = [
     ),  # 2^22 and 4194306 table cells
     ("compose count 524289 --order-k 2", "compose count 524290 --order-k 2"),  # 2^19 bits
     ("invariant omega a0 --p 512", "invariant omega a0 --p 513"),  # order 2^9
+    (
+        "invariant basis 100 3 84",
+        "invariant basis 100 3 85",
+    ),  # 616 * 631 + 2 * 631 * 101 = 516158 and 631 * 645 + 2 * 645 * 101 = 537285, cap 2^19
     ("invariant roots --p 90 --trials 16", "invariant roots --p 90 --trials 17"),  # 129856 and 137972, cap 2^17
     ("pattern tiling --extent 32", "pattern tiling --extent 33"),  # extent 32
     ("puzzle rooks 65535 32768", "puzzle rooks 65535 32769"),  # 32768 * 16 = 2^19 bits

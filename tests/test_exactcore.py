@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from combanal.exactcore import (
     MultiPoly,
     _integer_rows,
-    _markowitz_echelon,
+    _echelon,
     poly_det_cofactor,
     nullspace_integer,
     nullspace_sparse,
@@ -265,21 +265,22 @@ class TestLinSolve:
             last = max(j for j, v in enumerate(ints) if v)
             assert [Fraction(v, ints[last]) for v in ints] == vec
 
-    def test_markowitz_pivots_still_give_the_rref_basis(self):
-        # The sparsest row, [0,2,0,1], pivots on its rarer column 3, so the
-        # pivot columns are {1,3}; Gauss-Jordan's are {1,2}.  The vectors
-        # are still those of the RREF free columns 0 and 3.
+    def test_echelon_pivots_are_the_rref_pivots(self):
+        # The columns are taken in order: both rows hold column 1 and are
+        # equally sparse, so the first pivots there and the reduced second
+        # row, [0,0,2,-1], on column 2.  The pivot columns are
+        # Gauss-Jordan's {1,2}, and the vectors those of the RREF free
+        # columns 0 and 3.
         a = [[0, 2, 0, 1], [0, 1, 1, 0]]
-        assert {c for c, _ in _markowitz_echelon(_integer_rows(a))} == {1, 3}
+        assert {c for c, _ in _echelon(_integer_rows(a))} == {1, 2}
         assert {c for c, _ in gauss_jordan_rref(a)} == {1, 2}
         assert nullspace_integer(a) == gauss_jordan_nullspace(a) == [[1, 0, 0, 0], [0, -1, 1, 2]]
 
     @settings(max_examples=150)
     @given(st.data())
     def test_matches_gauss_jordan_on_sparse_wide_rank_deficient_matrices(self, data):
-        # Sparse rows make the sparsest row and its rarest column differ
-        # from the left-to-right pivots; extra rows that combine two others
-        # drop the rank.
+        # Sparse rows make the sparsest row that holds a column differ from
+        # the first one; extra rows that combine two others drop the rank.
         rows = data.draw(st.integers(2, 7), label="rows")
         cols = data.draw(st.integers(rows + 1, 14), label="cols")
         entry = st.one_of(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from combanal import DomainError
 from combanal import invariants as iv
 from combanal import partitions as pt
 from combanal.exactcore import MultiPoly
@@ -165,6 +166,37 @@ class TestSeminvariantBasis:
         assert len(basis) == iv.seminvariant_dimension(10, 6, 20) == 24
         for s in basis:
             assert iv.omega(s, 10).is_zero()
+
+    def test_cayley_sylvester_certificate_at_12_8_24(self):
+        # Omega is 632x738 here: 106 basis vectors, Omega kills each, and
+        # each has a positive coefficient at its lex-greatest monomial.
+        basis = iv.seminvariant_basis(12, 8, 24)
+        assert len(basis) == iv.seminvariant_dimension(12, 8, 24) == 106
+        for s in basis:
+            assert iv.omega(s, 12).is_zero()
+            assert s.terms[max(s.terms)] > 0
+
+    def test_basis_price_reads_omegas_shape(self):
+        # The price from the Gaussian binomial equals the one from the
+        # listed monomials, mirrored points and empty weights included, up
+        # to the cap; past it, it is a bound that also passes the cap.
+        points = [(p, j, w) for p in range(1, 8) for j in range(1, 8) for w in range(p * j + 3)]
+        points += [(511, 3, 60), (12, 8, 24), (11, 7, 28), (200, 3, 90)]
+        for p, j, w in points:
+            cols = len(iv._isobaric_monomials(p, j, w))
+            rows = len(iv._isobaric_monomials(p, j, w - 1)) if w else 0
+            price = rows * cols + 2 * cols * (p + 1)
+            got = iv._basis_price(p, j, w)
+            assert got == price or min(got, price) > iv.BASIS_WORK_CAP, (p, j, w)
+
+    def test_basis_price_is_read_without_listing_a_monomial(self, monkeypatch):
+        # Far past the cap, and for a 1 x l box where every count is 1, the
+        # price comes from at most 2 * isqrt(cap) + 1 entries.
+        monkeypatch.setattr(iv, "_isobaric_monomials", None)
+        for p, j, w in [(2, 10**20, 10**19), (512, 10**20, 10**19), (512, 512, 131072), (10, 10, 50)]:
+            with pytest.raises(DomainError, match="past the cap"):
+                iv.seminvariant_basis(p, j, w)
+        assert iv._basis_price(1, 10**20, 5 * 10**19) == 1 + 2 * 2
 
     # every invariant basis point of the benchmark's linalg pool, and (10,6,20)
     OMEGA_POINTS = [
