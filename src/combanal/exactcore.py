@@ -318,20 +318,6 @@ def _eliminate(row: Dict[int, int], prow: Dict[int, int], c: int) -> Dict[int, i
     return out
 
 
-def _integer_rows(a: Sequence[Sequence[Scalar]]) -> List[Dict[int, int]]:
-    """The rows of `a` as sparse {column: int} maps, each scaled to
-    integers by the lcm of its denominators."""
-    cols = len(a[0]) if a else 0
-    if any(len(row) != cols for row in a):
-        raise ValueError("ragged matrix")
-    rows = []
-    for row in a:
-        entries = [_frac(v) for v in row]
-        scale = math.lcm(*(v.denominator for v in entries))
-        rows.append({j: v.numerator * (scale // v.denominator) for j, v in enumerate(entries) if v})
-    return rows
-
-
 def _echelon(pending: List[Dict[int, int]]) -> List[Tuple[int, Dict[int, int]]]:
     """A row echelon form of the integer rows `pending`, as (pivot column,
     row) pairs in column order; `pending` is consumed.
@@ -382,11 +368,6 @@ def _back_substitute(echelon: List[Tuple[int, Dict[int, int]]], cols: int) -> Li
                 vec[c] = -s // g
         vectors.append(vec)
     return vectors
-
-
-def nullspace_integer(a: Sequence[Sequence[Scalar]]) -> List[List[int]]:
-    """`nullspace_sparse` of a dense matrix of exact entries."""
-    return nullspace_sparse(_integer_rows(a), len(a[0]) if a else 0)
 
 
 def nullspace_sparse(rows: Sequence[Dict[int, int]], cols: int) -> List[List[int]]:

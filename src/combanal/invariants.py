@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import DomainError
-from .exactcore import Exponent, MultiPoly, Scalar, nullspace_integer, nullspace_sparse
+from .exactcore import Exponent, MultiPoly, Scalar, nullspace_sparse
 
 
 # Largest order p of a binary form.  _isobaric_monomials recurses once per
@@ -169,8 +169,8 @@ def _isobaric_monomials(p: int, j: int, w: int) -> List[Tuple[int, ...]]:
     acc = [0] * (p + 1)
 
     def rec(idx: int, deg_left: int, weight_left: int):
-        if idx == p:
-            acc[p] = deg_left
+        if idx == p or not deg_left:
+            acc[idx:] = [deg_left] + [0] * (p - idx)
             out.append(tuple(acc))
             return
         # The deg_left - e exponents after a_idx carry a weight between
@@ -516,15 +516,22 @@ def syzygant_search(sources: Sequence[MultiPoly], k: int) -> List[SyzygantSoluti
         if not omega(s, p).is_zero():
             raise DomainError(f"source {i} is not a seminvariant: Omega does not annihilate it")
     a0_idx = names.index("a0")
-    constrained = sorted(
-        {exp for s in sources for exp in s.terms if exp[a0_idx] < k}
-    )
-    # with nothing constrained, one zero row gives every unit vector
-    rows = [[s.terms.get(exp, 0) for s in sources] for exp in constrained] or [[0] * len(sources)]
+    # One row per monomial with a0 exponent below k, as a {source index:
+    # coefficient} map, scaled to integers by the lcm of its denominators
+    # and taken in lex order.
+    rows: Dict[Exponent, Dict[int, Scalar]] = {}
+    for i, s in enumerate(sources):
+        for exp, c in s.terms.items():
+            if exp[a0_idx] < k:
+                rows.setdefault(exp, {})[i] = c
+    int_rows = []
+    for _, row in sorted(rows.items()):
+        scale = math.lcm(*(c.denominator for c in row.values()))
+        int_rows.append({i: c.numerator * (scale // c.denominator) for i, c in row.items()})
     # Each vector's last nonzero entry is its free column's and positive,
     # so dividing by it gives the RREF basis vector.
     basis = []
-    for vec in nullspace_integer(rows):
+    for vec in nullspace_sparse(int_rows, len(sources)):
         last = next(v for v in reversed(vec) if v)
         basis.append([Fraction(v, last) for v in vec])
     out = []

@@ -359,16 +359,14 @@ def generate_tiling(tile: RepeatTile, extent: int) -> TilingResult:
     identity: Transform = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     limit = extent + 1e-9
 
-    def centroid(t: Transform) -> Tuple[float, float]:
-        pts = [_apply_transform(t, v) for v in verts]
-        return (sum(p[0] for p in pts) / n, sum(p[1] for p in pts) / n)
-
-    def key(t: Transform, cx: float, cy: float) -> Tuple:
-        return (round(cx, 6), round(cy, 6), round(t[0], 6), round(t[2], 6))
+    def key(t: Transform) -> Tuple:
+        # the base polygon is centred at the origin, so (t[4], t[5]) is the
+        # copy's centroid
+        return (round(t[4], 6), round(t[5], 6), round(t[0], 6), round(t[2], 6))
 
     placements: Dict[Tuple, Transform] = {}
     queue = deque([identity])
-    placements[key(identity, *centroid(identity))] = identity
+    placements[key(identity)] = identity
     while queue:
         current = queue.popleft()
         for i in range(n):
@@ -381,10 +379,9 @@ def generate_tiling(tile: RepeatTile, extent: int) -> TilingResult:
                 ej[1] - sj[1], ej[0] - sj[0]
             )
             neighbor = _rotation_about(theta, sj[0], sj[1], b[0], b[1])
-            cx, cy = centroid(neighbor)
-            if abs(cx) > limit or abs(cy) > limit:
+            if abs(neighbor[4]) > limit or abs(neighbor[5]) > limit:
                 continue
-            k = key(neighbor, cx, cy)
+            k = key(neighbor)
             if k not in placements:
                 placements[k] = neighbor
                 queue.append(neighbor)

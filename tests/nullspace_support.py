@@ -1,33 +1,38 @@
 """Integer Gauss-Jordan elimination: the tests' oracle for
-`exactcore.nullspace_integer`, which reaches the same basis without
-updating finished rows."""
+`exactcore.nullspace_sparse`, which reaches the same basis without
+updating finished rows, and `integer_rows`, which turns a dense matrix of
+exact entries into the sparse integer rows both take."""
 
 import math
 
 from combanal.exactcore import _eliminate, _frac
 
 
+def integer_rows(a):
+    """The rows of `a` as sparse {column: int} maps, each scaled to
+    integers by the lcm of its denominators."""
+    cols = len(a[0]) if a else 0
+    if any(len(row) != cols for row in a):
+        raise ValueError("ragged matrix")
+    rows = []
+    for row in a:
+        entries = [_frac(v) for v in row]
+        scale = math.lcm(*(v.denominator for v in entries))
+        rows.append({j: v.numerator * (scale // v.denominator) for j, v in enumerate(entries) if v})
+    return rows
+
+
 def gauss_jordan_rref(a):
     """The reduced row echelon form of `a` over the integers, as
     (pivot column, row) pairs.
 
-    Each row is scaled to integers by the lcm of its denominators and kept
-    as a sparse {column: int} map.  Elimination is fraction-free:
+    The rows are those of `integer_rows`.  Elimination is fraction-free:
     row_i <- (pv/g) row_i - (f/g) row_r with g = gcd(pv, f), then the row's
     content is divided out.  Every row that holds a pivot is zero on the
     other pivot columns, so row[j] / row[pivot] is its rational RREF entry.
     """
     cols = len(a[0]) if a else 0
-    if any(len(row) != cols for row in a):
-        raise ValueError("ragged matrix")
-    pending = []  # rows that hold no pivot yet
-    for row in a:
-        entries = [_frac(v) for v in row]
-        scale = math.lcm(*(v.denominator for v in entries))
-        pending.append(
-            {j: v.numerator * (scale // v.denominator) for j, v in enumerate(entries) if v}
-        )
-
+    pending = integer_rows(a)  # rows that hold no pivot yet
     reduced = []  # (pivot column, row)
     for c in range(cols):
         r = next((i for i, row in enumerate(pending) if c in row), None)

@@ -419,7 +419,7 @@ def command_argv(key, sizes_files):
             # part above 2 or many parts leave dead ends at most steps of
             # the walk: `partition enum 200 --min-part 12` takes 2.6 s to
             # refuse and `partition enum 8388607 --parts 513` more than
-            # 300 s (ROADMAP item 5), so these take only the small ints
+            # 300 s (ROADMAP item 7), so these take only the small ints
             value = st.sampled_from(INTS[:4] if name == "--min-part" else INTS[:9])
         elif options.get("type") in (int, cli._order):
             value = st.sampled_from(INTS)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -219,6 +220,19 @@ class TestSeminvariantBasis:
         old = [iv.seminvariant_basis(*point) for point in self.OMEGA_POINTS]
         assert len(calls) == len(self.OMEGA_POINTS)
         assert new == old
+
+    def test_isobaric_monomials_match_a_brute_force_filter_at_large_p(self):
+        # Most monomials spend their degree long before a_p: the listing
+        # ends each branch there, and still gives every monomial, in order.
+        p, j, w = 60, 3, 40
+        want = []
+        for parts in itertools.combinations_with_replacement(range(p + 1), j):
+            if sum(parts) == w:
+                exp = [0] * (p + 1)
+                for k in parts:
+                    exp[k] += 1
+                want.append(tuple(exp))
+        assert iv._isobaric_monomials(p, j, w) == sorted(want)
 
     def test_lex_greatest_monomial_has_a_positive_coefficient(self):
         for point in self.OMEGA_POINTS:
@@ -451,6 +465,44 @@ class TestSyzygants:
         c3 = iv.odd_source(3, 3)
         delta = iv.cubic_discriminant()
         assert (a0**2 * delta - 4 * h**3 - c3**2).is_zero()
+
+    def test_fractional_sources_scale_the_alphas(self):
+        # Each row is scaled to integers on its own, so halving H^3 doubles
+        # its alpha and the quotient stays J.
+        names = iv.avar_names(4)
+        u = MultiPoly.variable(names, "a0")
+        h = iv.quadrinvariant(4, 2)
+        c3 = iv.odd_source(4, 3)
+        q4 = iv.quadrinvariant(4, 4)
+        whole = iv.syzygant_search([h**3, c3**2, u**2 * h * q4], 3)
+        sols = iv.syzygant_search([h**3 * Fraction(1, 2), c3**2 * Fraction(2, 3), u**2 * h * q4], 3)
+        assert len(sols) == 1
+        assert sols[0].alphas == (Fraction(-8), Fraction(-3, 2), Fraction(1))
+        assert sols[0].quotient == whole[0].quotient
+
+    def test_solutions_match_the_gauss_jordan_route(self, monkeypatch):
+        cases = []
+        for p in (4, 5, 6):
+            names = iv.avar_names(p)
+            u = MultiPoly.variable(names, "a0")
+            h = iv.quadrinvariant(p, 2)
+            c3 = iv.odd_source(p, 3)
+            q4 = iv.quadrinvariant(p, 4)
+            for k in range(5):
+                cases.append(([h**3, c3**2, u**2 * h * q4], k))
+                cases.append(([h**3 * Fraction(-5, 7), c3**2 * Fraction(3, 11), h**3 + c3**2, u**2 * h * q4], k))
+        new = [iv.syzygant_search(*case) for case in cases]
+        calls = []
+
+        def dense_gauss_jordan(rows, cols):
+            calls.append(cols)
+            return gauss_jordan_nullspace([[row.get(j, 0) for j in range(cols)] for row in rows] or [[0] * cols])
+
+        monkeypatch.setattr(iv, "nullspace_sparse", dense_gauss_jordan)
+        old = [iv.syzygant_search(*case) for case in cases]
+        assert len(calls) == len(cases)
+        assert new == old
+        assert any(len(sols) > 1 for sols in new) and any(not sols for sols in new)
 
     def test_no_solution_returns_empty(self):
         names = iv.avar_names(4)

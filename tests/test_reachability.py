@@ -1,5 +1,6 @@
 """Every public function, class and method of `src/combanal` is reached
-from the command table, or is named in NOT_REACHED with its reason.
+from the command table, or is named in NOT_REACHED with its reason, and
+every private function is referred to somewhere in `src/combanal`.
 
 The walk reads the sources with `ast` and imports nothing.  Its roots are
 the `cmd_*` handlers, `cli.main`, `cli.dispatch`, `cli.build_parser` and
@@ -232,6 +233,59 @@ def test_not_reached_holds_no_stale_entry():
     assert set(NOT_REACHED) <= defined, sorted(set(NOT_REACHED) - defined)
     assert not set(NOT_REACHED) & reached, sorted(set(NOT_REACHED) & reached)
     assert set(NOT_REACHED.values()) <= REASONS
+
+
+def orphaned_private_functions(sources: Dict[str, str]) -> Set[str]:
+    """The module-level and class-level `_name` functions of `sources` that
+    no name or attribute in any of them refers to, dunders left out."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    referred: Set[str] = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referred.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referred.add(node.attr)
+    private = set()
+    for name, tree in trees.items():
+        for stmt in tree.body:
+            scope = [(f"{name}.", stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                scope = [(f"{name}.{stmt.name}.", item) for item in stmt.body]
+            for prefix, node in scope:
+                if (
+                    isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.endswith("__")
+                ):
+                    private.add((prefix + node.name, node.name))
+    return {qual for qual, local in private if local not in referred}
+
+
+def test_every_private_function_is_referred_to():
+    orphans = orphaned_private_functions(_package_sources())
+    assert not orphans, f"private functions nothing in src/ refers to: {sorted(orphans)}"
+
+
+def test_synthetic_orphaned_private_functions():
+    lib = """
+def _used(x):
+    return x
+
+def _left_behind(x):
+    return x
+
+class Box:
+    def __init__(self):
+        self._tidy()
+
+    def _tidy(self):
+        return _used(1)
+
+    def _stale(self):
+        pass
+"""
+    assert orphaned_private_functions({"lib": lib}) == {"lib._left_behind", "lib.Box._stale"}
 
 
 def test_handlers_are_the_command_table():
