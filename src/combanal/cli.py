@@ -292,21 +292,30 @@ TILE = (
 
 @command("partition", "count", arg("n", type=int),
          arg("--parts", type=int, help="exact number of parts (recurrence-checked)"),
-         arg("--min-part", type=int, default=1),
+         arg("--min-part", type=int),
          arg("--elements", help="count multisets from these elements instead"),
          arg("--euler-primes", help="distinct-vs-odd counts avoiding these primes"),
          arg("--pattern", help="adjacent relations, e.g. '>,>='"))
 def cmd_partition_count(args) -> CommandResult:
     from . import partitions as pt
-    if args.pattern:
+    modes = [flag for flag, value in (("--pattern", args.pattern), ("--elements", args.elements),
+                                      ("--euler-primes", args.euler_primes), ("--parts", args.parts))
+             if value is not None]
+    if len(modes) > 1:
+        raise UsageError(f"{modes[0]} and {modes[1]} cannot be combined")
+    if args.min_part is not None and args.parts is None:
+        raise UsageError("--min-part needs --parts")
+    if args.pattern == "" or args.elements == "":
+        raise UsageError(f"{modes[0]} needs a value")
+    if args.pattern is not None:
         value = pt.relation_pattern_count(args.n, args.pattern.split(","))
-    elif args.elements:
+    elif args.elements is not None:
         value = pt.cayley_denumerant(_ints(args.elements), args.n)
     elif args.euler_primes is not None:
         a, b = pt.generalized_euler_counts(set(_ints(args.euler_primes)), args.n)
         return CommandResult(f"{a} {b}", {"distinct": a, "odd": b})
     elif args.parts is not None:
-        value = pt.warburton_count(args.n, args.parts, args.min_part)
+        value = pt.warburton_count(args.n, args.parts, 1 if args.min_part is None else args.min_part)
     else:
         value = pt.count_partitions(args.n)
     return CommandResult(str(value), int(value))

@@ -909,29 +909,19 @@ RELATIONS: Dict[str, Tuple[Optional[int], Optional[int]]] = {
 }
 
 
-# parts * n^2: the prefix-sum cells of relation_pattern_count (about
-# 0.7 s at the cap with Python 3.11 on a 2-vCPU VM)
-RELATION_PATTERN_CAP = 2**23
+# parts * (D^2 + n), D = min(n, parts(parts+1)/2): the slot table's cells
+# for the numerator and the additions of the division (about 0.4 s at
+# the cap with Python 3.11 on a 2-vCPU VM)
+RELATION_PATTERN_CAP = 3 * 10**6
 
 
-def relation_pattern_count(n: int, pattern: Sequence[str]) -> int:
-    """Sequences of positive integers summing to n whose adjacent pairs
-    satisfy the given relations (pattern length = parts - 1).
-
-    Filled slot by slot from the last: below[r][x] counts the fillings of
-    the current slot and those after it that sum to r and start with a
-    part at most x.  Each relation allows a range of next parts, so one slot
-    costs O(n^2) prefix-sum differences; refused when parts * n^2 passes
-    RELATION_PATTERN_CAP.
-    """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    for rel in pattern:
-        if rel not in RELATIONS:
-            raise DomainError(f"unknown relation {rel!r}")
+def _relation_pattern_table(n: int, pattern: Sequence[str]) -> List[int]:
+    """The counts of relation_pattern_count for the totals 0..n, filled
+    slot by slot from the last: below[r][x] counts the fillings of the
+    current slot and those after it that sum to r and start with a part at
+    most x.  Each relation allows a range of next parts, so one slot costs
+    O(n^2) prefix-sum differences."""
     s = len(pattern) + 1
-    if s * n * n > RELATION_PATTERN_CAP:
-        raise DomainError(f"parts * n^2 = {s * n * n} exceeds the cap {RELATION_PATTERN_CAP}")
     # the last slot alone: part r is the one filling of sum r
     below = [[0] * r + [1] for r in range(n + 1)]
     below[0] = [0]
@@ -953,7 +943,66 @@ def relation_pattern_count(n: int, pattern: Sequence[str]) -> int:
             row.append(acc)
             rows.append(row)
         below = rows
-    return below[n][n]
+    return [row[-1] for row in below]
+
+
+def relation_pattern_count(n: int, pattern: Sequence[str]) -> int:
+    """Sequences of positive integers summing to n whose adjacent pairs
+    satisfy the given relations (pattern length = parts - 1).
+
+    With s parts this is the coefficient of q^n in
+
+        W(q) / prod_{k=1..s} (1 - q^k),   deg W <= s(s+1)/2,
+
+    Stanley's form for P-partitions (MacMahon's Partition Analysis, vol.
+    2 section VIII).  W is the slot table's counts for the totals 0..D,
+    D = min(n, s(s+1)/2), times each (1 - q^k); the count at n then comes
+    from dividing by each (1 - q^k) in turn, a_i = w_i + a_{i-k}, a stage
+    keeping only its last k values.  Refused when parts * (D^2 + n), the
+    table's cells and the division's additions, passes
+    RELATION_PATTERN_CAP.
+
+    Why the form holds.  `=` merges adjacent slots into blocks b, of
+    weights m_b summing to s and values x_b >= 1, with total sum m_b x_b.
+    The other relations compare adjacent blocks, each as x_a >= x_b or
+    x_a > x_b (`*` compares none), so the comparisons form a path and
+    a labelling w of the blocks with w(a) > w(b) exactly on the strict
+    ones exists.  Stanley's fundamental lemma (EC1 section 3.15) splits
+    the fillings by linear extension c_1..c_t of the blocks: those with
+    x_{c_1} >= ... >= x_{c_t} >= 1, strict exactly at the descents i < t
+    of w along c.  Shift to free nonnegative y_i = x_{c_i} - x_{c_{i+1}}
+    - [i a descent] for i < t and y_t = x_{c_t} - 1.  With the partial
+    sums M_i = m_{c_1} + ... + m_{c_i} the total is
+    s + maj + sum_i y_i M_i, maj the sum of M_i over the descents, so the
+    extension contributes q^(s + maj) / prod_{i=1..t} (1 - q^(M_i)).
+
+    - Denominator: M_1 < ... < M_t = s are distinct integers in 1..s, so
+      prod_i (1 - q^(M_i)) divides prod_{k=1..s} (1 - q^k).
+    - Degree: the extension's term of W is q^(s + maj) times (1 - q^k)
+      for each k in 1..s that is no M_i, of degree
+      s + maj + s(s+1)/2 - sum_i M_i <= s(s+1)/2, since the descents
+      are below t and so maj <= sum_{i<t} M_i = sum_i M_i - s.
+    """
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    for rel in pattern:
+        if rel not in RELATIONS:
+            raise DomainError(f"unknown relation {rel!r}")
+    s = len(pattern) + 1
+    d = min(n, s * (s + 1) // 2)
+    price = s * (d * d + n)
+    if price > RELATION_PATTERN_CAP:
+        raise DomainError(f"parts * (D^2 + n) = {price} with D = {d} exceeds the cap {RELATION_PATTERN_CAP}")
+    w = _relation_pattern_table(d, pattern)
+    for k in range(1, s + 1):
+        q_factor(w, k, 1)
+    # division by (1 - q^k) for k > n leaves q^0..q^n as they are
+    windows = [[0] * k for k in range(1, min(s, n) + 1)]
+    for i, a in enumerate(itertools.chain(w, itertools.repeat(0, n - d))):
+        for window in windows:
+            j = i % len(window)  # a_{i-k} sits at i % k
+            a = window[j] = window[j] + a
+    return a
 
 
 # -- plane partitions -----------------------------------------------------

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -26,10 +27,6 @@ Cube = Tuple[int, int, int, int, int, int]
 # color that face PERM[f] showed before the turn.
 _YAW = (U, D, L, R, B, F)      # top view, clockwise: L->F, F->R, R->B, B->L
 _PITCH = (F, B, D, U, L, R)    # front rises: F->U, U->B, B->D, D->F
-
-
-def _apply(perm: Sequence[int], cube: Sequence[int]) -> Cube:
-    return tuple(cube[perm[f]] for f in range(6))
 
 
 def _compose(p1: Sequence[int], p2: Sequence[int]) -> Tuple[int, ...]:
@@ -55,10 +52,12 @@ def _rotation_group() -> List[Tuple[int, ...]]:
 
 ROTATIONS: List[Tuple[int, ...]] = _rotation_group()
 assert len(ROTATIONS) == 24
+# TURNS[i](cube) is the cube under ROTATIONS[i]
+TURNS = [operator.itemgetter(*rot) for rot in ROTATIONS]
 
 
 def orientations(cube: Sequence[int]) -> List[Cube]:
-    return [_apply(rot, cube) for rot in ROTATIONS]
+    return [turn(cube) for turn in TURNS]
 
 
 def canonical_cube(cube: Sequence[int]) -> Cube:
@@ -146,7 +145,7 @@ class CubeAssembly:
 
     def oriented(self) -> Dict[Tuple[int, int, int], Cube]:
         return {
-            pos: _apply(ROTATIONS[rot], cube) for pos, cube, rot in self.placements
+            pos: TURNS[rot](cube) for pos, cube, rot in self.placements
         }
 
 

@@ -181,6 +181,13 @@ class TestExitCodes:
         "compose conj 1,2;x",
         "pattern classify 0,0;1",
         "pattern angles 1/0",
+        "partition count 10 --min-part 3",
+        "partition count 5 --pattern=",
+        "partition count 5 --elements=",
+        "partition count 5 --pattern=> --parts 3",
+        "partition count 5 --pattern >,> --elements 1,2",
+        "partition count 5 --elements 1,2 --euler-primes 3",
+        "partition count 5 --euler-primes 3 --parts 2",
         "invariant check a0*a2-a1^2 --p 2 --transform 1,2",
         "invariant check a0*a2-a1^2 --p 2 --transform 1,0,0,x",
         "invariant omega a0^3000000000 --p 2",
@@ -193,6 +200,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        ("partition count 10 --min-part 3", "--min-part needs --parts"),
+        ("partition count 5 --pattern=", "--pattern needs a value"),
+        ("partition count 5 --elements=", "--elements needs a value"),
+        ("partition count 5 --pattern=> --parts 3", "--pattern and --parts cannot be combined"),
+    ])
+    def test_partition_count_options_that_were_dropped_are_one_usage_line(self, argv, message):
+        assert run(argv) == (2, "", f"usage error: {message}\n")
 
     @pytest.mark.parametrize("argv", ["divisor series A --n 0", "divisor series A --n 5 --k 0"])
     def test_divisor_series_index_is_one_usage_line(self, argv):
@@ -372,7 +388,12 @@ SHAPED = {
     "poly": poly_text,
     "seed": poly_text,
     "--sources": st.lists(poly_text, min_size=1, max_size=3).map("|".join),
-    "--pattern": st.lists(st.sampled_from((">", ">=", "=", "<", "<=", "*", "?")), max_size=4).map(",".join),
+    # short patterns, with an unknown relation among them, and long ones of
+    # 26 to 31 parts, whose slot table alone passes the cap from n = 340 on
+    "--pattern": st.one_of(
+        st.lists(st.sampled_from((">", ">=", "=", "<", "<=", "*", "?")), max_size=4),
+        st.lists(st.sampled_from((">", ">=", "=", "<", "<=", "*")), min_size=25, max_size=30),
+    ).map(",".join),
     "--matrix": st.lists(int_list, min_size=1, max_size=4).map(";".join),
     "--boxed": st.lists(st.sampled_from(INTS + ("inf",)), min_size=2, max_size=4).map(",".join),
     "--transform": fraction_list,
@@ -462,10 +483,35 @@ def test_every_command_exits_0_1_or_2(key, sizes_files, data):
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+# one counting route of partition count: the draws above seldom give one
+# alone, and the routes refuse each other
+PARTITION_COUNT_ROUTE = st.one_of(
+    SHAPED["--pattern"].map(lambda v: [f"--pattern={v}"]),
+    int_list.map(lambda v: [f"--elements={v}"]),
+    int_list.map(lambda v: [f"--euler-primes={v}"]),
+    st.tuples(st.sampled_from(INTS), st.sampled_from(INTS[:6])).map(
+        lambda v: [f"--parts={v[0]}", f"--min-part={v[1]}"]
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.sampled_from(INTS), route=PARTITION_COUNT_ROUTE)
+def test_partition_count_route_exits_0_1_or_2(n, route):
+    code, out, err = run_within(["partition", "count", *route, "--", n])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def derangement_matrix(n):
     """The --matrix literal with zeros on the diagonal and ones elsewhere."""
     return ";".join(",".join("0" if i == j else "1" for j in range(n)) for i in range(n))
 
+
+# 25 parts, so D = 325 slot-table rows for any n >= 325
+LONG_PATTERN = ",".join([">"] * 24)
 
 # Each fixed work guard at its edge: (argv exactly at the cap, argv just
 # past it), the size in the guard's own unit in the comment.
@@ -562,9 +608,13 @@ CAP_EDGES = [
     ("partition scale 1000000", "partition scale 1000001"),  # as above
     ("puzzle contacts 32768", "puzzle contacts 32769"),  # 2^15 letters
     (
-        "partition count 1672 --pattern >,>",
-        "partition count 1673 --pattern >,>",
-    ),  # 3 * 1672^2 = 8386752 and 8396787 cells, cap 2^23
+        "partition count 999964 --pattern >,>",
+        "partition count 999965 --pattern >,>",
+    ),  # 3 * (6^2 + 999964) = 3 * 10^6 and 3000003, D = 6, cap 3 * 10^6
+    (
+        f"partition count 14375 --pattern {LONG_PATTERN}",
+        f"partition count 14376 --pattern {LONG_PATTERN}",
+    ),  # 25 * (325^2 + 14375) = 3 * 10^6 and 3000025, the table's 25 * 325^2 = 2640625 of it
     (
         "partition count 3162 --euler-primes 3",
         "partition count 3163 --euler-primes 3",
@@ -1116,6 +1166,14 @@ def peak_rss_kib(argv):
     )
     code, peak_kib = map(int, proc.stdout.split())
     return code, peak_kib
+
+
+@pytest.mark.parametrize("argv", ["partition count 999964 --pattern >,>", f"partition count 14375 --pattern {LONG_PATTERN}"])
+def test_relation_patterns_at_the_cap_peak_below_30_mib(argv):
+    # 18.3 and 21.3 MiB measured; the slot table to 1672, the old edge,
+    # peaked at 79.8 MiB
+    code, peak_kib = peak_rss_kib(argv)
+    assert code == 0 and peak_kib < 30 * 1024
 
 
 @pytest.mark.parametrize("argv", ["partition enum 55", "compose enum 20"])

@@ -64,6 +64,32 @@ def relation_pattern_oracle(n, pattern):
     return rec(n, 0, None)
 
 
+def relation_pattern_table_oracle(n, pattern):
+    """The earlier route: the full slot table to n.  below[r][x] counts the
+    fillings of the current slot and those after it that sum to r and
+    start with a part at most x, filled slot by slot from the last."""
+    s = len(pattern) + 1
+    below = [[0] * r + [1] for r in range(n + 1)]
+    below[0] = [0]
+    for slot in range(s - 2, -1, -1):
+        low, high = pt.RELATIONS[pattern[slot]]
+        rows = [[0]]
+        for r in range(1, n - slot + 1):
+            row = [0]
+            acc = 0
+            for v in range(1, r):
+                t = r - v
+                nxt = below[t]
+                acc += nxt[min(t, v + high) if high is not None else t] - (
+                    nxt[min(t, v + low)] if low is not None else 0
+                )
+                row.append(acc)
+            row.append(acc)
+            rows.append(row)
+        below = rows
+    return below[n][n]
+
+
 # Frozen from the De Morgan table (x up to 10, y = greatest part).  The
 # printed row for x = 8 sums to 21 instead of p(8) = 22: its (8, 4) cell
 # is a transcription slip for 5 (the five partitions with greatest part 4
@@ -582,6 +608,32 @@ class TestRelationPatterns:
         import math
 
         assert pt.relation_pattern_count(400, ["*"] * 4) == math.comb(399, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 200), st.lists(st.sampled_from(sorted(pt.RELATIONS)), max_size=6))
+    def test_generating_function_matches_slot_table(self, n, pattern):
+        assert pt.relation_pattern_count(n, pattern) == relation_pattern_table_oracle(n, pattern)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from(sorted(pt.RELATIONS)), max_size=7))
+    def test_numerator_degree_is_at_most_s_s_plus_1_over_2(self, pattern):
+        # W to s more coefficients than the proved degree: the extra ones vanish
+        s = len(pattern) + 1
+        top = s * (s + 1) // 2
+        w = pt._relation_pattern_table(top + s, pattern)
+        for k in range(1, s + 1):
+            pt.q_factor(w, k, 1)
+        assert w[top + 1:] == [0] * s
+
+    def test_equal_parts_count_one_exactly_when_s_divides_n(self):
+        # 99960 = 119 * lcm(1..8), so each s divides it and only 1 divides 99961
+        for s in range(1, 9):
+            for n in (99960, 99961):
+                assert pt.relation_pattern_count(n, ["="] * (s - 1)) == int(n % s == 0), (n, s)
+
+    def test_free_parts_are_compositions_at_ten_to_the_five(self):
+        for s in range(1, 9):
+            assert pt.relation_pattern_count(10**5, ["*"] * (s - 1)) == math.comb(10**5 - 1, s - 1)
 
     def test_unknown_relation_refused(self):
         with pytest.raises(ValueError, match="unknown relation"):

@@ -131,7 +131,7 @@ def assemble_oracle(pool, target):
         options = []
         for ci, cube in enumerate(pool):
             for ri, rot in enumerate(rc.ROTATIONS):
-                faces = rc._apply(rot, cube)
+                faces = tuple(cube[f] for f in rot)
                 if all(faces[f] == color for f, color in wanted.items()):
                     options.append((ci, faces, ri))
         per_position.append(options)
