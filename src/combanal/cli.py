@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 domain error (a DomainError: infeasible input,
 guard refusal), 2 usage error.  Any other exception is a bug and ends in
 a traceback.  Results go to stdout, diagnostics to stderr; identical
-argv produces byte-identical output.  Formats: text (default), json
-(stable key order), csv (header row), svg (pattern tiling only).
+argv produces byte-identical output.  Formats: text (default) and json
+(stable key order) for every subcommand, csv (header row) for the table
+commands, svg for pattern tiling; the command table lists each one's.
 
 Each subcommand is one entry of the command table: the @command decorator
 on its handler.  The parser and dispatch are derived from that table.
@@ -28,29 +29,24 @@ from . import DomainError
 # attributes (pt.f), never copied into this namespace.
 
 
-# a format that a result does not carry (None is the JSON value null)
-ABSENT = object()
-
-
 class CommandResult(NamedTuple):
-    """One handler's answer in every format it supports.  Each format is a
-    finished value (`text` and `svg` a str, `json_obj` a JSON value,
-    `csv_rows` rows of cells), a zero-argument callable that render()
-    calls only when its format is asked for, or ABSENT.  A callable may
-    return a generator of str chunks, a streamed listing: every domain
-    check runs when the callable is called, before the first chunk is
-    made."""
+    """One handler's answer in each format its command table entry lists:
+    text and json always, csv and svg where the entry lists them (None
+    elsewhere, never rendered).  Each format is a finished value (`text`
+    and `svg` a str, `json_obj` a JSON value, `csv_rows` rows of cells) or
+    a zero-argument callable that render() calls only when its format is
+    asked for.  A callable may return a generator of str chunks, a
+    streamed listing: every domain check runs when the callable is
+    called, before the first chunk is made."""
 
     text: object
-    json_obj: object = ABSENT
-    csv_rows: object = ABSENT
-    svg: object = ABSENT
+    json_obj: object
+    csv_rows: object = None
+    svg: object = None
 
     def render(self, fmt: str) -> Iterable[str]:
         """The asked format as an iterable of str chunks."""
         value = self[FORMATS.index(fmt)]  # the fields are in FORMATS order
-        if value is ABSENT:
-            raise UsageError(f"this subcommand has no {fmt} output")
         if callable(value):
             value = value()
             if type(value) is GeneratorType:
@@ -235,11 +231,12 @@ def parse_coeff_poly(expr: str, p: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 # the command table
 
-# --format takes the same choices for every subcommand.  dispatch refuses
-# a format missing from the command's own list before its handler runs;
-# render() refuses json or csv that a result does not carry.
+# --format takes the same choices for every subcommand, and the command
+# table lists the ones each prints: text and json everywhere, csv for the
+# table commands in every route, svg for pattern tiling.  dispatch refuses
+# any other format before the handler runs.
 FORMATS = ("text", "json", "csv", "svg")
-TABULAR = ("text", "json", "csv")  # every command's formats but pattern tiling's
+TABLE = ("text", "json", "csv")
 # patterns.BASES and divisors.SERIES_KINDS, spelled out so that building
 # the parser imports neither module (a test keeps them equal)
 TILE_BASES = ("triangle", "square", "hexagon")
@@ -262,7 +259,7 @@ COMMANDS: Dict[Key, Command] = {}
 RUN: Dict[Key, Callable[[argparse.Namespace], CommandResult]] = {}
 
 
-def command(group: str, action: str, *arguments: Argument, formats: Tuple[str, ...] = TABULAR):
+def command(group: str, action: str, *arguments: Argument, formats: Tuple[str, ...] = ("text", "json")):
     """Register the decorated handler as `combanal GROUP ACTION`, taking
     these arguments (then --format and --out) and printing these formats."""
 
@@ -324,7 +321,7 @@ def cmd_partition_count(args) -> CommandResult:
 @command("partition", "enum", arg("n", type=int), arg("--max-part", type=int),
          arg("--parts", type=int), arg("--min-part", type=int, default=1),
          arg("--distinct", action="store_true"),
-         arg("--allowed", help="comma-separated allowed part values"))
+         arg("--allowed", help="comma-separated allowed part values"), formats=TABLE)
 def cmd_partition_enum(args) -> CommandResult:
     from . import partitions as pt
     constraint = pt.PartitionConstraint(
@@ -346,16 +343,16 @@ def cmd_partition_enum(args) -> CommandResult:
 @command("partition", "table", arg("n", type=int, nargs="?", default=20),
          arg("--demorgan", type=int, help="print row x of the greatest-part table"),
          arg("--u2", type=int, help="closed form for greatest part 2"),
-         arg("--u3", type=int, help="closed form for greatest part 3"))
+         arg("--u3", type=int, help="closed form for greatest part 3"), formats=TABLE)
 def cmd_partition_table(args) -> CommandResult:
     from . import partitions as pt
     if args.demorgan is not None:
         row = pt.demorgan_row(args.demorgan)
-        return CommandResult(" ".join(map(str, row)), row)
-    if args.u2 is not None:
-        return _scalar(pt.closed_form_u2(args.u2))
-    if args.u3 is not None:
-        return _scalar(pt.closed_form_u3(args.u3))
+        return CommandResult(" ".join(map(str, row)), row, [["y", "u"]] + [[y, u] for y, u in enumerate(row, 1)])
+    for x, closed_form in ((args.u2, pt.closed_form_u2), (args.u3, pt.closed_form_u3)):
+        if x is not None:
+            u = closed_form(x)
+            return CommandResult(str(u), u, [["x", "u"], [x, u]])
     pt.count_partitions(args.n)  # fills the table to n, or refuses past its cap
     rows = [[n, pt.count_partitions(n)] for n in range(args.n + 1)]
     text = "\n".join(f"{n:>4} {v}" for n, v in rows)
@@ -380,7 +377,7 @@ def cmd_partition_modular(args) -> CommandResult:
          arg("--digits", type=int, help="emit this many binary parity digits"))
 def cmd_partition_parity(args) -> CommandResult:
     from . import partitions as pt
-    return _scalar(pt.macmahon_digits(args.digits) if args.digits else pt.parity_p(args.n))
+    return _scalar(pt.macmahon_digits(args.digits) if args.digits is not None else pt.parity_p(args.n))
 
 
 @command("partition", "perfect", arg("n", type=int))
@@ -472,7 +469,7 @@ def cmd_compose_zigzag(args) -> CommandResult:
 
 
 @command("compose", "newcomb", arg("counts", help="cards per value, e.g. '2,1'"),
-         arg("--ascending", action="store_true"))
+         arg("--ascending", action="store_true"), formats=TABLE)
 def cmd_compose_newcomb(args) -> CommandResult:
     from . import compositions as cp
     dist = cp.newcomb_distribution(_ints(args.counts), ascending=args.ascending)
@@ -541,14 +538,14 @@ def cmd_master_rencontres(args) -> CommandResult:
          arg("poly", help="e.g. 'a0*a2-a1^2'"), arg("--p", type=_order, required=True))
 def cmd_invariant_omega(args) -> CommandResult:
     from . import invariants as iv
-    return CommandResult(str(iv.omega(parse_coeff_poly(args.poly, args.p), args.p)))
+    return _scalar(str(iv.omega(parse_coeff_poly(args.poly, args.p), args.p)))
 
 
 @command("invariant", "oop",
          arg("poly", help="e.g. 'a0*a2-a1^2'"), arg("--p", type=_order, required=True))
 def cmd_invariant_oop(args) -> CommandResult:
     from . import invariants as iv
-    return CommandResult(str(iv.oop(parse_coeff_poly(args.poly, args.p), args.p)))
+    return _scalar(str(iv.oop(parse_coeff_poly(args.poly, args.p), args.p)))
 
 
 @command("invariant", "check",
@@ -569,7 +566,7 @@ def cmd_invariant_check(args) -> CommandResult:
 @command("invariant", "covariant", arg("seed"), arg("--p", type=_order, required=True))
 def cmd_invariant_covariant(args) -> CommandResult:
     from . import invariants as iv
-    return CommandResult(str(iv.covariant_from_seed(parse_coeff_poly(args.seed, args.p), args.p)))
+    return _scalar(str(iv.covariant_from_seed(parse_coeff_poly(args.seed, args.p), args.p)))
 
 
 @command("invariant", "basis", arg("p", type=int), arg("j", type=int, nargs="?"),
@@ -578,15 +575,12 @@ def cmd_invariant_covariant(args) -> CommandResult:
 def cmd_invariant_basis(args) -> CommandResult:
     from . import invariants as iv
     if args.protomorphs is not None:
-        sources = iv.protomorphs(args.p, args.protomorphs)
-        return CommandResult("\n".join(str(s) for s in sources))
+        texts = [str(s) for s in iv.protomorphs(args.p, args.protomorphs)]
+        return CommandResult("\n".join(texts), texts)
     if args.j is None or args.w is None:
         raise UsageError("invariant basis needs j and w (or --protomorphs)")
-    basis = iv.seminvariant_basis(args.p, args.j, args.w)
-    if not basis:
-        return CommandResult("(empty)", [])
-    texts = [str(b) for b in basis]
-    return CommandResult("\n".join(texts), texts)
+    texts = [str(b) for b in iv.seminvariant_basis(args.p, args.j, args.w)]
+    return CommandResult("\n".join(texts) or "(empty)", texts)
 
 
 @command("invariant", "weight", arg("i", type=int), arg("p", type=int))
@@ -611,14 +605,12 @@ def cmd_invariant_syzygant(args) -> CommandResult:
         c3 = iv.odd_source(args.p, 3)
         q4 = iv.quadrinvariant(args.p, 4)
         sources = [h**3, c3**2, u**2 * h * q4]
-    solutions = iv.syzygant_search(sources, args.k)
-    if not solutions:
-        return CommandResult("(no nonzero solution)", [])
-    lines = []
-    for sol in solutions:
-        alphas = ",".join(str(a) for a in sol.alphas)
-        lines.append(f"alphas ({alphas}); quotient {sol.quotient}")
-    return CommandResult("\n".join(lines))
+    solutions = [
+        {"alphas": [str(a) for a in sol.alphas], "quotient": str(sol.quotient)}
+        for sol in iv.syzygant_search(sources, args.k)
+    ]
+    lines = [f"alphas ({','.join(sol['alphas'])}); quotient {sol['quotient']}" for sol in solutions]
+    return CommandResult("\n".join(lines) or "(no nonzero solution)", solutions)
 
 
 @command("invariant", "roots", arg("--p", type=int, default=4),
@@ -904,7 +896,7 @@ def cmd_pattern_tile(args) -> CommandResult:
     })
 
 
-@command("pattern", "tiling", *TILE, arg("--extent", type=int, default=2), formats=FORMATS)
+@command("pattern", "tiling", *TILE, arg("--extent", type=int, default=2), formats=("text", "json", "svg"))
 def cmd_pattern_tiling(args) -> CommandResult:
     from . import patterns as pa
     result = pa.generate_tiling(_named_tile(args), args.extent)
@@ -960,13 +952,14 @@ def cmd_pattern_tetra(args) -> CommandResult:
 
 @command("divisor", "series", arg("kind", choices=SERIES_KINDS), arg("--n", type=int),
          arg("--k", type=int, default=1), arg("--max-n", type=int, default=16),
-         arg("--max-k", type=int, default=5))
+         arg("--max-k", type=int, default=5), formats=TABLE)
 def cmd_divisor_series(args) -> CommandResult:
     from . import divisors as dv
     if args.n is not None:
         if args.n < 1 or args.k < 1:
             raise UsageError("--n and --k must be at least 1")
-        return _scalar(dv.divisor_series_coeff(args.kind, args.n, args.k))
+        value = dv.divisor_series_coeff(args.kind, args.n, args.k)
+        return CommandResult(str(value), value, [["n", f"k{args.k}"], [args.n, value]])
     if args.max_n < 1 or args.max_k < 1:
         raise UsageError("--max-n and --max-k must be at least 1")
     table = dv.divisor_table(args.kind, args.max_n, args.max_k)
@@ -976,7 +969,7 @@ def cmd_divisor_series(args) -> CommandResult:
     return CommandResult(text, {"kind": args.kind, "rows": rows}, csv_rows=[header] + rows)
 
 
-@command("divisor", "sigma2", arg("bound", type=int))
+@command("divisor", "sigma2", arg("bound", type=int), formats=TABLE)
 def cmd_divisor_sigma2(args) -> CommandResult:
     from . import divisors as dv
     values = dv.sigma2_from_plane_partitions(args.bound)

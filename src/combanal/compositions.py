@@ -217,7 +217,7 @@ class LineOfRoute:
         pos = (0, 0)
         points = [pos]
         marked = []
-        if any(len(part) != 2 or min(part) < 0 or max(part) == 0 for part in parts):
+        if not parts or any(len(part) != 2 or min(part) < 0 or max(part) == 0 for part in parts):
             raise DomainError("parts must be nonzero non-negative pairs")
         _check_parts_made(sum(a + b for a, b in parts))  # the path's steps
         for a, b in parts:

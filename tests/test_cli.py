@@ -789,6 +789,11 @@ def test_out_into_a_missing_directory_is_refused_before_the_handler_runs(monkeyp
     ("election cubelaw inf 1 5", "votes and exponent must be finite"),
     ("election cubelaw 1 1 5 --exponent nan", "votes and exponent must be finite"),
     ("invariant syzygant --k -1", "k must be non-negative"),  # leaked "negative power of a polynomial"
+    ("partition parity 5 --digits 0", "k must be at least 1"),  # printed the parity of p(5)
+    ("partition parity 5 --digits -3", "k must be at least 1"),
+    ("compose conj ;", "parts must be nonzero non-negative pairs"),  # printed (0,0)
+    ("compose conj ;;", "parts must be nonzero non-negative pairs"),
+    ("compose conj 1,0;0,0", "parts must be nonzero non-negative pairs"),
 ])
 def test_formerly_leaked_builtin_messages_are_refusals(argv, message):
     assert run(argv) == (1, "", f"error: {message}\n")
@@ -828,6 +833,16 @@ def test_readme_cap_table_cites_every_cap_with_its_value():
         if name.endswith("_CAP")
     }
     assert cited == defined
+
+
+def test_readme_names_the_commands_that_print_csv_and_svg():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = " ".join(fh.read().split())
+    for fmt in ("csv", "svg"):
+        named = re.search(rf"`{fmt}` [^.]*?for ((?:`\w+ \w+`(?:, | and )?)+)", text).group(1)
+        listed = {key for key, cmd in cli.COMMANDS.items() if fmt in cmd.formats}
+        assert {tuple(c.split()) for c in re.findall(r"`(\w+ \w+)`", named)} == listed, fmt
 
 
 FORMERLY_UNBOUNDED = [
@@ -1029,8 +1044,8 @@ def eager_partition_listing(items):
     }
 
 
-# Every refusal of a listing, with its exit code: each comes before the
-# first chunk, so stdout stays empty.
+# Every refusal of a listing that its handler or render() makes, with its
+# exit code: each comes before the first chunk, so stdout stays empty.
 LISTING_REFUSALS = [
     ("partition enum -1", 1),
     ("partition enum 56", 1),
@@ -1045,12 +1060,13 @@ LISTING_REFUSALS = [
     ("compose enum 0", 1),
     ("compose enum 21", 1),
     ("compose enum 21 --format json", 1),
-    ("compose enum 3 --format csv", 2),
     ("partition plane 25 --enum", 1),
     ("partition plane 25 --enum --format json", 1),
     ("puzzle contacts 13 --list", 1),
     ("puzzle contacts 13 --list --format json", 1),
 ]
+# and the ones dispatch makes before the handler runs
+DISPATCH_LISTING_REFUSALS = LISTING_REFUSALS + [("compose enum 3 --format csv", 2)]
 
 
 # Listings and the bound on their traced peak in MiB, set from measurement
@@ -1116,7 +1132,7 @@ class TestStreamedListings:
         assert (code, err) == (0, "") and run(f"{argv} --out {path}") == (0, "", "")
         assert path.read_bytes() == out.encode()
 
-    @pytest.mark.parametrize("argv,code", LISTING_REFUSALS, ids=[r[0] for r in LISTING_REFUSALS])
+    @pytest.mark.parametrize("argv,code", DISPATCH_LISTING_REFUSALS, ids=[r[0] for r in DISPATCH_LISTING_REFUSALS])
     def test_refusal_prints_nothing(self, argv, code):
         got, out, err = run(argv)
         assert (got, out) == (code, "")
@@ -1375,6 +1391,117 @@ class TestImportIsolation:
 
         assert cli.TILE_BASES == tuple(patterns.BASES)
         assert cli.SERIES_KINDS == divisors.SERIES_KINDS
+
+
+# One argv for each route of every command table entry: a route is the
+# set of options that chooses what a handler computes and how it answers.
+# SIZES stands for a --sizes-file path.
+ROUTES = [
+    "partition count 10", "partition count 10 --parts 3", "partition count 10 --parts 3 --min-part 2",
+    "partition count 5 --elements 1,2", "partition count 9 --euler-primes 3", "partition count 10 --pattern >,>",
+    "partition enum 6", "partition enum 6 --max-part 3 --distinct", "partition enum 6 --parts 2 --allowed 1,3,5",
+    "partition table 10", "partition table --demorgan 6", "partition table --u2 7", "partition table --u3 60",
+    "partition conj 4,2,1",
+    "partition modular 8,5,2,1 --mod 4",
+    "partition parity 10", "partition parity --digits 10",
+    "partition perfect 7",
+    "partition plane 4", "partition plane 4 --enum", "partition plane 4 --boxed inf,4,4", "partition plane --xy 4",
+    "partition scale 1,1,1",
+    "compose enum 3",
+    "compose conj 2,1,4", "compose conj 2,1,4 --tree", "compose conj 3,1;0,1;1,1",
+    "compose zigzag 3,3,2,1",
+    "compose newcomb 2,1", "compose newcomb 2,1 --ascending",
+    "compose count 2 2", "compose count 2 2 --essential", "compose count 4 --order-k 2",
+    "master coeff --matrix 0,1;1,0 --degree 2,2", "master coeff --matrix 0,1;1,0 --denominator",
+    "master derange 4",
+    "master rencontres 0 1,1,1,1",
+    "invariant omega a0*a2-a1^2 --p 2",
+    "invariant oop a0*a2-a1^2 --p 4",
+    "invariant check a0*a2-a1^2 --p 2 --transform 2,1,0,3",
+    "invariant covariant a0*a2-a1^2 --p 2",
+    "invariant basis 4 2 4", "invariant basis 4 2 3", "invariant basis 4 --protomorphs 4",
+    "invariant weight 3 4", "invariant weight 3 5",
+    "invariant syzygant --k 3", "invariant syzygant --k 3000000000",
+    "invariant roots --trials 2",
+    "ballot ahead 2 1",
+    "ballot neverbehind 3 2",
+    "ballot order 2,1,1",
+    "election prob 3 3 1 1",
+    "election approx 1000 1000 200 3",
+    "election cubelaw 53 47 100",
+    "election simulate --share 0.53 --constituencies 10 --size 101",
+    "election simulate --share 0.53 --sizes-file SIZES",
+    "puzzle cubes", "puzzle cubes --list", "puzzle cubes --associated 3", "puzzle cubes --mode any-coloring --colors 2",
+    "puzzle mayblox --target 0", "puzzle mayblox --any",
+    "puzzle triangles 4", "puzzle triangles 4 --list", "puzzle triangles 3 --squares",
+    "puzzle hexagon --border 2",
+    "puzzle stamps 9",
+    "puzzle contacts 4", "puzzle contacts 4 --list",
+    "puzzle latin --reduced 4", "puzzle latin --total 4",
+    "puzzle rod 8",
+    "puzzle weights 7", "puzzle weights 13 --pans two",
+    "puzzle rooks 8 2",
+    "pattern classify 0,0;1/2,1/3;1,0",
+    "pattern angles 1/3,1/3,1/3",
+    "pattern tile", "pattern tile --cairo", "pattern tile --base triangle --contact 0-1",
+    "pattern tiling", "pattern tiling --cairo --extent 1",
+    "pattern euler cube", "pattern euler tetrahedron",
+    "pattern tetra", "pattern tetra --prism",
+    "divisor series B --max-n 4 --max-k 2", "divisor series B --n 5 --k 2",
+    "divisor sigma2 4",
+    "divisor potency 33", "divisor potency --count 2",
+    "divisor factorize 12", "divisor factorize 8 --ordered",
+    "divisor totient 12",
+]
+
+
+def _key(argv):
+    return tuple(argv.split()[:2])
+
+
+def test_routes_cover_the_command_table():
+    assert {_key(argv) for argv in ROUTES} == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("argv", ROUTES)
+def test_route_prints_every_listed_format(tmp_path, argv):
+    sizes = tmp_path / "sizes"
+    sizes.write_text("100\n201\n")
+    for fmt in cli.COMMANDS[_key(argv)].formats:
+        code, out, err = run(f"{argv.replace('SIZES', str(sizes))} --format {fmt}")
+        assert (code, err) == (0, "") and out.strip(), fmt
+
+
+# Every route in each format its entry does not list, and argv whose
+# handler would work or refuse for a while: each is refused before the
+# handler runs.
+UNLISTED_FORMATS = [
+    f"{argv} --format {fmt}"
+    for argv in ROUTES
+    for fmt in cli.FORMATS
+    if fmt not in cli.COMMANDS[_key(argv)].formats
+] + [
+    "partition count 999964 --pattern >,> --format csv",  # 0.29 s of counting when the result refused it
+    "invariant basis 100 3 84 --format csv",
+    "invariant covariant a0^13 --p 6 --format csv",
+    "pattern tiling --cairo --extent 32 --format csv",
+    "puzzle stamps 20 --format csv",  # a cap refusal, exit 1, when the handler ran first
+    "partition count -1 --format csv",
+    "invariant oop 1/0 --p 2 --format csv",  # the handler's own usage line
+]
+
+
+@pytest.mark.parametrize("argv", UNLISTED_FORMATS)
+def test_unlisted_format_is_refused_before_the_handler_runs(monkeypatch, argv):
+    calls = []
+    monkeypatch.setitem(cli.RUN, _key(argv), lambda args: calls.append(args))
+    fmt = argv.split()[-1]
+    assert run(argv) == (2, "", f"usage error: this subcommand has no {fmt} output\n")
+    assert calls == []
+
+
+def test_every_command_prints_text_and_json():
+    assert all(cmd.formats[:2] == ("text", "json") for cmd in cli.COMMANDS.values())
 
 
 class TestFormats:

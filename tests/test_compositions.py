@@ -160,6 +160,10 @@ class TestRoutes:
     def test_single_step_self_conjugate(self):
         assert cp.route_conjugate(((1, 0),)) == ((1, 0),)
 
+    def test_empty_composition_is_refused(self):
+        with pytest.raises(ValueError, match="parts must be nonzero non-negative pairs"):
+            cp.route_conjugate(())
+
     def test_sums_preserved_on_22(self):
         for comp in cp.enumerate_multipartite_compositions((2, 2)):
             conj = cp.route_conjugate(comp)
