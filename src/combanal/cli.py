@@ -118,7 +118,15 @@ def _order(text: str) -> int:
 
 
 def _vector_parts(text: str) -> List[tuple]:
-    return [tuple(_ints(part)) for part in text.split(";") if part]
+    """';'-separated pairs.  A leading or trailing ';' marks a one-part
+    bipartite composition, so only those two ends may be empty; an inner
+    empty part stays () for the composition's own check to refuse."""
+    parts = text.split(";")
+    if parts[0] == "":
+        del parts[0]
+    if parts and parts[-1] == "":
+        del parts[-1]
+    return [tuple(_ints(part)) for part in parts]
 
 
 def _fractions(text: str, what: str) -> List[Fraction]:

@@ -453,15 +453,21 @@ def demorgan_u(x: int, y: int) -> int:
 def demorgan_row(x: int) -> List[int]:
     """Row x of De Morgan's table, u(x, 1..x), empty for x <= 0.
 
-    Read from the column P(x, 0..x) of the exact-parts table: conjugation
-    turns a greatest part exactly y into exactly y parts.  Refused when the
-    x * x table cells pass EXACT_PARTS_CELL_CAP.
+    Conjugation turns a greatest part exactly y into exactly y parts, so
+    u(x, y) = [q^(x-y)] 1/prod_{j<=y}(1 - q^j): one series is divided by
+    (1 - q^y) for y = 1..x and its last entry read and dropped after each
+    step.  Refused when x * x passes EXACT_PARTS_CELL_CAP.
     """
     if x <= 0:
         return []
     if x * x > EXACT_PARTS_CELL_CAP:
         raise DomainError(f"x * x = {x * x} exceeds the exact-parts table cap {EXACT_PARTS_CELL_CAP}")
-    return _exact_parts(x, x, x)[1][1:]
+    acc = [1] + [0] * (x - 1)
+    row = []
+    for y in range(1, x + 1):
+        q_factor(acc, y, -1)
+        row.append(acc.pop())
+    return row
 
 
 def closed_form_u2(x: int) -> int:
@@ -488,68 +494,33 @@ def closed_form_u3(x: int) -> int:
     return int(value)
 
 
-# Largest n * p the exact-parts table may fill (about 0.3 s); beyond it
-# warburton_count refuses before any work.
+# Largest n * p that warburton_count, and x * x that demorgan_row, may
+# take (at most about 0.1 s in process at the cap, Python 3.11 on a
+# 2-vCPU VM); beyond it both refuse before any work.
 EXACT_PARTS_CELL_CAP = 10**6
-
-# (row p-1, column m) of the exact-parts table
-ExactPartsTable = Tuple[List[int], List[int]]
-
-
-def _exact_parts(n: int, p: int, m: int) -> ExactPartsTable:
-    """Partitions of j into exactly k positive parts, tabled bottom-up for
-    k = 0..p and j = 0..n with two rows alive at a time.
-
-    Row k comes from row k-1 by the classic recurrence (remove a part 1,
-    or lower every part by 1): P(j, k) = P(j-1, k-1) + P(j-k, k).
-    Returns row p-1 (empty when p = 0) and the column P(m, 0..p).
-    """
-    row = [1] + [0] * n
-    prev: List[int] = []
-    column = [row[m]]
-    for k in range(1, p + 1):
-        # row k = q * row (k-1) / (1 - q^k)
-        prev, row = row, [0] + row[:-1]
-        q_factor(row, k, -1)
-        column.append(row[m])
-    return prev, column
 
 
 def count_exact_parts(n: int, k: int) -> int:
-    """Partitions of n into exactly k positive parts."""
-    if n < 0 or k < 0:
+    """Partitions of n into exactly k positive parts.
+
+    Removing 1 from every part leaves a partition of n - k into at most k
+    parts; its conjugate has parts at most min(k, n - k), so the count is
+    [q^(n-k)] 1/prod_{j<=min(k, n-k)}(1 - q^j), one q_factor pass over
+    n - k + 1 entries per factor.
+    """
+    if n < 0 or k < 0 or k > n:
         return 0
-    return _exact_parts(n, k, n)[1][k]
-
-
-def _warburton_route1(n: int, p: int, h: int, table: Optional[ExactPartsTable] = None) -> int:
-    # [N, p_h] = sum_z [N - (1 + p(h-1)) - zp, (p-1)_1], z = 0..floor(N/p)-h
-    if p == 0:
-        return 1 if n == 0 else 0
-    if n < p * h:
-        return 0
-    row, _ = table or _exact_parts(n, p, n - p * h)
-    top = n // p - h
-    base = n - (1 + p * (h - 1))
-    return sum(row[base - z * p] for z in range(top + 1))
-
-
-def _warburton_route2(n: int, p: int, h: int, table: Optional[ExactPartsTable] = None) -> int:
-    # [N, p_h] = sum_{z=0..p} [N - p*h, z_1]
-    if p == 0:
-        return 1 if n == 0 else 0
-    if n < p * h:
-        return 0
-    _, column = table or _exact_parts(n, p, n - p * h)
-    return sum(column)
+    acc = [1] + [0] * (n - k)
+    for j in range(1, min(k, n - k) + 1):
+        q_factor(acc, j, -1)
+    return acc[-1]
 
 
 def warburton_count(n: int, p: int, h: int) -> int:
     """[N, p_h]: partitions of n into exactly p parts, each at least h.
 
-    Both recurrence routes from the source are evaluated, from one
-    exact-parts table, and must agree.  Refuses when that table would
-    exceed EXACT_PARTS_CELL_CAP cells.
+    Lowering every part by h - 1 leaves partitions of n - p(h - 1) into
+    exactly p parts.  Refuses when n * p exceeds EXACT_PARTS_CELL_CAP.
     """
     if n < 0 or p < 0 or h < 1:
         raise DomainError("need n >= 0, p >= 0, h >= 1")
@@ -557,12 +528,7 @@ def warburton_count(n: int, p: int, h: int) -> int:
         raise DomainError(
             f"n * parts = {n * p} exceeds the exact-parts table cap {EXACT_PARTS_CELL_CAP}"
         )
-    table = _exact_parts(n, p, max(n - p * h, 0))
-    r1 = _warburton_route1(n, p, h, table)
-    r2 = _warburton_route2(n, p, h, table)
-    if r1 != r2:
-        raise AssertionError(f"warburton routes disagree at ({n}, {p}, {h}): {r1} vs {r2}")
-    return r1
+    return count_exact_parts(n - p * (h - 1), p)
 
 
 def prime_circulator(a: int, q: int) -> int:

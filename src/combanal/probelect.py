@@ -9,7 +9,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
@@ -268,16 +268,7 @@ class ElectionReport:
 
     def to_json(self) -> Dict[str, float]:
         """The report as a JSON value."""
-        return {
-            "share": self.share,
-            "mixing": self.mixing,
-            "seats_a": self.seats_a,
-            "seats_b": self.seats_b,
-            "seat_share_a": self.seat_share_a,
-            "vote_share_a": self.vote_share_a,
-            "cube_law_seat_share": self.cube_law_seat_share,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def read_constituency_sizes(path: str) -> List[int]:

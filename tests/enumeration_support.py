@@ -1,7 +1,8 @@
 """Oracles for the listings: plain part-by-part recursion for partitions
 and compositions, shared by the library tests and the CLI streaming
-tests, and the build-dedupe-sort enumerators of contact systems, tiles,
-plane and perfect partitions."""
+tests, the build-dedupe-sort enumerators of contact systems, tiles,
+plane and perfect partitions, and Warburton's two recurrence routes for
+partitions into exactly p parts."""
 
 import itertools
 
@@ -49,6 +50,18 @@ def constraints(draw):
         distinct=draw(st.booleans()),
         allowed_parts=draw(st.none() | st.frozensets(st.integers(1, 16), max_size=7)),
     )
+
+
+def warburton_route1(n, p, h):
+    """[N, p_h] = sum_z [N - (1 + p(h-1)) - zp, (p-1)_1], z = 0..N//p - h."""
+    if p == 0:
+        return int(n == 0)
+    return sum(pt.count_exact_parts(n - 1 - p * (h - 1) - z * p, p - 1) for z in range(n // p - h + 1))
+
+
+def warburton_route2(n, p, h):
+    """[N, p_h] = sum_{z=0..p} [N - ph, z_1]."""
+    return sum(pt.count_exact_parts(n - p * h, z) for z in range(p + 1))
 
 
 def enumerate_compositions_oracle(n):

@@ -23,6 +23,7 @@ from combanal import (
     recreations as rc,
 )
 from combanal.exactcore import MultiPoly
+from enumeration_support import warburton_route1, warburton_route2
 
 
 def report(number: int, text: str):
@@ -72,8 +73,8 @@ def test_criterion_2_recurrence_tradition():
         assert pt.closed_form_u2(x) == pt.demorgan_u(x, 2)
     for x in range(3, 201):
         assert pt.closed_form_u3(x) == pt.demorgan_u(x, 3)
-    assert pt._warburton_route1(31, 5, 3) == 101
-    assert pt._warburton_route2(31, 5, 3) == 101
+    assert warburton_route1(31, 5, 3) == 101
+    assert warburton_route2(31, 5, 3) == 101
     row12 = [pt.warburton_count(12, p, 1) for p in range(1, 13)]
     assert row12 == TABLE_8_ROW_12 and sum(row12) == 77
     for x in range(1, 21):

@@ -794,9 +794,17 @@ def test_out_into_a_missing_directory_is_refused_before_the_handler_runs(monkeyp
     ("compose conj ;", "parts must be nonzero non-negative pairs"),  # printed (0,0)
     ("compose conj ;;", "parts must be nonzero non-negative pairs"),
     ("compose conj 1,0;0,0", "parts must be nonzero non-negative pairs"),
+    ("compose conj 1,0;;0,1", "parts must be nonzero non-negative pairs"),  # printed (1,1)
+    ("compose conj 1,0;;", "parts must be nonzero non-negative pairs"),  # printed (1,0)
+    ("compose conj ;;1,0", "parts must be nonzero non-negative pairs"),
 ])
 def test_formerly_leaked_builtin_messages_are_refusals(argv, message):
     assert run(argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", ["compose conj ;1,0", "compose conj 1,0;", "compose conj ;1,0;"])
+def test_empty_end_marks_a_one_part_bipartite_composition(argv):
+    assert run(argv) == (0, "(1,0)\n", "")
 
 
 def test_cube_law_past_the_float_range_answers():

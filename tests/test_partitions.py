@@ -14,6 +14,8 @@ from enumeration_support import (
     enumerate_partitions_oracle,
     perfect_partitions_oracle,
     plane_partitions_oracle,
+    warburton_route1,
+    warburton_route2,
 )
 
 
@@ -277,6 +279,11 @@ class TestDeMorgan:
         for x in range(-2, 40):
             assert pt.demorgan_row(x) == [pt.demorgan_u(x, y) for y in range(1, x + 1)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 150))
+    def test_random_row_reads_the_recurrence(self, x):
+        assert pt.demorgan_row(x) == [pt.demorgan_u(x, y) for y in range(1, x + 1)]
+
     def test_euler_duality_with_warburton(self):
         for x in range(1, 21):
             for y in range(1, x + 1):
@@ -316,8 +323,8 @@ class TestClosedForms:
 
 class TestWarburton:
     def test_101_example_both_routes(self):
-        assert pt._warburton_route1(31, 5, 3) == 101
-        assert pt._warburton_route2(31, 5, 3) == 101
+        assert warburton_route1(31, 5, 3) == 101
+        assert warburton_route2(31, 5, 3) == 101
         assert pt.warburton_count(31, 5, 3) == 101
 
     def test_route2_partial_sums(self):
@@ -370,6 +377,17 @@ class TestWarburton:
         row = tuple(pt.warburton_count(12, p, 1) for p in range(1, 13))
         assert row == WARBURTON_ROW_12
         assert sum(row) == 77
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 10), st.integers(1, 5))
+    def test_random_count_is_the_listing_length(self, n, p, h):
+        listing = pt.enumerate_partitions(n, pt.PartitionConstraint(num_parts=p, min_part=h))
+        assert pt.warburton_count(n, p, h) == len(listing)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 300), st.integers(0, 30), st.integers(1, 8))
+    def test_random_count_matches_both_routes(self, n, p, h):
+        assert pt.warburton_count(n, p, h) == warburton_route1(n, p, h) == warburton_route2(n, p, h)
 
 
 class TestCayley:

@@ -61,7 +61,6 @@ NOT_REACHED = {
     "masterthm.redundant_coefficient": "oracle",
     "partitions.cayley_p12_closed_form": "paper fact",
     "partitions.check_plane_partition": "oracle",
-    "partitions.count_exact_parts": "oracle",
     "partitions.demorgan_u": "oracle",
     "partitions.enumerate_partitions": "oracle",
     "partitions.enumerate_plane_partitions": "bench",
