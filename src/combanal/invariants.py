@@ -223,9 +223,20 @@ def _basis_price(p: int, j: int, w: int) -> int:
 
 def seminvariant_basis(p: int, j: int, w: int) -> List[MultiPoly]:
     """Integer basis of the Omega kernel on degree-j weight-w monomials.
-    Refused before Omega is built when its price passes BASIS_WORK_CAP."""
+    Past the middle, 2w > pj, the kernel is empty by the Cayley-Sylvester
+    law (see seminvariant_dimension), so nothing is priced or listed
+    there.  Elsewhere refused before Omega is built when its price passes
+    BASIS_WORK_CAP."""
     if p < 1 or j < 1 or w < 0:
         raise DomainError("need p, j >= 1 and w >= 0")
+    if 2 * w > p * j:
+        return []
+    return _omega_kernel(p, j, w)
+
+
+def _omega_kernel(p: int, j: int, w: int) -> List[MultiPoly]:
+    """seminvariant_basis by the kernel solve at any weight, past the middle
+    too, where the tests read it as the Cayley-Sylvester law's oracle."""
     names = avar_names(p)
     price = _basis_price(p, j, w)
     if price > BASIS_WORK_CAP:

@@ -461,7 +461,7 @@ def demorgan_row(x: int) -> List[int]:
     if x <= 0:
         return []
     if x * x > EXACT_PARTS_CELL_CAP:
-        raise DomainError(f"x * x = {x * x} exceeds the exact-parts table cap {EXACT_PARTS_CELL_CAP}")
+        raise DomainError(f"x * x = {x * x} exceeds the exact-parts work cap {EXACT_PARTS_CELL_CAP}")
     acc = [1] + [0] * (x - 1)
     row = []
     for y in range(1, x + 1):
@@ -526,7 +526,7 @@ def warburton_count(n: int, p: int, h: int) -> int:
         raise DomainError("need n >= 0, p >= 0, h >= 1")
     if n * p > EXACT_PARTS_CELL_CAP:
         raise DomainError(
-            f"n * parts = {n * p} exceeds the exact-parts table cap {EXACT_PARTS_CELL_CAP}"
+            f"n * parts = {n * p} exceeds the exact-parts work cap {EXACT_PARTS_CELL_CAP}"
         )
     return count_exact_parts(n - p * (h - 1), p)
 

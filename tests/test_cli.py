@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import combanal
-from combanal import cli
+from combanal import cli, cli_invariants
 from combanal import partitions as pt
 from enumeration_support import (
     contact_systems_oracle,
@@ -179,6 +179,7 @@ class TestExitCodes:
         "master coeff --matrix 1",
         "ballot order 2,x",
         "compose conj 1,2;x",
+        "compose conj 3,1;0,1 --tree",  # --tree was dropped for a bipartite composition
         "pattern classify 0,0;1",
         "pattern angles 1/0",
         "partition count 10 --min-part 3",
@@ -358,7 +359,7 @@ def test_parse_builds_one_polynomial_whatever_the_term_count(monkeypatch):
     counts = []
     for terms in (5, 5000):
         built.clear()
-        poly = cli.parse_coeff_poly("+".join(f"{c}*a0^{c}*a1" for c in range(1, terms + 1)), 2)
+        poly = cli_invariants.parse_coeff_poly("+".join(f"{c}*a0^{c}*a1" for c in range(1, terms + 1)), 2)
         assert len(poly.terms) == terms
         counts.append(len(built))
     assert counts == [1, 1]
@@ -807,6 +808,12 @@ def test_empty_end_marks_a_one_part_bipartite_composition(argv):
     assert run(argv) == (0, "(1,0)\n", "")
 
 
+def test_invariant_basis_past_the_middle_is_empty():
+    # 2w > pj: the kernel is empty; this was refused at 960024 units
+    assert run("invariant basis 100 4 300") == (0, "(empty)\n", "")
+    assert run("invariant basis 100 4 300 --format json") == (0, "[]\n", "")
+
+
 def test_cube_law_past_the_float_range_answers():
     # an OverflowError traceback from 1e308 ** 3; equal votes split 2.5 seats down
     assert run("election cubelaw 1e308 1e308 5") == (0, "2 3\n", "")
@@ -820,6 +827,16 @@ def test_dispatch_lets_a_bug_through(monkeypatch):
     monkeypatch.setitem(cli.RUN, ("puzzle", "rod"), bug)
     with pytest.raises(IndexError):
         run("puzzle rod 8")
+
+
+def test_handler_is_resolved_once(monkeypatch):
+    # the first request for an entry imports its handler; later ones read RUN
+    resolved = []
+    resolve = cli._handler
+    monkeypatch.setattr(cli, "RUN", {})
+    monkeypatch.setattr(cli, "_handler", lambda key: resolved.append(key) or resolve(key))
+    assert run("master derange 4") == run("master derange 4") == (0, "9\n", "")
+    assert resolved == [("master", "derange")] and list(cli.RUN) == [("master", "derange")]
 
 
 def test_readme_cap_table_cites_every_cap_with_its_value():
@@ -1151,7 +1168,7 @@ class TestStreamedListings:
         # the handler or render() raises; no chunk iterable reaches the writer
         args = cli.build_parser().parse_args(argv.split())
         with pytest.raises((ValueError, cli.UsageError)):
-            cli.RUN[args.command, args.action](args).render(args.format)
+            cli._handler((args.command, args.action))(args).render(args.format)
 
     @pytest.mark.parametrize("argv,mib", LISTING_PEAKS, ids=[p[0] for p in LISTING_PEAKS])
     def test_listing_memory_is_one_batch(self, argv, mib):
@@ -1356,17 +1373,35 @@ class TestImportIsolation:
     @pytest.mark.parametrize(
         "argv,code,output,added",
         [
-            ("partition count 30", 0, "5604\n", ["combanal.partitions"]),
-            ("master derange 4", 0, "9\n", ["combanal.exactcore", "combanal.masterthm"]),
+            ("partition count 30", 0, "5604\n", ["combanal.cli_partitions", "combanal.partitions"]),
+            ("master derange 4", 0, "9\n",
+             ["combanal.cli_masterthm", "combanal.exactcore", "combanal.masterthm"]),
             ("partition count abc", 2, "", []),
-            ("puzzle rooks 8 2", 0, "56\n", ["combanal.partitions", "combanal.recreations"]),
-            ("invariant weight 3 4", 0, "6\n", ["combanal.exactcore", "combanal.invariants"]),
+            ("puzzle rooks 8 2", 0, "56\n",
+             ["combanal.cli_recreations", "combanal.partitions", "combanal.recreations"]),
+            ("invariant weight 3 4", 0, "6\n",
+             ["combanal.cli_invariants", "combanal.exactcore", "combanal.invariants"]),
         ],
     )
     def test_dispatch_loads_only_its_module(self, argv, code, output, added):
         report = json.loads(fresh_interpreter(self.PROBE, *argv.split()))
-        assert report["at_import"] == ["combanal", "combanal.cli"]
+        assert report["at_import"] == ["combanal", "combanal.cli", "combanal.cli_common"]
         assert (report["code"], report["out"], report["added"]) == (code, output, added)
+
+    def test_run_as_main_imports_no_second_cli(self):
+        # handler modules import cli_common, never combanal.cli, which
+        # would compile the table again beside the one running as __main__
+        code = (
+            "import contextlib, io, runpy, sys\n"
+            "sys.argv = ['combanal', 'partition', 'count', '30']\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    try:\n"
+            "        runpy.run_module('combanal.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        code = exc.code\n"
+            "print(code, out.getvalue().strip(), 'combanal.cli' in sys.modules)\n"
+        )
+        assert fresh_interpreter(code) == "0 5604 False\n"
 
     def test_package_attributes_load_on_first_use(self):
         code = (

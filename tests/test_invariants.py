@@ -140,18 +140,34 @@ class TestSeminvariantBasis:
     def test_full_kernel_dimension_matches_box_difference(self):
         # The classical law: dim = (partitions of w) - (partitions of w-1),
         # both into at most j parts each at most p, read off the Gaussian
-        # binomial; the kernel solve is the oracle.  Exact for every point.
+        # binomial; the kernel solve is the oracle, past the middle too.
+        # Exact for every point.
         for p in range(1, 7):
             for j in range(1, 5):
                 for w in range(1, 11):
-                    assert iv.seminvariant_dimension(p, j, w) == len(
-                        iv.seminvariant_basis(p, j, w)
-                    ), (p, j, w)
+                    kernel = iv._omega_kernel(p, j, w)
+                    assert iv.seminvariant_dimension(p, j, w) == len(kernel), (p, j, w)
+                    assert iv.seminvariant_basis(p, j, w) == kernel, (p, j, w)
 
     @settings(max_examples=200)
     @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 12))
     def test_dimension_law_matches_kernel_solve(self, p, j, w):
-        assert iv.seminvariant_dimension(p, j, w) == len(iv.seminvariant_basis(p, j, w))
+        assert iv.seminvariant_dimension(p, j, w) == len(iv._omega_kernel(p, j, w))
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 60))
+    def test_dimension_is_zero_past_the_middle(self, p, j, past):
+        # the Cayley-Sylvester law's Gaussian binomial is symmetric about
+        # pj/2 and rises to it, so its difference is negative past it
+        w = (p * j) // 2 + past
+        assert iv.seminvariant_dimension(p, j, w) == 0
+
+    def test_basis_past_the_middle_is_empty_before_any_work(self, monkeypatch):
+        # 100 4 300 was refused at 960024 units; nothing is priced or listed
+        monkeypatch.setattr(iv, "_basis_price", None)
+        monkeypatch.setattr(iv, "_isobaric_monomials", None)
+        for p, j, w in [(100, 4, 300), (511, 3, 1459), (1, 1, 1), (3, 3, 5), (2, 10**20, 10**20 + 1)]:
+            assert iv.seminvariant_basis(p, j, w) == [], (p, j, w)
 
     @pytest.mark.parametrize("point", [(8, 6, 16), (8, 5, 16), (6, 6, 16), (7, 5, 14)])
     def test_dimension_law_and_annihilation_at_large_points(self, point):

@@ -368,10 +368,13 @@ class TestWarburton:
                     assert pt.warburton_count(n, p, h) == expected, (n, p, h)
 
     def test_table_cap_refuses_before_work(self):
-        with pytest.raises(ValueError, match="cap"):
+        # the cap bounds q-series work; no table is built
+        with pytest.raises(ValueError, match="n \\* parts = 5000000 exceeds the exact-parts work cap"):
             pt.warburton_count(100000, 50, 1)
-        with pytest.raises(ValueError, match="cap"):
+        with pytest.raises(ValueError, match="exceeds the exact-parts work cap"):
             pt.warburton_count(pt.EXACT_PARTS_CELL_CAP + 1, 1, 1)
+        with pytest.raises(ValueError, match="x \\* x = 1002001 exceeds the exact-parts work cap"):
+            pt.demorgan_row(1001)
 
     def test_table8_row_12(self):
         row = tuple(pt.warburton_count(12, p, 1) for p in range(1, 13))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from combanal import DomainError, cli
+from combanal import DomainError, cli, cli_patterns
 from combanal import patterns as pa
 from combanal import recreations as rc
 from profile_support import random_profile
@@ -58,7 +58,7 @@ TILING_ARGV = [
 
 def cli_tiling(argv):
     args = cli.build_parser().parse_args(argv.split())
-    return pa.generate_tiling(cli._named_tile(args), args.extent), args.extent
+    return pa.generate_tiling(cli_patterns._named_tile(args), args.extent), args.extent
 
 
 def random_tile(rng, layout):

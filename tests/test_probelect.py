@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from combanal import DomainError
 from combanal import probelect as pe
@@ -143,6 +145,20 @@ class TestOrderProbability:
             for c in counts:
                 total //= math.factorial(c)
             assert (prob * total).denominator == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_product_matches_vote_orders(self, data):
+        # non-increasing tallies of 2-4 candidates and at most 10 votes,
+        # against the exact share of distinct orders that keep the order
+        n = data.draw(st.integers(2, 4))
+        counts, left = [], 10
+        for i in range(n):
+            c = data.draw(st.integers(1, left - (n - 1 - i)))
+            counts.append(c)
+            left -= c
+        counts = tuple(sorted(counts, reverse=True))
+        assert pe.macmahon_order_probability(pe.VoteTally(counts)) == order_preserving_fraction(counts)
 
     def test_tally_validation(self):
         with pytest.raises(ValueError):

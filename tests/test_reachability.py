@@ -3,8 +3,8 @@ from the command table, or is named in NOT_REACHED with its reason, and
 every private function is referred to somewhere in `src/combanal`.
 
 The walk reads the sources with `ast` and imports nothing.  Its roots are
-the `cmd_*` handlers, `cli.main`, `cli.dispatch`, `cli.build_parser` and
-every module-level statement.  Its edges:
+the `cmd_*` handlers of the handler modules, `cli.main`, `cli.dispatch`,
+`cli.build_parser` and every module-level statement.  Its edges:
 - a bare name resolves in its own module, or through a `from .m import f`
   or `from . import m as alias` at module level or inside the function;
 - `alias.f` resolves to `m.f`;
@@ -16,6 +16,8 @@ them unevaluated.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 from typing import Dict, Iterable, List, Set, Tuple
 
@@ -183,7 +185,7 @@ def reachability(sources: Dict[str, str]) -> Tuple[Set[str], Set[str]]:
         return out & defined
 
     reached: Set[str] = set()
-    todo: List[str] = [f"cli.{d}" for d in mods["cli"].defs if d.startswith("cmd_")]
+    todo: List[str] = [f"{m.name}.{d}" for m in mods.values() for d in m.defs if d.startswith("cmd_")]
     todo += [r for r in ROOTS if r in defined]
     for mod in mods.values():
         todo += targets(mod, mod.run_at_import)
@@ -288,11 +290,32 @@ class Box:
 
 
 def test_handlers_are_the_command_table():
-    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    handlers = {
-        s.name for s in tree.body if isinstance(s, ast.FunctionDef) and s.name.startswith("cmd_")
-    }
-    assert handlers == {f.__name__ for f in cli.RUN.values()}
+    # Each entry's handler is cmd_<group>_<action>, defined once, in its
+    # group's handler module; every cmd_* of those modules is an entry's.
+    defined: Dict[str, List[str]] = {}
+    for name in set(cli.HANDLER_MODULES.values()):
+        module = importlib.import_module(f"combanal.{name}")
+        for attr, obj in vars(module).items():
+            if attr.startswith("cmd_") and inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                defined.setdefault(attr, []).append(name)
+    wanted = {f"cmd_{group}_{action}": [cli.HANDLER_MODULES[group]] for group, action in cli.COMMANDS}
+    assert defined == wanted
+    for key in cli.COMMANDS:
+        handler = cli._handler(key)
+        assert handler.__name__ == "cmd_%s_%s" % key
+        assert handler.__module__ == f"combanal.{cli.HANDLER_MODULES[key[0]]}"
+
+
+def test_no_module_imports_the_cli():
+    # `python -m combanal.cli` runs cli.py as __main__: an import of
+    # combanal.cli would compile it a second time and hold a second RUN.
+    for name, text in _package_sources().items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                assert node.module != "cli" and "cli" not in {a.name for a in node.names}, name
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                assert "combanal.cli" not in names, name
 
 
 SYNTHETIC_CLI = """
