@@ -9,6 +9,8 @@ from .cli_common import CommandResult, UsageError, ints, scalar
 def cmd_master_coeff(args) -> CommandResult:
     matrix = [ints(row) for row in args.matrix.split(";")]
     if args.denominator:
+        if args.degree is not None:
+            raise UsageError("--denominator and --degree cannot be combined")
         return scalar(str(mt.master_denominator(matrix)))
     if args.degree is None:
         raise UsageError("master coeff needs --degree (or --denominator)")

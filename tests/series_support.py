@@ -1,10 +1,13 @@
-"""Box-truncated power-series inversion: the tests' oracle for the
-condensed side of the Master Theorem, [x^e] 1/V_n."""
+"""Oracles for the Master Theorem: box-truncated power-series inversion for
+the condensed side, [x^e] 1/V_n; the one-sided Ryser sum for the coefficient;
+and the multiset words for generalized rencontres."""
 
 import itertools
+import math
 from fractions import Fraction
-from operator import sub
+from operator import mul, sub
 
+from combanal.compositions import distinct_arrangements
 from combanal.exactcore import MultiPoly
 
 
@@ -38,3 +41,31 @@ def series_inverse(p: MultiPoly, box) -> MultiPoly:
                 total += c * v
         q[e] = -total * inverse
     return MultiPoly(p.names, q)  # integral coefficients come back as ints
+
+
+def ryser_coefficient(matrix, multidegree) -> int:
+    """[x^e] prod_i (sum_j a_ij x_j)^{e_i} as the one-sided mixed difference
+    at 0 of that form F of degree N = sum e_j:
+
+      [x^e] F = (1 / prod e_j!) sum_{0 <= k <= e} (-1)^(N - |k|) prod_j C(e_j, k_j) F(k),
+
+    Ryser's permanent formula with repeated rows and columns, each F(k) from
+    scratch."""
+    rows = [(row, e) for row, e in zip(matrix, multidegree) if e]
+    weights = [[(-1) ** (e - k) * math.comb(e, k) for k in range(e + 1)] for e in multidegree]
+    acc = 0
+    for k in itertools.product(*(range(e + 1) for e in multidegree)):
+        value = math.prod(weights[j][kj] for j, kj in enumerate(k))
+        for row, e in rows:
+            value *= sum(map(mul, row, k)) ** e
+        acc += value
+    return acc // math.prod(map(math.factorial, multidegree))
+
+
+def brute_force_rencontres(m: int, multidegree) -> int:
+    """{m; e1 ... en} by enumerating the distinct words of the multiset 1^e1 ... n^en
+    and counting those that agree with the sorted word in exactly m places."""
+    reference = tuple(symbol for symbol, e in enumerate(multidegree, start=1) for _ in range(e))
+    return sum(
+        sum(a == b for a, b in zip(word, reference)) == m for word in distinct_arrangements(reference)
+    )

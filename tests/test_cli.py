@@ -177,6 +177,7 @@ class TestExitCodes:
         "partition enum 10 --allowed x,y",
         "master rencontres 0 a,b",
         "master coeff --matrix 1",
+        "master coeff --matrix 1 --denominator --degree 3",  # --degree was dropped
         "ballot order 2,x",
         "compose conj 1,2;x",
         "compose conj 3,1;0,1 --tree",  # --tree was dropped for a bipartite composition
@@ -210,6 +211,11 @@ class TestExitCodes:
     ])
     def test_partition_count_options_that_were_dropped_are_one_usage_line(self, argv, message):
         assert run(argv) == (2, "", f"usage error: {message}\n")
+
+    def test_master_coeff_denominator_with_degree_is_one_usage_line(self):
+        assert run("master coeff --matrix 1 --denominator --degree 3") == (
+            2, "", "usage error: --denominator and --degree cannot be combined\n"
+        )
 
     @pytest.mark.parametrize("argv", ["divisor series A --n 0", "divisor series A --n 5 --k 0"])
     def test_divisor_series_index_is_one_usage_line(self, argv):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from combanal import masterthm as mt
 from combanal.exactcore import MultiPoly, poly_det_cofactor, poly_ring
-from series_support import series_inverse
+from series_support import brute_force_rencontres, ryser_coefficient, series_inverse
 
 
-def integer_matrices(max_n):
+def integer_matrices(max_n, bound=4):
     return st.integers(1, max_n).flatmap(
         lambda n: st.lists(
-            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+            st.lists(st.integers(-bound, bound), min_size=n, max_size=n), min_size=n, max_size=n
         )
     )
 
@@ -107,7 +107,7 @@ class TestCoefficients:
     def test_multiset_derangement_2_2(self):
         m2 = mt.derangement_matrix(2)
         got = mt.master_coefficient(m2, (2, 2))
-        oracle = mt.brute_force_rencontres(0, (2, 2))
+        oracle = brute_force_rencontres(0, (2, 2))
         assert got == oracle == 1
 
     def test_master_theorem_oracle_identity(self):
@@ -132,6 +132,43 @@ class TestCoefficients:
         assert type(got) is int
         assert got == mt.redundant_coefficient(a, degree)
         assert got == series_inverse(mt.master_denominator(a), degree).coeff(degree)
+
+    @settings(max_examples=80)
+    @given(st.data())
+    def test_central_walk_matches_ryser_and_redundant_product(self, data):
+        a = data.draw(integer_matrices(4, bound=3))
+        degree = data.draw(st.tuples(*[st.integers(0, 4)] * len(a)).filter(lambda d: sum(d) <= 10))
+        got = mt.master_coefficient(a, degree)
+        assert type(got) is int
+        assert got == ryser_coefficient(a, degree) == mt.redundant_coefficient(a, degree)
+
+    @pytest.mark.parametrize("matrix,degree,expected", [
+        # all even: every column passes through the middle slice
+        (mt.derangement_matrix(3), (2, 2, 2), 10),
+        ([[1, -2, 3], [0, 2, -1], [3, 1, 1]], (4, 2, 2), None),
+        # all odd: no column has a middle
+        (mt.derangement_matrix(3), (3, 3, 3), 56),
+        ([[1, -2, 3], [0, 2, -1], [3, 1, 1]], (3, 1, 1), None),
+        # one nonzero e_j: (x1 + 3 x2)^3 and (2 x1 + 5 x2)^4
+        ([[2, 5], [1, 3]], (0, 3), 27),
+        ([[2, 5], [1, 3]], (4, 0), 16),
+        # e = 0: the empty product
+        ([[2, 5], [1, 3]], (0, 0), 1),
+        ([[0, 0], [0, 0]], (0, 0), 1),
+        # the zero matrix
+        ([[0, 0], [0, 0]], (2, 1), 0),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], (2, 2, 2), 0),
+    ])
+    def test_central_walk_cases(self, matrix, degree, expected):
+        got = mt.master_coefficient(matrix, degree)
+        assert got == ryser_coefficient(matrix, degree) == mt.redundant_coefficient(matrix, degree)
+        if expected is not None:
+            assert got == expected
+
+    def test_central_walk_derangements_of_multisets(self):
+        for degree in [(2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (4, 1, 2, 3), (1, 2, 3, 4, 1)]:
+            got = mt.master_coefficient(mt.derangement_matrix(len(degree)), degree)
+            assert got == mt.generalized_rencontres(0, degree), degree
 
     def test_degree_cap_refusal(self):
         with pytest.raises(ValueError):
@@ -212,7 +249,7 @@ class TestRencontres:
     )
     def test_condensed_route_matches_brute_force(self, shape):
         for m in range(sum(shape) + 1):
-            assert mt.generalized_rencontres(m, shape) == mt.brute_force_rencontres(m, shape)
+            assert mt.generalized_rencontres(m, shape) == brute_force_rencontres(m, shape)
 
     @settings(max_examples=25)
     @given(
@@ -227,4 +264,4 @@ class TestRencontres:
     def test_series_route_oracle_matches_brute_force(self):
         for shape in [(1, 1, 1), (2, 1), (2, 2, 1), (3, 1, 1)]:
             for m in range(sum(shape) + 1):
-                assert series_rencontres(m, shape) == mt.brute_force_rencontres(m, shape)
+                assert series_rencontres(m, shape) == brute_force_rencontres(m, shape)

@@ -57,7 +57,6 @@ NOT_REACHED = {
     "invariants.seminvariant_dimension": "bench",
     "invariants.sum_of_squares_identity": "oracle",
     "masterthm.brute_force_derangements": "oracle",
-    "masterthm.brute_force_rencontres": "oracle",
     "masterthm.derangement_matrix": "bench",
     "masterthm.linear_forms": "oracle",
     "masterthm.redundant_coefficient": "oracle",
