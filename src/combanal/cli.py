@@ -108,7 +108,7 @@ COMMANDS: Dict[Key, Command] = {
         arg("--allowed", help="comma-separated allowed part values"), formats=TABLE,
     ),
     ("partition", "table"): entry(
-        arg("n", type=int, nargs="?", default=20),
+        arg("n", type=int, nargs="?"),
         arg("--demorgan", type=int, help="print row x of the greatest-part table"),
         arg("--u2", type=int, help="closed form for greatest part 2"),
         arg("--u3", type=int, help="closed form for greatest part 3"), formats=TABLE,
@@ -121,7 +121,7 @@ COMMANDS: Dict[Key, Command] = {
     ),
     ("partition", "perfect"): entry(arg("n", type=int)),
     ("partition", "plane"): entry(
-        arg("n", type=int, nargs="?", default=0), arg("--enum", action="store_true"),
+        arg("n", type=int, nargs="?"), arg("--enum", action="store_true"),
         arg("--boxed", help="l,m,cmax bounds (l=-1 for unbounded entries)"),
         arg("--xy", type=int, help="two-layer axis-symmetric polynomial for this bound"),
     ),
@@ -251,7 +251,7 @@ COMMANDS: Dict[Key, Command] = {
     ),
     ("divisor", "sigma2"): entry(arg("bound", type=int), formats=TABLE),
     ("divisor", "potency"): entry(
-        arg("n", type=int, nargs="?", default=1),
+        arg("n", type=int, nargs="?"),
         arg("--count", type=int, help="count integers with this potency instead"),
     ),
     ("divisor", "factorize"): entry(arg("m", type=int), arg("--ordered", action="store_true")),

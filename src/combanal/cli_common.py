@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import sys
 from types import GeneratorType
-from typing import Iterable, Iterator, List, NamedTuple, Sequence
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 # --format takes the same choices for every subcommand; the command table
 # lists the ones each prints.
@@ -57,6 +57,15 @@ class UsageError(Exception):
 def scalar(value) -> CommandResult:
     """A one-value answer: str(value) as text, the value itself as json."""
     return CommandResult(str(value), value)
+
+
+def exclusive(*given: Tuple[str, object]) -> Optional[str]:
+    """The name of the one (name, value) pair given, value not None, or
+    None if none is; a usage error names the first two if more are."""
+    names = [name for name, value in given if value is not None]
+    if len(names) > 1:
+        raise UsageError(f"{names[0]} and {names[1]} cannot be combined")
+    return names[0] if names else None
 
 
 def text_lines(batches: Iterable[list], spell=None, none: str = "", blank: str = "") -> Iterator[str]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from . import divisors as dv
-from .cli_common import CommandResult, UsageError, scalar
+from .cli_common import CommandResult, UsageError, exclusive, scalar
 
 
 def cmd_divisor_series(args) -> CommandResult:
@@ -28,9 +28,10 @@ def cmd_divisor_sigma2(args) -> CommandResult:
 
 
 def cmd_divisor_potency(args) -> CommandResult:
-    if args.count is not None:
+    if exclusive(("n", args.n), ("--count", args.count)) == "--count":
         return scalar(dv.potency_count(args.count))
-    pt_, mt_ = dv.potency(args.n), dv.multiplicity(args.n)
+    n = 1 if args.n is None else args.n
+    pt_, mt_ = dv.potency(n), dv.multiplicity(n)
     return CommandResult(f"{pt_} {mt_}", {"potency": pt_, "multiplicity": mt_})
 
 

@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from . import masterthm as mt
-from .cli_common import CommandResult, UsageError, ints, scalar
+from .cli_common import CommandResult, UsageError, exclusive, ints, scalar
 
 
 def cmd_master_coeff(args) -> CommandResult:
     matrix = [ints(row) for row in args.matrix.split(";")]
-    if args.denominator:
-        if args.degree is not None:
-            raise UsageError("--denominator and --degree cannot be combined")
+    if exclusive(("--denominator", args.denominator or None), ("--degree", args.degree)) == "--denominator":
         return scalar(str(mt.master_denominator(matrix)))
     if args.degree is None:
         raise UsageError("master coeff needs --degree (or --denominator)")

@@ -7,7 +7,7 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from . import partitions as pt
-from .cli_common import CommandResult, UsageError, digits, ints, json_list, scalar, text_lines
+from .cli_common import CommandResult, UsageError, digits, exclusive, ints, json_list, scalar, text_lines
 
 
 def _box_bounds(text: str) -> Tuple[Optional[int], int, int]:
@@ -23,15 +23,12 @@ def _box_bounds(text: str) -> Tuple[Optional[int], int, int]:
 
 
 def cmd_partition_count(args) -> CommandResult:
-    modes = [flag for flag, value in (("--pattern", args.pattern), ("--elements", args.elements),
-                                      ("--euler-primes", args.euler_primes), ("--parts", args.parts))
-             if value is not None]
-    if len(modes) > 1:
-        raise UsageError(f"{modes[0]} and {modes[1]} cannot be combined")
+    mode = exclusive(("--pattern", args.pattern), ("--elements", args.elements),
+                     ("--euler-primes", args.euler_primes), ("--parts", args.parts))
     if args.min_part is not None and args.parts is None:
         raise UsageError("--min-part needs --parts")
     if args.pattern == "" or args.elements == "":
-        raise UsageError(f"{modes[0]} needs a value")
+        raise UsageError(f"{mode} needs a value")
     if args.pattern is not None:
         value = pt.relation_pattern_count(args.n, args.pattern.split(","))
     elif args.elements is not None:
@@ -64,6 +61,7 @@ def cmd_partition_enum(args) -> CommandResult:
 
 
 def cmd_partition_table(args) -> CommandResult:
+    exclusive(("n", args.n), ("--demorgan", args.demorgan), ("--u2", args.u2), ("--u3", args.u3))
     if args.demorgan is not None:
         row = pt.demorgan_row(args.demorgan)
         return CommandResult(" ".join(map(str, row)), row, [["y", "u"]] + [[y, u] for y, u in enumerate(row, 1)])
@@ -71,8 +69,9 @@ def cmd_partition_table(args) -> CommandResult:
         if x is not None:
             u = closed_form(x)
             return CommandResult(str(u), u, [["x", "u"], [x, u]])
-    pt.count_partitions(args.n)  # fills the table to n, or refuses past its cap
-    rows = [[n, pt.count_partitions(n)] for n in range(args.n + 1)]
+    top = 20 if args.n is None else args.n
+    pt.count_partitions(top)  # fills the table to top, or refuses past its cap
+    rows = [[n, pt.count_partitions(n)] for n in range(top + 1)]
     text = "\n".join(f"{n:>4} {v}" for n, v in rows)
     return CommandResult(text, {str(n): v for n, v in rows}, csv_rows=[["n", "p"]] + rows)
 
@@ -100,21 +99,24 @@ def cmd_partition_perfect(args) -> CommandResult:
 
 
 def cmd_partition_plane(args) -> CommandResult:
+    exclusive(("--enum", args.enum or None), ("--boxed", args.boxed), ("--xy", args.xy))
+    exclusive(("n", args.n), ("--xy", args.xy))
+    n = 0 if args.n is None else args.n
     if args.xy is not None:
         terms = sorted(pt.xy_symmetric_two_layer_poly(args.xy).items())
         text = " + ".join((f"{c}x^{w}" if c != 1 else f"x^{w}") for w, c in terms)
         return CommandResult(text, {str(w): c for w, c in terms})
-    if args.boxed:
+    if args.boxed is not None:
         l, m, cmax = _box_bounds(args.boxed)
-        return scalar(pt.count_boxed_plane_partitions(args.n, l, m, cmax))
+        return scalar(pt.count_boxed_plane_partitions(n, l, m, cmax))
     if args.enum:
         # a row recurs across the listing, so each is spelled once
         spell = lru_cache(maxsize=None)(digits)
         return CommandResult(
-            lambda: text_lines(pt.plane_partition_batches(args.n), lambda pp: "/".join(map(spell, pp))),
-            lambda: json_list(pt.plane_partition_batches(args.n)),
+            lambda: text_lines(pt.plane_partition_batches(n), lambda pp: "/".join(map(spell, pp))),
+            lambda: json_list(pt.plane_partition_batches(n)),
         )
-    return scalar(pt.count_plane_partitions(args.n))
+    return scalar(pt.count_plane_partitions(n))
 
 
 def cmd_partition_scale(args) -> CommandResult:

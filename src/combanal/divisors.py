@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Dict, List, Sequence, Tuple
 
 from . import DomainError
@@ -113,14 +114,17 @@ def sigma2_from_plane_partitions(bound: int) -> List[int]:
     plane-partition product f = prod (1 - x^k)^(-k).
 
     With f_0 = 1, matching x^n in q*f = x f' gives
-    q_n = n f_n - sum_{j=1}^{n-1} q_j f_{n-j}.
+    q_n = n f_n - sum_{j=1}^{n-1} q_j f_{n-j}.  From bound 3 on,
+    plane_partition_gf builds f from that recurrence with q_n = sigma_2(n),
+    so this reads back what it started from; the tests check f against
+    the enumerated plane partitions and q against sigma(n, 2).
     """
     if bound < 1:
         raise DomainError("bound must be at least 1")
     f = plane_partition_gf(bound)
     q = [0] * (bound + 1)
     for n in range(1, bound + 1):
-        q[n] = n * f[n] - sum(q[j] * f[n - j] for j in range(1, n))
+        q[n] = n * f[n] - sum(map(operator.mul, q[1:n], f[n - 1:0:-1]))
     return q[1:]
 
 

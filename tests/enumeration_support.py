@@ -1,8 +1,9 @@
 """Oracles for the listings: plain part-by-part recursion for partitions
 and compositions, shared by the library tests and the CLI streaming
 tests, the build-dedupe-sort enumerators of contact systems, tiles,
-plane and perfect partitions, and Warburton's two recurrence routes for
-partitions into exactly p parts."""
+plane and perfect partitions, Warburton's two recurrence routes for
+partitions into exactly p parts, and MacMahon's box product built one
+factor at a time."""
 
 import itertools
 
@@ -148,6 +149,20 @@ def plane_partitions_oracle(n):
         for first in pt.enumerate_partitions(first_sum):
             rows_under(first, n - first_sum, [first])
     return sorted(out)
+
+
+def box_product_oracle(n, l, m, c):
+    """q^0..q^n of prod_{i <= m, j <= c} (1 - q^(i+j+l-1)) / (1 - q^(i+j-1))
+    (l None: no numerator), one q_factor pass per factor in cell order,
+    with no cancellation.  A factor of degree above n leaves the series
+    as it is, so only the cells with i + j - 1 <= n are visited."""
+    acc = [1] + [0] * n
+    for i in range(1, min(m, n) + 1):
+        for j in range(1, min(c, n + 1 - i) + 1):
+            pt.q_factor(acc, i + j - 1, -1)
+            if l is not None:
+                pt.q_factor(acc, i + j - 1 + l, 1)
+    return acc
 
 
 def perfect_partitions_oracle(n):

@@ -190,6 +190,18 @@ class TestExitCodes:
         "partition count 5 --pattern >,> --elements 1,2",
         "partition count 5 --elements 1,2 --euler-primes 3",
         "partition count 5 --euler-primes 3 --parts 2",
+        # options that partition plane, partition table and divisor potency dropped
+        "partition plane 5 --enum --boxed 2,2,2",
+        "partition plane 5 --enum --xy 3",
+        "partition plane --boxed 2,2,2 --xy 3",
+        "partition plane 5 --xy 3",
+        "partition plane 5 --boxed=",
+        "divisor potency 33 --count 2",
+        "partition table 10 --demorgan 3",
+        "partition table 10 --u2 4",
+        "partition table 10 --u3 4",
+        "partition table --demorgan 3 --u2 4",
+        "partition table --u2 4 --u3 4",
         "invariant check a0*a2-a1^2 --p 2 --transform 1,2",
         "invariant check a0*a2-a1^2 --p 2 --transform 1,0,0,x",
         "invariant omega a0^3000000000 --p 2",
@@ -211,6 +223,39 @@ class TestExitCodes:
     ])
     def test_partition_count_options_that_were_dropped_are_one_usage_line(self, argv, message):
         assert run(argv) == (2, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        ("partition plane 5 --enum --boxed 2,2,2", "--enum and --boxed cannot be combined"),
+        ("partition plane --enum --xy 3", "--enum and --xy cannot be combined"),
+        ("partition plane --boxed 2,2,2 --xy 3", "--boxed and --xy cannot be combined"),
+        ("partition plane 5 --enum --boxed 2,2,2 --xy 3", "--enum and --boxed cannot be combined"),
+        ("partition plane 5 --xy 3", "n and --xy cannot be combined"),
+        ("partition plane 0 --xy 3", "n and --xy cannot be combined"),
+        ("partition plane 5 --boxed=", "--boxed takes l,m,cmax integers (l may be inf or -1), not ''"),
+        ("divisor potency 33 --count 2", "n and --count cannot be combined"),
+        ("divisor potency 1 --count 2", "n and --count cannot be combined"),
+        ("partition table 10 --demorgan 3", "n and --demorgan cannot be combined"),
+        ("partition table 20 --u2 4", "n and --u2 cannot be combined"),
+        ("partition table 10 --u3 4", "n and --u3 cannot be combined"),
+        ("partition table --demorgan 3 --u2 4", "--demorgan and --u2 cannot be combined"),
+        ("partition table --demorgan 3 --u3 4", "--demorgan and --u3 cannot be combined"),
+        ("partition table --u2 4 --u3 4", "--u2 and --u3 cannot be combined"),
+        ("partition table --demorgan 3 --u2 4 --u3 4", "--demorgan and --u2 cannot be combined"),
+    ])
+    def test_options_that_were_dropped_are_one_usage_line(self, argv, message):
+        assert run(argv) == (2, "", f"usage error: {message}\n")
+
+    @pytest.mark.parametrize("argv,out", [
+        ("partition plane", "1\n"),
+        ("partition plane --xy 1", "x^1 + x^2\n"),
+        ("partition table", "".join(f"{n:>4} {p}\n" for n, p in enumerate(
+            (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627)))),
+        ("partition plane 5 --boxed 2,2,2", "3\n"),
+        ("divisor potency", "0 0\n"),
+        ("divisor potency --count 2", "1\n"),
+    ])
+    def test_commands_without_their_n_keep_their_answer(self, argv, out):
+        assert run(argv) == (0, out, "")
 
     def test_master_coeff_denominator_with_degree_is_one_usage_line(self):
         assert run("master coeff --matrix 1 --denominator --degree 3") == (

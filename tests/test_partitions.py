@@ -1,15 +1,17 @@
 import gc
 import itertools
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from combanal import partitions as pt
 from enumeration_support import (
+    box_product_oracle,
     constraints,
     enumerate_partitions_oracle,
     perfect_partitions_oracle,
@@ -673,7 +675,11 @@ class TestPlanePartitions:
         assert len(set(got)) == 13
         for pp in got:
             assert sum(sum(r) for r in pp) == 4
-            pt.check_plane_partition(pp)
+            # canonical: positive entries, rows and columns non-increasing
+            for row in pp:
+                assert row and min(row) > 0 and list(row) == sorted(row, reverse=True)
+            for upper, lower in zip(pp, pp[1:]):
+                assert len(lower) <= len(upper) and all(b <= a for a, b in zip(upper, lower))
 
     def test_one_of_one(self):
         assert pt.enumerate_plane_partitions(1) == [((1,),)]
@@ -744,6 +750,31 @@ class TestPlanePartitions:
             and (not pp or len(pp[0]) <= c and (l is None or pp[0][0] <= l))
         )
         assert pt.count_boxed_plane_partitions(n, l, m, c) == oracle
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 80).flatmap(lambda n: st.tuples(
+        st.just(n), st.none() | st.integers(0, n + 2), st.integers(0, n + 2), st.integers(0, n + 2)
+    )))
+    @example((80, None, 80, 80))  # the log-derivative recurrence
+    @example((80, 3, 1, 2))  # the q_factor passes
+    def test_box_formula_matches_the_factor_by_factor_product(self, bounds):
+        assert pt.boxed_plane_partition_gf(*bounds) == box_product_oracle(*bounds)
+
+    def test_route_is_read_from_the_exponents(self, monkeypatch):
+        calls = []
+        q_factor = pt.q_factor
+        monkeypatch.setattr(pt, "q_factor", lambda acc, k, p: calls.append((k, p)) or q_factor(acc, k, p))
+        assert pt.plane_partition_gf(40)[40] == 281846923
+        assert calls == []
+        # a thin box keeps its two O(N) passes: (1 - q^2) / (1 - q) = 1 + q
+        start = time.perf_counter()
+        gf = pt.boxed_plane_partition_gf(10**5, 1, 1, 1)
+        assert time.perf_counter() - start < 1
+        assert calls == [(1, -1), (2, 1)]
+        assert gf == [1, 1] + [0] * (10**5 - 1)
+        calls.clear()
+        pt.boxed_plane_partition_gf(80, 3, 1, 2)  # 312 additions against 3240 products
+        assert calls == [(1, -1), (2, -1), (4, 1), (5, 1)]
 
     def test_full_box_total_is_macmahons_product(self):
         # summed over every n, the a x b x c box holds
