@@ -7,12 +7,20 @@ argv produces byte-identical output.  Formats: text (default) and json
 (stable key order) for every subcommand, csv (header row) for the table
 commands, svg for pattern tiling; the command table lists each one's.
 
-Each subcommand is one entry of the command table below, and the parser
-and dispatch are derived from that table.  An entry's handler,
-cmd_<group>_<action>, lives in the handler module of its group, which
-dispatch imports on the entry's first request; so `import combanal.cli`
-compiles the table alone, and a request compiles its own handler module
-and the domain modules that module reaches.
+Each subcommand is one entry of the command table below, and the reader,
+the parser and dispatch are derived from that table.  The reader turns a
+well-formed request (positionals first, then options spelled in full,
+each value a token of its own) into the namespace argparse would give,
+and builds no parser.  argparse sees only the requests the reader
+declines: help, every error, and the forms argparse alone reads
+(`--opt=value`, an abbreviation, `--`, a positional after an option or
+starting with '-'); so help, usage lines and error messages are all
+argparse's.
+
+An entry's handler, cmd_<group>_<action>, lives in the handler module of
+its group, which dispatch imports on the entry's first request; so
+`import combanal.cli` compiles the table alone, and a request compiles
+its own handler module and the domain modules that module reaches.
 """
 
 from __future__ import annotations
@@ -200,7 +208,7 @@ COMMANDS: Dict[Key, Command] = {
     ("election", "simulate"): entry(
         arg("--share", type=float, required=True), arg("--seed", type=int, default=0),
         arg("--mixing", type=float, default=1.0), arg("--sizes-file"),
-        arg("--constituencies", type=int, default=100), arg("--size", type=int, default=1000),
+        arg("--constituencies", type=int), arg("--size", type=int),
     ),
 
     # puzzle
@@ -211,7 +219,7 @@ COMMANDS: Dict[Key, Command] = {
         arg("--associated", type=int, help="print the mirror partner of this index"),
     ),
     ("puzzle", "mayblox"): entry(
-        arg("--target", type=int, default=0),
+        arg("--target", type=int),
         arg("--any", action="store_true", help="target-free uniform assembly"),
         arg("--include-associate", action="store_true"),
     ),
@@ -262,6 +270,13 @@ COMMANDS: Dict[Key, Command] = {
 # ---------------------------------------------------------------------------
 # parser
 
+# the two arguments every entry takes after its own
+OUTPUT = (
+    arg("--format", choices=FORMATS, default="text"),
+    arg("--out", help="write output to this path instead of stdout"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The combanal parser, read from the command table."""
     parser = argparse.ArgumentParser(
@@ -272,29 +287,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group_parsers = parser.add_subparsers(dest="command", required=True)
     actions = {}
-    # Each table entry's own parser, by (group, action); see `_parse`.
-    parser.entries = {}
-    for key, cmd in COMMANDS.items():
-        group, action = key
+    for (group, action), cmd in COMMANDS.items():
         if group not in actions:
             group_parser = group_parsers.add_parser(group)
             actions[group] = group_parser.add_subparsers(dest="action", required=True)
-        q = parser.entries[key] = actions[group].add_parser(action)
-        for names, options in cmd.arguments:
+        q = actions[group].add_parser(action)
+        for names, options in cmd.arguments + OUTPUT:
             q.add_argument(*names, **options)
-        q.add_argument("--format", choices=FORMATS, default="text")
-        q.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 
 
-# The whole-table parser is built on the first dispatch and reused: parsing
-# leaves it unchanged, and building it costs far more than one parse.  A
-# request that names a table entry is parsed by that entry's own parser,
-# inside the one whole-table parser.
+# The parser is built on the first request the reader declines, and
+# reused: parsing leaves it unchanged, and building it costs far more than
+# one parse.
 _PARSER: Optional[argparse.ArgumentParser] = None
 # Each entry's handler, filled on the entry's first request.  dispatch
 # calls handlers through RUN, so a wrapper put there sees every call.
 RUN: Dict[Key, Callable[[argparse.Namespace], CommandResult]] = {}
+# Each entry's arguments as _read takes them, filled on its first request.
+READ: Dict[Key, tuple] = {}
 
 
 def _handler(key: Key) -> Callable[[argparse.Namespace], CommandResult]:
@@ -308,30 +319,104 @@ def _handler(key: Key) -> Callable[[argparse.Namespace], CommandResult]:
     return handler
 
 
-def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
-    """The namespace `parser.parse_args(argv)` gives, without its two outer
-    levels when argv names a table entry.  The entry's parser is then called
-    as argparse's subparser action calls it, on the same strings, so help,
-    usage lines and argument errors keep their bytes.  Extra arguments are
-    reported by the whole tree, whose usage line they print."""
+# ---------------------------------------------------------------------------
+# reader
+
+# argparse takes a token of this form as a value, not as an option, while
+# no option string of the parser has the form (a test keeps it so)
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _reader(key: Key) -> tuple:
+    """Table entry `key` as _read takes it, kept in READ: its positionals
+    as (dest, type, choices), how many must be given (the rest are
+    trailing nargs="?"), each option string with its (dest, type,
+    choices), type None for a store_true flag, the dests of the required
+    options, and the namespace every request starts from."""
+    group, action = key
+    positionals, least, options, required = [], 0, {}, set()
+    defaults = {"command": group, "action": action}
+    for (name,), spec in COMMANDS[key].arguments + OUTPUT:
+        flag = spec.get("action") == "store_true"
+        convert = None if flag else spec.get("type", str)
+        if name[0] == "-":
+            dest = name.lstrip("-").replace("-", "_")
+            options[name] = (dest, convert, spec.get("choices"))
+            if spec.get("required"):
+                required.add(dest)
+        else:
+            dest = name
+            positionals.append((dest, convert, spec.get("choices")))
+            least += spec.get("nargs") != "?"
+        defaults[dest] = spec.get("default", False if flag else None)
+    reader = READ[key] = (positionals, least, options, required, defaults)
+    return reader
+
+
+def _value(convert: Callable, choices: Optional[tuple], text: str):
+    value = convert(text)
+    if choices is not None and value not in choices:
+        raise ValueError(value)
+    return value
+
+
+def _read(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace `build_parser().parse_args(argv)` gives when argv is
+    a well-formed request of a table entry: positionals first, then
+    options spelled in full, each value a token of its own that converts
+    and is among the choices.  None for anything else, which dispatch
+    hands to argparse: help, every error, and the forms argparse alone
+    reads (`--opt=value`, an abbreviation, `--`, a positional after an
+    option or starting with '-')."""
     key = tuple(argv[:2])
-    entry = parser.entries.get(key)
-    if entry is not None:
-        args, extras = entry.parse_known_args(argv[2:])
-        if not extras:
-            args.command, args.action = key
-            return args
-    return parser.parse_args(argv)
+    reader = READ.get(key)
+    if reader is None:
+        if key not in COMMANDS:
+            return None
+        reader = _reader(key)
+    positionals, least, options, required, defaults = reader
+    args = argparse.Namespace()
+    values, given, seen = vars(args), [], set()
+    values.update(defaults)
+    tokens = iter(argv[2:])
+    try:
+        for token in tokens:
+            if token[:1] != "-":
+                if seen:
+                    return None
+                given.append(token)
+                continue
+            option = options.get(token)
+            if option is None:
+                return None
+            dest, convert, choices = option
+            seen.add(dest)
+            if convert is None:
+                values[dest] = True
+                continue
+            text = next(tokens, None)
+            if text is None or (text[:1] == "-" and not NEGATIVE_NUMBER.match(text)):
+                return None
+            values[dest] = _value(convert, choices, text)
+        if not least <= len(given) <= len(positionals) or not required <= seen:
+            return None
+        for (dest, convert, choices), text in zip(positionals, given):
+            values[dest] = _value(convert, choices, text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return args
 
 
 def dispatch(argv: Sequence[str]) -> int:
     global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    try:
-        args = _parse(_PARSER, argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _read(argv)
+    if args is None:
+        if _PARSER is None:
+            _PARSER = build_parser()
+        try:
+            args = _PARSER.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     key = (args.command, args.action)
     # Python's int-string digit limit bounds the cost of reading a number
     # from argv, and only a token longer than the limit can hold a longer

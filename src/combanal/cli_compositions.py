@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import List
 
 from . import compositions as cp
-from .cli_common import CommandResult, UsageError, ints, json_list, scalar, text_lines
+from .cli_common import CommandResult, UsageError, exclusive, ints, json_list, scalar, text_lines
 
 
 def _vector_parts(text: str) -> List[tuple]:
@@ -68,6 +68,8 @@ def cmd_compose_newcomb(args) -> CommandResult:
 
 
 def cmd_compose_count(args) -> CommandResult:
+    exclusive(("q", args.q), ("--order-k", args.order_k))
+    exclusive(("--essential", args.essential or None), ("--order-k", args.order_k))
     if args.order_k is not None:
         return scalar(cp.combinations_order_k_count(args.p, args.order_k))
     if args.q is None:

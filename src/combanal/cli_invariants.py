@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import invariants as iv
-from .cli_common import CommandResult, UsageError, rationals, scalar
+from .cli_common import CommandResult, UsageError, exclusive, rationals, scalar
 from .exactcore import MAX_EXPONENT, MultiPoly
 
 
@@ -78,7 +78,7 @@ def cmd_invariant_covariant(args) -> CommandResult:
 
 
 def cmd_invariant_basis(args) -> CommandResult:
-    if args.protomorphs is not None:
+    if exclusive(("j", args.j), ("--protomorphs", args.protomorphs)) == "--protomorphs":
         texts = [str(s) for s in iv.protomorphs(args.p, args.protomorphs)]
         return CommandResult("\n".join(texts), texts)
     if args.j is None or args.w is None:

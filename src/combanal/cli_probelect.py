@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from . import probelect as pe
-from .cli_common import CommandResult, UsageError, cannot_open, ints, scalar
+from .cli_common import CommandResult, UsageError, cannot_open, exclusive, ints, scalar
 
 
 def cmd_ballot_ahead(args) -> CommandResult:
@@ -37,16 +37,20 @@ def cmd_election_cubelaw(args) -> CommandResult:
 
 
 def cmd_election_simulate(args) -> CommandResult:
+    exclusive(("--sizes-file", args.sizes_file), ("--constituencies", args.constituencies))
+    exclusive(("--sizes-file", args.sizes_file), ("--size", args.size))
+    constituencies = 100 if args.constituencies is None else args.constituencies
+    size = 1000 if args.size is None else args.size
     if args.sizes_file:
         pe.check_shares(args.share, args.mixing)  # before the file is read
         try:
             sizes = pe.read_constituency_sizes(args.sizes_file)
         except OSError as exc:
             raise UsageError(cannot_open("--sizes-file", args.sizes_file, exc)) from None
-    elif args.size < 1:
-        sizes = [args.size]  # refused by simulate_election
+    elif size < 1:
+        sizes = [size]  # refused by simulate_election
     else:
-        pe.check_voter_count(args.constituencies * args.size)  # before the list is built
-        sizes = [args.size] * args.constituencies
+        pe.check_voter_count(constituencies * size)  # before the list is built
+        sizes = [size] * constituencies
     obj = pe.simulate_election(args.share, sizes, args.seed, mixing=args.mixing).to_json()
     return CommandResult(json.dumps(obj, sort_keys=True), obj)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import DomainError, partitions as pt, recreations as rc
-from .cli_common import CommandResult, UsageError, digits, json_list, scalar, text_lines
+from .cli_common import CommandResult, UsageError, digits, exclusive, json_list, scalar, text_lines
 
 
 def _item(items: Sequence, index: int, flag: str):
@@ -34,12 +34,15 @@ def cmd_puzzle_cubes(args) -> CommandResult:
 
 
 def cmd_puzzle_mayblox(args) -> CommandResult:
+    any_ = args.any or None
+    exclusive(("--any", any_), ("--target", args.target))
+    exclusive(("--any", any_), ("--include-associate", args.include_associate or None))
     if args.any:
         solution = rc.mayblox_solve_any()
         target = None
     else:
         cubes = rc.generate_cubes(6)
-        target = _item(cubes, args.target, "--target")
+        target = _item(cubes, 0 if args.target is None else args.target, "--target")
         solution = rc.mayblox_solve(
             target, pool=cubes, exclude_associate=not args.include_associate
         )

@@ -679,26 +679,24 @@ def enumerate_contact_systems(n: int) -> List[Tuple[int, ...]]:
 # -- Latin squares ---------------------------------------------------------------
 
 LATIN_ORDER_CAP = 6
-# Largest order latin_total_count counts (576 squares at n = 4).
-LATIN_TOTAL_CAP = 4
 
 
 def latin_reduced_count(n: int) -> int:
     """Reduced n x n Latin squares (first row and column in order)."""
     if not 1 <= n <= LATIN_ORDER_CAP:
         raise DomainError(f"order must be between 1 and {LATIN_ORDER_CAP}")
-    return _latin_count(n, reduced=True)
+    return _latin_count(n)
 
 
 def latin_total_count(n: int) -> int:
-    """All n x n Latin squares (small n)."""
-    if not 1 <= n <= LATIN_TOTAL_CAP:
-        raise DomainError(f"total counting is desk-scale only (n <= {LATIN_TOTAL_CAP})")
-    return _latin_count(n, reduced=False)
+    """All n x n Latin squares: permuting the columns of a reduced square,
+    then its last n - 1 rows, gives each square once, so the count is the
+    reduced count times n!(n - 1)!."""
+    return latin_reduced_count(n) * math.factorial(n) * math.factorial(n - 1)
 
 
-def _latin_count(n: int, reduced: bool) -> int:
-    """Count n x n Latin squares one row at a time over memoised column
+def _latin_count(n: int) -> int:
+    """Count reduced n x n Latin squares one row at a time over memoised column
     states.
 
     A state is the sorted tuple of the open columns' value bitmasks (each
@@ -708,15 +706,11 @@ def _latin_count(n: int, reduced: bool) -> int:
     constraint ignores column identity.  Each state's row fillings are
     enumerated once by bitmask and grouped by the state they lead to.
     Row n-1 is forced: each column misses one value and each value is
-    missing from one column.  `reduced` fixes the first row and column to
+    missing from one column.  The first row and column are fixed to
     0..n-1, leaving columns 1..n-1 open, row r to hold every value but r.
     """
     full = (1 << n) - 1
-    if reduced:
-        start, first = 1, tuple(1 << c for c in range(1, n))
-    else:
-        start, first = 0, (0,) * n
-    width = len(first)
+    width = n - 1
     memo: Dict[Tuple[int, ...], int] = {}
     new = [0] * width  # the row being filled; ways() recurses only after fill() ends
 
@@ -741,11 +735,11 @@ def _latin_count(n: int, reduced: bool) -> int:
                 new[i] = col | bit
                 fill(i + 1, free ^ bit)
 
-        fill(0, full & ~(1 << r) if reduced else full)
+        fill(0, full & ~(1 << r))
         total = memo[cols] = sum(m * ways(r + 1, key) for key, m in after.items())
         return total
 
-    return ways(start, first)
+    return ways(1, tuple(1 << c for c in range(1, n)))
 
 
 # -- measuring rod ----------------------------------------------------------------

@@ -2,8 +2,9 @@
 and compositions, shared by the library tests and the CLI streaming
 tests, the build-dedupe-sort enumerators of contact systems, tiles,
 plane and perfect partitions, Warburton's two recurrence routes for
-partitions into exactly p parts, and MacMahon's box product built one
-factor at a time."""
+partitions into exactly p parts, MacMahon's box product built one
+factor at a time, and the count of all Latin squares walked without
+fixing a first row or column."""
 
 import itertools
 
@@ -169,3 +170,37 @@ def perfect_partitions_oracle(n):
     """Perfect partitions of n: one per ordered factorization of n + 1,
     sorted descending."""
     return sorted(map(pt.perfect_partition, pt.ordered_factorizations(n + 1)), reverse=True)
+
+
+def latin_total_walk(n):
+    """All n x n Latin squares, counted one row at a time over memoised
+    column states as `recreations._latin_count` counts the reduced ones,
+    but with every column open and every value free in every row."""
+    full = (1 << n) - 1
+    memo = {}
+    new = [0] * n
+
+    def ways(r, cols):
+        if r >= n - 1:
+            return 1
+        if cols in memo:
+            return memo[cols]
+        after = {}
+
+        def fill(i, free):
+            if i == n:
+                key = tuple(sorted(new))
+                after[key] = after.get(key, 0) + 1
+                return
+            avail = free & ~cols[i]
+            while avail:
+                bit = avail & -avail
+                avail ^= bit
+                new[i] = cols[i] | bit
+                fill(i + 1, free ^ bit)
+
+        fill(0, full)
+        memo[cols] = sum(m * ways(r + 1, key) for key, m in after.items())
+        return memo[cols]
+
+    return ways(0, (0,) * n)

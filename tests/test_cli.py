@@ -1,5 +1,6 @@
-import io
+import argparse
 import contextlib
+import io
 import importlib
 import importlib.util
 import json
@@ -241,6 +242,16 @@ class TestExitCodes:
         ("partition table --demorgan 3 --u3 4", "--demorgan and --u3 cannot be combined"),
         ("partition table --u2 4 --u3 4", "--u2 and --u3 cannot be combined"),
         ("partition table --demorgan 3 --u2 4 --u3 4", "--demorgan and --u2 cannot be combined"),
+        ("invariant basis 4 3 6 --protomorphs 6", "j and --protomorphs cannot be combined"),
+        ("invariant basis 4 3 --protomorphs 6", "j and --protomorphs cannot be combined"),
+        ("compose count 4 4 --essential --order-k 2", "q and --order-k cannot be combined"),
+        ("compose count 4 --essential --order-k 2", "--essential and --order-k cannot be combined"),
+        ("puzzle mayblox --any --target 5", "--any and --target cannot be combined"),
+        ("puzzle mayblox --any --include-associate", "--any and --include-associate cannot be combined"),
+        ("election simulate --share 0.5 --sizes-file sizes.txt --constituencies 3",
+         "--sizes-file and --constituencies cannot be combined"),
+        ("election simulate --share 0.5 --sizes-file sizes.txt --size 3",
+         "--sizes-file and --size cannot be combined"),
     ])
     def test_options_that_were_dropped_are_one_usage_line(self, argv, message):
         assert run(argv) == (2, "", f"usage error: {message}\n")
@@ -596,7 +607,7 @@ CAP_EDGES = [
     ("puzzle stamps 12", "puzzle stamps 13"),  # 12 stamps
     ("puzzle latin --reduced 6", "puzzle latin --reduced 7"),  # order 6
     ("partition count 20000 --parts 50", "partition count 20001 --parts 50"),  # n * p = 10^6
-    ("puzzle latin --total 4", "puzzle latin --total 5"),  # order 4
+    ("puzzle latin --total 6", "puzzle latin --total 7"),  # order 6
     ("compose enum 20", "compose enum 21"),  # 2^19 output lines
     ("partition enum 55", "partition enum 56"),  # p(55) = 451276 and p(56) = 526823 lines, cap 2^19
     ("partition conj 1000000,1", "partition conj 1000001,1"),  # 10^6 parts of the conjugate
@@ -1299,6 +1310,8 @@ class TestParserReuse:
         "puzzle cubes --format svg",
         "master derange 6",
     ]
+    # the argv of ARGV that the reader leaves to argparse
+    PARSED = ["partition count abc", "--help", "partition count --help"]
 
     def test_reused_parser_matches_fresh_parser(self, monkeypatch):
         builds = []
@@ -1311,13 +1324,32 @@ class TestParserReuse:
         for argv in self.ARGV:
             monkeypatch.setattr(cli, "_PARSER", None)
             fresh.append(run(argv))
-        assert len(builds) == 1 + len(self.ARGV)
+        assert len(builds) == 1 + len(self.PARSED)
         assert reused == fresh
         assert reused[4][0] == 0 and reused[4][1].startswith("usage: combanal")
         assert reused[2][0] == 2 and reused[3] == (0, "4536\n", "")
 
     def test_not_built_at_import(self):
         assert fresh_interpreter("import combanal.cli as c; print(c._PARSER)") == "None\n"
+
+    @pytest.mark.parametrize("argv,code,built", [
+        ("partition count 30", 0, False),
+        ("partition count abc", 2, True),
+    ])
+    def test_one_shot_builds_the_parser_only_when_the_reader_declines(self, argv, code, built):
+        # run as `python -m combanal.cli` runs it; the frame of main() holds
+        # the globals of the module run as __main__
+        script = (
+            "import runpy\n"
+            "try:\n"
+            "    runpy.run_module('combanal.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    tb = exc.__traceback__\n"
+            "    while tb.tb_frame.f_code.co_name != 'main':\n"
+            "        tb = tb.tb_next\n"
+            "    print(exc.code, tb.tb_frame.f_globals['_PARSER'] is not None)\n"
+        )
+        assert fresh_interpreter(script, *argv.split()).endswith(f"{code} {built}\n")
 
 
 def _corpus():
@@ -1331,69 +1363,176 @@ def _corpus():
     with open(os.path.join(tests, "cli_help_snapshot.json"), encoding="utf-8") as fh:
         snapshot = json.load(fh)["surface"]
     pools = [argv for pool in workloads.POOLS.values() for argv in pool]
-    return list(dict.fromkeys([g[0] for g in GOLDEN] + sorted(snapshot) + pools + TestEntryParser.EDGE))
+    return list(dict.fromkeys([g[0] for g in GOLDEN] + sorted(snapshot) + pools + TestReader.EDGE))
 
 
-class TestEntryParser:
-    # how argparse's two outer levels hand strings on to an entry's parser
-    EDGE = [
+def _argparse_accepts(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv.split())
+        except SystemExit:
+            return False
+    return True
+
+
+def _echo(args):
+    """A stand-in handler that answers with the namespace it was given,
+    floats spelled by repr, so that NaN matches NaN."""
+    text = repr(sorted(vars(args).items()))
+    return cli.CommandResult(text, text, [[text]], text)
+
+
+class TestReader:
+    # argv that argparse accepts and the reader leaves to it
+    ARGPARSE_ONLY = [
         "partition enum 10 --par 3",
         "partition enum 10 --parts=5",
         "partition enum -- 10",
         "partition count 5 --",
         "partition count -- 5",
+        "partition count --parts 3 5",
+    ]
+    # argv that argparse refuses or answers with help
+    EDGE = ARGPARSE_ONLY + [
         "partition -- count 5",
         "-- partition count 5",
         "partition count 5 -h",
         "partition count 5 --he",
         "partition count 5 extra",
         "partition count 5 --bogus",
+        "compose count 4 --essential 4",
         "partition enum 10 --parts",
         "partition",
         "partition count",
         "",
     ]
 
-    def test_matches_the_whole_tree_and_never_parses_it_for_a_valid_request(self, monkeypatch):
+    def test_matches_argparse_and_builds_no_parser_for_a_valid_request(self, monkeypatch):
         # help wraps at the width the snapshot was written at
         monkeypatch.setenv("COLUMNS", "80")
         builds = []
         build = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
-        monkeypatch.setattr(cli, "_PARSER", None)
-        run("partition count 1")
-        whole_tree_parses = []
-        parse_args = cli._PARSER.parse_args
-        monkeypatch.setattr(cli._PARSER, "parse_args",
-                            lambda argv: whole_tree_parses.append(argv) or parse_args(argv))
-        reference, valid = build(), []
-
-        def whole_tree(parser, argv):
-            args = reference.parse_args(argv)
-            valid.append(argv)
-            return args
-
-        mismatched, parsed_whole = [], []
+        mismatched, built = [], []
         for argv in _corpus():
+            monkeypatch.setattr(cli, "_PARSER", None)
+            builds.clear()
             got = run(argv)
-            if whole_tree_parses:
-                parsed_whole.append(argv)
-                whole_tree_parses.clear()
+            if builds:
+                built.append(argv)
             with monkeypatch.context() as m:
-                m.setattr(cli, "_parse", whole_tree)
+                m.setattr(cli, "_read", lambda argv: None)
                 if run(argv) != got:
                     mismatched.append(argv)
         assert mismatched == []
-        assert len(builds) == 1
-        requests = [" ".join(argv) for argv in valid if tuple(argv[:2]) in cli.COMMANDS]
-        assert len(requests) > 200
-        assert set(parsed_whole).isdisjoint(requests)
+        reference = build()
+        valid = [argv for argv in _corpus() if _argparse_accepts(reference, argv)]
+        assert len(valid) - len(self.ARGPARSE_ONLY) > 200
+        assert [argv for argv in built if argv in valid] == self.ARGPARSE_ONLY
 
     def test_extra_arguments_print_the_top_level_usage(self):
         code, out, err = run("partition count 5 --bogus")
         assert (code, out) == (2, "")
         assert err.startswith("usage: combanal [-h]\n                {partition,compose,")
         assert err.endswith("combanal: error: unrecognized arguments: --bogus\n")
+
+    def test_negative_numbers_read_as_argparse_reads_them(self):
+        # argparse takes a token matching its pattern as a value only while
+        # no option string of the parser matches it too
+        assert cli.NEGATIVE_NUMBER.pattern == argparse.ArgumentParser()._negative_number_matcher.pattern
+        names = [name for cmd in cli.COMMANDS.values() for names, _ in cmd.arguments + cli.OUTPUT
+                 for name in names]
+        assert [name for name in names if cli.NEGATIVE_NUMBER.match(name)] == []
+
+    def test_table_uses_only_what_the_reader_reads(self):
+        for key, cmd in cli.COMMANDS.items():
+            optional = False
+            for names, spec in cmd.arguments + cli.OUTPUT:
+                assert len(names) == 1, key
+                assert set(spec) <= {"type", "choices", "default", "help", "action", "required", "nargs"}, key
+                assert spec.get("action", "store_true") == "store_true", key
+                # argparse converts a str default with the type; the reader does not
+                assert not (isinstance(spec.get("default"), str) and "type" in spec), key
+                if names[0].startswith("-"):
+                    assert "nargs" not in spec, key
+                else:
+                    # nargs="?" positionals trail the required ones
+                    assert spec.get("nargs", "?") == "?" and not (optional and "nargs" not in spec), key
+                    optional = optional or "nargs" in spec
+
+
+# Values for the reader's draws, by argument type: right ones, then wrong
+# ones for every type (numbers of both signs, the NaN float, words, the
+# empty string, argparse's markers).  --out draws only values that write
+# no file, whatever form the option takes.
+RIGHT_TOKENS = {int: ("3", "12", "0", "-2"), float: ("1.5", "-0.5", "-.5", "nan"), str: ("1,2", "x", "")}
+WRONG_TOKENS = ("3", "-2", "-.5", "1.5", "nan", "x", "", "-x", "-", "--", "-h")
+OUT_TOKENS = ("", os.path.join("no-such-directory", "out.txt"))
+
+
+@st.composite
+def reader_argv(draw, key):
+    """argv for table entry `key`.  Half the draws are well-formed:
+    enough positionals of the right type first, then options spelled in
+    full, some repeated, each with a value of its type.  The other half
+    may also have too few or too many positionals, values of the wrong
+    type, options abbreviated, joined to their value by '=' or missing it,
+    and -h, --help, -- or an unknown option.  A quarter of all draws are
+    shuffled."""
+    plain = draw(st.booleans())
+
+    def now_and_then():
+        return not plain and draw(st.sampled_from((False, False, True)))
+
+    arguments = cli.COMMANDS[key].arguments + cli.OUTPUT
+    positionals = [spec for names, spec in arguments if not names[0].startswith("-")]
+    options = [(names[0], spec) for names, spec in arguments if names[0].startswith("-")]
+
+    def value(name, spec, positional=False):
+        if name == "--out":
+            return draw(st.sampled_from(OUT_TOKENS))
+        if now_and_then():
+            return draw(st.sampled_from(WRONG_TOKENS))
+        right = spec.get("choices") or RIGHT_TOKENS.get(spec.get("type", str), RIGHT_TOKENS[int])
+        # argparse alone reads a positional that starts with '-'
+        return draw(st.sampled_from([t for t in right if not (plain and positional and t[:1] == "-")]))
+
+    least = sum(spec.get("nargs") != "?" for spec in positionals)
+    if now_and_then():
+        count = draw(st.integers(0, len(positionals) + 1))
+    else:
+        count = draw(st.integers(least, len(positionals)))
+    chunks = [[value("", spec, True)] for spec in (positionals + [{}])[:count]]
+    picked = [option for option in options if option[1].get("required") and not now_and_then()]
+    picked += draw(st.lists(st.sampled_from(options), max_size=4))
+    for name, spec in picked:
+        form = draw(st.sampled_from(("equals", "abbreviated", "bare"))) if now_and_then() else "full"
+        flag = spec.get("action") == "store_true"
+        if form == "equals":
+            chunks.append([f"{name}={value(name, spec)}"])
+        elif form == "bare" or flag:
+            chunks.append([name[:-1] if form == "abbreviated" else name])
+        else:
+            chunks.append([name[:-1] if form == "abbreviated" else name, value(name, spec)])
+    if now_and_then():
+        chunks.append([draw(st.sampled_from(("-h", "--help", "--", "--bogus")))])
+    if draw(st.sampled_from((False, False, False, True))):
+        chunks = draw(st.permutations(chunks))
+    return list(key) + [token for chunk in chunks for token in chunk]
+
+
+@pytest.mark.parametrize("key", list(cli.COMMANDS), ids=" ".join)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_reader_answers_as_argparse_does(key, data):
+    argv = data.draw(reader_argv(key), label="argv")
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("COLUMNS", "80")
+        m.setattr(cli, "RUN", dict.fromkeys(cli.COMMANDS, _echo))
+        read = run(argv)
+        m.setattr(cli, "_read", lambda argv: None)
+        assert run(argv) == read
 
 
 def fresh_interpreter(code: str, *argv: str) -> str:

@@ -7,7 +7,7 @@ import pytest
 from combanal import recreations as rc
 from combanal.exactcore import MultiPoly
 from combanal.partitions import enumerate_partitions, is_perfect, is_subperfect
-from enumeration_support import contact_systems_oracle, tiles_oracle
+from enumeration_support import contact_systems_oracle, latin_total_walk, tiles_oracle
 
 
 def is_stamp_folding(stack) -> bool:
@@ -423,11 +423,15 @@ class TestLatin:
         assert rc.latin_reduced_count(4) == 4
         assert rc.latin_reduced_count(5) == 56  # not the erroneous 52
 
-    def test_total_relation(self):
-        for n in range(1, 5):
-            total = rc.latin_total_count(n)
-            reduced = rc.latin_reduced_count(n)
-            assert total == reduced * math.factorial(n) * math.factorial(n - 1)
+    def test_total_matches_the_unreduced_walk(self):
+        for n in range(1, 6):
+            assert rc.latin_total_count(n) == latin_total_walk(n), n
+
+    def test_total_order_six_at_the_cap(self):
+        # OEIS A002860: 6! * 5! * 9408
+        assert rc.latin_total_count(6) == 812851200
+        with pytest.raises(ValueError):
+            rc.latin_total_count(7)
 
     def test_cap(self):
         with pytest.raises(ValueError):
@@ -435,9 +439,9 @@ class TestLatin:
 
     def test_matches_row_and_column_scan_oracle(self):
         for n in range(1, 7):
-            assert rc._latin_count(n, reduced=True) == latin_count_oracle(n, True), n
+            assert rc._latin_count(n) == latin_count_oracle(n, True), n
         for n in range(1, 5):
-            assert rc._latin_count(n, reduced=False) == latin_count_oracle(n, False), n
+            assert latin_total_walk(n) == latin_count_oracle(n, False), n
 
     def test_order_six(self):
         # OEIS A000315: 1, 1, 1, 4, 56, 9408
@@ -445,11 +449,11 @@ class TestLatin:
 
     def test_order_seven_below_the_cap(self):
         # OEIS A000315; latin_reduced_count refuses 7, the count itself does not
-        assert rc._latin_count(7, reduced=True) == 16942080
+        assert rc._latin_count(7) == 16942080
 
-    def test_total_order_five_below_the_cap(self):
+    def test_total_order_five(self):
         # OEIS A002860: 5! * 4! * 56
-        assert rc._latin_count(5, reduced=False) == 161280
+        assert latin_total_walk(5) == rc.latin_total_count(5) == 161280
 
 
 class TestRod:
