@@ -70,8 +70,7 @@ def cmd_partition_table(args) -> CommandResult:
             u = closed_form(x)
             return CommandResult(str(u), u, [["x", "u"], [x, u]])
     top = 20 if args.n is None else args.n
-    pt.count_partitions(top)  # fills the table to top, or refuses past its cap
-    rows = [[n, pt.count_partitions(n)] for n in range(top + 1)]
+    rows = [[n, v] for n, v in enumerate(pt.partition_counts(top))]
     text = "\n".join(f"{n:>4} {v}" for n, v in rows)
     return CommandResult(text, {str(n): v for n, v in rows}, csv_rows=[["n", "p"]] + rows)
 

@@ -41,7 +41,7 @@ def cmd_election_simulate(args) -> CommandResult:
     exclusive(("--sizes-file", args.sizes_file), ("--size", args.size))
     constituencies = 100 if args.constituencies is None else args.constituencies
     size = 1000 if args.size is None else args.size
-    if args.sizes_file:
+    if args.sizes_file is not None:
         pe.check_shares(args.share, args.mixing)  # before the file is read
         try:
             sizes = pe.read_constituency_sizes(args.sizes_file)

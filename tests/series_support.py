@@ -1,6 +1,7 @@
 """Oracles for the Master Theorem: box-truncated power-series inversion for
 the condensed side, [x^e] 1/V_n; the one-sided Ryser sum for the coefficient;
-and the multiset words for generalized rencontres."""
+and the multiset words for generalized rencontres.  Also Euler's pentagonal
+recurrence for p(n), one term at a time."""
 
 import itertools
 import math
@@ -69,3 +70,25 @@ def brute_force_rencontres(m: int, multidegree) -> int:
     return sum(
         sum(a == b for a, b in zip(word, reference)) == m for word in distinct_arrangements(reference)
     )
+
+
+def pentagonal_table_oracle(n: int) -> list:
+    """[p(0), ..., p(n)] by Euler's pentagonal-number recurrence, each row
+    summed one signed term p(m - g) at a time."""
+    table = [1]
+    for m in range(1, n + 1):
+        total = 0
+        k = 1
+        while True:
+            g1 = k * (3 * k - 1) // 2
+            g2 = k * (3 * k + 1) // 2
+            if g1 > m and g2 > m:
+                break
+            sign = 1 if k % 2 == 1 else -1
+            if g1 <= m:
+                total += sign * table[m - g1]
+            if g2 <= m:
+                total += sign * table[m - g2]
+            k += 1
+        table.append(total)
+    return table

@@ -809,6 +809,10 @@ FORMERLY_TRACEBACK_USAGE = [
         "election simulate --share 0.5 --sizes-file /nonexistent",
         "argument --sizes-file: can't open '/nonexistent': No such file or directory",
     ),  # a FileNotFoundError
+    (
+        "election simulate --share 0.5 --sizes-file=",
+        "argument --sizes-file: can't open '': No such file or directory",
+    ),  # an empty path, once read as no file
 ]
 
 

@@ -19,6 +19,9 @@ from enumeration_support import (
     warburton_route1,
     warburton_route2,
 )
+from series_support import pentagonal_table_oracle
+
+PENTAGONAL_TABLE = pentagonal_table_oracle(pt.PARTITION_TABLE_CAP)
 
 
 def brute_partitions(n, max_part=None):
@@ -136,6 +139,26 @@ class TestEnumerateAndCount:
     def test_p200_fast(self):
         # full table to 200 by the pentagonal recurrence
         assert pt.count_partitions(200) == 3972999029388
+
+    def test_fresh_table_to_twelve(self):
+        # rows 1, 5 and 6 read one offset on a side
+        pt._PARTITION_TABLE[:] = [1]
+        assert pt.count_partitions(12) == 77
+        assert pt._PARTITION_TABLE == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+        assert pt.partition_counts(12) == pentagonal_table_oracle(12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 3000), min_size=1, max_size=12))
+    def test_table_extended_in_steps_matches_the_oracle(self, ns):
+        pt._PARTITION_TABLE[:] = [1]
+        for n in sorted(ns):
+            assert pt.count_partitions(n) == PENTAGONAL_TABLE[n]
+            assert pt._PARTITION_TABLE == PENTAGONAL_TABLE[: len(pt._PARTITION_TABLE)]
+        assert pt.partition_counts(max(ns)) == PENTAGONAL_TABLE[: max(ns) + 1]
+
+    def test_fresh_table_to_the_cap_matches_the_oracle(self):
+        pt._PARTITION_TABLE[:] = [1]
+        assert pt.partition_counts(pt.PARTITION_TABLE_CAP) == PENTAGONAL_TABLE
 
     def test_ramanujan_congruences(self):
         for n in range(101):
