@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from . import invariants as iv
 from .cli_common import CommandResult, UsageError, exclusive, rationals, scalar
-from .exactcore import MAX_EXPONENT, MultiPoly
+from .exactcore import MAX_EXPONENT, MultiPoly, format_rows
 
 
 def parse_coeff_poly(expr: str, p: int) -> MultiPoly:
@@ -83,7 +83,7 @@ def cmd_invariant_basis(args) -> CommandResult:
         return CommandResult("\n".join(texts), texts)
     if args.j is None or args.w is None:
         raise UsageError("invariant basis needs j and w (or --protomorphs)")
-    texts = [str(b) for b in iv.seminvariant_basis(args.p, args.j, args.w)]
+    texts = format_rows(*iv.seminvariant_kernel(args.p, args.j, args.w))
     return CommandResult("\n".join(texts) or "(empty)", texts)
 
 

@@ -1,5 +1,6 @@
-"""Exact rational arithmetic: multivariate polynomials, a cofactor
-polynomial determinant and the integer nullspace.
+"""Exact rational arithmetic: multivariate polynomials and their one
+text form (format_rows), a cofactor polynomial determinant and the
+integer nullspace.
 
 A coefficient is an `int` when it is integral, else a `fractions.Fraction`;
 nothing here rounds.  The nullspace comes from one fraction-free echelon
@@ -13,7 +14,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from itertools import compress
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -170,10 +172,6 @@ class MultiPoly:
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * len(self.names), 0)
 
-    def sorted_terms(self):
-        """Terms in a canonical order: total degree, then lexicographic."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-
     # -- calculus and substitution --------------------------------------
 
     def diff(self, name: str) -> "MultiPoly":
@@ -246,29 +244,36 @@ class MultiPoly:
         return MultiPoly(self.names, out)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        joined = " + ".join(parts)
-        return joined.replace("+ -", "- ")
+        """The terms by total degree, then lexicographically (a stable sort
+        by degree of the lex-sorted exponents), as format_rows writes them."""
+        exps = sorted(sorted(self.terms), key=sum)
+        return format_rows(self.names, exps, [list(map(self.terms.__getitem__, exps))])[0]
 
     __repr__ = __str__
+
+
+def format_rows(names: Sequence[str], exponents: Sequence[Exponent], rows: Iterable[Sequence[Scalar]]) -> List[str]:
+    """Each row of coefficients over the monomials `exponents`, in the
+    order given, as the polynomial over `names` that `str(MultiPoly)`
+    prints: a monomial as a1^2*a3, a coefficient c in front of it as
+    c*body, except body for 1 and -body for -1, a constant term as the
+    bare number, the terms joined by " + " with each "+ -" written "- ",
+    and "0" for a row with no nonzero entry.  Each monomial is written
+    once, whatever the number of rows."""
+    bodies = []
+    for exp in exponents:
+        factors = []
+        for name, e in zip(names, exp):
+            if e:
+                factors.append(name if e == 1 else f"{name}^{e}")
+        bodies.append("*".join(factors))
+    out = []
+    for row in rows:
+        parts = []
+        for c, body in compress(zip(row, bodies), row):
+            parts.append((body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}") if body else str(c))
+        out.append(" + ".join(parts).replace("+ -", "- ") or "0")
+    return out
 
 
 def poly_ring(*names: str) -> Tuple[MultiPoly, ...]:

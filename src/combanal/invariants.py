@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import DomainError
 from .exactcore import Exponent, MultiPoly, Scalar, nullspace_sparse
@@ -185,17 +184,20 @@ def _isobaric_monomials(p: int, j: int, w: int) -> List[Tuple[int, ...]]:
     return out
 
 
-# Omega's price: box[w] columns of p + 1 exponents, walked to list them and
-# to build the basis (about two elimination cells each), and box[w - 1] rows
-# eliminated against them.  In process (Python 3.11, 2-vCPU VM) the 103
-# points priced from half the cap to the cap, p up to 512, took 0.07-0.61 s;
-# 511 3 120 (2854904) took 2.1 s and 10 10 40 (16675776) 33 s.
+# Omega's price: box[w] columns of p + 1 exponents, walked to list the
+# monomials and to write each one once for the printed basis (about two
+# elimination cells each), and box[w - 1] rows eliminated against them.
+# In process (Python 3.11, 2-vCPU VM) 100 points priced from half the cap
+# to the cap, p up to 512, took 0.02-0.33 s as commands; past it, 511 3
+# 120 (2854904) took 0.57 s and 10 10 40 (16675776) 22 s.
 BASIS_WORK_CAP = 2**19
 
 
 def _basis_price(p: int, j: int, w: int) -> int:
     """rows * columns + 2 * columns * (p + 1) for Omega in degree j from
-    weight w to w - 1, or a lower bound on it past BASIS_WORK_CAP.
+    weight w to w - 1, or a lower bound on it past BASIS_WORK_CAP: the
+    elimination, and each column's p + 1 exponents walked twice, once to
+    list its monomial and once to write it (format_rows).
 
     box[n], the partitions of n into at most j parts each at most p, is the
     coefficient of q^n in [p+j choose j]_q: min(p, j) factors, one running
@@ -221,22 +223,37 @@ def _basis_price(p: int, j: int, w: int) -> int:
     return rows * cols + 2 * cols * (p + 1)
 
 
-def seminvariant_basis(p: int, j: int, w: int) -> List[MultiPoly]:
-    """Integer basis of the Omega kernel on degree-j weight-w monomials.
-    Past the middle, 2w > pj, the kernel is empty by the Cayley-Sylvester
-    law (see seminvariant_dimension), so nothing is priced or listed
-    there.  Elsewhere refused before Omega is built when its price passes
+Kernel = Tuple[Tuple[str, ...], List[Exponent], List[List[int]]]
+
+
+def seminvariant_kernel(p: int, j: int, w: int) -> Kernel:
+    """The Omega kernel on degree-j weight-w monomials as (the names
+    a0..ap, those monomials in lexicographic order, an integer basis of
+    primitive vectors over them).  Past the middle, 2w > pj, the kernel
+    is empty by the Cayley-Sylvester law (see seminvariant_dimension), so
+    nothing is priced or listed there and all three are empty.
+    Elsewhere refused before Omega is built when its price passes
     BASIS_WORK_CAP."""
     if p < 1 or j < 1 or w < 0:
         raise DomainError("need p, j >= 1 and w >= 0")
     if 2 * w > p * j:
-        return []
+        return (), [], []
     return _omega_kernel(p, j, w)
 
 
-def _omega_kernel(p: int, j: int, w: int) -> List[MultiPoly]:
-    """seminvariant_basis by the kernel solve at any weight, past the middle
-    too, where the tests read it as the Cayley-Sylvester law's oracle."""
+def seminvariant_basis(p: int, j: int, w: int) -> List[MultiPoly]:
+    """seminvariant_kernel's vectors as polynomials in a0..ap."""
+    return _as_polys(*seminvariant_kernel(p, j, w))
+
+
+def _as_polys(names: Tuple[str, ...], monomials: List[Exponent], vectors: List[List[int]]) -> List[MultiPoly]:
+    return [MultiPoly(names, {m: c for m, c in zip(monomials, vec) if c}) for vec in vectors]
+
+
+def _omega_kernel(p: int, j: int, w: int) -> Kernel:
+    """seminvariant_kernel by the kernel solve at any weight, past the
+    middle too, where the tests read it as the Cayley-Sylvester law's
+    oracle."""
     names = avar_names(p)
     price = _basis_price(p, j, w)
     if price > BASIS_WORK_CAP:
@@ -256,10 +273,7 @@ def _omega_kernel(p: int, j: int, w: int) -> List[MultiPoly]:
                 rows.setdefault(tuple(img), {})[ci] = k * e
     # src is in lexicographic order, so each vector's last nonzero entry,
     # positive, is at its lexicographically greatest monomial.
-    return [
-        MultiPoly(names, {m: c for m, c in zip(src, ints) if c})
-        for ints in nullspace_sparse([row for _, row in sorted(rows.items())], len(src))
-    ]
+    return names, src, nullspace_sparse([row for _, row in sorted(rows.items())], len(src))
 
 
 def seminvariant_dimension(p: int, j: int, w: int) -> int:
@@ -302,20 +316,34 @@ def non_unitary_contains_count(w: int, j: int) -> int:
 # -- invariance under linear substitution ---------------------------------
 
 
-@dataclass(frozen=True)
 class LinearTransform2:
-    """x = l X + m Y, y = lp X + mp Y with nonzero modulus l*mp - lp*m."""
+    """x = l X + m Y, y = lp X + mp Y with nonzero modulus l*mp - lp*m.
+    Immutable; compared, hashed and shown by its four entries."""
 
-    l: Fraction
-    m: Fraction
-    lp: Fraction
-    mp: Fraction
+    __slots__ = ("l", "m", "lp", "mp")
 
-    def __post_init__(self):
-        for f in ("l", "m", "lp", "mp"):
-            object.__setattr__(self, f, Fraction(getattr(self, f)))
+    def __init__(self, l: Scalar, m: Scalar, lp: Scalar, mp: Scalar):
+        for name, value in zip(self.__slots__, (l, m, lp, mp)):
+            object.__setattr__(self, name, Fraction(value))
         if self.modulus() == 0:
             raise DomainError("transform must be invertible")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LinearTransform2 is immutable")
+
+    def _entries(self) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+        return self.l, self.m, self.lp, self.mp
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not LinearTransform2:
+            return NotImplemented
+        return self._entries() == other._entries()
+
+    def __hash__(self) -> int:
+        return hash(self._entries())
+
+    def __repr__(self) -> str:
+        return "LinearTransform2(l={!r}, m={!r}, lp={!r}, mp={!r})".format(*self._entries())
 
     def modulus(self) -> Fraction:
         return self.l * self.mp - self.lp * self.m
@@ -323,8 +351,8 @@ class LinearTransform2:
 
 def _integer_forms(t: LinearTransform2) -> Tuple[Tuple[int, int, int, int], int]:
     """(l, m, lp, mp) times their common denominator d, and d."""
-    d = math.lcm(*(v.denominator for v in (t.l, t.m, t.lp, t.mp)))
-    return tuple(int(v * d) for v in (t.l, t.m, t.lp, t.mp)), d
+    d = math.lcm(*(v.denominator for v in t._entries()))
+    return tuple(int(v * d) for v in t._entries()), d
 
 
 def _binomial_product(u: int, w: int, forms: Tuple[int, int, int, int]) -> List[int]:
@@ -501,8 +529,7 @@ def protomorphs(p: int, max_weight: int) -> List[MultiPoly]:
     return out
 
 
-@dataclass(frozen=True)
-class SyzygantSolution:
+class SyzygantSolution(NamedTuple):
     alphas: Tuple[Fraction, ...]
     quotient: MultiPoly
 
@@ -616,8 +643,7 @@ def _prior_factors(a1, a2, a3):
     return n1, b12 * b13 * b23, n2, a1 * a2 * a3
 
 
-@dataclass(frozen=True)
-class RootsReport:
+class RootsReport(NamedTuple):
     trials: int
     q2_identity_ok: bool
     prior_product_ok: bool

@@ -365,13 +365,24 @@ def count_partitions(n: int) -> int:
     table = _PARTITION_TABLE
     i = bisect.bisect(_OFFSETS, len(table), key=operator.neg)
     while len(table) <= n:
-        # table[0] twice on each side cancels and makes each getter return a tuple
-        plus = operator.itemgetter(0, 0, *_OFFSETS[0:i:4], *_OFFSETS[1:i:4])
-        minus = operator.itemgetter(0, 0, *_OFFSETS[2:i:4], *_OFFSETS[3:i:4])
+        plus, minus = _segment_getters(i)
         for _ in range(len(table), min(-_OFFSETS[i], n + 1)):
             table.append(sum(plus(table)) - sum(minus(table)))
         i += 1
     return table[n]
+
+
+# The last segment's getters are kept, so that rows read one call each,
+# as past_cap reads them, build each pair once.
+@lru_cache(maxsize=1)
+def _segment_getters(i: int) -> Tuple[Callable, Callable]:
+    """count_partitions' + and - getters for the rows below the i-th
+    generalized pentagonal number."""
+    # table[0] twice on each side cancels and makes each getter return a tuple
+    return (
+        operator.itemgetter(0, 0, *_OFFSETS[0:i:4], *_OFFSETS[1:i:4]),
+        operator.itemgetter(0, 0, *_OFFSETS[2:i:4], *_OFFSETS[3:i:4]),
+    )
 
 
 def partition_counts(n: int) -> List[int]:

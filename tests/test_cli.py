@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import combanal
-from combanal import cli, cli_invariants
+from combanal import cli, cli_invariants, exactcore
+from combanal import invariants as iv
 from combanal import partitions as pt
 from enumeration_support import (
     contact_systems_oracle,
@@ -880,6 +881,28 @@ def test_invariant_basis_past_the_middle_is_empty():
     assert run("invariant basis 100 4 300 --format json") == (0, "[]\n", "")
 
 
+@settings(max_examples=60)
+@given(st.integers(1, 8), st.integers(1, 6), st.data())
+def test_invariant_basis_prints_the_basis_as_str_writes_it(p, j, data):
+    # the command renders the integer kernel; str(MultiPoly) of the basis
+    # reaches the same renderer through the polynomials
+    w = data.draw(st.integers(0, p * j // 2 + 1))
+    want = "\n".join(str(b) for b in iv.seminvariant_basis(p, j, w)) or "(empty)"
+    assert run(f"invariant basis {p} {j} {w}") == (0, want + "\n", "")
+
+
+def test_invariant_basis_builds_no_multipoly(monkeypatch):
+    argvs = ["invariant basis 8 6 16", "invariant basis 8 6 25"]
+    want = [run(argv) for argv in argvs]
+    assert want[1] == (0, "(empty)\n", "")
+
+    def refuse(self, *args):
+        raise AssertionError("invariant basis built a MultiPoly")
+
+    monkeypatch.setattr(exactcore.MultiPoly, "__init__", refuse)
+    assert [run(argv) for argv in argvs] == want
+
+
 def test_cube_law_past_the_float_range_answers():
     # an OverflowError traceback from 1e308 ** 3; equal votes split 2.5 seats down
     assert run("election cubelaw 1e308 1e308 5") == (0, "2 3\n", "")
@@ -1581,6 +1604,17 @@ class TestImportIsolation:
         report = json.loads(fresh_interpreter(self.PROBE, *argv.split()))
         assert report["at_import"] == ["combanal", "combanal.cli", "combanal.cli_common"]
         assert (report["code"], report["out"], report["added"]) == (code, output, added)
+
+    def test_invariant_basis_loads_no_dataclasses(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize, about 5 ms
+        code = (
+            "import contextlib, io, sys\n"
+            "import combanal.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "    code = cli.dispatch(['invariant', 'basis', '4', '3', '6'])\n"
+            "print(code, out.getvalue().strip(), 'dataclasses' in sys.modules)\n"
+        )
+        assert fresh_interpreter(code) == "0 -a2^3 + 2*a1*a2*a3 - a1^2*a4 - a0*a3^2 + a0*a2*a4 False\n"
 
     def test_run_as_main_imports_no_second_cli(self):
         # handler modules import cli_common, never combanal.cli, which

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from combanal.exactcore import (
     MultiPoly,
     _echelon,
+    format_rows,
     poly_det_cofactor,
     nullspace_sparse,
     poly_ring,
@@ -104,6 +105,28 @@ class TestMultiPoly:
     def test_diff(self):
         x, y = poly_ring("x", "y")
         assert (x**3 * y).diff("x") == 3 * x**2 * y
+
+    @pytest.mark.parametrize(
+        "terms,text",
+        [
+            ({}, "0"),
+            ({(0, 0): 7}, "7"),
+            ({(0, 0): -1, (1, 0): 1}, "-1 + x"),
+            ({(1, 0): 1, (0, 1): -1}, "-y + x"),
+            ({(2, 1): Fraction(3, 2), (0, 3): Fraction(-1, 3)}, "-1/3*y^3 + 3/2*x^2*y"),
+            ({(1, 0): Fraction(-1, 3), (0, 1): 2}, "2*y - 1/3*x"),
+            ({(0, 2): -2, (2, 0): 1, (1, 1): -1}, "-2*y^2 - x*y + x^2"),
+            # degree first, then lexicographic: y^3 after x*y, before x^3
+            ({(3, 0): 1, (0, 0): 4, (1, 1): 5, (0, 3): -1, (0, 1): -1}, "4 - y + 5*x*y - y^3 + x^3"),
+        ],
+    )
+    def test_str(self, terms, text):
+        assert str(MultiPoly(("x", "y"), terms)) == text
+
+    def test_format_rows_writes_one_polynomial_per_row(self):
+        # zero entries are skipped, and a row of zeros is the zero polynomial
+        rows = [[0, 0, 0], [0, 2, 0], [1, -1, 3], [-5, 0, 1]]
+        assert format_rows(("x", "y"), [(0, 0), (0, 1), (1, 0)], rows) == ["0", "2*y", "1 - y + 3*x", "-5 + x"]
 
     def test_exponent_overflow_is_hard_error(self):
         with pytest.raises(OverflowError):

@@ -156,6 +156,11 @@ class TestEnumerateAndCount:
             assert pt._PARTITION_TABLE == PENTAGONAL_TABLE[: len(pt._PARTITION_TABLE)]
         assert pt.partition_counts(max(ns)) == PENTAGONAL_TABLE[: max(ns) + 1]
 
+    def test_table_read_one_row_at_a_time(self):
+        pt._PARTITION_TABLE[:] = [1]
+        assert [pt.count_partitions(m) for m in range(201)] == pt.partition_counts(200)
+        assert pt.partition_counts(200) == PENTAGONAL_TABLE[:201]
+
     def test_fresh_table_to_the_cap_matches_the_oracle(self):
         pt._PARTITION_TABLE[:] = [1]
         assert pt.partition_counts(pt.PARTITION_TABLE_CAP) == PENTAGONAL_TABLE
